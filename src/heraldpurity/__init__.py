@@ -5,7 +5,12 @@ source, applies spectral filters to either arm, and computes the heralded
 single-photon purity, the heralding probability, the Schmidt mode structure,
 and two-source interference, through three mutually checking routes: closed
 forms, direct quadrature, and mode decomposition.
+
+Modules log to the ``heraldpurity`` logger, which is silent unless the
+application configures logging.
 """
+
+import logging
 
 from .analytic import (
     ClosedFormReport,
@@ -73,6 +78,8 @@ from .sweep import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

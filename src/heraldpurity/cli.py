@@ -86,10 +86,14 @@ def load_jsa_csv(path):
 
     The file must have a header ``omega_signal,omega_idler,re,im`` and one
     row per grid cell, covering a full rectangle of signal and idler
-    frequencies.
+    frequencies with each ``(signal, idler)`` pair exactly once.
 
     Returns:
         A normalized ``GriddedJsa``.
+
+    Raises:
+        ValueError: If a column is missing or the rows do not cover the
+            rectangle once.
     """
     data = np.genfromtxt(path, delimiter=",", names=True)
     required = ("omega_signal", "omega_idler", "re", "im")
@@ -101,14 +105,15 @@ def load_jsa_csv(path):
         )
     signal = np.unique(data["omega_signal"])
     idler = np.unique(data["omega_idler"])
-    if signal.size * idler.size != data.size:
-        raise ValueError(
-            "jsa csv must cover a full rectangle of signal and idler "
-            "frequencies"
-        )
-    amplitudes = np.zeros((signal.size, idler.size), dtype=complex)
     ix = np.searchsorted(signal, data["omega_signal"])
     iy = np.searchsorted(idler, data["omega_idler"])
+    if (signal.size * idler.size != data.size
+            or np.unique(ix * idler.size + iy).size != data.size):
+        raise ValueError(
+            "jsa csv must cover a full rectangle of signal and idler "
+            "frequencies, with each (signal, idler) pair exactly once"
+        )
+    amplitudes = np.zeros((signal.size, idler.size), dtype=complex)
     amplitudes[ix, iy] = data["re"] + 1j * data["im"]
     if np.abs(amplitudes.imag).max() == 0.0:
         amplitudes = amplitudes.real

@@ -56,6 +56,16 @@ class GridCoverageError(NumericalError):
     """A frequency grid clips or under-resolves the amplitude placed on it."""
 
 
+# Minimum heralding probability considered numerically meaningful.
+_SUCCESS_FLOOR = 1e-12
+
+
+def _clip_unit(value, slack=1e-6):
+    if value < -slack or value > 1.0 + slack:
+        raise NumericalError(f"result {value} lies outside [0, 1]")
+    return min(max(value, 0.0), 1.0)
+
+
 def parse_angle(value):
     """Interpret an angle given as a number or a compact ``pi`` expression.
 

@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    _SUCCESS_FLOOR,
     ConvergenceError,
     DoubleGaussianJsa,
     GaussianFilter,
@@ -31,6 +32,7 @@ from .core import (
     HomCurve,
     NumericalError,
     TabulatedFilter,
+    _clip_unit,
     eval_double_gaussian,
     filter_transmission,
 )
@@ -52,9 +54,6 @@ __all__ = [
 # Gaussian integrands; the margin covers short windows.
 _NODES_PER_FEATURE = 5.2
 _NODE_MARGIN = 32
-
-# Minimum heralding probability considered numerically meaningful.
-_SUCCESS_FLOOR = 1e-12
 
 # Interference is cut off where its envelope has decayed below exp(-49).
 _DECAY_CUTOFF = 7.0
@@ -248,12 +247,6 @@ def _pair_from_state(m, wtx):
     if not math.isfinite(purity):
         raise NumericalError("purity evaluated to a non-finite value")
     return purity, success
-
-
-def _clip_unit(value, slack=1e-6):
-    if value < -slack or value > 1.0 + slack:
-        raise NumericalError(f"result {value} lies outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
 
 
 def _single_pair(jsa, herald, heralded, spec, refine):

@@ -293,6 +293,27 @@ def test_jsa_csv_round_trip(tmp_path, jsa_k26):
     assert float(quadrature) == pytest.approx(expected, abs=1e-3)
 
 
+def test_jsa_csv_rejects_duplicated_and_missing_cell(tmp_path):
+    # Nine rows on a 3x3 rectangle, but (0, -1) appears twice and (0, 0)
+    # not at all, so the row count alone cannot catch it.
+    axis = (-1.0, 0.0, 1.0)
+    pairs = [(ws, wi) for ws in axis for wi in axis]
+    pairs[pairs.index((0.0, 0.0))] = (0.0, -1.0)
+    path = tmp_path / "holed.csv"
+    path.write_text("omega_signal,omega_idler,re,im\n" + "".join(
+        f"{ws},{wi},1.0,0.0\n" for ws, wi in pairs))
+    with pytest.raises(ValueError, match="exactly once"):
+        load_jsa_csv(str(path))
+
+    config = tmp_path / "holed.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": str(path)}}))
+    code, out, err = run_cli("report", "--config", str(config),
+                             "--filter-width", "0.8", "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
+
 def test_hom_gridded_requires_tau_max(tmp_path, jsa_k26):
     grid = hp.discretize(jsa_k26, half_extent=5.0, n_points=256)
     path = tmp_path / "jsa.csv"

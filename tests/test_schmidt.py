@@ -1,6 +1,7 @@
 """Tests for the sampled-mode decomposition route."""
 
 import io
+import logging
 import math
 
 import numpy as np
@@ -18,6 +19,110 @@ def chirped_copy(grid, seed_phase=(0.21, -0.13, 0.17, 0.4)):
     phase = c2s * ws**2 + c2i * wi**2 + cx * ws * wi + c1s * ws
     amps = grid.amplitudes * np.exp(1j * phase)
     return hp.GriddedJsa(grid.signal_grid, grid.idler_grid, amps).normalize()
+
+
+def full_svd_weights(grid, rel_threshold=1e-12):
+    """Retained weights of a full SVD of the samples ``decompose`` factors.
+
+    ``decompose`` flushes subnormal samples to zero before factoring, so the
+    reference does the same to see the identical matrix.
+    """
+    scaled = grid.amplitudes * math.sqrt(grid.cell_area)
+    scaled[np.abs(scaled) < np.finfo(float).tiny] = 0.0
+    p = np.linalg.svd(scaled, full_matrices=False)[1] ** 2
+    return p[p >= rel_threshold * p[0]]
+
+
+def descending(weights):
+    # decompose orders modes inside numerically degenerate weight groups by
+    # the sign of their first sample; compare weights as sorted sets.
+    return np.sort(weights)[::-1]
+
+
+@pytest.fixture(scope="module")
+def chirped_grid(jsa_k26):
+    return chirped_copy(hp.discretize(jsa_k26, half_extent=6.0, n_points=400))
+
+
+@pytest.fixture(scope="module")
+def chirped_modes(chirped_grid):
+    return hp.decompose(chirped_grid)
+
+
+@pytest.fixture(scope="module")
+def separable_grid(jsa_separable):
+    extent, points = hp.recommended_grid(jsa_separable)
+    return hp.discretize(jsa_separable, half_extent=extent, n_points=points)
+
+
+GRIDS = ("k26_grid", "ktp_grid", "chirped_grid", "separable_grid")
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_truncated_weights_match_full_svd(name, request):
+    grid = request.getfixturevalue(name)
+    modes = hp.decompose(grid)
+    reference = full_svd_weights(grid)
+    assert modes.n_modes == reference.size
+    np.testing.assert_allclose(descending(modes.coefficients), reference,
+                               rtol=0.0, atol=1e-12 * reference[0])
+
+
+@pytest.mark.filterwarnings("ignore:grid step")
+def test_rank_past_half_the_grid_uses_full_svd(jsa_ktp, caplog):
+    extent, _ = hp.recommended_grid(jsa_ktp)
+    grid = hp.discretize(jsa_ktp, half_extent=extent, n_points=256)
+    reference = full_svd_weights(grid)
+    assert reference.size > 256 // 2
+    with caplog.at_level(logging.DEBUG, logger="heraldpurity"):
+        modes = hp.decompose(grid)
+    assert "full SVD True" in caplog.records[-1].getMessage()
+    assert modes.n_modes == reference.size
+    np.testing.assert_array_equal(descending(modes.coefficients), reference)
+
+
+@pytest.mark.parametrize("name", ("k26_grid", "chirped_grid"))
+def test_decompose_is_deterministic(name, request):
+    grid = request.getfixturevalue(name)
+    np.random.seed(1)
+    first = hp.decompose(grid)
+    np.random.seed(2)
+    second = hp.decompose(grid)
+    # The global stream was neither read nor advanced.
+    assert np.random.random() == np.random.RandomState(2).random_sample()
+    for field in ("coefficients", "signal_modes", "idler_modes"):
+        np.testing.assert_array_equal(getattr(first, field),
+                                      getattr(second, field))
+
+
+@pytest.mark.parametrize("name", ("ktp_modes", "chirped_modes"))
+def test_every_retained_mode_is_orthonormal(name, request):
+    # decompose itself checks the leading 12 modes; check all of them here.
+    modes = request.getfixturevalue(name)
+    assert modes.n_modes > 12
+    for mode_set, step in ((modes.signal_modes, modes.signal_step),
+                           (modes.idler_modes, modes.idler_step)):
+        gram = (mode_set * step) @ mode_set.conj().T
+        np.testing.assert_allclose(gram, np.eye(modes.n_modes), atol=1e-8)
+
+
+def test_decompose_logs_at_debug_only(k26_grid, caplog):
+    package = logging.getLogger("heraldpurity")
+    assert any(isinstance(handler, logging.NullHandler)
+               for handler in package.handlers)
+    hp.decompose(k26_grid)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="heraldpurity"):
+        modes = hp.decompose(k26_grid)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.name.startswith("heraldpurity")
+    message = record.getMessage()
+    assert "grid 256x256" in message
+    assert "sketch ranks [32" in message
+    assert "full SVD False" in message
+    assert f"modes kept {modes.n_modes}," in message
+    assert "residual weight" in message
 
 
 def test_separable_amplitude_is_single_mode(jsa_separable):
