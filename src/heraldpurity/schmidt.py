@@ -48,6 +48,10 @@ __all__ = [
 # treated as degenerate when ordering.
 _DEGENERACY_TOL = 1e-12
 
+# Signal samples whose magnitudes lie within this fraction of a mode's peak
+# tie for fixing its phase.
+_PEAK_TIE = 1e-9
+
 # Truncated SVD.  The sketch starts at _SKETCH_START columns and carries
 # _OVERSAMPLE columns beyond the modes it is sized for; its Gaussian test
 # matrix comes from a fixed seed, so equal inputs factor identically.  The
@@ -252,10 +256,11 @@ def _truncated_svd(scaled, rel_threshold):
     lies below the accuracy floor and its residual weight, which bounds the
     weight of any mode it missed, lies below ``rel_threshold * p0``.
     Once the rank would reach half the smaller grid dimension the full SVD
-    is cheaper and is used instead.
+    is cheaper and is used instead.  Keeping every mode (``rel_threshold``
+    not positive) needs the full SVD from the start.
     """
     floor = _ACCURACY_FLOOR * min(rel_threshold, 1e-12)
-    limit = min(scaled.shape) // 2
+    limit = min(scaled.shape) // 2 if rel_threshold > 0.0 else 0
     rng = np.random.default_rng(_SKETCH_SEED)
     ranks = []
     rank = _SKETCH_START
@@ -280,8 +285,9 @@ def decompose(gridded, rel_threshold=1e-12):
 
     Modes with weights below ``rel_threshold`` times the leading weight are
     dropped; the retained weights are not rescaled, so their sum reports the
-    captured norm.  Mode phases are fixed by making the largest-magnitude
-    sample of each signal mode real and positive, and ties between
+    captured norm; a threshold of zero keeps every mode.  Mode phases are
+    fixed by making the first signal sample whose magnitude is within 1e-9
+    of the mode's peak real and positive, and ties between
     numerically equal weights are broken by the sign of the first
     significant signal sample, so equal inputs decompose identically.
 
@@ -291,12 +297,13 @@ def decompose(gridded, rel_threshold=1e-12):
     the leading weight and the weight left outside the sketch is below
     ``rel_threshold`` times it, so no mode above the threshold is missed
     and retained weights match a full SVD to well below the threshold.
-    When that rank would reach half the smaller grid dimension, the full
-    SVD runs instead.  Results are deterministic: repeated calls return
-    bit-identical arrays, and the global numpy random state is neither
-    read nor changed.  Samples below the smallest normal double are set to
-    zero before factoring, which changes the amplitude by less than 2.3e-308
-    and keeps subnormal arithmetic out of the linear algebra.  One DEBUG
+    When that rank would reach half the smaller grid dimension, or when
+    ``rel_threshold`` is not positive, the full SVD runs instead.  Results
+    are deterministic: repeated calls return bit-identical arrays, and the
+    global numpy random state is neither read nor changed.  Samples below
+    the smallest normal double are set to zero before factoring, which
+    changes the amplitude by less than 2.3e-308 and keeps subnormal
+    arithmetic out of the linear algebra.  One DEBUG
     record per call on the ``heraldpurity.schmidt`` logger reports the grid
     shape, sketch ranks, fallback, modes kept and residual weight.
 
@@ -336,9 +343,15 @@ def decompose(gridded, rel_threshold=1e-12):
     signal = u[:, :keep].T / math.sqrt(gridded.signal_step)
     idler = vh[:keep] / math.sqrt(gridded.idler_step)
 
-    # Canonical per-mode phase: largest signal sample real and positive.
+    # Canonical per-mode phase: the first signal sample within _PEAK_TIE of
+    # the largest magnitude is made real and positive.  A centred source on
+    # a symmetric grid has modes of definite parity whose two extremal
+    # samples tie to rounding; taking the first fixes an odd mode's sign by
+    # the amplitude rather than by the factorization's rounding.
+    magnitudes = np.abs(signal)
+    tops = magnitudes >= (1.0 - _PEAK_TIE) * magnitudes.max(axis=1)[:, None]
     peaks = np.take_along_axis(
-        signal, np.argmax(np.abs(signal), axis=1)[:, None], axis=1
+        signal, np.argmax(tops, axis=1)[:, None], axis=1
     )[:, 0]
     phases = peaks / np.abs(peaks)
     signal = signal * phases.conj()[:, None]

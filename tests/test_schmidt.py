@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
+import heraldpurity.schmidt as schmidt_module
 from conftest import identity_filter
 
 
@@ -79,6 +80,31 @@ def test_rank_past_half_the_grid_uses_full_svd(jsa_ktp, caplog):
     assert "full SVD True" in caplog.records[-1].getMessage()
     assert modes.n_modes == reference.size
     np.testing.assert_array_equal(descending(modes.coefficients), reference)
+
+
+@pytest.mark.parametrize("rel_threshold", (0.0, -1.0))
+def test_threshold_at_or_below_zero_keeps_every_mode(k26_grid, rel_threshold):
+    reference = full_svd_weights(k26_grid, rel_threshold)
+    assert reference.size == k26_grid.signal_grid.size
+    modes = hp.decompose(k26_grid, rel_threshold=rel_threshold)
+    assert modes.n_modes == reference.size
+    np.testing.assert_array_equal(descending(modes.coefficients), reference)
+
+
+def test_truncated_and_full_svd_give_the_same_modes(k26_grid, monkeypatch):
+    # Odd modes of this symmetric source have two extremal samples of equal
+    # magnitude; the phase rule must give them the same sign on both paths.
+    truncated = hp.decompose(k26_grid)
+    monkeypatch.setattr(schmidt_module, "_SKETCH_START", 10**9)
+    full = hp.decompose(k26_grid)
+    assert truncated.n_modes == full.n_modes
+    p = full.coefficients
+    for field in ("signal_modes", "idler_modes"):
+        a = getattr(truncated, field)
+        b = getattr(full, field)
+        # A mode of weight p is fixed by the SVD to about eps sqrt(p0 / p).
+        bound = 1e-13 * np.sqrt(p[0] / p) * np.abs(b).max(axis=1)
+        assert np.all(np.abs(a - b).max(axis=1) <= bound)
 
 
 @pytest.mark.parametrize("name", ("k26_grid", "chirped_grid"))
