@@ -13,7 +13,7 @@ application configures logging.
 import logging
 
 from .analytic import (
-    ClosedFormReport,
+    closed_form_pair,
     closed_form_purity,
     closed_form_report,
     closed_form_success,
@@ -30,6 +30,7 @@ from .core import (
     GaussianFilter,
     GridCoverageError,
     GriddedJsa,
+    HeraldingReport,
     HomCurve,
     NumericalError,
     SourcePhysicalParams,
@@ -46,7 +47,6 @@ from .core import (
 )
 from .quadrature import (
     DEFAULT_SPEC,
-    HeraldingReport,
     QuadratureSpec,
     filtered_purity,
     herald_success,
@@ -93,6 +93,7 @@ __all__ = [
     "TabulatedFilter",
     "SourcePhysicalParams",
     "HomCurve",
+    "HeraldingReport",
     "eval_double_gaussian",
     "filter_transmission",
     "filter_amplitude",
@@ -104,7 +105,6 @@ __all__ = [
     "filter_from_dict",
     # quadrature
     "QuadratureSpec",
-    "HeraldingReport",
     "DEFAULT_SPEC",
     "unfiltered_purity",
     "herald_success",
@@ -113,7 +113,7 @@ __all__ = [
     "hom_dip",
     "heralding_report",
     # analytic
-    "ClosedFormReport",
+    "closed_form_pair",
     "closed_form_success",
     "closed_form_purity",
     "closed_form_report",

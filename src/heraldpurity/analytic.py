@@ -10,14 +10,13 @@ coefficients, which keeps the formulas short and free of sign conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DoubleGaussianJsa, GaussianFilter, HomCurve
+from .core import DoubleGaussianJsa, GaussianFilter, HeraldingReport, HomCurve
 
 __all__ = [
-    "ClosedFormReport",
+    "closed_form_pair",
     "closed_form_success",
     "closed_form_purity",
     "closed_form_report",
@@ -30,26 +29,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """Closed-form figures of merit for one source and herald filter.
-
-    Attributes:
-        success: Heralding probability.
-        purity_filtered: Purity of the heralded photon behind the filter.
-        schmidt_number: Mode number K of the unfiltered amplitude.
-        g2: Unheralded marginal second-order correlation, ``1 + 1/K``.
-        visibility: Balanced-splitter interference visibility of the
-            filtered photon, ``purity / (2 - purity)``.
-    """
-
-    success: float
-    purity_filtered: float
-    schmidt_number: float
-    g2: float
-    visibility: float
-
-
 def _require_types(jsa, filt=None):
     if not isinstance(jsa, DoubleGaussianJsa):
         raise TypeError("closed forms exist only for double-Gaussian amplitudes")
@@ -57,17 +36,44 @@ def _require_types(jsa, filt=None):
         raise TypeError("closed forms exist only for Gaussian filters")
 
 
+def closed_form_pair(a, b, c, width, center=0.0):
+    """Heralded purity and success for a Gaussian herald filter.
+
+    The one closed-form kernel: every argument may be a float or a numpy
+    array, and the results broadcast over all of them.  With intensity
+    coefficients ``(a, b, c)`` (``DoubleGaussianJsa.intensity_coefficients``),
+    determinant ``w = a*c - b**2``, filter variance ``z = 2*width**2``,
+    ``phi = 1/z`` and center ``w0``::
+
+        purity = sqrt(1 - b**2 / (a * (c + phi)))
+        success = sqrt(z*w / (a + z*w)) * exp(-w0**2 * w / (a + z*w))
+
+    Returns:
+        Tuple ``(purity, success)`` of arrays (or numpy scalars).
+    """
+    # A product, not ``width**2``: on Python floats ``**`` is C ``pow``,
+    # which misrounds some squares that numpy arrays square exactly.
+    width_sq = width * width
+    w = a * c - b * b
+    z = 2.0 * width_sq
+    denom = a + z * w
+    success = np.sqrt(z * w / denom) * np.exp(-(center * center) * w / denom)
+    purity = np.sqrt(1.0 - b * b / (a * (c + 0.5 / width_sq)))
+    return purity, success
+
+
+def _filter_pair(jsa, herald_filter):
+    _require_types(jsa, herald_filter)
+    return closed_form_pair(*jsa.intensity_coefficients(), herald_filter.width,
+                            herald_filter.center)
+
+
 def closed_form_success(jsa, herald_filter):
     """Heralding probability for a Gaussian herald filter, in closed form.
 
-    With intensity coefficients ``(a, b, c)``, determinant ``w``, filter
-    variance ``z = 2*width**2`` and center ``w0``::
-
-        success = sqrt(z*w / (a + z*w)) * exp(-w0**2 * w / (a + z*w))
-
-    For a centered filter, eliminating the width against
-    ``closed_form_purity`` gives the success at a fixed purity ``P`` from
-    the Schmidt number ``K`` alone::
+    See ``closed_form_pair`` for the formula.  For a centered filter,
+    eliminating the width against ``closed_form_purity`` gives the success
+    at a fixed purity ``P`` from the Schmidt number ``K`` alone::
 
         success = sqrt(1 - P**2) / (P * sqrt(K**2 - 1))
 
@@ -81,26 +87,15 @@ def closed_form_success(jsa, herald_filter):
     Returns:
         Success probability in [0, 1].
     """
-    _require_types(jsa, herald_filter)
-    a, b, c = jsa.intensity_coefficients()
-    w = a * c - b * b
-    z = 2.0 * herald_filter.width**2
-    denom = a + z * w
-    return math.sqrt(z * w / denom) * math.exp(
-        -herald_filter.center**2 * w / denom
-    )
+    return float(_filter_pair(jsa, herald_filter)[1])
 
 
 def closed_form_purity(jsa, herald_filter):
     """Heralded-photon purity for a Gaussian herald filter, in closed form.
 
-    With intensity coefficients ``(a, b, c)`` and inverse filter variance
-    ``phi = 1 / (2*width**2)``::
-
-        purity = sqrt(1 - b**2 / (a * (c + phi)))
-
-    The result does not depend on the filter center: detuning the passband
-    costs heralding probability but conditions the same signal state shape.
+    See ``closed_form_pair`` for the formula.  The result does not depend
+    on the filter center: detuning the passband costs heralding probability
+    but conditions the same signal state shape.
 
     Args:
         jsa: ``DoubleGaussianJsa`` of the source.
@@ -109,10 +104,7 @@ def closed_form_purity(jsa, herald_filter):
     Returns:
         Purity in (0, 1].
     """
-    _require_types(jsa, herald_filter)
-    a, b, c = jsa.intensity_coefficients()
-    phi = 0.5 / herald_filter.width**2
-    return math.sqrt(1.0 - b * b / (a * (c + phi)))
+    return float(_filter_pair(jsa, herald_filter)[0])
 
 
 def schmidt_number(jsa):
@@ -249,36 +241,43 @@ def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5,
 def visibility(purity, reflectivity=0.5, transmissivity=0.5):
     """Interference visibility of two equal sources of given purity.
 
-    ``V = R*T*purity / (1 - (2 + purity)*R*T)``; on a balanced splitter this
-    reduces to ``purity / (2 - purity)``.
+    ``V = R*T*purity / (1 - 2*R*T - R*T*purity)``; on a balanced splitter
+    this reduces to ``purity / (2 - purity)``, bit for bit.  ``purity`` may
+    be an array; a scalar purity gives a float.
     """
-    if not 0.0 <= purity <= 1.0:
+    p = np.asarray(purity, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"purity must lie in [0, 1], got {purity}")
     rt = reflectivity * transmissivity
-    denom = 1.0 - (2.0 + purity) * rt
-    if denom <= 0.0:
+    denom = 1.0 - 2.0 * rt - rt * p
+    if np.any(denom <= 0.0):
         raise ValueError("splitter parameters leave no distinguishable baseline")
-    return rt * purity / denom
+    v = rt * p / denom
+    return float(v) if v.ndim == 0 else v
 
 
-def closed_form_report(jsa, herald_filter):
+def closed_form_report(jsa, herald_filter=None):
     """Closed-form scalar figures of merit for one source configuration.
 
     Args:
         jsa: ``DoubleGaussianJsa`` of the source.
-        herald_filter: ``GaussianFilter`` on the idler arm.
+        herald_filter: Optional ``GaussianFilter`` on the idler arm.
+            Without one the success is 1 and the filtered purity is ``1/K``.
 
     Returns:
-        ``ClosedFormReport`` with success, filtered purity, mode number,
-        marginal g2, and balanced-splitter visibility.
+        ``HeraldingReport`` with success, purities, mode number, marginal
+        g2, and balanced-splitter visibility.
     """
-    _require_types(jsa, herald_filter)
     k = schmidt_number(jsa)
-    p_fil = closed_form_purity(jsa, herald_filter)
-    return ClosedFormReport(
-        success=closed_form_success(jsa, herald_filter),
+    if herald_filter is None:
+        p_fil, success = 1.0 / k, 1.0
+    else:
+        p_fil, success = map(float, _filter_pair(jsa, herald_filter))
+    return HeraldingReport(
+        success=success,
         purity_filtered=p_fil,
+        purity_unfiltered=1.0 / k,
         schmidt_number=k,
         g2=1.0 + 1.0 / k,
-        visibility=p_fil / (2.0 - p_fil),
+        visibility=visibility(p_fil),
     )

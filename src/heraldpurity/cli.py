@@ -23,15 +23,17 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .analytic import (
     closed_form_purity,
     closed_form_report,
+    hom_dip_analytic,
     schmidt_number,
     thermal_schmidt_coefficients,
+    visibility,
 )
 from .core import (
     DoubleGaussianJsa,
@@ -47,14 +49,10 @@ from .core import (
 from .quadrature import QuadratureSpec, heralding_report, hom_dip
 from .schmidt import decompose, export_modes_csv, mode_projection_herald
 from .sweep import (
-    grid_to_dict,
-    grid_to_rows,
     solve_filter_for_target,
     sweep_aspect_ratio,
     sweep_orientation,
     tradeoff_curve,
-    tradeoff_to_dict,
-    tradeoff_to_rows,
 )
 
 __all__ = ["RunConfig", "main", "load_jsa_csv"]
@@ -184,6 +182,43 @@ def _write_csv(handle, meta_lines, header, rows):
         handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def grid_to_rows(grid):
+    """Header and long-format rows for a ``SweepGrid``.
+
+    Columns are fixed: the two axis names, then ``success``, ``purity``,
+    ``visibility``; the fast axis varies within consecutive rows.
+    """
+    header = [grid.axis1_name, grid.axis2_name, "success", "purity",
+              "visibility"]
+    axis1, axis2 = np.meshgrid(grid.axis1, grid.axis2, indexing="ij")
+    columns = (axis1, axis2, grid.success, grid.purity,
+               visibility(grid.purity))
+    return header, list(zip(*(np.ravel(c).tolist() for c in columns)))
+
+
+def tradeoff_to_rows(points):
+    """Header and rows for a trade-off curve, in fixed column order."""
+    header = ["sigma_f", "success", "purity", "visibility"]
+    return header, [astuple(p) for p in points]
+
+
+def grid_to_dict(grid):
+    """JSON-ready mapping for a ``SweepGrid``."""
+    return {
+        "axes": {
+            grid.axis1_name: np.asarray(grid.axis1, dtype=float).tolist(),
+            grid.axis2_name: np.asarray(grid.axis2, dtype=float).tolist(),
+        },
+        "success": grid.success.tolist(),
+        "purity": grid.purity.tolist(),
+    }
+
+
+def tradeoff_to_dict(points):
+    """JSON-ready list of mappings for a trade-off curve."""
+    return [asdict(p) for p in points]
+
+
 def _parse_range(text, log=False, angles=False):
     """Parse ``start:stop:count`` into an array, optionally log spaced."""
     parts = text.split(":")
@@ -205,13 +240,10 @@ def cmd_report(args):
     run = _build_run_config(args)
     numeric = heralding_report(run.jsa, run.herald_filter, spec=run.spec)
     closed = None
-    if isinstance(run.jsa, DoubleGaussianJsa):
-        if isinstance(run.herald_filter, GaussianFilter):
-            closed = closed_form_report(run.jsa, run.herald_filter)
-        elif run.herald_filter is None:
-            k = schmidt_number(run.jsa)
-            closed = {"purity_unfiltered": 1.0 / k, "schmidt_number": k,
-                      "g2": 1.0 + 1.0 / k}
+    if isinstance(run.jsa, DoubleGaussianJsa) and (
+            run.herald_filter is None
+            or isinstance(run.herald_filter, GaussianFilter)):
+        closed = closed_form_report(run.jsa, run.herald_filter)
 
     if run.herald_filter is None:
         names = ["purity_unfiltered", "schmidt_number", "g2"]
@@ -219,18 +251,9 @@ def cmd_report(args):
         names = ["success", "purity_filtered", "purity_unfiltered",
                  "schmidt_number", "g2", "visibility"]
 
-    def closed_value(name):
-        if closed is None:
-            return None
-        if isinstance(closed, dict):
-            return closed.get(name)
-        if name == "purity_unfiltered":
-            return 1.0 / closed.schmidt_number
-        return getattr(closed, name)
-
     rows = []
     for name in names:
-        reference = closed_value(name)
+        reference = None if closed is None else getattr(closed, name)
         value = getattr(numeric, name)
         difference = None if reference is None else abs(reference - value)
         rows.append((name, reference, value, difference))
@@ -263,9 +286,9 @@ def cmd_report(args):
 
 def cmd_sweep(args):
     pairs = [("kind", args.kind)]
+    widths = _parse_range(args.widths, log=True) if args.widths else None
     if args.kind == "aspect":
         ratios = _parse_range(args.ratios) if args.ratios else None
-        widths = _parse_range(args.widths, log=True) if args.widths else None
         theta1 = parse_angle(args.theta1)
         theta2 = parse_angle(args.theta2)
         pairs += [("theta1", _fmt(theta1)), ("theta2", _fmt(theta2))]
@@ -275,7 +298,6 @@ def cmd_sweep(args):
         header, rows = grid_to_rows(grid)
     elif args.kind == "orientation":
         thetas = _parse_range(args.thetas, angles=True) if args.thetas else None
-        widths = _parse_range(args.widths, log=True) if args.widths else None
         pairs += [("ratio", _fmt(args.ratio))]
         grid = sweep_orientation(theta1_values=thetas, filter_widths=widths,
                                  ratio=args.ratio)
@@ -285,7 +307,6 @@ def cmd_sweep(args):
         run = _build_run_config(args)
         if not isinstance(run.jsa, DoubleGaussianJsa):
             raise ValueError("tradeoff sweeps need a parametric jsa config")
-        widths = _parse_range(args.widths, log=True) if args.widths else None
         pairs += [
             ("sigma1", _fmt(run.jsa.sigma1)),
             ("sigma2", _fmt(run.jsa.sigma2)),
@@ -329,8 +350,6 @@ def cmd_hom(args):
     closed = None
     if (isinstance(run.jsa, DoubleGaussianJsa)
             and isinstance(run.herald_filter, GaussianFilter)):
-        from .analytic import hom_dip_analytic
-
         purity = closed_form_purity(run.jsa, run.herald_filter)
         closed = hom_dip_analytic(run.jsa, purity, delays,
                                   reflectivity=reflectivity,

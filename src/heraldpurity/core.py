@@ -26,6 +26,7 @@ __all__ = [
     "TabulatedFilter",
     "SourcePhysicalParams",
     "HomCurve",
+    "HeraldingReport",
     "eval_double_gaussian",
     "filter_transmission",
     "filter_amplitude",
@@ -64,6 +65,16 @@ def _clip_unit(value, slack=1e-6):
     if value < -slack or value > 1.0 + slack:
         raise NumericalError(f"result {value} lies outside [0, 1]")
     return min(max(value, 0.0), 1.0)
+
+
+def _require_success(success, what="heralding probability"):
+    """Return ``success``; raise, naming it ``what``, below the floor."""
+    if success < _SUCCESS_FLOOR:
+        raise NumericalError(
+            f"{what} {success:.3e} is below {_SUCCESS_FLOOR}; the filtered "
+            "state is numerically empty"
+        )
+    return success
 
 
 def parse_angle(value):
@@ -408,6 +419,22 @@ class GriddedJsa:
                           self.amplitudes / math.sqrt(n))
 
 
+def _thin_width(jsa):
+    """``1/sqrt(lam_max)``, lam_max the top eigenvalue of ``[[a, b], [b, c]]``."""
+    a, b, c = jsa.intensity_coefficients()
+    lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    return 1.0 / math.sqrt(lam_max)
+
+
+def _filtered_idler(jsa, herald_filter):
+    """Center and s.d. of the idler marginal times a Gaussian transmission."""
+    _, s_idl = jsa.marginal_widths()
+    p_jsa = 1.0 / s_idl**2
+    p_fil = 1.0 / herald_filter.width**2
+    center = herald_filter.center * p_fil / (p_jsa + p_fil)
+    return center, 1.0 / math.sqrt(p_jsa + p_fil)
+
+
 def discretize(jsa, half_extent=6.0, n_points=512):
     """Sample a double-Gaussian amplitude on a square uniform grid.
 
@@ -441,9 +468,7 @@ def discretize(jsa, half_extent=6.0, n_points=512):
     grid = np.linspace(-limit, limit, int(n_points))
     step = grid[1] - grid[0]
 
-    a, b, c = jsa.intensity_coefficients()
-    lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
-    thin_width = 1.0 / math.sqrt(lam_max)
+    thin_width = _thin_width(jsa)
     if step > thin_width / 4.0:
         warnings.warn(
             f"grid step {step:.4g} rad/ps exceeds a quarter of the narrow "
@@ -488,17 +513,13 @@ def recommended_grid(jsa, herald_filter=None, points_per_width=4.2,
     """
     s_sig, s_idl = jsa.marginal_widths()
     w_sig, w_idl = jsa.conditional_widths()
-    a, b, c = jsa.intensity_coefficients()
-    lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    a, b, _ = jsa.intensity_coefficients()
     limit = tail * max(s_sig, s_idl)
-    feature = min(w_sig, w_idl, 1.0 / math.sqrt(lam_max))
+    feature = min(w_sig, w_idl, _thin_width(jsa))
     if herald_filter is not None:
         if not isinstance(herald_filter, GaussianFilter):
             raise TypeError("only GaussianFilter is supported for grid sizing")
-        p_jsa = 1.0 / s_idl**2
-        p_fil = 1.0 / herald_filter.width**2
-        center = herald_filter.center * p_fil / (p_jsa + p_fil)
-        prod_width = 1.0 / math.sqrt(p_jsa + p_fil)
+        center, prod_width = _filtered_idler(jsa, herald_filter)
         limit = max(limit, abs(center) + 9.0 * prod_width)
         # Heralded-arm mass conditioned on the displaced idler window.
         limit = max(limit, abs(b / a) * abs(center) + 9.0 * w_sig)
@@ -581,6 +602,31 @@ class HomCurve:
             return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
 
         return float(crossing("right") - crossing("left"))
+
+
+@dataclass(frozen=True)
+class HeraldingReport:
+    """Scalar figures of merit for one source and herald filter.
+
+    ``closed_form_report`` and ``heralding_report`` both return this type;
+    without a herald filter, success is one and the two purities are equal.
+
+    Attributes:
+        success: Heralding probability.
+        purity_filtered: Purity of the heralded photon behind the filter.
+        purity_unfiltered: Purity with no filtering, ``1/K``.
+        schmidt_number: Mode number K of the unfiltered amplitude.
+        g2: Unheralded marginal second-order correlation, ``1 + 1/K``.
+        visibility: Interference visibility of the filtered photon against
+            an identical copy on a balanced splitter.
+    """
+
+    success: float
+    purity_filtered: float
+    purity_unfiltered: float
+    schmidt_number: float
+    g2: float
+    visibility: float
 
 
 def jsa_from_dict(config):

@@ -23,23 +23,25 @@ from functools import lru_cache
 
 import numpy as np
 
+from .analytic import visibility
 from .core import (
-    _SUCCESS_FLOOR,
     ConvergenceError,
     DoubleGaussianJsa,
     GaussianFilter,
     GriddedJsa,
+    HeraldingReport,
     HomCurve,
     NumericalError,
     TabulatedFilter,
     _clip_unit,
+    _filtered_idler,
+    _require_success,
     eval_double_gaussian,
     filter_transmission,
 )
 
 __all__ = [
     "QuadratureSpec",
-    "HeraldingReport",
     "DEFAULT_SPEC",
     "unfiltered_purity",
     "herald_success",
@@ -95,28 +97,6 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-@dataclass(frozen=True)
-class HeraldingReport:
-    """Scalar figures of merit for one source and herald filter.
-
-    Attributes:
-        success: Heralding probability.
-        purity_filtered: Purity of the heralded photon behind the filter.
-        purity_unfiltered: Purity with no filtering.
-        schmidt_number: Mode number K of the unfiltered amplitude.
-        g2: Unheralded marginal second-order correlation, ``1 + 1/K``.
-        visibility: Interference visibility of the filtered photon against
-            an identical copy on a balanced splitter.
-    """
-
-    success: float
-    purity_filtered: float
-    purity_unfiltered: float
-    schmidt_number: float
-    g2: float
-    visibility: float
-
-
 @lru_cache(maxsize=128)
 def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
@@ -161,11 +141,7 @@ def _idler_window(jsa, herald, tail):
     lo, hi = -tail * s_idl, tail * s_idl
     feature = w_idl
     if isinstance(herald, GaussianFilter):
-        # The filtered idler marginal is the product of two Gaussians.
-        p_jsa = 1.0 / s_idl**2
-        p_fil = 1.0 / herald.width**2
-        center = herald.center * p_fil / (p_jsa + p_fil)
-        width = 1.0 / math.sqrt(p_jsa + p_fil)
+        center, width = _filtered_idler(jsa, herald)
         lo, hi = center - tail * width, center + tail * width
         feature = min(w_idl, herald.width)
     elif isinstance(herald, TabulatedFilter):
@@ -333,11 +309,7 @@ def filtered_purity(jsa, herald_filter, spec=None, check=False):
     if herald_filter is None:
         raise ValueError("filtered_purity requires a herald filter")
     purity, success = _checked_pair(jsa, herald_filter, None, spec, check)
-    if success < _SUCCESS_FLOOR:
-        raise NumericalError(
-            f"heralding probability {success:.3e} is below {_SUCCESS_FLOOR}; "
-            "the filtered state is numerically empty"
-        )
+    _require_success(success)
     return _clip_unit(purity)
 
 
@@ -366,10 +338,7 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None,
         raise ValueError("two_filter_quantities requires both filters")
     purity, success = _checked_pair(jsa, herald_filter, heralded_filter,
                                     spec, check)
-    if success < _SUCCESS_FLOOR:
-        raise NumericalError(
-            f"two-filter success {success:.3e} is below {_SUCCESS_FLOOR}"
-        )
+    _require_success(success, "two-filter success")
     return _clip_unit(purity), _clip_unit(success)
 
 
@@ -407,9 +376,8 @@ def _hom_samples(jsa, herald_x, herald_y, delays, rt_product, spec, refine):
                                            osc_extra=osc)
         state_x = _reduced_state(phi_x, _weighted(wy_x, y_x, herald_x))
         # Second arm reuses the signal axis; only the idler axis changes.
-        tailspec = spec
-        ylo, yhi, yfeat = _idler_window(jsa, herald_y, tailspec.half_extent)
-        ny = _node_count(tailspec, yhi - ylo, yfeat, refine)
+        ylo, yhi, yfeat = _idler_window(jsa, herald_y, tail)
+        ny = _node_count(spec, yhi - ylo, yfeat, refine)
         y_y, wy_y = _axis(ylo, yhi, ny)
         phi_y = eval_double_gaussian(jsa, x[:, None], y_y[None, :])
         state_y = _reduced_state(phi_y, _weighted(wy_y, y_y, herald_y))
@@ -420,10 +388,8 @@ def _hom_samples(jsa, herald_x, herald_y, delays, rt_product, spec, refine):
 
     success_x = float(wx @ np.real(np.diagonal(state_x)))
     success_y = float(wx @ np.real(np.diagonal(state_y)))
-    if min(success_x, success_y) < _SUCCESS_FLOOR:
-        raise NumericalError(
-            "an interferometer arm heralds with probability below 1e-12"
-        )
+    _require_success(min(success_x, success_y),
+                     "interferometer arm heralding probability")
 
     cross = state_x * state_y.conj()
     norm = success_x * success_y
@@ -516,17 +482,13 @@ def heralding_report(jsa, herald_filter=None, spec=None):
         p_fil, success = p_raw, 1.0
     else:
         p_fil, success = _checked_pair(jsa, herald_filter, None, spec, False)
-        if success < _SUCCESS_FLOOR:
-            raise NumericalError(
-                f"heralding probability {success:.3e} is below {_SUCCESS_FLOOR}"
-            )
+        _require_success(success)
         p_fil, success = _clip_unit(p_fil), _clip_unit(success)
-    k = 1.0 / p_raw
     return HeraldingReport(
         success=success,
         purity_filtered=p_fil,
         purity_unfiltered=p_raw,
-        schmidt_number=k,
+        schmidt_number=1.0 / p_raw,
         g2=1.0 + p_raw,
-        visibility=p_fil / (2.0 - p_fil),
+        visibility=visibility(p_fil),
     )

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _SUCCESS_FLOOR,
     ConvergenceError,
     GriddedJsa,
     HomCurve,
     NumericalError,
     _clip_unit,
+    _require_success,
     filter_transmission,
 )
 
@@ -44,8 +44,8 @@ __all__ = [
     "export_modes_csv",
 ]
 
-# Coefficients closer than this (relative to the leading weight) are
-# treated as degenerate when ordering.
+# Coefficients within this fraction of the larger one are treated as
+# degenerate when ordering.
 _DEGENERACY_TOL = 1e-12
 
 # Signal samples whose magnitudes lie within this fraction of a mode's peak
@@ -199,9 +199,9 @@ def _first_sign_key(row):
 def _order_degenerate(p, signal, idler):
     """Stable, deterministic ordering inside degenerate weight groups."""
     order = np.arange(p.size)
-    tol = _DEGENERACY_TOL * p[0]
     start = 0
     while start < p.size:
+        tol = _DEGENERACY_TOL * p[start]
         stop = start + 1
         while stop < p.size and p[start] - p[stop] <= tol:
             stop += 1
@@ -402,13 +402,7 @@ def overlap_matrix(decomposition, filt, side="idler"):
 
 
 def _success_from(p, overlap):
-    value = float(p @ np.real(np.diagonal(overlap)))
-    if value < _SUCCESS_FLOOR:
-        raise NumericalError(
-            f"heralding probability {value:.3e} is below {_SUCCESS_FLOOR}; "
-            "the filtered state is numerically empty"
-        )
-    return value
+    return _require_success(float(p @ np.real(np.diagonal(overlap))))
 
 
 def schmidt_quantities(decomposition, herald_overlap):
@@ -456,11 +450,8 @@ def two_filter_schmidt(decomposition, herald_overlap, heralded_overlap):
     sqp = np.sqrt(decomposition.coefficients)
     q = herald_overlap.matrix
     qp = heralded_overlap.matrix
-    success = float(np.real(sqp @ (q * qp) @ sqp))
-    if success < _SUCCESS_FLOOR:
-        raise NumericalError(
-            f"two-filter success {success:.3e} is below {_SUCCESS_FLOOR}"
-        )
+    success = _require_success(float(np.real(sqp @ (q * qp) @ sqp)),
+                               "two-filter success")
     linked = q.T @ (sqp[:, None] * qp)
     numerator = float(np.real(np.sum((sqp[:, None] * linked * sqp) * linked.T)))
     return _clip_unit(numerator / success**2), _clip_unit(success)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import closed_form_purity, closed_form_success
+from .analytic import closed_form_pair, visibility
 from .core import DoubleGaussianJsa, GaussianFilter, GriddedJsa
 from .quadrature import two_filter_quantities
 from .schmidt import decompose, overlap_matrix, schmidt_quantities
@@ -26,10 +26,6 @@ __all__ = [
     "sweep_orientation",
     "tradeoff_curve",
     "solve_filter_for_target",
-    "grid_to_rows",
-    "tradeoff_to_rows",
-    "grid_to_dict",
-    "tradeoff_to_dict",
 ]
 
 
@@ -100,13 +96,19 @@ class FilterSolution:
     iterations: int
 
 
-def _default_widths(scale):
-    return np.logspace(-2.0, 1.0, 101) * scale
+def _widths(filter_widths, scale):
+    """Widths as an array; 101 log points on [0.01, 10] * scale for None."""
+    if filter_widths is None:
+        return np.logspace(-2.0, 1.0, 101) * scale
+    return np.asarray(filter_widths, dtype=float)
 
 
-def _closed_pair(jsa, width):
-    filt = GaussianFilter(center=0.0, width=float(width))
-    return closed_form_purity(jsa, filt), closed_form_success(jsa, filt)
+def _closed_grid(axis1_name, axis1, jsas, widths):
+    """Centered-filter closed forms over ``jsas`` (rows) and ``widths``."""
+    coefficients = np.array([jsa.intensity_coefficients() for jsa in jsas])
+    a, b, c = coefficients.reshape(-1, 3).T[:, :, None]
+    purity, success = closed_form_pair(a, b, c, widths)
+    return SweepGrid(axis1_name, axis1, "filter_width", widths, success, purity)
 
 
 def sweep_aspect_ratio(ratios=None, filter_widths=None, theta1=math.pi / 4,
@@ -131,16 +133,10 @@ def sweep_aspect_ratio(ratios=None, filter_widths=None, theta1=math.pi / 4,
     """
     ratios = np.linspace(1.0, 8.0, 101) if ratios is None \
         else np.asarray(ratios, dtype=float)
-    widths = _default_widths(sigma1) if filter_widths is None \
-        else np.asarray(filter_widths, dtype=float)
-    success = np.empty((ratios.size, widths.size))
-    purity = np.empty_like(success)
-    for i, ratio in enumerate(ratios):
-        jsa = DoubleGaussianJsa(sigma1, ratio * sigma1, theta1, theta2)
-        for j, width in enumerate(widths):
-            purity[i, j], success[i, j] = _closed_pair(jsa, width)
-    return SweepGrid("aspect_ratio", ratios, "filter_width", widths,
-                     success, purity)
+    widths = _widths(filter_widths, sigma1)
+    jsas = [DoubleGaussianJsa(sigma1, ratio * sigma1, theta1, theta2)
+            for ratio in ratios]
+    return _closed_grid("aspect_ratio", ratios, jsas, widths)
 
 
 def sweep_orientation(theta1_values=None, filter_widths=None, ratio=5.0,
@@ -165,17 +161,11 @@ def sweep_orientation(theta1_values=None, filter_widths=None, ratio=5.0,
     """
     thetas = np.linspace(0.0, math.pi / 2.0, 101) if theta1_values is None \
         else np.asarray(theta1_values, dtype=float)
-    widths = _default_widths(sigma1) if filter_widths is None \
-        else np.asarray(filter_widths, dtype=float)
-    success = np.empty((thetas.size, widths.size))
-    purity = np.empty_like(success)
-    for i, theta1 in enumerate(thetas):
-        jsa = DoubleGaussianJsa(sigma1, ratio * sigma1, theta1,
-                                theta1 - math.pi / 2.0)
-        for j, width in enumerate(widths):
-            purity[i, j], success[i, j] = _closed_pair(jsa, width)
-    return SweepGrid("theta1", thetas, "filter_width", widths,
-                     success, purity)
+    widths = _widths(filter_widths, sigma1)
+    jsas = [DoubleGaussianJsa(sigma1, ratio * sigma1, theta1,
+                              theta1 - math.pi / 2.0)
+            for theta1 in thetas]
+    return _closed_grid("theta1", thetas, jsas, widths)
 
 
 def tradeoff_curve(jsa, filter_widths=None, two_filter=False, spec=None):
@@ -195,30 +185,27 @@ def tradeoff_curve(jsa, filter_widths=None, two_filter=False, spec=None):
     """
     if not isinstance(jsa, DoubleGaussianJsa):
         raise TypeError("tradeoff_curve expects a DoubleGaussianJsa")
-    widths = _default_widths(jsa.sigma1) if filter_widths is None \
-        else np.asarray(filter_widths, dtype=float)
-    points = []
-    for width in widths:
-        if two_filter:
-            filt = GaussianFilter(center=0.0, width=float(width))
-            purity, success = two_filter_quantities(jsa, filt, filt, spec=spec)
-        else:
-            purity, success = _closed_pair(jsa, width)
-        points.append(TradeoffPoint(
-            sigma_f=float(width),
-            success=float(success),
-            purity=float(purity),
-            visibility=purity / (2.0 - purity),
-        ))
-    return points
+    widths = _widths(filter_widths, jsa.sigma1)
+    if two_filter:
+        filters = [GaussianFilter(center=0.0, width=float(w)) for w in widths]
+        pairs = [two_filter_quantities(jsa, f, f, spec=spec) for f in filters]
+        purity, success = np.array(pairs, dtype=float).reshape(-1, 2).T
+    else:
+        purity, success = closed_form_pair(*jsa.intensity_coefficients(),
+                                           widths)
+    columns = (widths, success, purity, visibility(purity))
+    return [TradeoffPoint(*map(float, row)) for row in zip(*columns)]
 
 
 def _pair_evaluator(jsa, center):
     """(purity, success) as a function of filter width, plus a width scale."""
     if isinstance(jsa, DoubleGaussianJsa):
+        if not math.isfinite(center):
+            raise ValueError("filter center must be finite")
+        coefficients = jsa.intensity_coefficients()
+
         def evaluate(width):
-            filt = GaussianFilter(center=center, width=width)
-            return closed_form_purity(jsa, filt), closed_form_success(jsa, filt)
+            return closed_form_pair(*coefficients, width, center)
         return evaluate, max(jsa.sigma1, jsa.sigma2)
     if isinstance(jsa, GriddedJsa):
         modes = decompose(jsa)
@@ -362,56 +349,7 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
         sigma_f=float(width),
         purity=float(purity),
         success=float(success),
-        visibility=purity / (2.0 - purity),
+        visibility=visibility(purity),
         method=method,
         iterations=iterations,
     )
-
-
-def grid_to_rows(grid):
-    """Header and long-format rows for a ``SweepGrid``.
-
-    Columns are fixed: the two axis names, then ``success``, ``purity``,
-    ``visibility``; the fast axis varies within consecutive rows.
-    """
-    header = [grid.axis1_name, grid.axis2_name, "success", "purity",
-              "visibility"]
-    rows = []
-    for i, v1 in enumerate(grid.axis1):
-        for j, v2 in enumerate(grid.axis2):
-            p = grid.purity[i, j]
-            rows.append((float(v1), float(v2), float(grid.success[i, j]),
-                         float(p), float(p / (2.0 - p))))
-    return header, rows
-
-
-def tradeoff_to_rows(points):
-    """Header and rows for a trade-off curve, in fixed column order."""
-    header = ["sigma_f", "success", "purity", "visibility"]
-    rows = [(p.sigma_f, p.success, p.purity, p.visibility) for p in points]
-    return header, rows
-
-
-def grid_to_dict(grid):
-    """JSON-ready mapping for a ``SweepGrid``."""
-    return {
-        "axes": {
-            grid.axis1_name: [float(v) for v in grid.axis1],
-            grid.axis2_name: [float(v) for v in grid.axis2],
-        },
-        "success": [[float(v) for v in row] for row in grid.success],
-        "purity": [[float(v) for v in row] for row in grid.purity],
-    }
-
-
-def tradeoff_to_dict(points):
-    """JSON-ready list of mappings for a trade-off curve."""
-    return [
-        {
-            "sigma_f": p.sigma_f,
-            "success": p.success,
-            "purity": p.purity,
-            "visibility": p.visibility,
-        }
-        for p in points
-    ]

@@ -1,5 +1,6 @@
 """Tests for closed forms: purity, success, mode law, and dip shapes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -136,6 +137,9 @@ def test_visibility_formula():
     assert hp.visibility(1.0) == pytest.approx(1.0, rel=1e-12)
     assert hp.visibility(0.0) == 0.0
     assert hp.visibility(0.198) == pytest.approx(0.109878, abs=1e-6)
+    # the balanced form is p / (2 - p) bit for bit, and broadcasts
+    purities = np.random.default_rng(SEED).random(100_000)
+    assert np.array_equal(hp.visibility(purities), purities / (2.0 - purities))
     # agrees with a sampled curve for an unbalanced splitter
     purity = 0.73
     delays = np.linspace(-8.0, 8.0, 801)
@@ -159,3 +163,18 @@ def test_closed_form_report(jsa_ktp):
         1.0 + 1.0 / report.schmidt_number, rel=1e-12)
     assert report.visibility == pytest.approx(
         hp.visibility(report.purity_filtered), rel=1e-12)
+
+
+@pytest.mark.parametrize("filt", [None, hp.GaussianFilter(0.0, 0.72),
+                                  hp.GaussianFilter(0.4, 3.0)])
+def test_closed_form_report_matches_quadrature_report(jsa_ktp, filt):
+    closed = hp.closed_form_report(jsa_ktp, filt)
+    numeric = hp.heralding_report(jsa_ktp, filt)
+    assert type(closed) is hp.HeraldingReport
+    assert type(numeric) is hp.HeraldingReport
+    for field in dataclasses.fields(hp.HeraldingReport):
+        assert getattr(closed, field.name) == pytest.approx(
+            getattr(numeric, field.name), rel=1e-9), field.name
+    if filt is None:
+        assert closed.success == 1.0
+        assert closed.purity_filtered == closed.purity_unfiltered

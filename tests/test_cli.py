@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
-from heraldpurity.cli import load_jsa_csv, main
+from heraldpurity.cli import (grid_to_dict, grid_to_rows, load_jsa_csv, main,
+                              tradeoff_to_dict, tradeoff_to_rows)
 
 
 def run_cli(*argv):
@@ -367,3 +368,24 @@ def test_output_file_and_entry_point(tmp_path, ktp_config):
         )
         assert done.returncode == 0, done.stderr
         assert "quantity,analytic,quadrature,difference" in done.stdout
+
+
+def test_row_helpers_round_trip(jsa_k26):
+    grid = hp.sweep_aspect_ratio(ratios=np.array([1.0, 3.0]),
+                                 filter_widths=np.array([0.5, 1.0]))
+    header, rows = grid_to_rows(grid)
+    assert header == ["aspect_ratio", "filter_width", "success", "purity",
+                      "visibility"]
+    assert len(rows) == 4
+    assert rows[0][0] == 1.0
+    assert rows[-1][1] == 1.0
+    payload = grid_to_dict(grid)
+    assert payload["axes"]["aspect_ratio"] == [1.0, 3.0]
+    np.testing.assert_allclose(payload["purity"], grid.purity)
+
+    points = hp.tradeoff_curve(jsa_k26, filter_widths=np.array([0.5, 1.0]))
+    header, rows = tradeoff_to_rows(points)
+    assert header == ["sigma_f", "success", "purity", "visibility"]
+    assert len(rows) == 2
+    payload = tradeoff_to_dict(points)
+    assert [entry["sigma_f"] for entry in payload] == [0.5, 1.0]

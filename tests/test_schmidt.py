@@ -3,6 +3,7 @@
 import io
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -406,3 +407,16 @@ def test_export_modes_csv_round_trip(k26_modes):
         k26_modes.signal_modes[0, 0].real, rel=1e-9, abs=1e-14)
     assert blocks[2].strip().splitlines()[0] == "# idler modes"
     assert len(signal_lines) == 2 + k26_modes.signal_grid.size
+
+
+@pytest.mark.parametrize("n_points", [400, 1024])
+def test_weights_descend_along_a_geometric_tail(n_points):
+    # K = 12: far down the tail consecutive weights differ by less than
+    # 1e-12 of the leading weight, but by ~15% of their own size, so they
+    # are not degenerate and must stay in descending order.
+    jsa = hp.DoubleGaussianJsa(1.0, 24.0, math.pi / 4, -math.pi / 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        grid = hp.discretize(jsa, half_extent=8.0, n_points=n_points)
+    p = hp.decompose(grid).coefficients
+    assert np.all(p[1:] <= p[:-1] * (1.0 + 1e-12))

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
-from heraldpurity.sweep import (_grid_scan, grid_to_dict, grid_to_rows,
-                                tradeoff_to_dict, tradeoff_to_rows)
+from heraldpurity.sweep import _grid_scan
 
 
 def test_aspect_sweep_shapes_and_limits():
@@ -141,24 +140,3 @@ def test_grid_scan_handles_non_monotone_purity():
     assert evaluations >= 400
     with pytest.raises(ValueError):
         _grid_scan(evaluate, 0.95, 0.01, 100.0, 1e-6)
-
-
-def test_row_helpers_round_trip(jsa_k26):
-    grid = hp.sweep_aspect_ratio(ratios=np.array([1.0, 3.0]),
-                                 filter_widths=np.array([0.5, 1.0]))
-    header, rows = grid_to_rows(grid)
-    assert header == ["aspect_ratio", "filter_width", "success", "purity",
-                      "visibility"]
-    assert len(rows) == 4
-    assert rows[0][0] == 1.0
-    assert rows[-1][1] == 1.0
-    payload = grid_to_dict(grid)
-    assert payload["axes"]["aspect_ratio"] == [1.0, 3.0]
-    np.testing.assert_allclose(payload["purity"], grid.purity)
-
-    points = hp.tradeoff_curve(jsa_k26, filter_widths=np.array([0.5, 1.0]))
-    header, rows = tradeoff_to_rows(points)
-    assert header == ["sigma_f", "success", "purity", "visibility"]
-    assert len(rows) == 2
-    payload = tradeoff_to_dict(points)
-    assert [entry["sigma_f"] for entry in payload] == [0.5, 1.0]
