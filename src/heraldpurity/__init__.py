@@ -12,6 +12,7 @@ application configures logging.
 
 import logging
 
+from . import analytic, core, quadrature, schmidt, sweep
 from .analytic import (
     closed_form_pair,
     closed_form_purity,
@@ -81,65 +82,5 @@ __version__ = "0.1.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-__all__ = [
-    "__version__",
-    # core
-    "NumericalError",
-    "ConvergenceError",
-    "GridCoverageError",
-    "DoubleGaussianJsa",
-    "GriddedJsa",
-    "GaussianFilter",
-    "TabulatedFilter",
-    "SourcePhysicalParams",
-    "HomCurve",
-    "HeraldingReport",
-    "eval_double_gaussian",
-    "filter_transmission",
-    "filter_amplitude",
-    "discretize",
-    "recommended_grid",
-    "from_physical",
-    "parse_angle",
-    "jsa_from_dict",
-    "filter_from_dict",
-    # quadrature
-    "QuadratureSpec",
-    "DEFAULT_SPEC",
-    "unfiltered_purity",
-    "herald_success",
-    "filtered_purity",
-    "two_filter_quantities",
-    "hom_dip",
-    "heralding_report",
-    # analytic
-    "closed_form_pair",
-    "closed_form_success",
-    "closed_form_purity",
-    "closed_form_report",
-    "schmidt_number",
-    "thermal_schmidt_coefficients",
-    "schmidt_mode_analytic",
-    "mode_scales",
-    "hom_dip_analytic",
-    "visibility",
-    # schmidt
-    "SchmidtDecomposition",
-    "OverlapMatrix",
-    "ModeProjection",
-    "decompose",
-    "overlap_matrix",
-    "schmidt_quantities",
-    "two_filter_schmidt",
-    "hom_dip_schmidt",
-    "mode_projection_herald",
-    "export_modes_csv",
-    # sweep
-    "TradeoffPoint",
-    "SweepGrid",
-    "FilterSolution",
-    "sweep_aspect_ratio",
-    "sweep_orientation",
-    "tradeoff_curve",
-    "solve_filter_for_target",
-]
+__all__ = ["__version__", *core.__all__, *quadrature.__all__,
+           *analytic.__all__, *schmidt.__all__, *sweep.__all__]

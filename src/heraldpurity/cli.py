@@ -157,21 +157,16 @@ def _open_output(args):
         yield sys.stdout
 
 
-def _meta_lines(args, pairs):
-    lines = [f"# command = {args.command}"]
-    if not args.no_timestamp:
-        stamp = _dt.datetime.now().isoformat(timespec="seconds")
-        lines.append(f"# generated = {stamp}")
-    lines += [f"# {key} = {value}" for key, value in pairs]
-    return lines
-
-
 def _meta_dict(args, pairs):
     meta = {"command": args.command}
     if not args.no_timestamp:
         meta["generated"] = _dt.datetime.now().isoformat(timespec="seconds")
     meta.update({key: value for key, value in pairs})
     return meta
+
+
+def _meta_lines(args, pairs):
+    return [f"# {key} = {value}" for key, value in _meta_dict(args, pairs).items()]
 
 
 def _write_csv(handle, meta_lines, header, rows):

@@ -13,6 +13,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -164,6 +165,12 @@ class DoubleGaussianJsa:
             to ``exp(-(a*w**2 + 2*b*w*w' + c*w'**2))``.  The determinant
             ``a*c - b**2`` equals ``sin(theta1 - theta2)**2 / (sigma1*sigma2)**2``.
         """
+        return self._coefficients
+
+    @cached_property
+    def _coefficients(self):
+        # Computed once per amplitude: the sweeps make two closed-form
+        # calls per grid point on each row's amplitude.
         s1, c1 = math.sin(self.theta1), math.cos(self.theta1)
         s2, c2 = math.sin(self.theta2), math.cos(self.theta2)
         v1 = 1.0 / self.sigma1**2

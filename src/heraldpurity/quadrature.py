@@ -233,6 +233,7 @@ def _single_pair(jsa, herald, heralded, spec, refine):
 
 
 def _checked_pair(jsa, herald, heralded, spec, check):
+    spec = spec if spec is not None else DEFAULT_SPEC
     purity, success = _single_pair(jsa, herald, heralded, spec, 1.0)
     if check:
         if isinstance(jsa, GriddedJsa):
@@ -265,7 +266,6 @@ def unfiltered_purity(jsa, spec=None, check=False):
     Returns:
         Purity in (0, 1].
     """
-    spec = spec if spec is not None else DEFAULT_SPEC
     purity, _ = _checked_pair(jsa, None, None, spec, check)
     return _clip_unit(purity)
 
@@ -282,7 +282,6 @@ def herald_success(jsa, herald_filter, spec=None, check=False):
     Returns:
         Success probability in [0, 1].
     """
-    spec = spec if spec is not None else DEFAULT_SPEC
     if herald_filter is None:
         raise ValueError("herald_success requires a herald filter")
     _, success = _checked_pair(jsa, herald_filter, None, spec, check)
@@ -305,7 +304,6 @@ def filtered_purity(jsa, herald_filter, spec=None, check=False):
         NumericalError: If the heralding probability falls below 1e-12, in
             which case the conditional state is numerically meaningless.
     """
-    spec = spec if spec is not None else DEFAULT_SPEC
     if herald_filter is None:
         raise ValueError("filtered_purity requires a herald filter")
     purity, success = _checked_pair(jsa, herald_filter, None, spec, check)
@@ -333,7 +331,6 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None,
     Raises:
         NumericalError: If the two-filter success falls below 1e-12.
     """
-    spec = spec if spec is not None else DEFAULT_SPEC
     if herald_filter is None or heralded_filter is None:
         raise ValueError("two_filter_quantities requires both filters")
     purity, success = _checked_pair(jsa, herald_filter, heralded_filter,
@@ -476,7 +473,6 @@ def heralding_report(jsa, herald_filter=None, spec=None):
         ``HeraldingReport`` with success, purities, mode number, marginal
         g2, and balanced-splitter visibility.
     """
-    spec = spec if spec is not None else DEFAULT_SPEC
     p_raw = unfiltered_purity(jsa, spec=spec)
     if herald_filter is None:
         p_fil, success = p_raw, 1.0

@@ -11,6 +11,13 @@ import heraldpurity as hp
 from conftest import SEED, draw_source
 
 
+def test_package_exports_every_public_name():
+    # the package __all__ is the union of the modules' __all__ lists
+    missing = [name for name in hp.__all__ if not hasattr(hp, name)]
+    assert missing == []
+    assert len(set(hp.__all__)) == len(hp.__all__)
+
+
 def test_eval_at_origin(jsa_k26):
     value = hp.eval_double_gaussian(jsa_k26, 0.0, 0.0)
     assert value == pytest.approx(math.sqrt(1.0 / (5.0 * math.pi)), rel=1e-12)

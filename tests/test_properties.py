@@ -79,7 +79,7 @@ def assert_rows_equal_scalar_calls(grid, jsas):
        st.lists(widths, min_size=1, max_size=6))
 # C pow rounds this width's square one ulp away from ``width * width``
 @example([5.0], [math.pi / 4], [1.0107441205147965])
-def test_broadcast_sweeps_equal_scalar_calls(ratios, thetas, filter_widths):
+def test_sweeps_and_curve_equal_scalar_calls(ratios, thetas, filter_widths):
     filter_widths = np.array(filter_widths)
     assert_rows_equal_scalar_calls(
         hp.sweep_aspect_ratio(ratios=ratios, filter_widths=filter_widths),

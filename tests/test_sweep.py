@@ -75,6 +75,17 @@ def test_tradeoff_rejects_gridded(k26_grid):
         hp.tradeoff_curve(k26_grid)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_sweeps_reject_invalid_widths(jsa_k26, bad):
+    widths = [0.5, bad]
+    with pytest.raises(ValueError, match="positive and finite"):
+        hp.tradeoff_curve(jsa_k26, filter_widths=widths)
+    with pytest.raises(ValueError, match="positive and finite"):
+        hp.sweep_aspect_ratio(ratios=[2.0], filter_widths=widths)
+    with pytest.raises(ValueError, match="positive and finite"):
+        hp.sweep_orientation(theta1_values=[0.5], filter_widths=widths)
+
+
 def test_solver_benchmark_visibility(jsa_ktp):
     solution = hp.solve_filter_for_target(jsa_ktp, target_visibility=0.5)
     assert solution.sigma_f / jsa_ktp.sigma1 == pytest.approx(0.16, abs=0.02)
