@@ -61,7 +61,6 @@ from .schmidt import (
     OverlapMatrix,
     SchmidtDecomposition,
     decompose,
-    export_modes_csv,
     hom_dip_schmidt,
     mode_projection_herald,
     overlap_matrix,

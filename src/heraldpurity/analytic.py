@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .core import DoubleGaussianJsa, GaussianFilter, HeraldingReport, HomCurve
+from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport,
+                   HomCurve, _delay_array, _splitter_product)
 
 __all__ = [
     "closed_form_pair",
@@ -229,11 +230,9 @@ def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5,
     _require_types(jsa)
     if not 0.0 <= purity <= 1.0:
         raise ValueError(f"purity must lie in [0, 1], got {purity}")
-    if abs(reflectivity + transmissivity - 1.0) > 1e-9:
-        raise ValueError("reflectivity and transmissivity must sum to one")
+    rt = _splitter_product(reflectivity, transmissivity)
+    tau = _delay_array(delays)
     a, _, _ = jsa.intensity_coefficients()
-    tau = np.atleast_1d(np.asarray(delays, dtype=float))
-    rt = reflectivity * transmissivity
     samples = 1.0 - 2.0 * rt * (1.0 + purity * np.exp(-tau * tau / (2.0 * a)))
     return HomCurve(tau, np.clip(samples, 0.0, 1.0))
 
@@ -248,7 +247,7 @@ def visibility(purity, reflectivity=0.5, transmissivity=0.5):
     p = np.asarray(purity, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"purity must lie in [0, 1], got {purity}")
-    rt = reflectivity * transmissivity
+    rt = _splitter_product(reflectivity, transmissivity)
     denom = 1.0 - 2.0 * rt - rt * p
     if np.any(denom <= 0.0):
         raise ValueError("splitter parameters leave no distinguishable baseline")

@@ -9,10 +9,10 @@ Subcommands:
 
 Configuration is a JSON file with a ``jsa`` section (either ridge
 parameters, laboratory parameters, or ``csv_path`` pointing at tabulated
-samples), an optional ``filter`` section for the herald arm, and an
-optional ``heralded_filter`` section for the signal arm.  Exit codes: 0 on
-success, 2 for configuration or usage errors, 3 for numerical failures;
-errors are emitted as one JSON object on stderr.
+samples) and an optional ``filter`` section for the herald arm; any other
+key is an error.  Exit codes: 0 on success, 2 for configuration or usage
+errors, 3 for numerical failures; errors are emitted as one JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .core import (
     recommended_grid,
 )
 from .quadrature import QuadratureSpec, heralding_report, hom_dip
-from .schmidt import decompose, export_modes_csv, mode_projection_herald
+from .schmidt import decompose, mode_projection_herald
 from .sweep import (
     solve_filter_for_target,
     sweep_aspect_ratio,
@@ -65,13 +65,11 @@ class RunConfig:
     Attributes:
         jsa: The source amplitude (parametric or gridded).
         herald_filter: Optional filter on the idler arm.
-        heralded_filter: Optional filter on the signal arm.
         spec: Quadrature controls after flag overrides.
     """
 
     jsa: object
     herald_filter: object
-    heralded_filter: object
     spec: QuadratureSpec
 
 
@@ -118,25 +116,25 @@ def load_jsa_csv(path):
     return GriddedJsa(signal, idler, amplitudes).normalize()
 
 
-def _build_run_config(args, require_jsa=True):
+def _build_run_config(args):
     config = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-    jsa = None
-    if "jsa" in config:
-        section = config["jsa"]
-        if isinstance(section, dict) and "csv_path" in section:
-            jsa = load_jsa_csv(section["csv_path"])
-        else:
-            jsa = jsa_from_dict(section)
-    if jsa is None and require_jsa:
+    unknown = [key for key in config if key not in ("jsa", "filter")]
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}; expected "
+                         "'jsa' or 'filter'")
+    if "jsa" not in config:
         raise ValueError("config must define a 'jsa' section")
+    section = config["jsa"]
+    if isinstance(section, dict) and "csv_path" in section:
+        jsa = load_jsa_csv(section["csv_path"])
+    else:
+        jsa = jsa_from_dict(section)
     herald = filter_from_dict(config["filter"]) if "filter" in config else None
-    heralded = (filter_from_dict(config["heralded_filter"])
-                if "heralded_filter" in config else None)
     if getattr(args, "filter_width", None) is not None:
         herald = GaussianFilter(center=0.0, width=args.filter_width)
     spec_kwargs = {}
@@ -144,7 +142,7 @@ def _build_run_config(args, require_jsa=True):
         spec_kwargs["n_nodes"] = args.nodes
     if getattr(args, "extent", None) is not None:
         spec_kwargs["half_extent"] = args.extent
-    return RunConfig(jsa=jsa, herald_filter=herald, heralded_filter=heralded,
+    return RunConfig(jsa=jsa, herald_filter=herald,
                      spec=QuadratureSpec(**spec_kwargs))
 
 
@@ -175,6 +173,35 @@ def _write_csv(handle, meta_lines, header, rows):
     handle.write(",".join(header) + "\n")
     for row in rows:
         handle.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def export_modes_csv(decomposition, handle, n_modes, reference):
+    """Write weights and mode samples as sectioned CSV.
+
+    The first section lists ``mu, p_mu, reference_p_mu``; the following
+    sections, each after a blank line and a ``# signal modes`` or
+    ``# idler modes`` title, list the mode samples, one grid point per row
+    and two columns (re, im) per mode.
+
+    Args:
+        decomposition: ``SchmidtDecomposition`` to export.
+        handle: Writable text file object.
+        n_modes: Number of leading modes to include, at most the number
+            retained.
+        reference: Reference weights written next to ``p_mu`` (for example
+            the geometric law for the same K), at least ``n_modes`` of them.
+    """
+    p = decomposition.coefficients
+    _write_csv(handle, [], ["mu", "p_mu", "reference_p_mu"],
+               ((mu, p[mu], reference[mu]) for mu in range(n_modes)))
+    header = ["omega"] + [f"mode{mu}_{part}" for mu in range(n_modes)
+                          for part in ("re", "im")]
+    for title, grid, modes in (
+            ("signal", decomposition.signal_grid, decomposition.signal_modes),
+            ("idler", decomposition.idler_grid, decomposition.idler_modes)):
+        parts = np.stack([modes[:n_modes].real, modes[:n_modes].imag], axis=1)
+        samples = np.column_stack([grid, parts.reshape(2 * n_modes, -1).T])
+        _write_csv(handle, ["", f"# {title} modes"], header, samples.tolist())
 
 
 def grid_to_rows(grid):

@@ -78,6 +78,23 @@ def _require_success(success, what="heralding probability"):
     return success
 
 
+def _splitter_product(reflectivity, transmissivity):
+    """``R*T`` of a beam splitter; R and T must lie in [0, 1] and sum to one."""
+    if not (0.0 <= reflectivity <= 1.0 and 0.0 <= transmissivity <= 1.0):
+        raise ValueError("reflectivity and transmissivity must lie in [0, 1]")
+    if abs(reflectivity + transmissivity - 1.0) > 1e-9:
+        raise ValueError("reflectivity and transmissivity must sum to one")
+    return reflectivity * transmissivity
+
+
+def _delay_array(delays):
+    """Delays as a float array; they must form a non-empty 1-D array."""
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    if delays.ndim != 1 or delays.size == 0:
+        raise ValueError("delays must be a non-empty 1-D array")
+    return delays
+
+
 def parse_angle(value):
     """Interpret an angle given as a number or a compact ``pi`` expression.
 
@@ -495,24 +512,27 @@ def discretize(jsa, half_extent=6.0, n_points=512):
     return GriddedJsa(grid, grid, amps / math.sqrt(raw_norm))
 
 
-def recommended_grid(jsa, herald_filter=None, points_per_width=4.2,
-                     tail=6.5, n_min=256, n_max=4096):
+# recommended_grid: marginal standard deviations covered per side, samples
+# across the narrowest feature, and the bounds on the point count.
+_GRID_TAIL = 6.5
+_GRID_POINTS_PER_WIDTH = 4.2
+_GRID_N_MIN = 256
+_GRID_N_MAX = 4096
+
+
+def recommended_grid(jsa, herald_filter=None):
     """Suggest discretization arguments that capture a given amplitude.
 
-    The half-extent covers ``tail`` marginal standard deviations on the wider
+    The half-extent covers 6.5 marginal standard deviations on the wider
     axis, and the step resolves the narrowest of the conditional widths and
-    the transverse width with ``points_per_width`` samples.  When a Gaussian
-    herald filter is supplied, the extent additionally covers the filtered
-    idler mass (which an off-center passband can displace) and the step
-    resolves the passband.
+    the transverse width with 4.2 samples; the point count is kept within
+    [256, 4096].  When a Gaussian herald filter is supplied, the extent
+    additionally covers the filtered idler mass (which an off-center
+    passband can displace) and the step resolves the passband.
 
     Args:
         jsa: ``DoubleGaussianJsa`` whose grid is being sized.
         herald_filter: Optional ``GaussianFilter`` applied on the idler arm.
-        points_per_width: Samples across the narrowest feature.
-        tail: Marginal standard deviations of coverage per side.
-        n_min: Lower bound on the suggested point count.
-        n_max: Upper bound on the suggested point count.
 
     Returns:
         Tuple ``(half_extent, n_points)`` in the units accepted by
@@ -521,7 +541,7 @@ def recommended_grid(jsa, herald_filter=None, points_per_width=4.2,
     s_sig, s_idl = jsa.marginal_widths()
     w_sig, w_idl = jsa.conditional_widths()
     a, b, _ = jsa.intensity_coefficients()
-    limit = tail * max(s_sig, s_idl)
+    limit = _GRID_TAIL * max(s_sig, s_idl)
     feature = min(w_sig, w_idl, _thin_width(jsa))
     if herald_filter is not None:
         if not isinstance(herald_filter, GaussianFilter):
@@ -533,8 +553,9 @@ def recommended_grid(jsa, herald_filter=None, points_per_width=4.2,
         feature = min(feature, herald_filter.width)
     smax = max(jsa.sigma1, jsa.sigma2)
     half_extent = max(4.0, limit / smax)
-    n_points = int(math.ceil(2.0 * half_extent * smax * points_per_width / feature)) + 1
-    n_points = int(min(max(n_points, n_min), n_max))
+    n_points = int(math.ceil(
+        2.0 * half_extent * smax * _GRID_POINTS_PER_WIDTH / feature)) + 1
+    n_points = int(min(max(n_points, _GRID_N_MIN), _GRID_N_MAX))
     return half_extent, n_points
 
 
@@ -566,7 +587,7 @@ class HomCurve:
         The baseline is ``1 - 2*R*T`` and the visibility is
         ``(baseline - minimum) / (baseline + minimum)``.
         """
-        base = 1.0 - 2.0 * reflectivity * transmissivity
+        base = 1.0 - 2.0 * _splitter_product(reflectivity, transmissivity)
         dip = float(self.coincidences.min())
         if base + dip <= 0.0:
             raise NumericalError("degenerate curve: baseline plus minimum is zero")
@@ -583,7 +604,7 @@ class HomCurve:
         """
         if np.any(np.diff(self.delays) <= 0.0):
             raise ValueError("delays must be strictly increasing")
-        base = 1.0 - 2.0 * reflectivity * transmissivity
+        base = 1.0 - 2.0 * _splitter_product(reflectivity, transmissivity)
         values = self.coincidences
         i_min = int(np.argmin(values))
         depth = base - values[i_min]

@@ -34,8 +34,10 @@ from .core import (
     NumericalError,
     TabulatedFilter,
     _clip_unit,
+    _delay_array,
     _filtered_idler,
     _require_success,
+    _splitter_product,
     eval_double_gaussian,
     filter_transmission,
 )
@@ -432,15 +434,8 @@ def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5,
     spec = spec if spec is not None else DEFAULT_SPEC
     if herald_x is None or herald_y is None:
         raise ValueError("hom_dip requires a herald filter for each source")
-    if not (0.0 <= reflectivity <= 1.0 and 0.0 <= transmissivity <= 1.0):
-        raise ValueError("reflectivity and transmissivity must lie in [0, 1]")
-    if abs(reflectivity + transmissivity - 1.0) > 1e-9:
-        raise ValueError("reflectivity and transmissivity must sum to one")
-    delays = np.atleast_1d(np.asarray(delays, dtype=float))
-    if delays.ndim != 1 or delays.size == 0:
-        raise ValueError("delays must be a non-empty 1-D array")
-
-    rt = reflectivity * transmissivity
+    rt = _splitter_product(reflectivity, transmissivity)
+    delays = _delay_array(delays)
     samples = _hom_samples(jsa, herald_x, herald_y, delays, rt, spec, 1.0)
     if check:
         if isinstance(jsa, GriddedJsa):

@@ -27,7 +27,9 @@ from .core import (
     HomCurve,
     NumericalError,
     _clip_unit,
+    _delay_array,
     _require_success,
+    _splitter_product,
     filter_transmission,
 )
 
@@ -41,11 +43,10 @@ __all__ = [
     "two_filter_schmidt",
     "hom_dip_schmidt",
     "mode_projection_herald",
-    "export_modes_csv",
 ]
 
-# Coefficients within this fraction of the larger one are treated as
-# degenerate when ordering.
+# A weight may exceed its predecessor by this fraction of the predecessor,
+# so that weights equal to rounding pass as descending in any order.
 _DEGENERACY_TOL = 1e-12
 
 # Signal samples whose magnitudes lie within this fraction of a mode's peak
@@ -91,7 +92,7 @@ class SchmidtDecomposition:
         p = np.array(self.coefficients, dtype=float, copy=True)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D array")
-        if np.any(p < 0.0) or np.any(np.diff(p) > _DEGENERACY_TOL):
+        if np.any(p < 0.0) or np.any(p[1:] > p[:-1] * (1.0 + _DEGENERACY_TOL)):
             raise ValueError("coefficients must be non-negative and descending")
         arrays = {"coefficients": p}
         for name in ("signal_modes", "idler_modes", "signal_grid", "idler_grid"):
@@ -186,33 +187,6 @@ class ModeProjection:
     heralded_mode: np.ndarray
 
 
-def _first_sign_key(row):
-    """0 for a leading positive real part, 1 otherwise; for tie ordering."""
-    magnitudes = np.abs(row)
-    peak = magnitudes.max()
-    if peak == 0.0:
-        return 1
-    first = row[np.nonzero(magnitudes > 1e-9 * peak)[0][0]]
-    return 0 if first.real > 0.0 else 1
-
-
-def _order_degenerate(p, signal, idler):
-    """Stable, deterministic ordering inside degenerate weight groups."""
-    order = np.arange(p.size)
-    start = 0
-    while start < p.size:
-        tol = _DEGENERACY_TOL * p[start]
-        stop = start + 1
-        while stop < p.size and p[start] - p[stop] <= tol:
-            stop += 1
-        if stop - start > 1:
-            block = sorted(range(start, stop),
-                           key=lambda i: (_first_sign_key(signal[i]), i))
-            order[start:stop] = block
-        start = stop
-    return p[order], signal[order], idler[order]
-
-
 def _sketch(scaled, rank, rng):
     """Rank-``rank`` range sketch with one power iteration.
 
@@ -287,9 +261,9 @@ def decompose(gridded, rel_threshold=1e-12):
     dropped; the retained weights are not rescaled, so their sum reports the
     captured norm; a threshold of zero keeps every mode.  Mode phases are
     fixed by making the first signal sample whose magnitude is within 1e-9
-    of the mode's peak real and positive, and ties between
-    numerically equal weights are broken by the sign of the first
-    significant signal sample, so equal inputs decompose identically.
+    of the mode's peak real and positive.  Modes keep the SVD's descending
+    order; inside an exactly degenerate weight group the SVD's basis is
+    only fixed up to a unitary rotation, so no order there is canonical.
 
     The factorization is a truncated SVD: a randomized range finder with a
     fixed-seed Gaussian sketch and one power iteration grows its rank until
@@ -356,7 +330,6 @@ def decompose(gridded, rel_threshold=1e-12):
     phases = peaks / np.abs(peaks)
     signal = signal * phases.conj()[:, None]
     idler = idler * phases[:, None]
-    p, signal, idler = _order_degenerate(p, signal, idler)
 
     head = min(12, keep)
     for modes, step in ((signal, gridded.signal_step),
@@ -483,9 +456,8 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
     for overlap in (herald_x, herald_y):
         if overlap.side != "idler":
             raise ValueError("herald overlaps must be built on the idler modes")
-    if abs(reflectivity + transmissivity - 1.0) > 1e-9:
-        raise ValueError("reflectivity and transmissivity must sum to one")
-    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    rt = _splitter_product(reflectivity, transmissivity)
+    delays = _delay_array(delays)
     step = decomposition.signal_step
     worst = float(np.abs(delays).max())
     if worst * step > math.pi / 3.0:
@@ -500,7 +472,6 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
     weighted_x = sqp[:, None] * herald_x.matrix * sqp
     weighted_y = sqp[:, None] * herald_y.matrix * sqp
     modes = decomposition.signal_modes
-    rt = reflectivity * transmissivity
     norm = success_x * success_y
 
     samples = np.empty(delays.shape)
@@ -536,59 +507,3 @@ def mode_projection_herald(decomposition, index):
         purity=1.0,
         heralded_mode=decomposition.signal_modes[index],
     )
-
-
-def _format(value):
-    return format(value, ".12g")
-
-
-def _write_mode_section(handle, title, grid, modes, n_modes):
-    handle.write(f"# {title}\n")
-    header = ["omega"]
-    for mu in range(n_modes):
-        header += [f"mode{mu}_re", f"mode{mu}_im"]
-    handle.write(",".join(header) + "\n")
-    for i, omega in enumerate(grid):
-        row = [_format(omega)]
-        for mu in range(n_modes):
-            row += [_format(modes[mu, i].real), _format(modes[mu, i].imag)]
-        handle.write(",".join(row) + "\n")
-
-
-def export_modes_csv(decomposition, handle, n_modes=None, reference=None):
-    """Write weights and mode samples as sectioned CSV.
-
-    The first section lists ``mu, p_mu`` (plus an optional reference weight
-    column); the following sections list the signal and idler mode samples,
-    one grid point per row and two columns (re, im) per mode.
-
-    Args:
-        decomposition: ``SchmidtDecomposition`` to export.
-        handle: Writable text file object.
-        n_modes: Number of modes to include; defaults to all retained
-            weights but at most 16 sampled mode columns.
-        reference: Optional array of reference weights written next to
-            ``p_mu`` (for example the geometric law for the same K).
-    """
-    p = decomposition.coefficients
-    n_rows = p.size if n_modes is None else min(int(n_modes), p.size)
-    n_cols = min(n_rows, 16) if n_modes is None else n_rows
-    header = "mu,p_mu"
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)
-        header += ",reference_p_mu"
-    handle.write(header + "\n")
-    for mu in range(n_rows):
-        row = f"{mu},{_format(p[mu])}"
-        if reference is not None:
-            ref = reference[mu] if mu < reference.size else 0.0
-            row += f",{_format(ref)}"
-        handle.write(row + "\n")
-    handle.write("\n")
-    _write_mode_section(handle, "signal modes",
-                        decomposition.signal_grid,
-                        decomposition.signal_modes, n_cols)
-    handle.write("\n")
-    _write_mode_section(handle, "idler modes",
-                        decomposition.idler_grid,
-                        decomposition.idler_modes, n_cols)

@@ -97,6 +97,10 @@ class FilterSolution:
     iterations: int
 
 
+# Bisection step limit of the filter solver.
+_MAX_BISECTIONS = 60
+
+
 def _widths(filter_widths, scale):
     """Widths as an array; 101 log points on [0.01, 10] * scale for None."""
     if filter_widths is None:
@@ -281,8 +285,7 @@ def _grid_scan(evaluate, target, lo, hi, tolerance, n_samples=400):
 
 
 def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
-                            center=0.0, tolerance=1e-4, bracket=None,
-                            max_iterations=60):
+                            center=0.0, tolerance=1e-4, bracket=None):
     """Find the widest herald filter that still meets a purity target.
 
     Purity falls as the filter widens, so the widest acceptable filter is
@@ -304,7 +307,6 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
             ``(1e-3, 1e3)`` times the amplitude width scale.  For gridded
             amplitudes the default lower end is raised to twice the idler
             grid step, below which a sampled passband is meaningless.
-        max_iterations: Bisection step limit.
 
     Returns:
         ``FilterSolution`` describing the solved width.
@@ -330,7 +332,7 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
         # Passbands narrower than the grid step alias to empty or
         # single-sample windows, so the default scan starts resolvable.
         lo = max(lo, 2.0 * jsa.idler_step)
-    if not 0.0 < lo < hi:
+    if not (0.0 < lo < hi and math.isfinite(hi)):
         raise ValueError(f"invalid bracket ({lo}, {hi})")
 
     probes = np.logspace(math.log10(lo), math.log10(hi), 9)
@@ -346,7 +348,7 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
                 f"bracketed filter reaches only {probe_purities[0]:.6g}"
             )
         width, extra = _bisect_monotone(evaluate, target, lo, hi,
-                                        tolerance, max_iterations)
+                                        tolerance, _MAX_BISECTIONS)
         iterations += extra
         method = "bisection"
     else:

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
-from heraldpurity.cli import (grid_to_dict, grid_to_rows, load_jsa_csv, main,
-                              tradeoff_to_dict, tradeoff_to_rows)
+from heraldpurity.cli import (export_modes_csv, grid_to_dict, grid_to_rows,
+                              load_jsa_csv, main, tradeoff_to_dict,
+                              tradeoff_to_rows)
 
 
 def run_cli(*argv):
@@ -110,6 +111,32 @@ def test_malformed_config_exits_with_config_error(tmp_path):
     code, _, err = run_cli("report", "--config", str(path))
     assert code == 2
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("extra", [
+    {"heralded_filter": {"center": 0.0, "width": 0.05}},
+    {"filtre": 3},
+])
+@pytest.mark.parametrize("command", [
+    ["report"], ["hom"], ["sweep", "tradeoff"], ["schmidt"],
+    ["solve-filter", "--target-purity", "0.9"],
+])
+def test_unknown_config_key_exits_with_config_error(tmp_path, extra,
+                                                    command):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps({
+        "jsa": {"sigma1": 1.0, "sigma2": 5.0,
+                "theta1": "pi/4", "theta2": "-pi/4"},
+        "filter": {"center": 0.0, "width": 0.6},
+        **extra,
+    }))
+    code, out, err = run_cli(*command, "--config", str(path),
+                             "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert repr(next(iter(extra))) in error["message"]
 
 
 def test_empty_heralding_exits_with_numerical_error(tmp_path):
@@ -389,3 +416,31 @@ def test_row_helpers_round_trip(jsa_k26):
     assert len(rows) == 2
     payload = tradeoff_to_dict(points)
     assert [entry["sigma_f"] for entry in payload] == [0.5, 1.0]
+
+
+def test_export_modes_csv_round_trip(k26_modes):
+    thermal = hp.thermal_schmidt_coefficients(2.6, n_modes=3)
+    buffer = io.StringIO()
+    export_modes_csv(k26_modes, buffer, n_modes=3, reference=thermal)
+    text = buffer.getvalue()
+    blocks = text.split("\n\n")
+    assert len(blocks) == 3
+
+    weight_lines = blocks[0].strip().splitlines()
+    assert weight_lines[0] == "mu,p_mu,reference_p_mu"
+    for mu, line in enumerate(weight_lines[1:]):
+        index, weight, reference = line.split(",")
+        assert int(index) == mu
+        assert float(weight) == pytest.approx(
+            k26_modes.coefficients[mu], rel=1e-11)
+        assert float(reference) == pytest.approx(thermal[mu], rel=1e-11)
+
+    signal_lines = blocks[1].strip().splitlines()
+    assert signal_lines[0] == "# signal modes"
+    assert signal_lines[1].split(",")[:3] == ["omega", "mode0_re", "mode0_im"]
+    row = signal_lines[2].split(",")
+    assert float(row[0]) == pytest.approx(k26_modes.signal_grid[0], rel=1e-11)
+    assert float(row[1]) == pytest.approx(
+        k26_modes.signal_modes[0, 0].real, rel=1e-9, abs=1e-14)
+    assert blocks[2].strip().splitlines()[0] == "# idler modes"
+    assert len(signal_lines) == 2 + k26_modes.signal_grid.size

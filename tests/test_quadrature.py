@@ -137,12 +137,29 @@ def test_hom_distinct_arm_filters(jsa_k26):
     assert curve.visibility() < 1.0
 
 
-def test_hom_validates_splitter(jsa_k26):
+def test_hom_validates_splitter(jsa_k26, k26_modes):
     filt = hp.GaussianFilter(0.0, 1.0)
-    for refl, trans in [(0.7, 0.5), (-0.1, 1.1), (1.2, -0.2)]:
-        with pytest.raises(ValueError):
-            hp.hom_dip(jsa_k26, filt, filt, np.array([0.0]),
-                       reflectivity=refl, transmissivity=trans)
+    overlap = hp.overlap_matrix(k26_modes, filt)
+    curve = hp.hom_dip(jsa_k26, filt, filt, np.array([-1.0, 0.0, 1.0]))
+    entry_points = [
+        lambda r, t, d: hp.hom_dip(jsa_k26, filt, filt, d,
+                                   reflectivity=r, transmissivity=t),
+        lambda r, t, d: hp.hom_dip_schmidt(k26_modes, overlap, overlap, d,
+                                           reflectivity=r, transmissivity=t),
+        lambda r, t, d: hp.hom_dip_analytic(jsa_k26, 0.8, d,
+                                            reflectivity=r, transmissivity=t),
+        lambda r, t, d: hp.visibility(0.5, r, t),
+        lambda r, t, d: curve.visibility(r, t),
+        lambda r, t, d: curve.half_depth_width(r, t),
+    ]
+    for call in entry_points:
+        for refl, trans in [(0.7, 0.5), (-0.1, 1.1), (1.2, -0.2),
+                            (1.5, -0.5)]:
+            with pytest.raises(ValueError, match="reflectivity"):
+                call(refl, trans, np.array([0.0]))
+    for call in entry_points[:3]:
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            call(0.5, 0.5, np.array([]))
 
 
 def test_hom_gridded_rejects_unresolvable_delay(k26_grid):

@@ -1,6 +1,5 @@
 """Tests for the sampled-mode decomposition route."""
 
-import io
 import logging
 import math
 import warnings
@@ -36,8 +35,8 @@ def full_svd_weights(grid, rel_threshold=1e-12):
 
 
 def descending(weights):
-    # decompose orders modes inside numerically degenerate weight groups by
-    # the sign of their first sample; compare weights as sorted sets.
+    # decompose keeps the SVD's own descending order; sorting makes the
+    # comparison independent of it, comparing weights as sorted sets.
     return np.sort(weights)[::-1]
 
 
@@ -221,14 +220,17 @@ def test_truncation_keeps_weights_unrescaled(k26_grid):
 
 
 def test_decomposition_validation(k26_modes):
-    with pytest.raises(ValueError):
-        hp.SchmidtDecomposition(
-            coefficients=np.array([0.2, 0.8]),
-            signal_modes=k26_modes.signal_modes[:2],
-            idler_modes=k26_modes.idler_modes[:2],
-            signal_grid=k26_modes.signal_grid,
-            idler_grid=k26_modes.idler_grid,
-        )
+    # The second set rises by a factor of five far below the leading weight.
+    for weights in ([0.2, 0.8], [1.0, 1e-13, 5e-13]):
+        n = len(weights)
+        with pytest.raises(ValueError):
+            hp.SchmidtDecomposition(
+                coefficients=np.array(weights),
+                signal_modes=k26_modes.signal_modes[:n],
+                idler_modes=k26_modes.idler_modes[:n],
+                signal_grid=k26_modes.signal_grid,
+                idler_grid=k26_modes.idler_grid,
+            )
 
 
 def test_overlap_identity_filter(k26_modes, jsa_k26):
@@ -381,34 +383,6 @@ def test_chirped_amplitude_routes_agree(jsa_k26):
         modal.coincidences, direct.coincidences, atol=1e-8)
 
 
-def test_export_modes_csv_round_trip(k26_modes):
-    thermal = hp.thermal_schmidt_coefficients(2.6, n_modes=3)
-    buffer = io.StringIO()
-    hp.export_modes_csv(k26_modes, buffer, n_modes=3, reference=thermal)
-    text = buffer.getvalue()
-    blocks = text.split("\n\n")
-    assert len(blocks) == 3
-
-    weight_lines = blocks[0].strip().splitlines()
-    assert weight_lines[0] == "mu,p_mu,reference_p_mu"
-    for mu, line in enumerate(weight_lines[1:]):
-        index, weight, reference = line.split(",")
-        assert int(index) == mu
-        assert float(weight) == pytest.approx(
-            k26_modes.coefficients[mu], rel=1e-11)
-        assert float(reference) == pytest.approx(thermal[mu], rel=1e-11)
-
-    signal_lines = blocks[1].strip().splitlines()
-    assert signal_lines[0] == "# signal modes"
-    assert signal_lines[1].split(",")[:3] == ["omega", "mode0_re", "mode0_im"]
-    row = signal_lines[2].split(",")
-    assert float(row[0]) == pytest.approx(k26_modes.signal_grid[0], rel=1e-11)
-    assert float(row[1]) == pytest.approx(
-        k26_modes.signal_modes[0, 0].real, rel=1e-9, abs=1e-14)
-    assert blocks[2].strip().splitlines()[0] == "# idler modes"
-    assert len(signal_lines) == 2 + k26_modes.signal_grid.size
-
-
 @pytest.mark.parametrize("n_points", [400, 1024])
 def test_weights_descend_along_a_geometric_tail(n_points):
     # K = 12: far down the tail consecutive weights differ by less than
@@ -420,3 +394,17 @@ def test_weights_descend_along_a_geometric_tail(n_points):
         grid = hp.discretize(jsa, half_extent=8.0, n_points=n_points)
     p = hp.decompose(grid).coefficients
     assert np.all(p[1:] <= p[:-1] * (1.0 + 1e-12))
+
+
+def test_degenerate_weights_keep_the_svd_order():
+    # Two modes of exactly equal weight: (h0 h0 + h1 h1) / sqrt(2) with
+    # Hermite-Gauss functions h0 and h1 normalized on the grid.
+    x = np.linspace(-6.0, 6.0, 128)
+    h0 = np.exp(-0.5 * x * x)
+    h1 = x * h0
+    h0, h1 = (h / math.sqrt(np.sum(h * h) * (x[1] - x[0])) for h in (h0, h1))
+    amplitude = (np.outer(h0, h0) + np.outer(h1, h1)) / math.sqrt(2.0)
+    grid = hp.GriddedJsa(x, x, amplitude).normalize()
+    p = hp.decompose(grid).coefficients
+    np.testing.assert_allclose(p, [0.5, 0.5], rtol=1e-12)
+    assert np.all(np.diff(p) <= 0.0)

@@ -128,9 +128,10 @@ def test_solver_argument_validation(jsa_k26):
         hp.solve_filter_for_target(jsa_k26, target_purity=1.0)
     with pytest.raises(ValueError):
         hp.solve_filter_for_target(jsa_k26, target_visibility=0.0)
-    with pytest.raises(ValueError):
-        hp.solve_filter_for_target(jsa_k26, target_purity=0.9,
-                                   bracket=(2.0, 1.0))
+    for bracket in [(2.0, 1.0), (0.1, math.inf)]:
+        with pytest.raises(ValueError, match="invalid bracket"):
+            hp.solve_filter_for_target(jsa_k26, target_purity=0.9,
+                                       bracket=bracket)
 
 
 def test_solver_on_gridded_amplitude(jsa_k26, k26_grid):

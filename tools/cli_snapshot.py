@@ -1,0 +1,137 @@
+"""Snapshot the command line outputs for a byte-identity check.
+
+Usage::
+
+    PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
+
+Writes five source configs under ``OUTDIR`` (the demo source, the KTP
+source, the demo with a detuned filter, the demo without a filter, and a
+128-point gridded copy of the demo as CSV), then runs a fixed list of 56
+``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
+interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
+``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
+``NN.code`` in ``OUTDIR``, and ``index.json`` lists the argument vectors.
+The runs use ``OUTDIR`` as their working directory and name the configs by
+relative path, so no output embeds a location: two snapshots taken with
+different ``PYTHONPATH`` settings compare with ``diff -r``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+import heraldpurity as hp
+
+DEMO = {"sigma1": 1.0, "sigma2": 5.0, "theta1": "pi/4", "theta2": "-pi/4"}
+KTP = {"sigma1": 6.0, "sigma2": 0.70, "theta1": "pi/4", "theta2": 0.97}
+
+CONFIGS = {
+    "demo.json": {"jsa": DEMO, "filter": {"center": 0.0, "width": 0.6}},
+    "ktp.json": {"jsa": KTP, "filter": {"center": 0.0, "width": 6.0}},
+    "offcentre.json": {"jsa": DEMO, "filter": {"center": 0.7, "width": 0.6}},
+    "nofilter.json": {"jsa": DEMO},
+    "gridded.json": {"jsa": {"csv_path": "demo_grid.csv"},
+                     "filter": {"center": 0.0, "width": 0.6}},
+}
+
+
+def write_inputs(outdir):
+    """Write the JSON configs and the gridded demo amplitude as CSV."""
+    for name, config in CONFIGS.items():
+        (outdir / name).write_text(json.dumps(config, indent=2) + "\n")
+    jsa = hp.jsa_from_dict(DEMO)
+    with warnings.catch_warnings():
+        # The coarse grid is deliberate: it keeps the gridded runs fast.
+        warnings.simplefilter("ignore", UserWarning)
+        grid = hp.discretize(jsa, 4.0, 128)
+    ws, wi = np.meshgrid(grid.signal_grid, grid.idler_grid, indexing="ij")
+    rows = np.column_stack([ws.ravel(), wi.ravel(),
+                            grid.amplitudes.real.ravel(),
+                            np.imag(grid.amplitudes).ravel()])
+    np.savetxt(outdir / "demo_grid.csv", rows, fmt="%.17g", delimiter=",",
+               header="omega_signal,omega_idler,re,im", comments="")
+
+
+def invocations():
+    """The argument vectors to run, without the trailing ``--no-timestamp``."""
+    runs = []
+    for config in ("demo.json", "ktp.json", "offcentre.json",
+                   "nofilter.json"):
+        c = ["--config", config]
+        runs += [
+            ["report", *c],
+            ["report", *c, "--format", "json"],
+            ["sweep", "tradeoff", *c],
+            ["sweep", "tradeoff", *c, "--format", "json"],
+            ["hom", *c],
+            ["schmidt", *c],
+            ["schmidt", *c, "--n-modes", "4", "--project-mode", "0"],
+            ["solve-filter", *c, "--target-visibility", "0.5"],
+            ["solve-filter", *c, "--target-visibility", "0.5",
+             "--format", "json"],
+            ["solve-filter", *c, "--target-purity", "0.9"],
+        ]
+    runs += [
+        ["sweep", "tradeoff", "--config", "demo.json", "--two-filters"],
+        ["sweep", "tradeoff", "--config", "ktp.json", "--two-filters"],
+        ["sweep", "aspect"],
+        ["sweep", "aspect", "--format", "json"],
+        ["sweep", "orientation"],
+        ["sweep", "orientation", "--format", "json"],
+        ["sweep", "aspect", "--ratios", "1:8:15", "--widths", "0.1:10:12",
+         "--format", "json"],
+        ["sweep", "orientation", "--ratio", "5", "--thetas", "0:1.5:25"],
+        ["hom", "--config", "demo.json", "--tau-max", "2.0",
+         "--tau-points", "5"],
+        ["report", "--config", "ktp.json", "--filter-width", "0.72"],
+    ]
+    c = ["--config", "gridded.json"]
+    runs += [
+        ["report", *c],
+        ["report", *c, "--format", "json"],
+        ["schmidt", *c],
+        ["schmidt", *c, "--n-modes", "4", "--project-mode", "0"],
+        ["hom", *c, "--tau-max", "1.0", "--tau-points", "9"],
+        ["solve-filter", *c, "--target-purity", "0.9"],
+    ]
+    return [run + ["--no-timestamp"] for run in runs]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: cli_snapshot.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_inputs(outdir)
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    # The runs start in OUTDIR, so relative search-path entries are
+    # resolved against the caller's directory first.
+    paths = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in paths)
+
+    runs = invocations()
+    for i, args in enumerate(runs):
+        done = subprocess.run([sys.executable, "-m", "heraldpurity.cli", *args],
+                              cwd=outdir, env=env, capture_output=True,
+                              text=True, check=False)
+        stem = outdir / f"{i:02d}"
+        stem.with_suffix(".stdout").write_text(done.stdout)
+        stem.with_suffix(".stderr").write_text(done.stderr)
+        stem.with_suffix(".code").write_text(f"{done.returncode}\n")
+    (outdir / "index.json").write_text(json.dumps(runs, indent=1) + "\n")
+    print(f"{len(runs)} runs written to {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
