@@ -438,11 +438,17 @@ def cmd_schmidt(args):
 
 def cmd_solve_filter(args):
     run = _build_run_config(args)
+    center = 0.0
+    if run.herald_filter is not None:
+        if not isinstance(run.herald_filter, GaussianFilter):
+            raise ValueError("solve-filter sizes a Gaussian herald filter; "
+                             "the config filter is tabulated")
+        center = run.herald_filter.center
     solution = solve_filter_for_target(
         run.jsa,
         target_purity=args.target_purity,
         target_visibility=args.target_visibility,
-        tolerance=args.tol,
+        center=center,
     )
     pairs = [
         ("sigma_f", _fmt(solution.sigma_f)),
@@ -468,10 +474,6 @@ def cmd_solve_filter(args):
 
 def _add_common(parser, formats=("csv", "json"), default_format="csv"):
     parser.add_argument("--config", help="path to a JSON configuration file")
-    parser.add_argument("--nodes", type=int,
-                        help="baseline quadrature nodes per axis")
-    parser.add_argument("--extent", type=float,
-                        help="integration window half-extent / grid extent")
     parser.add_argument("--output", help="write output to this path")
     parser.add_argument("--format", choices=formats, default=default_format,
                         help="output format")
@@ -540,9 +542,15 @@ def build_parser():
                          help="purity target in (0, 1)")
     p_solve.add_argument("--target-visibility", type=float,
                          help="balanced-splitter visibility target in (0, 1)")
-    p_solve.add_argument("--tol", type=float, default=1e-4,
-                         help="acceptable purity distance from the target")
     p_solve.set_defaults(func=cmd_solve_filter)
+
+    # Only the subcommands that read these flags accept them.
+    for p in (p_report, p_sweep, p_hom):
+        p.add_argument("--nodes", type=int,
+                       help="baseline quadrature nodes per axis")
+    for p in (p_report, p_sweep, p_hom, p_schmidt):
+        p.add_argument("--extent", type=float,
+                       help="integration window half-extent / grid extent")
     return parser
 
 

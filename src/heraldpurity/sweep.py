@@ -2,8 +2,8 @@
 
 Sweeps over double-Gaussian source parameters use the closed forms, so full
 grids cost milliseconds.  The filter solver inverts the purity-versus-width
-relation either analytically (parametric amplitudes) or through a single
-Schmidt decomposition reused across widths (gridded amplitudes).
+relation exactly for parametric amplitudes, and for gridded amplitudes scans
+the widths through one reduced state built from the samples.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, visibility)
-from .core import DoubleGaussianJsa, GaussianFilter, GriddedJsa
+from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa,
+                   _require_success)
 from .quadrature import two_filter_quantities
-from .schmidt import decompose, overlap_matrix, schmidt_quantities
 
 __all__ = [
     "TradeoffPoint",
@@ -84,9 +84,11 @@ class FilterSolution:
         purity: Purity at the solved width.
         success: Heralding probability at the solved width.
         visibility: Balanced-splitter visibility at the solved width.
-        method: ``"bisection"``, ``"grid_scan"``, or ``"bracket_end"`` when
-            the widest bracketed filter already meets the target.
-        iterations: Evaluations spent inside the solver.
+        method: ``"closed_form"`` (exact inversion, parametric sources),
+            ``"scan"`` (gridded sources), or ``"bracket_end"`` when the
+            widest filter of the solver's range already meets the target.
+        iterations: Width evaluations spent by the scan; 0 for the exact
+            inversion.
     """
 
     sigma_f: float
@@ -95,10 +97,6 @@ class FilterSolution:
     visibility: float
     method: str
     iterations: int
-
-
-# Bisection step limit of the filter solver.
-_MAX_BISECTIONS = 60
 
 
 def _widths(filter_widths, scale):
@@ -212,88 +210,80 @@ def tradeoff_curve(jsa, filter_widths=None, two_filter=False, spec=None):
     return [TradeoffPoint(*map(float, row)) for row in zip(*columns)]
 
 
-def _pair_evaluator(jsa, center):
-    """(purity, success) as a function of filter width, plus a width scale."""
-    if isinstance(jsa, DoubleGaussianJsa):
-        coefficients = jsa.intensity_coefficients()
+def _gridded_curve(jsa, center):
+    """``(purity, success)`` of a gridded source over arrays of herald widths.
 
-        def evaluate(width):
-            filt = GaussianFilter(center=center, width=width)
-            return closed_form_pair(*coefficients, filt.width, filt.center)
-        return evaluate, max(jsa.sigma1, jsa.sigma2)
-    if isinstance(jsa, GriddedJsa):
-        modes = decompose(jsa)
+    The herald filter enters only through its idler weights ``W``
+    (transmission times ``idler_step``, one row per width), so the
+    idler-side reduced state ``R = (A.T @ A.conj()) * signal_step`` (the
+    quadrature route's ``_reduced_state``, transposed) is built once::
 
-        def evaluate(width):
-            filt = GaussianFilter(center=center, width=width)
-            overlap = overlap_matrix(modes, filt, side="idler")
-            return schmidt_quantities(modes, overlap)
+        success = W @ diag(R)
+        purity = rowsum((W @ |R|**2) * W) / success**2
+    """
+    amplitudes = jsa.amplitudes
+    state = (amplitudes.T @ amplitudes.conj()) * jsa.signal_step
+    diagonal = np.real(np.diagonal(state))
+    squared = np.real(state * state.conj())
 
-        weights = np.sum(np.abs(jsa.amplitudes) ** 2, axis=0) * jsa.cell_area
-        scale = math.sqrt(float(weights @ jsa.idler_grid**2))
-        return evaluate, scale
-    raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
+    def evaluate(widths):
+        weights = np.array([GaussianFilter(center, w).transmission(
+            jsa.idler_grid) for w in widths]) * jsa.idler_step
+        success = weights @ diagonal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            purity = np.sum((weights @ squared) * weights, axis=1) / success**2
+        return purity, success
+    return evaluate
 
 
-def _bisect_monotone(evaluate, target, lo, hi, tolerance, max_iterations):
-    """Bisect a non-increasing purity curve; returns (width, iterations)."""
-    count = 0
-    for _ in range(max_iterations):
-        mid = math.sqrt(lo * hi)
-        purity, _ = evaluate(mid)
+def _scan(evaluate, target, lo, hi):
+    """Widest width on ``[lo, hi]`` whose purity meets ``target``.
+
+    Takes the widest of 400 log-spaced widths that meets the target (purity
+    need not fall monotonically) and bisects against its failing neighbor
+    until the width is fixed to rounding.  ``evaluate`` maps an array of
+    widths to ``(purity, success)`` arrays.  Returns ``(width, method,
+    evaluations)``, the method ``"bracket_end"`` when ``hi`` meets the
+    target; raises ``ValueError`` when no sampled width does.
+    """
+    widths = np.logspace(math.log10(lo), math.log10(hi), 400)
+    meets = np.flatnonzero(evaluate(widths)[0] >= target)
+    if meets.size == 0:
+        raise ValueError(f"target purity {target:.6g} is unachievable: no "
+                         f"filter width in [{lo:.4g}, {hi:.4g}] reaches it")
+    best = int(meets[-1])
+    count = widths.size
+    if best == count - 1:
+        return hi, "bracket_end", count
+    lo, hi = widths[best], widths[best + 1]
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         count += 1
-        if abs(purity - target) <= tolerance:
-            return mid, count
-        if purity > target:
+        if evaluate([mid])[0][0] >= target:
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(
-        f"bisection did not reach the target within {max_iterations} steps"
-    )
-
-
-def _grid_scan(evaluate, target, lo, hi, tolerance, n_samples=400):
-    """Largest sampled width whose purity meets the target, refined locally.
-
-    Used when the purity is not monotone in the width, where bisection has
-    no bracket to trust.  Returns ``(width, evaluations)`` or raises
-    ``ValueError`` when no sampled width meets the target.
-    """
-    widths = np.logspace(math.log10(lo), math.log10(hi), n_samples)
-    purities = np.array([evaluate(w)[0] for w in widths])
-    meets = np.nonzero(purities >= target - tolerance)[0]
-    if meets.size == 0:
-        raise ValueError(
-            f"target purity {target} is unachievable within the bracket "
-            f"[{lo:.4g}, {hi:.4g}]"
-        )
-    best = int(meets[-1])
-    count = n_samples
-    if best + 1 < widths.size:
-        # Refine the crossing between the last meeting sample and its
-        # neighbor; the curve is locally monotone there by construction.
-        try:
-            width, extra = _bisect_monotone(
-                evaluate, target, widths[best], widths[best + 1],
-                tolerance, 40,
-            )
-            return width, count + extra
-        except RuntimeError:
-            pass
-    return float(widths[best]), count
+        mid = 0.5 * (lo + hi)
+    return lo, "scan", count
 
 
 def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
-                            center=0.0, tolerance=1e-4, bracket=None):
+                            center=0.0):
     """Find the widest herald filter that still meets a purity target.
 
     Purity falls as the filter widens, so the widest acceptable filter is
     the one that wastes the least heralding probability.  A visibility
-    target ``v`` is converted to the purity target ``2*v / (1 + v)``.  The
-    solver verifies on a coarse sample that purity is non-increasing across
-    the bracket and bisects; if the curve is not monotone there, it falls
-    back to a dense scan.
+    target ``v`` is converted to the purity target ``2*v / (1 + v)``.
+    Widths range over ``(1e-3, 1e3)`` times a width scale; when the widest
+    meets the target it is returned (``"bracket_end"``).
+
+    For a ``DoubleGaussianJsa`` the purity does not depend on the center,
+    so the target inverts exactly (``"closed_form"``): ``phi = b**2 /
+    (a*(1 - P**2)) - c`` and ``sigma_f = 1/sqrt(2*phi)``, with ``phi <= 0``
+    when the unfiltered source already meets it.  The scale is the larger
+    ridge width.  A ``GriddedJsa`` is scanned (``"scan"``, see ``_scan``)
+    from its RMS idler frequency, starting at twice the idler grid step,
+    below which a sampled passband is meaningless.
 
     Args:
         jsa: ``DoubleGaussianJsa`` or normalized ``GriddedJsa``.
@@ -301,19 +291,15 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
             ``target_visibility``.
         target_visibility: Balanced-splitter visibility target in (0, 1).
         center: Filter center detuning, rad/ps.
-        tolerance: Acceptable distance of the achieved purity from the
-            target.
-        bracket: ``(lo, hi)`` width bounds; defaults to
-            ``(1e-3, 1e3)`` times the amplitude width scale.  For gridded
-            amplitudes the default lower end is raised to twice the idler
-            grid step, below which a sampled passband is meaningless.
 
     Returns:
         ``FilterSolution`` describing the solved width.
 
     Raises:
         ValueError: If no target or both targets are given, the target is
-            outside (0, 1), or it is unachievable within the bracket.
+            outside (0, 1), or it is unachievable.
+        NumericalError: If the filtered state at the solved width is
+            numerically empty.
     """
     if (target_purity is None) == (target_visibility is None):
         raise ValueError("give exactly one of target_purity or target_visibility")
@@ -326,37 +312,34 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
     if not 0.0 < target < 1.0:
         raise ValueError("target purity must lie strictly in (0, 1)")
 
-    evaluate, scale = _pair_evaluator(jsa, center)
-    lo, hi = (1e-3 * scale, 1e3 * scale) if bracket is None else bracket
-    if bracket is None and isinstance(jsa, GriddedJsa):
-        # Passbands narrower than the grid step alias to empty or
-        # single-sample windows, so the default scan starts resolvable.
-        lo = max(lo, 2.0 * jsa.idler_step)
-    if not (0.0 < lo < hi and math.isfinite(hi)):
-        raise ValueError(f"invalid bracket ({lo}, {hi})")
-
-    probes = np.logspace(math.log10(lo), math.log10(hi), 9)
-    probe_purities = np.array([evaluate(w)[0] for w in probes])
-    iterations = probes.size
-
-    if probe_purities[-1] >= target:
-        width, method = hi, "bracket_end"
-    elif np.all(np.diff(probe_purities) <= 1e-9):
-        if probe_purities[0] < target - tolerance:
-            raise ValueError(
-                f"target purity {target:.6g} is unachievable: the narrowest "
-                f"bracketed filter reaches only {probe_purities[0]:.6g}"
-            )
-        width, extra = _bisect_monotone(evaluate, target, lo, hi,
-                                        tolerance, _MAX_BISECTIONS)
-        iterations += extra
-        method = "bisection"
+    if isinstance(jsa, DoubleGaussianJsa):
+        a, b, c = jsa.intensity_coefficients()
+        scale = max(jsa.sigma1, jsa.sigma2)
+        phi = b * b / (a * (1.0 - target * target)) - c
+        width = 1.0 / math.sqrt(2.0 * phi) if phi > 0.0 else math.inf
+        method, iterations = "closed_form", 0
+        if width >= 1e3 * scale:
+            width, method = 1e3 * scale, "bracket_end"
+        elif width < 1e-3 * scale:
+            raise ValueError(f"target purity {target:.6g} is unachievable: "
+                             f"it needs a filter width of {width:.4g}, below "
+                             f"{1e-3 * scale:.4g}")
+        filt = GaussianFilter(center=center, width=width)
+        purity, success = closed_form_pair(a, b, c, filt.width, filt.center)
+    elif isinstance(jsa, GriddedJsa):
+        evaluate = _gridded_curve(jsa, center)
+        weights = np.sum(np.abs(jsa.amplitudes) ** 2, axis=0) * jsa.cell_area
+        scale = math.sqrt(float(weights @ jsa.idler_grid**2))
+        lo, hi = max(1e-3 * scale, 2.0 * jsa.idler_step), 1e3 * scale
+        # Success grows with the width, so an empty widest filter means
+        # every purity in the scan is 0/0.
+        _require_success(float(evaluate([hi])[1][0]))
+        width, method, iterations = _scan(evaluate, target, lo, hi)
+        (purity,), (success,) = evaluate([width])
     else:
-        width, extra = _grid_scan(evaluate, target, lo, hi, tolerance)
-        iterations += extra
-        method = "grid_scan"
+        raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
+    _require_success(float(success))
 
-    purity, success = evaluate(width)
     return FilterSolution(
         sigma_f=float(width),
         purity=float(purity),

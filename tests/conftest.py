@@ -55,6 +55,16 @@ def identity_filter(jsa, tails=12.0):
     return hp.TabulatedFilter(grid, np.ones_like(grid))
 
 
+def chirped_copy(grid, seed_phase=(0.21, -0.13, 0.17, 0.4)):
+    """Same intensity as ``grid`` with a smooth complex spectral phase."""
+    ws = grid.signal_grid[:, None]
+    wi = grid.idler_grid[None, :]
+    c2s, c2i, cx, c1s = seed_phase
+    phase = c2s * ws**2 + c2i * wi**2 + cx * ws * wi + c1s * ws
+    amps = grid.amplitudes * np.exp(1j * phase)
+    return hp.GriddedJsa(grid.signal_grid, grid.idler_grid, amps).normalize()
+
+
 @pytest.fixture(scope="session")
 def jsa_k26():
     return hp.DoubleGaussianJsa(*K26_PARAMS)
@@ -74,6 +84,11 @@ def jsa_separable():
 def k26_grid(jsa_k26):
     extent, points = hp.recommended_grid(jsa_k26)
     return hp.discretize(jsa_k26, half_extent=extent, n_points=points)
+
+
+@pytest.fixture(scope="session")
+def chirped_grid(jsa_k26):
+    return chirped_copy(hp.discretize(jsa_k26, half_extent=6.0, n_points=400))
 
 
 @pytest.fixture(scope="session")

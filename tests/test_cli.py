@@ -266,7 +266,7 @@ def test_solve_filter_text(ktp_config):
     assert code == 0
     pairs = dict(line.split(",", 1) for line in out.splitlines() if line)
     assert float(pairs["sigma_f_over_sigma1"]) == pytest.approx(0.1618, abs=3e-3)
-    assert pairs["method"] == "bisection"
+    assert pairs["method"] == "closed_form"
     assert float(pairs["visibility"]) == pytest.approx(0.5, abs=1e-3)
 
 
@@ -278,6 +278,47 @@ def test_solve_filter_json(ktp_config):
     payload = json.loads(out)
     assert float(payload["purity"]) == pytest.approx(0.78, abs=1e-3)
     assert payload["command"] == "solve-filter"
+
+
+def test_solve_filter_uses_config_filter_center(tmp_path, jsa_k26):
+    path = tmp_path / "offcentre.json"
+    path.write_text(json.dumps({
+        "jsa": {"sigma1": 1.0, "sigma2": 5.0,
+                "theta1": "pi/4", "theta2": "-pi/4"},
+        "filter": {"center": 0.7, "width": 0.6},
+    }))
+    code, out, _ = run_cli("solve-filter", "--config", str(path),
+                           "--target-purity", "0.9", "--no-timestamp")
+    assert code == 0
+    pairs = dict(line.split(",", 1) for line in out.splitlines() if line)
+    expected = hp.closed_form_success(
+        jsa_k26, hp.GaussianFilter(0.7, float(pairs["sigma_f"])))
+    assert float(pairs["success"]) == pytest.approx(expected, rel=1e-11)
+    assert float(pairs["success"]) == pytest.approx(0.194635, abs=1e-6)
+
+    # the solver sizes a Gaussian filter, so a tabulated one is an error
+    path.write_text(json.dumps({
+        "jsa": {"sigma1": 1.0, "sigma2": 5.0,
+                "theta1": "pi/4", "theta2": "-pi/4"},
+        "filter": {"grid": [-1.0, 0.0, 1.0], "transmission": [0.0, 1.0, 0.0]},
+    }))
+    code, out, err = run_cli("solve-filter", "--config", str(path),
+                             "--target-purity", "0.9", "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("command", [
+    ["solve-filter", "--target-purity", "0.9", "--nodes", "64"],
+    ["solve-filter", "--target-purity", "0.9", "--extent", "5"],
+    ["solve-filter", "--target-purity", "0.9", "--tol", "1e-4"],
+    ["schmidt", "--nodes", "64"],
+])
+def test_flags_a_subcommand_never_reads_exit_2(k26_config, command):
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main([*command, "--config", k26_config, "--no-timestamp"])
+    assert exc.value.code == 2
 
 
 def test_solve_filter_requires_single_target(ktp_config):

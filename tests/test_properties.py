@@ -89,3 +89,18 @@ def test_sweeps_and_curve_equal_scalar_calls(ratios, thetas, filter_widths):
         hp.sweep_orientation(theta1_values=thetas,
                              filter_widths=filter_widths),
         [hp.DoubleGaussianJsa(1.0, 5.0, t, t - math.pi / 2) for t in thetas])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sources(), st.floats(0.01, 0.99))
+def test_solver_meets_the_target_exactly(jsa, fraction):
+    k = hp.schmidt_number(jsa)
+    # K**2 - 1 cancels as K -> 1, which costs the reference its digits
+    assume(k > 1.001)
+    target = 1.0 / k + fraction * (1.0 - 1.0 / k)
+    solution = hp.solve_filter_for_target(jsa, target_purity=target)
+    assume(solution.method == "closed_form")
+    assert solution.purity == pytest.approx(target, abs=1e-12)
+    # the identity stated in closed_form_success's docstring
+    expected = math.sqrt(1.0 - target**2) / (target * math.sqrt(k**2 - 1.0))
+    assert solution.success == pytest.approx(expected, rel=1e-12)

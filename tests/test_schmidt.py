@@ -9,17 +9,7 @@ import pytest
 
 import heraldpurity as hp
 import heraldpurity.schmidt as schmidt_module
-from conftest import identity_filter
-
-
-def chirped_copy(grid, seed_phase=(0.21, -0.13, 0.17, 0.4)):
-    """Same intensity as ``grid`` with a smooth complex spectral phase."""
-    ws = grid.signal_grid[:, None]
-    wi = grid.idler_grid[None, :]
-    c2s, c2i, cx, c1s = seed_phase
-    phase = c2s * ws**2 + c2i * wi**2 + cx * ws * wi + c1s * ws
-    amps = grid.amplitudes * np.exp(1j * phase)
-    return hp.GriddedJsa(grid.signal_grid, grid.idler_grid, amps).normalize()
+from conftest import chirped_copy, identity_filter
 
 
 def full_svd_weights(grid, rel_threshold=1e-12):
@@ -38,11 +28,6 @@ def descending(weights):
     # decompose keeps the SVD's own descending order; sorting makes the
     # comparison independent of it, comparing weights as sorted sets.
     return np.sort(weights)[::-1]
-
-
-@pytest.fixture(scope="module")
-def chirped_grid(jsa_k26):
-    return chirped_copy(hp.discretize(jsa_k26, half_extent=6.0, n_points=400))
 
 
 @pytest.fixture(scope="module")

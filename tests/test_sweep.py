@@ -1,12 +1,13 @@
 """Tests for parameter sweeps and the filter-width solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import heraldpurity as hp
-from heraldpurity.sweep import _grid_scan
+from heraldpurity.sweep import _gridded_curve, _scan
 
 
 def test_aspect_sweep_shapes_and_limits():
@@ -89,17 +90,17 @@ def test_sweeps_reject_invalid_widths(jsa_k26, bad):
 def test_solver_benchmark_visibility(jsa_ktp):
     solution = hp.solve_filter_for_target(jsa_ktp, target_visibility=0.5)
     assert solution.sigma_f / jsa_ktp.sigma1 == pytest.approx(0.16, abs=0.02)
-    assert solution.method == "bisection"
+    assert solution.method == "closed_form"
     assert solution.visibility == pytest.approx(0.5, abs=1e-3)
     assert solution.purity == pytest.approx(2.0 / 3.0, abs=1e-3)
-    assert solution.iterations <= 70
+    assert solution.iterations == 0
 
 
 def test_solver_purity_target(jsa_k26):
     solution = hp.solve_filter_for_target(jsa_k26, target_purity=0.9)
     achieved = hp.closed_form_purity(
         jsa_k26, hp.GaussianFilter(0.0, solution.sigma_f))
-    assert achieved == pytest.approx(0.9, abs=2e-4)
+    assert achieved == pytest.approx(0.9, abs=1e-12)
     # any wider filter would miss the target
     worse = hp.closed_form_purity(
         jsa_k26, hp.GaussianFilter(0.0, 1.05 * solution.sigma_f))
@@ -112,10 +113,16 @@ def test_solver_separable_hits_bracket_end(jsa_separable):
     assert solution.purity == pytest.approx(1.0, abs=1e-9)
 
 
-def test_solver_unachievable_in_bracket(jsa_k26):
-    with pytest.raises(ValueError):
-        hp.solve_filter_for_target(jsa_k26, target_purity=0.99,
-                                   bracket=(5.0, 10.0))
+def test_solver_unachievable_target(jsa_k26):
+    # needs a width below 1e-3 of the ridge width
+    with pytest.raises(ValueError, match="unachievable"):
+        hp.solve_filter_for_target(jsa_k26, target_purity=1.0 - 1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        coarse = hp.discretize(jsa_k26, 4.0, 128)
+    # the scan starts at two grid steps, too wide for this target
+    with pytest.raises(ValueError, match="unachievable"):
+        hp.solve_filter_for_target(coarse, target_purity=0.9)
 
 
 def test_solver_argument_validation(jsa_k26):
@@ -128,27 +135,52 @@ def test_solver_argument_validation(jsa_k26):
         hp.solve_filter_for_target(jsa_k26, target_purity=1.0)
     with pytest.raises(ValueError):
         hp.solve_filter_for_target(jsa_k26, target_visibility=0.0)
-    for bracket in [(2.0, 1.0), (0.1, math.inf)]:
-        with pytest.raises(ValueError, match="invalid bracket"):
+    for center in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="center must be finite"):
             hp.solve_filter_for_target(jsa_k26, target_purity=0.9,
-                                       bracket=bracket)
+                                       center=center)
 
 
-def test_solver_on_gridded_amplitude(jsa_k26, k26_grid):
-    parametric = hp.solve_filter_for_target(jsa_k26, target_purity=0.9)
-    gridded = hp.solve_filter_for_target(k26_grid, target_purity=0.9)
-    assert gridded.sigma_f == pytest.approx(parametric.sigma_f, rel=5e-3)
+# A 256-point grid cannot reach a purity of 0.99.
+@pytest.mark.parametrize("target", [0.5, 0.8, 0.9])
+def test_solver_on_gridded_amplitude(jsa_k26, k26_grid, target):
+    parametric = hp.solve_filter_for_target(jsa_k26, target_purity=target)
+    gridded = hp.solve_filter_for_target(k26_grid, target_purity=target)
+    assert gridded.method == "scan"
+    assert gridded.sigma_f == pytest.approx(parametric.sigma_f, rel=1e-9)
+
+
+@pytest.mark.parametrize("center", [0.0, 0.7])
+@pytest.mark.parametrize("name", ["k26_grid", "chirped_grid"])
+def test_gridded_curve_matches_quadrature_report(request, name, center):
+    grid = request.getfixturevalue(name)
+    widths = np.array([0.3, 0.6, 1.5, 5.0])
+    purity, success = _gridded_curve(grid, center)(widths)
+    for width, p, s in zip(widths, purity, success):
+        report = hp.heralding_report(grid, hp.GaussianFilter(center, width))
+        assert p == pytest.approx(report.purity_filtered, abs=1e-12)
+        assert s == pytest.approx(report.success, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, center", [
+    ("k26_grid", 25.0), ("k26_grid", 1e6), ("jsa_k26", 500.0)])
+def test_solver_rejects_empty_state(request, name, center):
+    # a passband this far from the source heralds nothing
+    with pytest.raises(hp.NumericalError):
+        hp.solve_filter_for_target(request.getfixturevalue(name),
+                                   target_purity=0.9, center=center)
 
 
 def test_grid_scan_handles_non_monotone_purity():
-    def evaluate(width):
-        purity = 0.4 + 0.5 * math.exp(-math.log10(width) ** 2)
-        return purity, 0.5
+    def evaluate(widths):
+        purity = 0.4 + 0.5 * np.exp(-np.log10(widths) ** 2)
+        return purity, np.full(purity.shape, 0.5)
 
-    width, evaluations = _grid_scan(evaluate, 0.8, 0.01, 100.0, 1e-6)
+    width, method, evaluations = _scan(evaluate, 0.8, 0.01, 100.0)
     # the scan keeps the widest of the two crossings
     assert width == pytest.approx(10.0 ** math.sqrt(math.log(0.5 / 0.4)),
-                                  rel=1e-3)
+                                  rel=1e-9)
+    assert method == "scan"
     assert evaluations >= 400
-    with pytest.raises(ValueError):
-        _grid_scan(evaluate, 0.95, 0.01, 100.0, 1e-6)
+    with pytest.raises(ValueError, match="unachievable"):
+        _scan(evaluate, 0.95, 0.01, 100.0)
