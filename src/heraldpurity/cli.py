@@ -307,6 +307,13 @@ def cmd_report(args):
 
 
 def cmd_sweep(args):
+    if args.two_filters and args.kind != "tradeoff":
+        raise ValueError(f"sweep {args.kind} does not read --two-filters")
+    for flag, value in (("--nodes", args.nodes), ("--extent", args.extent)):
+        # Only the two-filter tradeoff integrates numerically.
+        if value is not None and not args.two_filters:
+            raise ValueError(f"sweep {args.kind} does not read {flag}; only "
+                             "sweep tradeoff --two-filters does")
     pairs = [("kind", args.kind)]
     widths = _parse_range(args.widths, log=True) if args.widths else None
     if args.kind == "aspect":

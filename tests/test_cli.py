@@ -314,11 +314,35 @@ def test_solve_filter_uses_config_filter_center(tmp_path, jsa_k26):
     ["solve-filter", "--target-purity", "0.9", "--extent", "5"],
     ["solve-filter", "--target-purity", "0.9", "--tol", "1e-4"],
     ["schmidt", "--nodes", "64"],
+    # sweeps parse these flags, but only the two-filter tradeoff reads them
+    ["sweep", "aspect", "--nodes", "64"],
+    ["sweep", "aspect", "--extent", "9"],
+    ["sweep", "aspect", "--two-filters"],
+    ["sweep", "orientation", "--nodes", "64"],
+    ["sweep", "orientation", "--extent", "9"],
+    ["sweep", "orientation", "--two-filters"],
+    ["sweep", "tradeoff", "--nodes", "64"],
+    ["sweep", "tradeoff", "--extent", "9"],
 ])
 def test_flags_a_subcommand_never_reads_exit_2(k26_config, command):
-    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
-        main([*command, "--config", k26_config, "--no-timestamp"])
-    assert exc.value.code == 2
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([*command, "--config", k26_config, "--no-timestamp"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2
+    assert out.getvalue() == ""
+    flag = [arg for arg in command if arg.startswith("--")][-1]
+    assert flag in err.getvalue()
+
+
+def test_two_filter_tradeoff_reads_quadrature_flags(k26_config):
+    code, out, _ = run_cli("sweep", "tradeoff", "--config", k26_config,
+                           "--two-filters", "--nodes", "64", "--extent", "9",
+                           "--widths", "0.5:2:2", "--no-timestamp")
+    assert code == 0
+    assert parse_meta(out)["two_filters"] == "true"
 
 
 def test_solve_filter_requires_single_target(ktp_config):

@@ -7,6 +7,8 @@ import pytest
 
 import heraldpurity as hp
 from conftest import SEED, identity_filter
+from heraldpurity import quadrature
+from heraldpurity.quadrature import _leggauss
 
 
 def test_unfiltered_purity_exact_values(jsa_k26, jsa_separable):
@@ -184,6 +186,61 @@ def test_gridded_quantities_match_closed(jsa_k26, k26_grid):
     assert hp.herald_success(k26_grid, filt) == pytest.approx(
         hp.closed_form_success(jsa_k26, filt), rel=1e-5)
     assert hp.unfiltered_purity(k26_grid) == pytest.approx(5.0 / 13.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 48, 400, 1888])
+def test_leggauss_matches_numpy(n):
+    x, w = _leggauss(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - x_ref).max() <= 2.3e-16
+    assert np.abs(w - w_ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6000, 12000])
+def test_leggauss_matches_scipy_at_large_n(n):
+    # numpy's companion matrix would take 0.3 GB and 1.15 GB here.  scipy's
+    # weights near +-1 are the less accurate (up to 4e-5 relative at
+    # n = 12000, checked in 40-digit arithmetic), hence the weight bound.
+    special = pytest.importorskip("scipy.special")
+    x, w = _leggauss(n)
+    x_ref, w_ref = special.roots_legendre(n)
+    assert np.abs(x - x_ref).max() <= 2.3e-16
+    assert np.abs(w - w_ref).max() <= 5e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 33, 400, 1888])
+def test_leggauss_symmetric_rule(n):
+    x, w = _leggauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x[::-1], -x)
+    assert np.array_equal(w[::-1], w)
+    assert abs(w.sum() - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_leggauss_exact_to_degree_2n_minus_1(n):
+    x, w = _leggauss(n)
+    exact = 2.0 / (2 * n - 1)
+    assert w @ x ** (2 * n - 2) == pytest.approx(exact, rel=1e-13)
+
+
+def test_leggauss_newton_cap_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(hp.ConvergenceError):
+        _leggauss.__wrapped__(400)
+
+
+def test_nodes_never_use_the_eigen_solve(jsa_ktp, monkeypatch):
+    # the companion-matrix eigen-solve is O(n^3) in time and O(n^2) in memory
+    def refuse(n):
+        raise AssertionError("numpy leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    _leggauss.cache_clear()
+    report = hp.heralding_report(jsa_ktp, hp.GaussianFilter(0.0, 0.72))
+    assert report.purity_filtered == pytest.approx(
+        hp.closed_form_purity(jsa_ktp, hp.GaussianFilter(0.0, 0.72)), rel=1e-8)
 
 
 def test_quadrature_spec_validation():
