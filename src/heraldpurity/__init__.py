@@ -18,6 +18,7 @@ from .analytic import (
     closed_form_purity,
     closed_form_report,
     closed_form_success,
+    closed_form_two_filter,
     hom_dip_analytic,
     mode_scales,
     schmidt_mode_analytic,
@@ -38,7 +39,6 @@ from .core import (
     TabulatedFilter,
     discretize,
     eval_double_gaussian,
-    filter_amplitude,
     filter_from_dict,
     filter_transmission,
     from_physical,

@@ -18,6 +18,7 @@ from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport,
 
 __all__ = [
     "closed_form_pair",
+    "closed_form_two_filter",
     "closed_form_success",
     "closed_form_purity",
     "closed_form_report",
@@ -61,6 +62,29 @@ def closed_form_pair(a, b, c, width, center=0.0):
     success = np.sqrt(z * w / denom) * np.exp(-(center * center) * w / denom)
     purity = np.sqrt(1.0 - b * b / (a * (c + 0.5 / width_sq)))
     return purity, success
+
+
+def closed_form_two_filter(a, b, c, width, center, signal_width,
+                           signal_center):
+    """``closed_form_pair`` with a second Gaussian filter, on the signal arm.
+
+    Broadcasts like ``closed_form_pair``.  The signal filter turns the source
+    into the double Gaussian ``(a + phi, b, c)``, displaced and attenuated,
+    with ``phi = 1/(2*signal_width**2)``.  With ``w = a*c - b**2``,
+    ``w_s = (a + phi)*c - b**2`` and ``pull = phi*signal_center/w_s``, the
+    result is ``closed_form_pair(a + phi, b, c, width, center + b*pull)``
+    with its success times ``sqrt(w/w_s) * exp(-pull*signal_center*w)``.  An
+    infinite ``signal_width`` gives ``closed_form_pair`` bit for bit.  With
+    both filters centered, at any two widths, the success at purity ``P`` is
+    still ``sqrt(1 - P**2) / (P * sqrt(K**2 - 1))``.
+    """
+    phi = 0.5 / (signal_width * signal_width)
+    a_s = a + phi
+    w = a * c - b * b
+    w_s = a_s * c - b * b
+    pull = phi * signal_center / w_s
+    purity, success = closed_form_pair(a_s, b, c, width, center + b * pull)
+    return purity, success * np.sqrt(w / w_s) * np.exp(-pull * signal_center * w)
 
 
 def _filter_pair(jsa, herald_filter):

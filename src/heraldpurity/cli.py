@@ -307,13 +307,6 @@ def cmd_report(args):
 
 
 def cmd_sweep(args):
-    if args.two_filters and args.kind != "tradeoff":
-        raise ValueError(f"sweep {args.kind} does not read --two-filters")
-    for flag, value in (("--nodes", args.nodes), ("--extent", args.extent)):
-        # Only the two-filter tradeoff integrates numerically.
-        if value is not None and not args.two_filters:
-            raise ValueError(f"sweep {args.kind} does not read {flag}; only "
-                             "sweep tradeoff --two-filters does")
     pairs = [("kind", args.kind)]
     widths = _parse_range(args.widths, log=True) if args.widths else None
     if args.kind == "aspect":
@@ -344,7 +337,7 @@ def cmd_sweep(args):
             ("two_filters", str(bool(args.two_filters)).lower()),
         ]
         points = tradeoff_curve(run.jsa, filter_widths=widths,
-                                two_filter=args.two_filters, spec=run.spec)
+                                two_filter=args.two_filters)
         payload = tradeoff_to_dict(points)
         header, rows = tradeoff_to_rows(points)
 
@@ -363,6 +356,9 @@ def cmd_hom(args):
     if run.herald_filter is None:
         raise ValueError("hom needs a herald filter (config or --filter-width)")
     if args.tau_max is not None:
+        # Checked here too: linspace warns on an infinite end.
+        if not math.isfinite(args.tau_max):
+            raise ValueError(f"--tau-max must be finite, got {args.tau_max}")
         tau_max = args.tau_max
     elif isinstance(run.jsa, DoubleGaussianJsa):
         a, _, _ = run.jsa.intensity_coefficients()
@@ -480,7 +476,6 @@ def cmd_solve_filter(args):
 
 
 def _add_common(parser, formats=("csv", "json"), default_format="csv"):
-    parser.add_argument("--config", help="path to a JSON configuration file")
     parser.add_argument("--output", help="write output to this path")
     parser.add_argument("--format", choices=formats, default=default_format,
                         help="output format")
@@ -502,23 +497,28 @@ def build_parser():
                           help="use a centered Gaussian herald of this width")
     p_report.set_defaults(func=cmd_report)
 
-    p_sweep = sub.add_parser("sweep", help="parameter sweeps")
-    p_sweep.add_argument("kind", choices=("aspect", "orientation", "tradeoff"))
-    _add_common(p_sweep)
-    p_sweep.add_argument("--ratios", help="aspect ratios as start:stop:count")
-    p_sweep.add_argument("--thetas",
-                         help="orientation angles as start:stop:count")
-    p_sweep.add_argument("--widths",
-                         help="filter widths as start:stop:count (log spaced)")
-    p_sweep.add_argument("--theta1", default="pi/4",
-                         help="first ridge tilt for aspect sweeps")
-    p_sweep.add_argument("--theta2", default="-pi/4",
-                         help="second ridge tilt for aspect sweeps")
-    p_sweep.add_argument("--ratio", type=float, default=5.0,
-                         help="fixed width ratio for orientation sweeps")
-    p_sweep.add_argument("--two-filters", action="store_true",
-                         help="tradeoff sweeps filter both arms")
-    p_sweep.set_defaults(func=cmd_sweep)
+    # Each sweep kind is a parser of its own, so it takes only its flags.
+    kinds = sub.add_parser("sweep", help="parameter sweeps").add_subparsers(
+        dest="kind", required=True)
+    p_aspect = kinds.add_parser("aspect", help="aspect ratio vs filter width")
+    p_aspect.add_argument("--ratios", help="aspect ratios as start:stop:count")
+    p_aspect.add_argument("--theta1", default="pi/4", help="first ridge tilt")
+    p_aspect.add_argument("--theta2", default="-pi/4", help="second ridge tilt")
+    p_orientation = kinds.add_parser("orientation",
+                                     help="ridge tilt vs filter width")
+    p_orientation.add_argument("--thetas",
+                               help="orientation angles as start:stop:count")
+    p_orientation.add_argument("--ratio", type=float, default=5.0,
+                               help="fixed width ratio")
+    p_tradeoff = kinds.add_parser("tradeoff",
+                                  help="success vs purity along filter width")
+    p_tradeoff.add_argument("--two-filters", action="store_true",
+                            help="filter both arms")
+    for p in (p_aspect, p_orientation, p_tradeoff):
+        _add_common(p)
+        p.add_argument("--widths",
+                       help="filter widths as start:stop:count (log spaced)")
+        p.set_defaults(func=cmd_sweep)
 
     p_hom = sub.add_parser("hom", help="two-source interference dip")
     _add_common(p_hom, formats=("csv",))
@@ -552,10 +552,12 @@ def build_parser():
     p_solve.set_defaults(func=cmd_solve_filter)
 
     # Only the subcommands that read these flags accept them.
-    for p in (p_report, p_sweep, p_hom):
+    for p in (p_report, p_tradeoff, p_hom, p_schmidt, p_solve):
+        p.add_argument("--config", help="path to a JSON configuration file")
+    for p in (p_report, p_hom):
         p.add_argument("--nodes", type=int,
                        help="baseline quadrature nodes per axis")
-    for p in (p_report, p_sweep, p_hom, p_schmidt):
+    for p in (p_report, p_hom, p_schmidt):
         p.add_argument("--extent", type=float,
                        help="integration window half-extent / grid extent")
     return parser

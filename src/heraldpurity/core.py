@@ -30,7 +30,6 @@ __all__ = [
     "HeraldingReport",
     "eval_double_gaussian",
     "filter_transmission",
-    "filter_amplitude",
     "discretize",
     "recommended_grid",
     "from_physical",
@@ -88,10 +87,12 @@ def _splitter_product(reflectivity, transmissivity):
 
 
 def _delay_array(delays):
-    """Delays as a float array; they must form a non-empty 1-D array."""
+    """Delays as a float array; they must be finite and form a 1-D array."""
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     if delays.ndim != 1 or delays.size == 0:
         raise ValueError("delays must be a non-empty 1-D array")
+    if not np.all(np.isfinite(delays)):
+        raise ValueError("delays must be finite")
     return delays
 
 
@@ -292,9 +293,6 @@ def from_physical(params):
 class GaussianFilter:
     """Gaussian intensity transmission ``exp(-(w - center)**2 / (2*width**2))``.
 
-    The amplitude response is the positive square root,
-    ``exp(-(w - center)**2 / (4*width**2))``, with no spectral phase.
-
     Attributes:
         center: Passband center detuning, rad/ps.
         width: Standard deviation of the intensity transmission, rad/ps.
@@ -316,19 +314,13 @@ class GaussianFilter:
         z = (w - self.center) / self.width
         return np.exp(-0.5 * z * z)
 
-    def amplitude(self, omega):
-        w = np.asarray(omega, dtype=float)
-        z = (w - self.center) / self.width
-        return np.exp(-0.25 * z * z)
-
 
 @dataclass(frozen=True)
 class TabulatedFilter:
     """Measured intensity transmission on a frequency grid.
 
     Transmission between samples is linearly interpolated; outside the
-    tabulated range it is zero.  The amplitude response is the positive
-    square root of the interpolated transmission.
+    tabulated range it is zero.
 
     Attributes:
         grid: Strictly increasing frequency samples, rad/ps.
@@ -361,22 +353,12 @@ class TabulatedFilter:
         w = np.asarray(omega, dtype=float)
         return np.interp(w, self.grid, self.values, left=0.0, right=0.0)
 
-    def amplitude(self, omega):
-        return np.sqrt(self.transmission(omega))
-
 
 def filter_transmission(filt, omega):
     """Intensity transmission of a filter at the given frequencies."""
     if not isinstance(filt, (GaussianFilter, TabulatedFilter)):
         raise TypeError(f"not a spectral filter: {type(filt).__name__}")
     return filt.transmission(omega)
-
-
-def filter_amplitude(filt, omega):
-    """Amplitude (field) transmission of a filter at the given frequencies."""
-    if not isinstance(filt, (GaussianFilter, TabulatedFilter)):
-        raise TypeError(f"not a spectral filter: {type(filt).__name__}")
-    return filt.amplitude(omega)
 
 
 @dataclass(frozen=True)

@@ -57,11 +57,12 @@ __all__ = [
     "heralding_report",
 ]
 
-# Nodes per unit window-length/feature ratio, and the flat safety margin.
-# 5.2 nodes per feature width keeps Gauss-Legendre error below 1e-9 for
-# Gaussian integrands; the margin covers short windows.
+# Nodes per unit window-length/feature ratio, the flat safety margin, and
+# the node ceiling per axis.  5.2 nodes per feature width keeps Gauss-Legendre
+# error below 1e-9 for Gaussian integrands; the margin covers short windows.
 _NODES_PER_FEATURE = 5.2
 _NODE_MARGIN = 32
+_MAX_NODES = 6000
 
 # Interference is cut off where its envelope has decayed below exp(-49).
 _DECAY_CUTOFF = 7.0
@@ -80,29 +81,23 @@ class QuadratureSpec:
     """Controls for the Gauss-Legendre integration engine.
 
     Attributes:
-        n_nodes: Baseline nodes per axis; at least 32.
+        n_nodes: Baseline nodes per axis, in [32, 6000]; counts grow from it
+            with the window length in units of the finest integrand feature.
         half_extent: Window half-width in standard deviations of the
             windowed mass; at least 4.
-        auto_nodes: When true, node counts grow with the window length
-            measured in units of the finest integrand feature.  When false,
-            exactly ``n_nodes`` per axis are used.
-        max_nodes: Hard ceiling on automatic node counts.
     """
 
     n_nodes: int = 200
     half_extent: float = 8.0
-    auto_nodes: bool = True
-    max_nodes: int = 6000
 
     def __post_init__(self):
-        if self.n_nodes < 32:
-            raise ValueError(f"n_nodes must be at least 32, got {self.n_nodes}")
+        if not 32 <= self.n_nodes <= _MAX_NODES:
+            raise ValueError(f"n_nodes must lie in [32, {_MAX_NODES}], got "
+                             f"{self.n_nodes}")
         if self.half_extent < 4.0:
             raise ValueError(
                 f"half_extent must be at least 4, got {self.half_extent}"
             )
-        if self.max_nodes < self.n_nodes:
-            raise ValueError("max_nodes must not be below n_nodes")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -165,19 +160,15 @@ def _axis(lo, hi, n):
 
 
 def _node_count(spec, length, feature, refine, extra=0):
-    """Nodes for one axis; raises when the automatic count is impossible."""
-    if spec.auto_nodes:
-        need = int(math.ceil(_NODES_PER_FEATURE * length / feature))
-        need += _NODE_MARGIN + extra
-        if need > spec.max_nodes:
-            raise ConvergenceError(
-                f"axis needs {need} nodes to resolve its window but "
-                f"max_nodes is {spec.max_nodes}"
-            )
-        n = max(spec.n_nodes, need)
-    else:
-        n = spec.n_nodes + extra
-    n = int(round(n * refine))
+    """Nodes for one axis; raises when the count would exceed the ceiling."""
+    need = int(math.ceil(_NODES_PER_FEATURE * length / feature))
+    need += _NODE_MARGIN + extra
+    if need > _MAX_NODES:
+        raise ConvergenceError(
+            f"axis needs {need} nodes to resolve its window but at most "
+            f"{_MAX_NODES} are allowed"
+        )
+    n = int(round(max(spec.n_nodes, need) * refine))
     return ((n + 15) // 16) * 16
 
 

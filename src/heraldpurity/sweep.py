@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (closed_form_pair, closed_form_purity,
-                       closed_form_success, visibility)
+                       closed_form_success, closed_form_two_filter,
+                       visibility)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa,
                    _require_success)
-from .quadrature import two_filter_quantities
 
 __all__ = [
     "TradeoffPoint",
@@ -181,17 +181,18 @@ def sweep_orientation(theta1_values=None, filter_widths=None, ratio=5.0,
     return _closed_grid("theta1", thetas, jsas, widths)
 
 
-def tradeoff_curve(jsa, filter_widths=None, two_filter=False, spec=None):
+def tradeoff_curve(jsa, filter_widths=None, two_filter=False):
     """Heralding/purity trade-off of one source versus filter width.
+
+    One ``closed_form_two_filter`` call over the array of widths; without
+    ``two_filter`` the signal filter is infinitely wide, which is
+    ``closed_form_pair`` bit for bit.
 
     Args:
         jsa: ``DoubleGaussianJsa`` of the source.
         filter_widths: Centered Gaussian filter widths, rad/ps; defaults to
             101 logarithmic points on ``[0.01, 10] * sigma1``.
-        two_filter: When true, place the same filter on both arms and
-            integrate the four-fold overlap numerically instead of using
-            the single-filter closed forms.
-        spec: Optional ``QuadratureSpec`` passed through in two-filter mode.
+        two_filter: When true, place the same filter on both arms.
 
     Returns:
         List of ``TradeoffPoint`` in the order of ``filter_widths``.
@@ -199,13 +200,9 @@ def tradeoff_curve(jsa, filter_widths=None, two_filter=False, spec=None):
     if not isinstance(jsa, DoubleGaussianJsa):
         raise TypeError("tradeoff_curve expects a DoubleGaussianJsa")
     widths = _widths(filter_widths, jsa.sigma1)
-    if two_filter:
-        filters = [GaussianFilter(center=0.0, width=float(w)) for w in widths]
-        pairs = [two_filter_quantities(jsa, f, f, spec=spec) for f in filters]
-        purity, success = np.array(pairs, dtype=float).reshape(-1, 2).T
-    else:
-        purity, success = closed_form_pair(*jsa.intensity_coefficients(),
-                                           widths)
+    signal_width = widths if two_filter else math.inf
+    purity, success = closed_form_two_filter(*jsa.intensity_coefficients(),
+                                             widths, 0.0, signal_width, 0.0)
     columns = (widths, success, purity, visibility(purity))
     return [TradeoffPoint(*map(float, row)) for row in zip(*columns)]
 

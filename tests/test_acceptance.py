@@ -166,6 +166,12 @@ def test_dual_filters_raise_purity(jsa_ktp, ktp_modes):
     gap = abs(purity2_modal - purity2) / purity2
     if gap > 1e-4:
         failures.append(f"route disagreement {gap:.2e} above 1e-4")
+    closed2, _ = hp.closed_form_two_filter(*jsa_ktp.intensity_coefficients(),
+                                           width, 0.0, width, 0.0)
+    for route, value in (("quadrature", purity2), ("modal", purity2_modal)):
+        gap = abs(value - closed2) / closed2
+        if gap > 1e-4:
+            failures.append(f"{route} vs closed form {gap:.2e} above 1e-4")
     purity1 = hp.filtered_purity(jsa_ktp, filt)
     if not purity2 > purity1:
         failures.append(

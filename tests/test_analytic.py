@@ -24,6 +24,42 @@ def test_closed_forms_match_quadrature_on_random_sources():
             hp.closed_form_purity(jsa, filt), rel=1e-6)
 
 
+def test_two_filter_closed_form_matches_quadrature_on_random_sources():
+    # off-centre filters on both arms
+    rng = np.random.default_rng(SEED + 5)
+    checked = 0
+    while checked < 30:
+        jsa = draw_source(rng)
+        herald = hp.GaussianFilter(rng.uniform(-1.0, 1.0),
+                                   10.0 ** rng.uniform(-0.7, 1.0))
+        heralded = hp.GaussianFilter(rng.uniform(-1.0, 1.0),
+                                     10.0 ** rng.uniform(-0.7, 1.0))
+        closed = hp.closed_form_two_filter(
+            *jsa.intensity_coefficients(), herald.width, herald.center,
+            heralded.width, heralded.center)
+        if closed[1] < 1e-8:
+            continue
+        direct = hp.two_filter_quantities(jsa, herald, heralded)
+        assert direct == pytest.approx(closed, rel=1e-9)
+        checked += 1
+
+
+def test_two_filter_closed_form_matches_schmidt_route(jsa_k26, k26_modes,
+                                                      jsa_ktp, ktp_modes):
+    cases = [(jsa_k26, k26_modes, hp.GaussianFilter(0.3, 0.8),
+              hp.GaussianFilter(-0.2, 1.4)),
+             (jsa_ktp, ktp_modes, hp.GaussianFilter(0.0, 6.0),
+              hp.GaussianFilter(0.0, 6.0))]
+    for jsa, modes, herald, heralded in cases:
+        modal = hp.two_filter_schmidt(
+            modes, hp.overlap_matrix(modes, herald),
+            hp.overlap_matrix(modes, heralded, side="signal"))
+        closed = hp.closed_form_two_filter(
+            *jsa.intensity_coefficients(), herald.width, herald.center,
+            heralded.width, heralded.center)
+        assert modal == pytest.approx(closed, rel=1e-6)
+
+
 def test_closed_forms_require_parametric_inputs(jsa_k26, k26_grid):
     with pytest.raises(TypeError):
         hp.closed_form_success(k26_grid, hp.GaussianFilter(0.0, 1.0))

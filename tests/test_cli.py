@@ -21,9 +21,13 @@ from heraldpurity.cli import (export_modes_csv, grid_to_dict, grid_to_rows,
 
 
 def run_cli(*argv):
+    """Exit code (also when argparse exits), stdout and stderr of a run."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -314,7 +318,7 @@ def test_solve_filter_uses_config_filter_center(tmp_path, jsa_k26):
     ["solve-filter", "--target-purity", "0.9", "--extent", "5"],
     ["solve-filter", "--target-purity", "0.9", "--tol", "1e-4"],
     ["schmidt", "--nodes", "64"],
-    # sweeps parse these flags, but only the two-filter tradeoff reads them
+    # no sweep kind reads these flags; only tradeoff reads --two-filters
     ["sweep", "aspect", "--nodes", "64"],
     ["sweep", "aspect", "--extent", "9"],
     ["sweep", "aspect", "--two-filters"],
@@ -325,24 +329,48 @@ def test_solve_filter_uses_config_filter_center(tmp_path, jsa_k26):
     ["sweep", "tradeoff", "--extent", "9"],
 ])
 def test_flags_a_subcommand_never_reads_exit_2(k26_config, command):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main([*command, "--config", k26_config, "--no-timestamp"])
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = run_cli(*command, "--config", k26_config,
+                             "--no-timestamp")
     assert code == 2
-    assert out.getvalue() == ""
+    assert out == ""
     flag = [arg for arg in command if arg.startswith("--")][-1]
-    assert flag in err.getvalue()
+    assert flag in err
 
 
-def test_two_filter_tradeoff_reads_quadrature_flags(k26_config):
-    code, out, _ = run_cli("sweep", "tradeoff", "--config", k26_config,
-                           "--two-filters", "--nodes", "64", "--extent", "9",
-                           "--widths", "0.5:2:2", "--no-timestamp")
-    assert code == 0
-    assert parse_meta(out)["two_filters"] == "true"
+@pytest.mark.parametrize("command, flag", [
+    (["sweep", "aspect", "--config", "demo.json"], "--config"),
+    (["sweep", "orientation", "--theta1", "0.3"], "--theta1"),
+    (["sweep", "orientation", "--ratios", "1:3:3"], "--ratios"),
+    (["sweep", "tradeoff", "--ratio", "9"], "--ratio"),
+    (["sweep", "tradeoff", "--thetas", "0:1:2"], "--thetas"),
+])
+def test_each_sweep_kind_rejects_the_others_flags(k26_config, command, flag):
+    if command[1] == "tradeoff":
+        command = [*command, "--config", k26_config]
+    code, out, err = run_cli(*command, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_two_filter_tradeoff_rejects_quadrature_flags(k26_config):
+    # the two-filter trade-off is a closed form: nothing to integrate
+    for flag, value in (("--nodes", "64"), ("--extent", "9")):
+        code, out, err = run_cli("sweep", "tradeoff", "--config", k26_config,
+                                 "--two-filters", flag, value, "--widths",
+                                 "0.5:2:2", "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+
+@pytest.mark.parametrize("tau_max", ["nan", "inf"])
+def test_hom_rejects_non_finite_delays(k26_config, tau_max):
+    code, out, err = run_cli("hom", "--config", k26_config, "--filter-width",
+                             "1.0", "--tau-max", tau_max, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "finite" in json.loads(err)["message"]
 
 
 def test_solve_filter_requires_single_target(ktp_config):

@@ -124,8 +124,6 @@ def test_gaussian_filter_shapes():
     filt = hp.GaussianFilter(center=0.4, width=0.9)
     assert filt.transmission(0.4) == pytest.approx(1.0)
     omega = np.linspace(-3, 3, 41)
-    np.testing.assert_allclose(
-        filt.amplitude(omega) ** 2, filt.transmission(omega), rtol=1e-13)
     expected = np.exp(-((omega - 0.4) ** 2) / (2.0 * 0.9**2))
     np.testing.assert_allclose(filt.transmission(omega), expected, rtol=1e-13)
 
@@ -144,7 +142,6 @@ def test_tabulated_filter_interpolates():
     assert filt.transmission(0.5) == pytest.approx(0.6)
     assert filt.transmission(5.0) == 0.0
     assert filt.transmission(-5.0) == 0.0
-    assert filt.amplitude(0.5) == pytest.approx(math.sqrt(0.6))
 
 
 def test_tabulated_filter_validation():
@@ -159,8 +156,6 @@ def test_tabulated_filter_validation():
 def test_filter_dispatch_rejects_unknown():
     with pytest.raises(TypeError):
         hp.filter_transmission(3.0, np.array([0.0]))
-    with pytest.raises(TypeError):
-        hp.filter_amplitude(None, np.array([0.0]))
 
 
 def test_from_physical():

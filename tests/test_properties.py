@@ -62,6 +62,30 @@ def test_swapping_the_ridges_changes_nothing(jsa, width, center):
     assert hp.schmidt_number(swapped) == hp.schmidt_number(jsa)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sources(), widths, centers, centers)
+def test_infinite_signal_filter_is_the_single_filter_kernel(jsa, width, center,
+                                                           signal_center):
+    coefficients = jsa.intensity_coefficients()
+    single = hp.closed_form_pair(*coefficients, width, center)
+    double = hp.closed_form_two_filter(*coefficients, width, center, math.inf,
+                                       signal_center)
+    assert double == single
+
+
+@settings(max_examples=200, deadline=None)
+@given(sources(), widths, widths)
+def test_second_centered_filter_keeps_success_at_fixed_purity(jsa, w1, w2):
+    # the identity stated in closed_form_two_filter's docstring
+    k = hp.schmidt_number(jsa)
+    purity, success = hp.closed_form_two_filter(
+        *jsa.intensity_coefficients(), w1, 0.0, w2, 0.0)
+    # 1 - P**2 and K**2 - 1 cancel near one, which costs the reference digits
+    assume(k > 1.001 and purity < 1.0 - 1e-6)
+    expected = math.sqrt(1.0 - purity**2) / (purity * math.sqrt(k**2 - 1.0))
+    assert success == pytest.approx(expected, rel=1e-9)
+
+
 def assert_rows_equal_scalar_calls(grid, jsas):
     for jsa, purity, success in zip(jsas, grid.purity, grid.success):
         for width, p, s in zip(grid.axis2, purity, success):

@@ -74,14 +74,19 @@ def test_two_filter_reduces_with_identity(jsa_k26):
 
 
 def test_two_filter_benchmark_values(jsa_ktp):
+    coefficients = jsa_ktp.intensity_coefficients()
     pump = hp.GaussianFilter(0.0, 6.0)
     purity2, success2 = hp.two_filter_quantities(jsa_ktp, pump, pump)
     assert purity2 == pytest.approx(0.17892707, rel=1e-6)
     assert success2 == pytest.approx(0.24888958, rel=1e-6)
+    closed = hp.closed_form_two_filter(*coefficients, 6.0, 0.0, 6.0, 0.0)
+    assert (purity2, success2) == pytest.approx(closed, rel=1e-6)
     narrow, wide = hp.GaussianFilter(0.0, 1.0), hp.GaussianFilter(0.0, 2.0)
     purity2, success2 = hp.two_filter_quantities(jsa_ktp, narrow, wide)
     assert purity2 == pytest.approx(0.69036900, rel=1e-6)
     assert success2 == pytest.approx(0.04743295, rel=1e-6)
+    closed = hp.closed_form_two_filter(*coefficients, 1.0, 0.0, 2.0, 0.0)
+    assert (purity2, success2) == pytest.approx(closed, rel=1e-6)
 
 
 def test_two_filter_improves_purity_at_cost(jsa_ktp):
@@ -92,9 +97,15 @@ def test_two_filter_improves_purity_at_cost(jsa_ktp):
     success1 = hp.herald_success(jsa_ktp, filt)
     assert purity2 > purity1
     assert success2 < success1
+    closed2 = hp.closed_form_two_filter(*jsa_ktp.intensity_coefficients(),
+                                        width, 0.0, width, 0.0)
+    assert closed2[0] > purity1
+    assert closed2[1] < success1
     tight = hp.GaussianFilter(0.0, 0.05)
     purity2, _ = hp.two_filter_quantities(jsa_ktp, tight, tight)
     assert purity2 > 0.999
+    assert hp.closed_form_two_filter(*jsa_ktp.intensity_coefficients(),
+                                     0.05, 0.0, 0.05, 0.0)[0] > 0.999
 
 
 def test_hom_regression_curve(jsa_k26):
@@ -162,6 +173,20 @@ def test_hom_validates_splitter(jsa_k26, k26_modes):
     for call in entry_points[:3]:
         with pytest.raises(ValueError, match="non-empty 1-D"):
             call(0.5, 0.5, np.array([]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hom_dips_reject_non_finite_delays(jsa_k26, k26_modes, bad):
+    # a NaN delay used to give the baseline from hom_dip, NaN from the others
+    filt = hp.GaussianFilter(0.0, 1.0)
+    overlap = hp.overlap_matrix(k26_modes, filt)
+    delays = np.array([0.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        hp.hom_dip(jsa_k26, filt, filt, delays)
+    with pytest.raises(ValueError, match="finite"):
+        hp.hom_dip_analytic(jsa_k26, 0.8, delays)
+    with pytest.raises(ValueError, match="finite"):
+        hp.hom_dip_schmidt(k26_modes, overlap, overlap, delays)
 
 
 def test_hom_gridded_rejects_unresolvable_delay(k26_grid):
@@ -249,12 +274,13 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         hp.QuadratureSpec(half_extent=-1.0)
     with pytest.raises(ValueError):
-        hp.QuadratureSpec(max_nodes=10, n_nodes=100)
+        hp.QuadratureSpec(n_nodes=6001)
 
 
-def test_node_budget_exhaustion(jsa_ktp):
+def test_node_budget_exhaustion(jsa_ktp, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_NODES", 64)
     filt = hp.GaussianFilter(0.0, 0.72)
-    spec = hp.QuadratureSpec(n_nodes=64, max_nodes=64)
+    spec = hp.QuadratureSpec(n_nodes=64)
     with pytest.raises(hp.ConvergenceError):
         hp.filtered_purity(jsa_ktp, filt, spec=spec)
 
@@ -265,12 +291,14 @@ def test_convergence_check_passes_on_defaults(jsa_ktp):
     assert value == pytest.approx(hp.closed_form_purity(jsa_ktp, filt), rel=1e-8)
 
 
-def test_convergence_check_flags_aliasing(jsa_k26):
-    # a comb finer than the fixed node spacing cannot be integrated reliably
+def test_convergence_check_flags_aliasing(jsa_k26, monkeypatch):
+    # a comb finer than the fixed node spacing cannot be integrated reliably;
+    # without nodes per feature every axis gets the 32-node margin
+    monkeypatch.setattr(quadrature, "_NODES_PER_FEATURE", 0.0)
     grid = np.linspace(-8.0, 8.0, 161)
     comb = (np.arange(161) % 2).astype(float)
     filt = hp.TabulatedFilter(grid, comb)
-    spec = hp.QuadratureSpec(n_nodes=32, auto_nodes=False)
+    spec = hp.QuadratureSpec(n_nodes=32)
     with pytest.raises(hp.NumericalError):
         hp.herald_success(jsa_k26, filt, spec=spec, check=True)
 

@@ -286,13 +286,16 @@ def test_two_filter_schmidt_reduces_and_validates(k26_grid, k26_modes, jsa_k26):
         hp.two_filter_schmidt(k26_modes, wide, wide)
 
 
-def test_two_filter_schmidt_benchmark(ktp_modes):
+def test_two_filter_schmidt_benchmark(ktp_modes, jsa_ktp):
     herald = hp.overlap_matrix(ktp_modes, hp.GaussianFilter(0.0, 6.0))
     heralded = hp.overlap_matrix(
         ktp_modes, hp.GaussianFilter(0.0, 6.0), side="signal")
     purity2, success2 = hp.two_filter_schmidt(ktp_modes, herald, heralded)
     assert purity2 == pytest.approx(0.17892707, rel=1e-4)
     assert success2 == pytest.approx(0.24888958, rel=1e-4)
+    closed = hp.closed_form_two_filter(*jsa_ktp.intensity_coefficients(),
+                                       6.0, 0.0, 6.0, 0.0)
+    assert (purity2, success2) == pytest.approx(closed, rel=1e-4)
 
 
 def test_hom_dip_schmidt_matches_quadrature(k26_grid, k26_modes):

@@ -66,9 +66,13 @@ def test_tradeoff_two_filter_variant(jsa_ktp):
     widths = np.array([1.0, 2.0, 6.0])
     single = hp.tradeoff_curve(jsa_ktp, filter_widths=widths)
     double = hp.tradeoff_curve(jsa_ktp, filter_widths=widths, two_filter=True)
-    for one, two in zip(single, double):
+    purity, success = hp.closed_form_two_filter(
+        *jsa_ktp.intensity_coefficients(), widths, 0.0, widths, 0.0)
+    for one, two, p, s in zip(single, double, purity, success):
         assert two.purity > one.purity
         assert two.success < one.success
+        assert (two.purity, two.success) == (p, s)
+        assert two.visibility == hp.visibility(p)
 
 
 def test_tradeoff_rejects_gridded(k26_grid):

@@ -6,7 +6,7 @@ Usage::
 
 Writes five source configs under ``OUTDIR`` (the demo source, the KTP
 source, the demo with a detuned filter, the demo without a filter, and a
-128-point gridded copy of the demo as CSV), then runs a fixed list of 60
+128-point gridded copy of the demo as CSV), then runs a fixed list of 63
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -105,6 +105,10 @@ def invocations():
         # flags these sweeps do not read: exit 2
         ["sweep", "aspect", "--nodes", "64"],
         ["sweep", "orientation", "--two-filters"],
+        ["sweep", "aspect", "--config", "demo.json"],
+        ["sweep", "orientation", "--theta1", "0.3"],
+        ["sweep", "tradeoff", "--config", "demo.json", "--two-filters",
+         "--nodes", "64"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
