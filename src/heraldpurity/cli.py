@@ -24,6 +24,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -355,6 +356,9 @@ def cmd_hom(args):
     run = _build_run_config(args)
     if run.herald_filter is None:
         raise ValueError("hom needs a herald filter (config or --filter-width)")
+    if args.tau_points < 3 or args.tau_points % 2 == 0:
+        raise ValueError(f"--tau-points must be odd and at least 3 to sample "
+                         f"zero delay, got {args.tau_points}")
     if args.tau_max is not None:
         # Checked here too: linspace warns on an infinite end.
         if not math.isfinite(args.tau_max):
@@ -484,12 +488,15 @@ def _add_common(parser, formats=("csv", "json"), default_format="csv"):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    # No "--conf" for "--config"; sub-parsers don't inherit allow_abbrev.
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="heraldpurity",
         description="heralded-photon purity and heralding statistics for "
                     "filtered pair sources",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=strict)
 
     p_report = sub.add_parser("report", help="scalar figures of merit")
     _add_common(p_report, formats=("text", "json"), default_format="text")
@@ -499,7 +506,7 @@ def build_parser():
 
     # Each sweep kind is a parser of its own, so it takes only its flags.
     kinds = sub.add_parser("sweep", help="parameter sweeps").add_subparsers(
-        dest="kind", required=True)
+        dest="kind", required=True, parser_class=strict)
     p_aspect = kinds.add_parser("aspect", help="aspect ratio vs filter width")
     p_aspect.add_argument("--ratios", help="aspect ratios as start:stop:count")
     p_aspect.add_argument("--theta1", default="pi/4", help="first ridge tilt")
@@ -527,7 +534,7 @@ def build_parser():
     p_hom.add_argument("--tau-max", type=float,
                        help="largest delay magnitude in ps")
     p_hom.add_argument("--tau-points", type=int, default=201,
-                       help="number of delay samples")
+                       help="number of delay samples; odd and at least 3")
     p_hom.add_argument("--reflectivity", type=float, default=0.5,
                        help="beam splitter intensity reflectivity")
     p_hom.set_defaults(func=cmd_hom)

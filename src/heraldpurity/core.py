@@ -96,6 +96,38 @@ def _delay_array(delays):
     return delays
 
 
+def _check_delay_step(delays, step):
+    """Raise ``ConvergenceError`` if a signal step cannot resolve a delay."""
+    worst = float(np.abs(delays).max())
+    if worst * step > math.pi / 3.0:
+        raise ConvergenceError(
+            f"delay {worst:.3g} ps cannot be resolved by a signal grid step "
+            f"of {step:.3g} rad/ps"
+        )
+
+
+def _coincidences(x, wx, state_x, state_y, delays, rt_product):
+    """Coincidences at each delay from two arms' unnormalized heralded states.
+
+    The states ``M(w, w~)`` sit on signal nodes ``x`` with weights ``wx``; all
+    delays come from one product with the phase matrix ``wx*exp(i*tau*x)``.
+    """
+    success_x = float(wx @ np.real(np.diagonal(state_x)))
+    success_y = float(wx @ np.real(np.diagonal(state_y)))
+    _require_success(min(success_x, success_y),
+                     "interferometer arm heralding probability")
+    cross = state_x * state_y.conj()
+    # In place: two (delays, nodes) complex arrays are alive, not four.
+    u = np.zeros((delays.size, x.size), dtype=complex)
+    np.multiply.outer(delays, x, out=u.imag)
+    np.exp(u, out=u)
+    u *= wx
+    terms = u @ cross
+    terms *= np.conjugate(u, out=u)
+    overlap = terms.real.sum(axis=1) / (success_x * success_y)
+    return np.clip(1.0 - 2.0 * rt_product * (1.0 + overlap), 0.0, 1.0)
+
+
 def parse_angle(value):
     """Interpret an angle given as a number or a compact ``pi`` expression.
 

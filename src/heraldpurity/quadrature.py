@@ -37,7 +37,9 @@ from .core import (
     HomCurve,
     NumericalError,
     TabulatedFilter,
+    _check_delay_step,
     _clip_unit,
+    _coincidences,
     _delay_array,
     _filtered_idler,
     _require_success,
@@ -219,7 +221,7 @@ def _signal_window(jsa, idler_window, heralded, tail):
     return lo, hi, feature
 
 
-def _problem(jsa, herald, heralded, spec, refine, osc_extra=0):
+def _problem(jsa, herald, heralded, spec, refine):
     """Nodes, weights, and sampled amplitude for one contraction."""
     if isinstance(jsa, GriddedJsa):
         x = np.asarray(jsa.signal_grid)
@@ -232,7 +234,7 @@ def _problem(jsa, herald, heralded, spec, refine, osc_extra=0):
         ylo, yhi, yfeat = _idler_window(jsa, herald, tail)
         xlo, xhi, xfeat = _signal_window(jsa, (ylo, yhi), heralded, tail)
         ny = _node_count(spec, yhi - ylo, yfeat, refine)
-        nx = _node_count(spec, xhi - xlo, xfeat, refine, extra=osc_extra)
+        nx = _node_count(spec, xhi - xlo, xfeat, refine)
         y, wy = _axis(ylo, yhi, ny)
         x, wx = _axis(xlo, xhi, nx)
         phi = eval_double_gaussian(jsa, x[:, None], y[None, :])
@@ -387,60 +389,34 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None,
 
 def _hom_samples(jsa, herald_x, herald_y, delays, rt_product, spec, refine):
     """Coincidence samples for one node-count refinement level."""
-    baseline = 1.0 - 2.0 * rt_product
-    out = np.full(delays.shape, baseline)
+    if not isinstance(jsa, DoubleGaussianJsa):
+        _check_delay_step(delays, jsa.signal_step)
+        x, wx, y, wy, phi = _problem(jsa, herald_x, None, spec, refine)
+        states = [_reduced_state(phi, _weighted(wy, y, h))
+                  for h in (herald_x, herald_y)]
+        return _coincidences(x, wx, *states, delays, rt_product)
 
-    if isinstance(jsa, DoubleGaussianJsa):
-        w_sig, _ = jsa.conditional_widths()
-        cutoff = _DECAY_CUTOFF / w_sig
-        resolved = np.abs(delays) <= cutoff
-    else:
-        step = jsa.signal_step
-        worst = float(np.abs(delays).max())
-        if worst * step > math.pi / 3.0:
-            raise ConvergenceError(
-                f"delay {worst:.3g} ps cannot be resolved by a signal grid "
-                f"step of {step:.3g} rad/ps"
-            )
-        resolved = np.ones(delays.shape, dtype=bool)
+    out = np.full(delays.shape, 1.0 - 2.0 * rt_product)
+    w_sig, _ = jsa.conditional_widths()
+    resolved = np.abs(delays) <= _DECAY_CUTOFF / w_sig
     if not np.any(resolved):
         return out
-
+    # One signal axis spans both arms' heralded mass, however far apart.
+    tail = spec.half_extent
+    windows = [_idler_window(jsa, h, tail) for h in (herald_x, herald_y)]
+    hull = (min(w[0] for w in windows), max(w[1] for w in windows))
+    xlo, xhi, xfeat = _signal_window(jsa, hull, None, tail)
     max_delay = float(np.abs(delays[resolved]).max())
-    if isinstance(jsa, DoubleGaussianJsa):
-        # The delay phase must be resolved across the shared signal window.
-        tail = spec.half_extent
-        ylo_x, yhi_x, _ = _idler_window(jsa, herald_x, tail)
-        ylo_y, yhi_y, _ = _idler_window(jsa, herald_y, tail)
-        hull = (min(ylo_x, ylo_y), max(yhi_x, yhi_y))
-        xlo, xhi, _ = _signal_window(jsa, hull, None, tail)
-        osc = int(math.ceil(0.4 * max_delay * (xhi - xlo))) + 16
-        x, wx, y_x, wy_x, phi_x = _problem(jsa, herald_x, None, spec, refine,
-                                           osc_extra=osc)
-        state_x = _reduced_state(phi_x, _weighted(wy_x, y_x, herald_x))
-        # Second arm reuses the signal axis; only the idler axis changes.
-        ylo, yhi, yfeat = _idler_window(jsa, herald_y, tail)
-        ny = _node_count(spec, yhi - ylo, yfeat, refine)
-        y_y, wy_y = _axis(ylo, yhi, ny)
-        phi_y = eval_double_gaussian(jsa, x[:, None], y_y[None, :])
-        state_y = _reduced_state(phi_y, _weighted(wy_y, y_y, herald_y))
-    else:
-        x, wx, y, wy, phi = _problem(jsa, herald_x, None, spec, refine)
-        state_x = _reduced_state(phi, _weighted(wy, y, herald_x))
-        state_y = _reduced_state(phi, _weighted(wy, y, herald_y))
-
-    success_x = float(wx @ np.real(np.diagonal(state_x)))
-    success_y = float(wx @ np.real(np.diagonal(state_y)))
-    _require_success(min(success_x, success_y),
-                     "interferometer arm heralding probability")
-
-    cross = state_x * state_y.conj()
-    norm = success_x * success_y
-    for i in np.nonzero(resolved)[0]:
-        u = wx * np.exp(1j * x * delays[i])
-        overlap = float(np.real(u @ cross @ u.conj()))
-        out[i] = 1.0 - 2.0 * rt_product * (1.0 + overlap / norm)
-    return np.clip(out, 0.0, 1.0)
+    osc = int(math.ceil(0.4 * max_delay * (xhi - xlo))) + 16
+    x, wx = _axis(xlo, xhi, _node_count(spec, xhi - xlo, xfeat, refine, osc))
+    states = []
+    for herald, (ylo, yhi, yfeat) in zip((herald_x, herald_y), windows):
+        y, wy = _axis(ylo, yhi, _node_count(spec, yhi - ylo, yfeat, refine))
+        phi = eval_double_gaussian(jsa, x[:, None], y[None, :])
+        states.append(_reduced_state(phi, _weighted(wy, y, herald)))
+    out[resolved] = _coincidences(x, wx, *states, delays[resolved],
+                                  rt_product)
+    return out
 
 
 def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5,

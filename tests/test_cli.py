@@ -353,6 +353,22 @@ def test_each_sweep_kind_rejects_the_others_flags(k26_config, command, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["sweep", "orientation", "--theta", "0:1:3", "--widths", "0.5:1:2"],
+     "--theta"),
+    (["sweep", "aspect", "--ratio", "5"], "--ratio"),
+    (["report", "--conf", "CONFIG"], "--conf"),
+    (["hom", "--conf", "CONFIG"], "--conf"),
+])
+def test_abbreviated_flags_exit_2(k26_config, command, flag):
+    # argparse would otherwise read a prefix as the flag it starts
+    command = [k26_config if arg == "CONFIG" else arg for arg in command]
+    code, out, err = run_cli(*command, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert f"arguments: {flag} " in err
+
+
 def test_two_filter_tradeoff_rejects_quadrature_flags(k26_config):
     # the two-filter trade-off is a closed form: nothing to integrate
     for flag, value in (("--nodes", "64"), ("--extent", "9")):
@@ -371,6 +387,15 @@ def test_hom_rejects_non_finite_delays(k26_config, tau_max):
     assert code == 2
     assert out == ""
     assert "finite" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("points", ["1", "2", "4"])
+def test_hom_rejects_tau_points_that_miss_zero_delay(k26_config, points):
+    code, out, err = run_cli("hom", "--config", k26_config, "--filter-width",
+                             "1.0", "--tau-points", points, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "--tau-points" in json.loads(err)["message"]
 
 
 def test_solve_filter_requires_single_target(ktp_config):

@@ -150,6 +150,21 @@ def test_hom_distinct_arm_filters(jsa_k26):
     assert curve.visibility() < 1.0
 
 
+def test_hom_separated_herald_passbands():
+    # heralds at -2 and +2 send the signal photons to disjoint bands, so
+    # the dip is the distinguishable baseline; each arm's state needs its
+    # own part of the signal axis
+    jsa = hp.DoubleGaussianJsa(0.2, 10.0, math.pi / 4, -math.pi / 4)
+    left = hp.GaussianFilter(-2.0, 0.1)
+    right = hp.GaussianFilter(2.0, 0.1)
+    delays = np.array([0.0, 0.3])
+    curve = hp.hom_dip(jsa, left, right, delays)
+    np.testing.assert_allclose(curve.coincidences, 0.5, atol=1e-12)
+    swapped = hp.hom_dip(jsa, right, left, delays)
+    np.testing.assert_allclose(swapped.coincidences, curve.coincidences,
+                               atol=1e-12)
+
+
 def test_hom_validates_splitter(jsa_k26, k26_modes):
     filt = hp.GaussianFilter(0.0, 1.0)
     overlap = hp.overlap_matrix(k26_modes, filt)

@@ -6,7 +6,7 @@ Usage::
 
 Writes five source configs under ``OUTDIR`` (the demo source, the KTP
 source, the demo with a detuned filter, the demo without a filter, and a
-128-point gridded copy of the demo as CSV), then runs a fixed list of 63
+128-point gridded copy of the demo as CSV), then runs a fixed list of 66
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -109,6 +109,10 @@ def invocations():
         ["sweep", "orientation", "--theta1", "0.3"],
         ["sweep", "tradeoff", "--config", "demo.json", "--two-filters",
          "--nodes", "64"],
+        # an even delay count misses zero delay; flag prefixes: exit 2
+        ["hom", "--config", "demo.json", "--tau-points", "4"],
+        ["report", "--conf", "demo.json"],
+        ["sweep", "orientation", "--theta", "0:1:3"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
