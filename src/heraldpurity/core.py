@@ -77,6 +77,24 @@ def _require_success(success, what="heralding probability"):
     return success
 
 
+def _purity_success(state, weights):
+    """``(purity, success)`` of an unnormalized state ``M`` under weights ``w``.
+
+    ``w`` is one row of diagonal weights or a stack of rows, each reduced
+    alone: ``success = w @ diag(M)``, ``purity = w @ |M|**2 @ w / success**2``.
+    An empty row gives a non-finite purity without a warning.
+    """
+    squared = (state.real**2 + state.imag**2 if np.iscomplexobj(state)
+               else state * state)
+    # Each row is a 1 x n matrix, so it takes the same vector-matrix
+    # products alone as in any stack.
+    rows = weights[..., None, :]
+    success = (rows @ np.real(np.diagonal(state)))[..., 0]
+    numerator = (rows @ squared @ weights[..., :, None])[..., 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return numerator / success**2, success
+
+
 def _splitter_product(reflectivity, transmissivity):
     """``R*T`` of a beam splitter; R and T must lie in [0, 1] and sum to one."""
     if not (0.0 <= reflectivity <= 1.0 and 0.0 <= transmissivity <= 1.0):
@@ -494,21 +512,23 @@ def discretize(jsa, half_extent=6.0, n_points=512):
     Args:
         jsa: ``DoubleGaussianJsa`` to sample.
         half_extent: Grid half-width in units of ``max(sigma1, sigma2)``;
-            at least 4.
+            finite and at least 4.
         n_points: Samples per axis; at least 64.
 
     Returns:
         A normalized ``GriddedJsa``.
 
     Raises:
-        ValueError: If ``half_extent`` or ``n_points`` is below its minimum.
+        ValueError: If ``half_extent`` is not finite, or it or ``n_points``
+            is below its minimum.
         GridCoverageError: If the discrete norm deviates from one by more
             than 5%.
     """
     if n_points < 64:
         raise ValueError(f"n_points must be at least 64, got {n_points}")
-    if half_extent < 4.0:
-        raise ValueError(f"half_extent must be at least 4, got {half_extent}")
+    if not (math.isfinite(half_extent) and half_extent >= 4.0):
+        raise ValueError(
+            f"half_extent must be finite and at least 4, got {half_extent}")
     smax = max(jsa.sigma1, jsa.sigma2)
     limit = half_extent * smax
     grid = np.linspace(-limit, limit, int(n_points))

@@ -5,14 +5,17 @@ combine quadrature weights and a herald transmission, the matrix
 
     M(w, w~) = integral dw' |t(w')|^2 Phi(w, w') conj(Phi(w~, w'))
 
-is the unnormalized reduced state of the heralded photon: the heralding
-probability is its weighted trace, the purity the weighted sum of its
-squared entries, and two-photon interference a delay-phased double sum over
-it.  For parametric amplitudes the integration windows track the Gaussian
-mass of each integrand (including the displacement caused by off-center
-filters), and node counts scale with the window length measured in units of
-the finest feature, so narrow filters and strongly elongated amplitudes
-spend nodes only where structure lives.
+is the unnormalized reduced state of the heralded photon.  One sampler,
+``_heralded_states``, builds it on one signal axis for each herald filter
+and every route here: the heralding probability is its weighted trace and
+the purity the weighted sum of its squared entries, both from
+``core._purity_success``, and two-photon interference is a delay-phased
+double sum over the two arms' states.  For parametric amplitudes the
+integration windows track the Gaussian mass of each integrand (including
+the displacement caused by off-center filters), and node counts scale with
+the window length measured in units of the finest feature, so narrow
+filters and strongly elongated amplitudes spend nodes only where structure
+lives.
 
 Nodes and weights come from Newton's method on the Legendre three-term
 recurrence, in O(n^2) time and O(n) memory, not from numpy's eigen-solve of
@@ -42,6 +45,7 @@ from .core import (
     _coincidences,
     _delay_array,
     _filtered_idler,
+    _purity_success,
     _require_success,
     _splitter_product,
     eval_double_gaussian,
@@ -86,7 +90,7 @@ class QuadratureSpec:
         n_nodes: Baseline nodes per axis, in [32, 6000]; counts grow from it
             with the window length in units of the finest integrand feature.
         half_extent: Window half-width in standard deviations of the
-            windowed mass; at least 4.
+            windowed mass; finite and at least 4.
     """
 
     n_nodes: int = 200
@@ -96,10 +100,9 @@ class QuadratureSpec:
         if not 32 <= self.n_nodes <= _MAX_NODES:
             raise ValueError(f"n_nodes must lie in [32, {_MAX_NODES}], got "
                              f"{self.n_nodes}")
-        if self.half_extent < 4.0:
-            raise ValueError(
-                f"half_extent must be at least 4, got {self.half_extent}"
-            )
+        if not (math.isfinite(self.half_extent) and self.half_extent >= 4.0):
+            raise ValueError(f"half_extent must be finite and at least 4, "
+                             f"got {self.half_extent}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -221,82 +224,93 @@ def _signal_window(jsa, idler_window, heralded, tail):
     return lo, hi, feature
 
 
-def _problem(jsa, herald, heralded, spec, refine):
-    """Nodes, weights, and sampled amplitude for one contraction."""
-    if isinstance(jsa, GriddedJsa):
-        x = np.asarray(jsa.signal_grid)
-        y = np.asarray(jsa.idler_grid)
-        wx = np.full(x.size, jsa.signal_step)
-        wy = np.full(y.size, jsa.idler_step)
-        phi = jsa.amplitudes
-    elif isinstance(jsa, DoubleGaussianJsa):
-        tail = spec.half_extent
-        ylo, yhi, yfeat = _idler_window(jsa, herald, tail)
-        xlo, xhi, xfeat = _signal_window(jsa, (ylo, yhi), heralded, tail)
-        ny = _node_count(spec, yhi - ylo, yfeat, refine)
-        nx = _node_count(spec, xhi - xlo, xfeat, refine)
-        y, wy = _axis(ylo, yhi, ny)
-        x, wx = _axis(xlo, xhi, nx)
-        phi = eval_double_gaussian(jsa, x[:, None], y[None, :])
-    else:
-        raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
-    return x, wx, y, wy, phi
-
-
 def _weighted(weights, grid, filt):
     if filt is None:
         return weights
     return weights * filter_transmission(filt, grid)
 
 
-def _reduced_state(phi, wty):
-    return (phi * wty) @ phi.conj().T
+def _heralded_states(jsa, heralds, heralded, spec, refine, max_delay=None):
+    """Signal nodes, signal weights, and one heralded state per herald.
+
+    Each state ``M(w, w~)`` is unnormalized and sampled on the one signal
+    axis; the signal weights include the ``heralded`` filter.  For a
+    parametric amplitude the signal window covers the hull of the heralds'
+    idler windows, and with ``max_delay`` (ps) the axis gains the nodes the
+    interference phase needs up to that delay.  A gridded amplitude keeps
+    its grid, whose signal step must then resolve ``max_delay``.
+    """
+    if isinstance(jsa, GriddedJsa):
+        if max_delay is not None:
+            _check_delay_step(max_delay, jsa.signal_step)
+        x, y = jsa.signal_grid, jsa.idler_grid
+        wx = np.full(x.size, jsa.signal_step)
+        idler_axes = [(y, np.full(y.size, jsa.idler_step))] * len(heralds)
+    elif isinstance(jsa, DoubleGaussianJsa):
+        spec = spec if spec is not None else DEFAULT_SPEC
+        tail = spec.half_extent
+        windows = [_idler_window(jsa, h, tail) for h in heralds]
+        idler_axes = [_axis(lo, hi, _node_count(spec, hi - lo, feature, refine))
+                      for lo, hi, feature in windows]
+        hull = (min(w[0] for w in windows), max(w[1] for w in windows))
+        xlo, xhi, xfeat = _signal_window(jsa, hull, heralded, tail)
+        osc = 0
+        if max_delay is not None:
+            osc = int(math.ceil(0.4 * max_delay * (xhi - xlo))) + 16
+        x, wx = _axis(xlo, xhi,
+                      _node_count(spec, xhi - xlo, xfeat, refine, osc))
+    else:
+        raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
+    states = []
+    for herald, (y, wy) in zip(heralds, idler_axes):
+        # One arm's amplitude is alive at a time.
+        phi = (jsa.amplitudes if isinstance(jsa, GriddedJsa)
+               else eval_double_gaussian(jsa, x[:, None], y[None, :]))
+        states.append((phi * _weighted(wy, y, herald)) @ phi.conj().T)
+    return x, _weighted(wx, x, heralded), states
 
 
-def _pair_from_state(m, wtx):
-    """(purity, success) from a reduced-state matrix and signal weights."""
-    diag = np.real(np.diagonal(m))
-    success = float(wtx @ diag)
+def _refined(jsa, check, what, compute):
+    """``compute(1.0)``, or with ``check`` the doubled-node ``compute(2.0)``.
+
+    ``compute`` maps a node-count factor to a tuple; its first item, called
+    ``what``, may move by at most ``_CHECK_TOL`` when node counts double.
+    """
+    result = compute(1.0)
+    if not check:
+        return result
+    if isinstance(jsa, GriddedJsa):
+        raise ValueError(
+            "convergence checks need a parametric amplitude; gridded "
+            "samples cannot be refined"
+        )
+    fine = compute(2.0)
+    drift = float(np.abs(fine[0] - result[0]).max())
+    if drift > _CHECK_TOL:
+        raise ConvergenceError(
+            f"{what} moved by {drift:.3e} when node counts were doubled; "
+            "increase n_nodes or half_extent"
+        )
+    return fine
+
+
+def _single_pair(jsa, herald, heralded, spec, refine):
+    _, wx, (state,) = _heralded_states(jsa, (herald,), heralded, spec, refine)
+    purity, success = _purity_success(state, wx)
+    success = float(success)
     if not math.isfinite(success) or success <= 0.0:
         raise NumericalError(
             f"heralding probability evaluated to {success}; the filtered "
             "state carries no numerical weight"
         )
-    if np.iscomplexobj(m):
-        sq = m.real**2 + m.imag**2
-    else:
-        sq = m * m
-    numerator = float(wtx @ sq @ wtx)
-    purity = numerator / success**2
     if not math.isfinite(purity):
         raise NumericalError("purity evaluated to a non-finite value")
-    return purity, success
-
-
-def _single_pair(jsa, herald, heralded, spec, refine):
-    x, wx, y, wy, phi = _problem(jsa, herald, heralded, spec, refine)
-    wty = _weighted(wy, y, herald)
-    wtx = _weighted(wx, x, heralded)
-    return _pair_from_state(_reduced_state(phi, wty), wtx)
+    return float(purity), success
 
 
 def _checked_pair(jsa, herald, heralded, spec, check):
-    spec = spec if spec is not None else DEFAULT_SPEC
-    purity, success = _single_pair(jsa, herald, heralded, spec, 1.0)
-    if check:
-        if isinstance(jsa, GriddedJsa):
-            raise ValueError(
-                "convergence checks need a parametric amplitude; gridded "
-                "samples cannot be refined"
-            )
-        fine_p, fine_s = _single_pair(jsa, herald, heralded, spec, 2.0)
-        if abs(fine_p - purity) > _CHECK_TOL:
-            raise ConvergenceError(
-                f"purity moved by {abs(fine_p - purity):.3e} when node "
-                "counts were doubled; increase n_nodes or half_extent"
-            )
-        purity, success = fine_p, fine_s
-    return purity, success
+    return _refined(jsa, check, "purity", lambda refine: _single_pair(
+        jsa, herald, heralded, spec, refine))
 
 
 def unfiltered_purity(jsa, spec=None, check=False):
@@ -389,31 +403,16 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None,
 
 def _hom_samples(jsa, herald_x, herald_y, delays, rt_product, spec, refine):
     """Coincidence samples for one node-count refinement level."""
-    if not isinstance(jsa, DoubleGaussianJsa):
-        _check_delay_step(delays, jsa.signal_step)
-        x, wx, y, wy, phi = _problem(jsa, herald_x, None, spec, refine)
-        states = [_reduced_state(phi, _weighted(wy, y, h))
-                  for h in (herald_x, herald_y)]
-        return _coincidences(x, wx, *states, delays, rt_product)
-
     out = np.full(delays.shape, 1.0 - 2.0 * rt_product)
-    w_sig, _ = jsa.conditional_widths()
-    resolved = np.abs(delays) <= _DECAY_CUTOFF / w_sig
-    if not np.any(resolved):
-        return out
-    # One signal axis spans both arms' heralded mass, however far apart.
-    tail = spec.half_extent
-    windows = [_idler_window(jsa, h, tail) for h in (herald_x, herald_y)]
-    hull = (min(w[0] for w in windows), max(w[1] for w in windows))
-    xlo, xhi, xfeat = _signal_window(jsa, hull, None, tail)
-    max_delay = float(np.abs(delays[resolved]).max())
-    osc = int(math.ceil(0.4 * max_delay * (xhi - xlo))) + 16
-    x, wx = _axis(xlo, xhi, _node_count(spec, xhi - xlo, xfeat, refine, osc))
-    states = []
-    for herald, (ylo, yhi, yfeat) in zip((herald_x, herald_y), windows):
-        y, wy = _axis(ylo, yhi, _node_count(spec, yhi - ylo, yfeat, refine))
-        phi = eval_double_gaussian(jsa, x[:, None], y[None, :])
-        states.append(_reduced_state(phi, _weighted(wy, y, herald)))
+    resolved = np.ones(delays.shape, dtype=bool)
+    if isinstance(jsa, DoubleGaussianJsa):
+        w_sig, _ = jsa.conditional_widths()
+        resolved = np.abs(delays) <= _DECAY_CUTOFF / w_sig
+        if not np.any(resolved):
+            return out
+    x, wx, states = _heralded_states(
+        jsa, (herald_x, herald_y), None, spec, refine,
+        max_delay=float(np.abs(delays[resolved]).max()))
     out[resolved] = _coincidences(x, wx, *states, delays[resolved],
                                   rt_product)
     return out
@@ -451,26 +450,12 @@ def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5,
     Returns:
         ``HomCurve`` sampled at the given delays.
     """
-    spec = spec if spec is not None else DEFAULT_SPEC
     if herald_x is None or herald_y is None:
         raise ValueError("hom_dip requires a herald filter for each source")
     rt = _splitter_product(reflectivity, transmissivity)
     delays = _delay_array(delays)
-    samples = _hom_samples(jsa, herald_x, herald_y, delays, rt, spec, 1.0)
-    if check:
-        if isinstance(jsa, GriddedJsa):
-            raise ValueError(
-                "convergence checks need a parametric amplitude; gridded "
-                "samples cannot be refined"
-            )
-        fine = _hom_samples(jsa, herald_x, herald_y, delays, rt, spec, 2.0)
-        drift = float(np.abs(fine - samples).max())
-        if drift > _CHECK_TOL:
-            raise ConvergenceError(
-                f"dip samples moved by {drift:.3e} when node counts were "
-                "doubled; increase n_nodes or half_extent"
-            )
-        samples = fine
+    samples, = _refined(jsa, check, "dip samples", lambda refine: (
+        _hom_samples(jsa, herald_x, herald_y, delays, rt, spec, refine),))
     return HomCurve(delays, samples)
 
 

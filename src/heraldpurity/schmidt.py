@@ -30,6 +30,7 @@ from .core import (
     _clip_unit,
     _coincidences,
     _delay_array,
+    _purity_success,
     _require_success,
     _splitter_product,
     filter_transmission,
@@ -392,12 +393,10 @@ def schmidt_quantities(decomposition, herald_overlap):
     """
     if herald_overlap.side != "idler":
         raise ValueError("herald overlaps must be built on the idler modes")
-    p = decomposition.coefficients
-    q = herald_overlap.matrix
-    success = _require_success(float(p @ np.real(np.diagonal(q))))
-    squared = q.real**2 + q.imag**2 if np.iscomplexobj(q) else q * q
-    numerator = float(p @ squared @ p)
-    return _clip_unit(numerator / success**2), _clip_unit(success)
+    purity, success = _purity_success(herald_overlap.matrix,
+                                      decomposition.coefficients)
+    success = _require_success(float(success))
+    return _clip_unit(float(purity)), _clip_unit(success)
 
 
 def two_filter_schmidt(decomposition, herald_overlap, heralded_overlap):

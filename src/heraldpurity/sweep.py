@@ -17,7 +17,7 @@ from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter,
                        visibility)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa,
-                   _require_success)
+                   _purity_success, _require_success)
 
 __all__ = [
     "TradeoffPoint",
@@ -210,26 +210,19 @@ def tradeoff_curve(jsa, filter_widths=None, two_filter=False):
 def _gridded_curve(jsa, center):
     """``(purity, success)`` of a gridded source over arrays of herald widths.
 
-    The herald filter enters only through its idler weights ``W``
-    (transmission times ``idler_step``, one row per width), so the
-    idler-side reduced state ``R = (A.T @ A.conj()) * signal_step`` (the
-    quadrature route's ``_reduced_state``, transposed) is built once::
-
-        success = W @ diag(R)
-        purity = rowsum((W @ |R|**2) * W) / success**2
+    The herald filter enters only through its idler weights (transmission
+    times ``idler_step``, one row per width), so the idler-side reduced
+    state ``R = (A.T @ A.conj()) * signal_step``, the transpose of the
+    quadrature route's signal-side state, is built once and each row is
+    reduced by ``core._purity_success``.
     """
     amplitudes = jsa.amplitudes
     state = (amplitudes.T @ amplitudes.conj()) * jsa.signal_step
-    diagonal = np.real(np.diagonal(state))
-    squared = np.real(state * state.conj())
 
     def evaluate(widths):
         weights = np.array([GaussianFilter(center, w).transmission(
             jsa.idler_grid) for w in widths]) * jsa.idler_step
-        success = weights @ diagonal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            purity = np.sum((weights @ squared) * weights, axis=1) / success**2
-        return purity, success
+        return _purity_success(state, weights)
     return evaluate
 
 

@@ -389,6 +389,18 @@ def test_hom_rejects_non_finite_delays(k26_config, tau_max):
     assert "finite" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("extent", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["report", "hom", "schmidt"])
+def test_non_finite_extent_exits_2(k26_config, command, extent):
+    # report and hom used to end in an OverflowError traceback (exit 1)
+    herald = ["--filter-width", "1.0"] if command == "hom" else []
+    code, out, err = run_cli(command, "--config", k26_config, *herald,
+                             "--extent", extent, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert "half_extent" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("points", ["1", "2", "4"])
 def test_hom_rejects_tau_points_that_miss_zero_delay(k26_config, points):
     code, out, err = run_cli("hom", "--config", k26_config, "--filter-width",

@@ -9,6 +9,7 @@ from scipy.integrate import dblquad
 
 import heraldpurity as hp
 from conftest import SEED, draw_source
+from heraldpurity.core import _purity_success
 
 
 def test_package_exports_every_public_name():
@@ -247,6 +248,30 @@ def test_discretize_rejects_tiny_requests(jsa_k26):
         hp.discretize(jsa_k26, half_extent=3.9, n_points=512)
     with pytest.raises(ValueError):
         hp.discretize(jsa_k26, half_extent=6.0, n_points=32)
+
+
+@pytest.mark.parametrize("extent", [math.inf, math.nan])
+def test_discretize_rejects_non_finite_extent(jsa_k26, extent):
+    # inf used to overflow in linspace and NaN to pass the >= 4 comparison
+    with pytest.raises(ValueError, match="half_extent must be finite"):
+        hp.discretize(jsa_k26, half_extent=extent, n_points=512)
+
+
+def test_purity_success_reduces_each_row_alone():
+    rng = np.random.default_rng(SEED)
+    n = 40
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    state = a @ a.conj().T
+    weights = rng.uniform(0.0, 1.0, (5, n))
+    purity, success = _purity_success(state, weights)
+    for row, (p_row, s_row) in enumerate(zip(purity, success)):
+        p_one, s_one = _purity_success(state, weights[row])
+        assert (p_one, s_one) == (p_row, s_row)
+    w = weights[0]
+    inline = float(w @ np.real(np.diagonal(state)))
+    squared = state.real**2 + state.imag**2
+    assert success[0] == inline
+    assert purity[0] == float(w @ squared @ w) / inline**2
 
 
 def test_discretize_flags_clipped_ridge(jsa_ktp):

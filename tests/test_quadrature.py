@@ -290,6 +290,18 @@ def test_quadrature_spec_validation():
         hp.QuadratureSpec(half_extent=-1.0)
     with pytest.raises(ValueError):
         hp.QuadratureSpec(n_nodes=6001)
+    for extent in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="half_extent must be finite"):
+            hp.QuadratureSpec(half_extent=extent)
+
+
+def test_non_amplitudes_raise_type_error():
+    # hom_dip used to fail with an AttributeError on the missing grid step
+    filt = hp.GaussianFilter(0.0, 1.0)
+    with pytest.raises(TypeError, match="not a joint spectral amplitude: str"):
+        hp.filtered_purity("x", filt)
+    with pytest.raises(TypeError, match="not a joint spectral amplitude: str"):
+        hp.hom_dip("x", filt, filt, [0.0])
 
 
 def test_node_budget_exhaustion(jsa_ktp, monkeypatch):

@@ -6,7 +6,7 @@ Usage::
 
 Writes five source configs under ``OUTDIR`` (the demo source, the KTP
 source, the demo with a detuned filter, the demo without a filter, and a
-128-point gridded copy of the demo as CSV), then runs a fixed list of 66
+128-point gridded copy of the demo as CSV), then runs a fixed list of 68
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -113,6 +113,9 @@ def invocations():
         ["hom", "--config", "demo.json", "--tau-points", "4"],
         ["report", "--conf", "demo.json"],
         ["sweep", "orientation", "--theta", "0:1:3"],
+        # a non-finite window or grid extent: exit 2
+        ["report", "--config", "demo.json", "--extent", "inf"],
+        ["schmidt", "--config", "demo.json", "--extent", "inf"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
