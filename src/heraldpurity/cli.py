@@ -132,6 +132,12 @@ def _build_run_config(args):
         raise ValueError("config must define a 'jsa' section")
     section = config["jsa"]
     if isinstance(section, dict) and "csv_path" in section:
+        # The samples fix the grid: no node count or extent is read.
+        for name in ("nodes", "extent", "grid_n"):
+            if getattr(args, name, None) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} does not apply to a gridded "
+                                 "amplitude: its samples fix the grid")
         jsa = load_jsa_csv(section["csv_path"])
     else:
         jsa = jsa_from_dict(section)

@@ -77,15 +77,23 @@ def _require_success(success, what="heralding probability"):
     return success
 
 
-def _purity_success(state, weights):
+def _squared_modulus(state):
+    """``|M|**2`` entry by entry: ``m * m`` if real, ``re**2 + im**2`` if not."""
+    if np.iscomplexobj(state):
+        return state.real**2 + state.imag**2
+    return state * state
+
+
+def _purity_success(state, weights, squared=None):
     """``(purity, success)`` of an unnormalized state ``M`` under weights ``w``.
 
     ``w`` is one row of diagonal weights or a stack of rows, each reduced
     alone: ``success = w @ diag(M)``, ``purity = w @ |M|**2 @ w / success**2``.
-    An empty row gives a non-finite purity without a warning.
+    ``squared`` is ``_squared_modulus(M)`` when the caller reduces one state
+    many times.  An empty row gives a non-finite purity without a warning.
     """
-    squared = (state.real**2 + state.imag**2 if np.iscomplexobj(state)
-               else state * state)
+    if squared is None:
+        squared = _squared_modulus(state)
     # Each row is a 1 x n matrix, so it takes the same vector-matrix
     # products alone as in any stack.
     rows = weights[..., None, :]

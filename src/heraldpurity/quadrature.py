@@ -7,8 +7,13 @@ combine quadrature weights and a herald transmission, the matrix
 
 is the unnormalized reduced state of the heralded photon.  One sampler,
 ``_heralded_states``, builds it on one signal axis for each herald filter
-and every route here: the heralding probability is its weighted trace and
-the purity the weighted sum of its squared entries, both from
+and every route here, as ``M = B B^H`` with the root-weighted amplitude
+``B = Phi * sqrt(w)``.  For a real amplitude ``B.conj()`` is ``B`` itself,
+so numpy sees one buffer times its own transpose and calls the BLAS
+symmetric rank-k update (``syrk``): half the flops of a general product,
+and an exactly symmetric state.  Complex gridded amplitudes keep the
+general product.  The heralding probability is the state's weighted trace
+and the purity the weighted sum of its squared entries, both from
 ``core._purity_success``, and two-photon interference is a delay-phased
 double sum over the two arms' states.  For parametric amplitudes the
 integration windows track the Gaussian mass of each integrand (including
@@ -263,10 +268,15 @@ def _heralded_states(jsa, heralds, heralded, spec, refine, max_delay=None):
         raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
     states = []
     for herald, (y, wy) in zip(heralds, idler_axes):
-        # One arm's amplitude is alive at a time.
-        phi = (jsa.amplitudes if isinstance(jsa, GriddedJsa)
-               else eval_double_gaussian(jsa, x[:, None], y[None, :]))
-        states.append((phi * _weighted(wy, y, herald)) @ phi.conj().T)
+        # One arm's root-weighted amplitude is alive at a time.  A fresh
+        # sample is scaled in place; gridded amplitudes are read-only.
+        root = np.sqrt(_weighted(wy, y, herald))
+        if isinstance(jsa, GriddedJsa):
+            b = jsa.amplitudes * root
+        else:
+            b = eval_double_gaussian(jsa, x[:, None], y[None, :])
+            b *= root
+        states.append(b @ b.conj().T)
     return x, _weighted(wx, x, heralded), states
 
 

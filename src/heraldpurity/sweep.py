@@ -17,7 +17,7 @@ from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter,
                        visibility)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa,
-                   _purity_success, _require_success)
+                   _purity_success, _require_success, _squared_modulus)
 
 __all__ = [
     "TradeoffPoint",
@@ -213,16 +213,17 @@ def _gridded_curve(jsa, center):
     The herald filter enters only through its idler weights (transmission
     times ``idler_step``, one row per width), so the idler-side reduced
     state ``R = (A.T @ A.conj()) * signal_step``, the transpose of the
-    quadrature route's signal-side state, is built once and each row is
-    reduced by ``core._purity_success``.
+    quadrature route's signal-side state, and its squared modulus are built
+    once and each row is reduced by ``core._purity_success``.
     """
     amplitudes = jsa.amplitudes
     state = (amplitudes.T @ amplitudes.conj()) * jsa.signal_step
+    squared = _squared_modulus(state)
 
     def evaluate(widths):
         weights = np.array([GaussianFilter(center, w).transmission(
             jsa.idler_grid) for w in widths]) * jsa.idler_step
-        return _purity_success(state, weights)
+        return _purity_success(state, weights, squared)
     return evaluate
 
 

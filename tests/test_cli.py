@@ -489,6 +489,32 @@ def test_hom_gridded_requires_tau_max(tmp_path, jsa_k26):
     assert data_lines(out)[0] == "delay_ps,coincidence"
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["report"], "--extent", "9"),
+    (["report"], "--nodes", "64"),
+    (["schmidt"], "--extent", "9"),
+    (["schmidt"], "--grid-n", "300"),
+    (["hom", "--tau-max", "1.0", "--tau-points", "9"], "--extent", "9"),
+    (["hom", "--tau-max", "1.0", "--tau-points", "9"], "--nodes", "64"),
+])
+def test_grid_flags_on_gridded_config_exit_2(tmp_path, k26_grid, command,
+                                             flag, value):
+    # these flags size a quadrature or a discretization, and tabulated
+    # samples need neither
+    path = tmp_path / "jsa.csv"
+    write_jsa_csv(path, k26_grid)
+    config = tmp_path / "gridded.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": str(path)},
+                                  "filter": {"center": 0.0, "width": 0.8}}))
+    code, out, err = run_cli(*command, "--config", str(config), flag, value,
+                             "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert flag in error["message"]
+
+
 def test_output_file_and_entry_point(tmp_path, ktp_config):
     target = tmp_path / "report.txt"
     code, out, _ = run_cli("report", "--config", ktp_config,

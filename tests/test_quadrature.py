@@ -228,6 +228,62 @@ def test_gridded_quantities_match_closed(jsa_k26, k26_grid):
     assert hp.unfiltered_purity(k26_grid) == pytest.approx(5.0 / 13.0, rel=1e-5)
 
 
+def _zero_gap_filter():
+    """Tabulated herald whose transmission is exactly zero on some samples."""
+    grid = np.linspace(-3.0, 3.0, 13)
+    values = np.array([0, 0, .2, .7, 1, 0, 0, 0, 1, .9, .4, 0, 0], float)
+    return hp.TabulatedFilter(grid, values)
+
+
+def _explicit_states(jsa, heralds, x):
+    """Each herald's state as the explicit product ``(phi * w) @ phi^H``."""
+    spec = quadrature.DEFAULT_SPEC
+    states = []
+    for herald in heralds:
+        if isinstance(jsa, hp.GriddedJsa):
+            y = jsa.idler_grid
+            wy = np.full(y.size, jsa.idler_step)
+            phi = jsa.amplitudes
+        else:
+            lo, hi, feature = quadrature._idler_window(jsa, herald,
+                                                       spec.half_extent)
+            y, wy = quadrature._axis(lo, hi, quadrature._node_count(
+                spec, hi - lo, feature, 1.0))
+            phi = hp.eval_double_gaussian(jsa, x[:, None], y[None, :])
+        if herald is not None:
+            wy = wy * hp.filter_transmission(herald, y)
+        states.append((phi * wy) @ phi.conj().T)
+    return states
+
+
+@pytest.mark.parametrize("source, heralds", [
+    ("jsa_ktp", (None, hp.GaussianFilter(0.0, 6.0))),
+    ("jsa_k26", (None, hp.GaussianFilter(0.3, 0.6), _zero_gap_filter())),
+    ("k26_grid", (None, hp.GaussianFilter(0.2, 0.9), _zero_gap_filter())),
+    ("chirped_grid", (None, hp.GaussianFilter(0.2, 0.9), _zero_gap_filter())),
+])
+def test_heralded_states_are_gram_matrices(request, source, heralds):
+    # each state is B @ B^H with B = phi * sqrt(w): a real B gives one
+    # buffer times its own transpose (BLAS syrk), so M == M.T exactly
+    jsa = request.getfixturevalue(source)
+    gridded = isinstance(jsa, hp.GriddedJsa)
+    before = jsa.amplitudes.copy() if gridded else None
+    x, _, states = quadrature._heralded_states(jsa, heralds, None, None, 1.0)
+    for state, explicit in zip(states, _explicit_states(jsa, heralds, x)):
+        scale = np.abs(state).max()
+        assert scale > 0.0
+        if source == "chirped_grid":
+            assert np.iscomplexobj(state)
+            assert np.abs(state - state.conj().T).max() <= 1e-15 * scale
+        else:
+            assert not np.iscomplexobj(state)
+            assert np.array_equal(state, state.T)
+        assert np.abs(state - explicit).max() <= 1e-13 * scale
+    if gridded:
+        assert np.array_equal(jsa.amplitudes, before)
+        assert not jsa.amplitudes.flags.writeable
+
+
 @pytest.mark.parametrize("n", [*range(1, 41), 48, 400, 1888])
 def test_leggauss_matches_numpy(n):
     x, w = _leggauss(n)

@@ -6,7 +6,7 @@ Usage::
 
 Writes five source configs under ``OUTDIR`` (the demo source, the KTP
 source, the demo with a detuned filter, the demo without a filter, and a
-128-point gridded copy of the demo as CSV), then runs a fixed list of 68
+128-point gridded copy of the demo as CSV), then runs a fixed list of 70
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -116,6 +116,9 @@ def invocations():
         # a non-finite window or grid extent: exit 2
         ["report", "--config", "demo.json", "--extent", "inf"],
         ["schmidt", "--config", "demo.json", "--extent", "inf"],
+        # quadrature and grid flags on a gridded amplitude: exit 2
+        ["report", *c, "--extent", "9", "--nodes", "64"],
+        ["schmidt", *c, "--extent", "9", "--grid-n", "300"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
