@@ -89,8 +89,8 @@ def load_jsa_csv(path):
         A normalized ``GriddedJsa``.
 
     Raises:
-        ValueError: If a column is missing or the rows do not cover the
-            rectangle once.
+        ValueError: If a column is missing, there are no sample rows, or
+            the rows do not cover the rectangle once.
     """
     data = np.genfromtxt(path, delimiter=",", names=True)
     required = ("omega_signal", "omega_idler", "re", "im")
@@ -100,6 +100,8 @@ def load_jsa_csv(path):
             f"jsa csv must have columns {','.join(required)}, found "
             f"{','.join(names)}"
         )
+    if data.size == 0:
+        raise ValueError(f"jsa csv {path} has no samples, only a header")
     signal = np.unique(data["omega_signal"])
     idler = np.unique(data["omega_idler"])
     ix = np.searchsorted(signal, data["omega_signal"])

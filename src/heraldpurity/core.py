@@ -77,6 +77,68 @@ def _require_success(success, what="heralding probability"):
     return success
 
 
+# Samples below this modulus are zeroed before a product: its square is the
+# smallest normal double, so no product of two kept samples underflows into
+# subnormal arithmetic, which slows BLAS about twofold.
+_UNDERFLOW_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+# Rows per block of the band-aware Gram product.
+_GRAM_BLOCK = 128
+
+
+def _flush_underflow(b, floor=_UNDERFLOW_FLOOR):
+    """Zero, in place, the entries of ``b`` with modulus below ``floor``.
+
+    At the default floor a zeroed sample moves any product sum by less than
+    ``_UNDERFLOW_FLOOR`` times the largest sample, which is below 1e-150
+    for normalized data.  Returns ``b``.
+    """
+    np.copyto(b, 0.0, where=np.abs(b) < floor)
+    return b
+
+
+def _gram(b):
+    """``b @ b^H`` of a writable 2-D array, band-aware and underflow-free.
+
+    ``b`` is flushed by ``_flush_underflow`` in place.  Its rows are split
+    into blocks of ``_GRAM_BLOCK``, and each pair of blocks is
+    contracted only over the overlap of their nonzero column spans, so a
+    tilted ridge costs the work inside its band.  Off-diagonal blocks are
+    mirrored, so a real result is exactly symmetric.  When the spans would
+    skip less than half of the dense work, one ``b @ b^H`` runs instead
+    (BLAS ``syrk`` for real ``b``), which is faster on dense input.
+    """
+    n, m = b.shape
+    blocks = []
+    for start in range(0, n, _GRAM_BLOCK):
+        rows = slice(start, min(start + _GRAM_BLOCK, n))
+        # Flushed block by block, so the span is read while it is in cache.
+        cols = np.flatnonzero(_flush_underflow(b[rows]).any(axis=0))
+        if cols.size:
+            blocks.append((rows, rows.stop - start, cols[0], cols[-1] + 1))
+    # Work in units of one multiply-add of the dense product b @ b^H.
+    pairs = []
+    work = 0
+    for i, (rows_i, n_i, lo_i, hi_i) in enumerate(blocks):
+        for rows_j, n_j, lo_j, hi_j in blocks[i:]:
+            lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
+            if lo < hi:
+                pairs.append((rows_i, rows_j, lo, hi))
+                work += n_i * n_j * (hi - lo) * (1 if rows_i is rows_j else 2)
+    if 2 * work > n * n * m:
+        return b @ b.conj().T
+    out = np.zeros((n, n), dtype=b.dtype)
+    for rows_i, rows_j, lo, hi in pairs:
+        block = b[rows_i, lo:hi]
+        if rows_i is rows_j:
+            out[rows_i, rows_i] = block @ block.conj().T
+        else:
+            product = block @ b[rows_j, lo:hi].conj().T
+            out[rows_i, rows_j] = product
+            out[rows_j, rows_i] = product.conj().T
+    return out
+
+
 def _squared_modulus(state):
     """``|M|**2`` entry by entry: ``m * m`` if real, ``re**2 + im**2`` if not."""
     if np.iscomplexobj(state):

@@ -30,6 +30,8 @@ from .core import (
     _clip_unit,
     _coincidences,
     _delay_array,
+    _flush_underflow,
+    _gram,
     _purity_success,
     _require_success,
     _splitter_product,
@@ -66,6 +68,13 @@ _SKETCH_SEED = 20090922
 _SKETCH_START = 32
 _OVERSAMPLE = 10
 _ACCURACY_FLOOR = 1e-3
+
+# Samples below the smallest normal double are zeroed before factoring, so
+# no subnormal number enters the SVD.  The quadrature states' higher floor,
+# sqrt(tiny), would make the SVD about a fifth faster again, but it flips
+# the sign of rounding-noise samples (|u| < 1e-15) in the signal modes'
+# tails on the KTP source, so the factored matrix keeps this one.
+_SAMPLE_FLOOR = np.finfo(float).tiny
 
 _log = logging.getLogger(__name__)
 
@@ -278,9 +287,10 @@ def decompose(gridded, rel_threshold=1e-12):
     ``rel_threshold`` is not positive, the full SVD runs instead.  Results
     are deterministic: repeated calls return bit-identical arrays, and the
     global numpy random state is neither read nor changed.  Samples below
-    the smallest normal double are set to zero before factoring, which
+    the smallest normal double are set to zero before factoring, by the
+    same ``core._flush_underflow`` that floors the quadrature states; this
     changes the amplitude by less than 2.3e-308 and keeps subnormal
-    arithmetic out of the linear algebra.  One DEBUG
+    arithmetic, which slows the SVD, out of the linear algebra.  One DEBUG
     record per call on the ``heraldpurity.schmidt`` logger reports the grid
     shape, sketch ranks, fallback, modes kept and residual weight.
 
@@ -302,7 +312,7 @@ def decompose(gridded, rel_threshold=1e-12):
             f"amplitude norm is {gridded.norm():.6f}; normalize() it first"
         )
     scaled = gridded.amplitudes * math.sqrt(gridded.cell_area)
-    scaled[np.abs(scaled) < np.finfo(float).tiny] = 0.0
+    _flush_underflow(scaled, _SAMPLE_FLOOR)
     try:
         u, s, vh, ranks, residual = _truncated_svd(scaled, rel_threshold)
     except np.linalg.LinAlgError as exc:
@@ -337,7 +347,7 @@ def decompose(gridded, rel_threshold=1e-12):
     head = min(12, keep)
     for modes, step in ((signal, gridded.signal_step),
                         (idler, gridded.idler_step)):
-        gram = modes[:head] @ modes[:head].conj().T * step
+        gram = _gram(modes[:head].copy()) * step
         if np.abs(gram - np.eye(head)).max() > 1e-8:
             raise NumericalError("decomposed modes lost discrete orthonormality")
 

@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter,
                        visibility)
-from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa,
+from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _gram,
                    _purity_success, _require_success, _squared_modulus)
 
 __all__ = [
@@ -214,10 +214,12 @@ def _gridded_curve(jsa, center):
     times ``idler_step``, one row per width), so the idler-side reduced
     state ``R = (A.T @ A.conj()) * signal_step``, the transpose of the
     quadrature route's signal-side state, and its squared modulus are built
-    once and each row is reduced by ``core._purity_success``.
+    once and each row is reduced by ``core._purity_success``.  ``R`` is
+    ``core._gram`` of a copy of ``A.T``, so it has the quadrature states'
+    underflow floor and band-aware product.
     """
-    amplitudes = jsa.amplitudes
-    state = (amplitudes.T @ amplitudes.conj()) * jsa.signal_step
+    state = _gram(jsa.amplitudes.T.copy())
+    state *= jsa.signal_step
     squared = _squared_modulus(state)
 
     def evaluate(widths):

@@ -472,6 +472,23 @@ def test_jsa_csv_rejects_duplicated_and_missing_cell(tmp_path):
     assert json.loads(err)["error"] == "config"
 
 
+def test_jsa_csv_without_samples_exit_2(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("omega_signal,omega_idler,re,im\n")
+    with pytest.raises(ValueError, match="no samples"):
+        load_jsa_csv(str(path))
+
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": str(path)}}))
+    code, out, err = run_cli("report", "--config", str(config),
+                             "--filter-width", "0.8", "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "no samples" in error["message"]
+
+
 def test_hom_gridded_requires_tau_max(tmp_path, jsa_k26):
     grid = hp.discretize(jsa_k26, half_extent=5.0, n_points=256)
     path = tmp_path / "jsa.csv"

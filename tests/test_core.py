@@ -9,7 +9,8 @@ from scipy.integrate import dblquad
 
 import heraldpurity as hp
 from conftest import SEED, draw_source
-from heraldpurity.core import _purity_success
+from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _gram,
+                               _purity_success)
 
 
 def test_package_exports_every_public_name():
@@ -272,6 +273,57 @@ def test_purity_success_reduces_each_row_alone():
     squared = state.real**2 + state.imag**2
     assert success[0] == inline
     assert purity[0] == float(w @ squared @ w) / inline**2
+
+
+def _ridge(n, m, complex_phase=False, zero_rows=None):
+    """A tilted Gaussian ridge; its tails fall below the underflow floor, so
+    the row blocks' column spans skip most of the dense work."""
+    rows = np.arange(n)[:, None]
+    cols = np.arange(m)[None, :]
+    b = np.exp(-(((cols - rows - 20.0) / 3.0) ** 2))
+    if complex_phase:
+        b = b * np.exp(0.05j * rows * cols)
+    if zero_rows is not None:
+        b[zero_rows] = 0.0
+    return b
+
+
+@pytest.mark.parametrize("name,b", [
+    ("banded real", _ridge(4 * _GRAM_BLOCK, 600)),
+    ("banded complex", _ridge(4 * _GRAM_BLOCK, 600, complex_phase=True)),
+    ("all-zero row blocks", _ridge(
+        4 * _GRAM_BLOCK, 600, zero_rows=slice(_GRAM_BLOCK, 3 * _GRAM_BLOCK))),
+    ("n below block", _ridge(50, 400)),
+    ("n % block != 0", _ridge(3 * _GRAM_BLOCK + 5, 450)),
+    ("dense", np.random.default_rng(SEED).standard_normal((300, 200))),
+])
+def test_gram_matches_dense_product(name, b):
+    dense = b @ b.conj().T
+    gram = _gram(b.copy())
+    scale = np.abs(dense).max()
+    assert np.abs(gram - dense).max() <= 1e-13 * scale, name
+    if np.iscomplexobj(b):
+        assert np.abs(gram - gram.conj().T).max() <= 1e-15 * scale, name
+    else:
+        assert np.array_equal(gram, gram.T), name
+    if name == "dense":
+        # no span skips half the work, so the one dense product runs
+        assert np.array_equal(gram, dense)
+
+
+def test_gram_zeroes_samples_below_the_underflow_floor():
+    below = np.nextafter(_UNDERFLOW_FLOOR, 0.0)
+    above = np.nextafter(_UNDERFLOW_FLOOR, 1.0)
+    b = np.array([[below, above, 1.0], [-below, -above, 0.5]])
+    gram = _gram(b)
+    assert np.array_equal(b, [[0.0, above, 1.0], [0.0, -above, 0.5]])
+    assert np.array_equal(gram, b @ b.T)
+    # the floor applies to the modulus of a complex sample: both of these
+    # have parts below it, but only the second has a modulus above it
+    c = _UNDERFLOW_FLOOR * np.array([[0.7 + 0.7j, 0.75 + 0.75j]])
+    _gram(c)
+    assert c[0, 0] == 0.0
+    assert c[0, 1] == 0.75 * _UNDERFLOW_FLOOR * (1 + 1j)
 
 
 def test_discretize_flags_clipped_ridge(jsa_ktp):

@@ -256,15 +256,18 @@ def _explicit_states(jsa, heralds, x):
     return states
 
 
+_REPEATED = hp.GaussianFilter(0.3, 0.6)
+
+
 @pytest.mark.parametrize("source, heralds", [
     ("jsa_ktp", (None, hp.GaussianFilter(0.0, 6.0))),
-    ("jsa_k26", (None, hp.GaussianFilter(0.3, 0.6), _zero_gap_filter())),
+    ("jsa_k26", (None, _REPEATED, _REPEATED, _zero_gap_filter())),
     ("k26_grid", (None, hp.GaussianFilter(0.2, 0.9), _zero_gap_filter())),
     ("chirped_grid", (None, hp.GaussianFilter(0.2, 0.9), _zero_gap_filter())),
 ])
 def test_heralded_states_are_gram_matrices(request, source, heralds):
-    # each state is B @ B^H with B = phi * sqrt(w): a real B gives one
-    # buffer times its own transpose (BLAS syrk), so M == M.T exactly
+    # each state is core._gram of B = phi * sqrt(w), whose real results are
+    # exactly symmetric on both its blocked and its one-product path
     jsa = request.getfixturevalue(source)
     gridded = isinstance(jsa, hp.GriddedJsa)
     before = jsa.amplitudes.copy() if gridded else None
@@ -279,6 +282,9 @@ def test_heralded_states_are_gram_matrices(request, source, heralds):
             assert not np.iscomplexobj(state)
             assert np.array_equal(state, state.T)
         assert np.abs(state - explicit).max() <= 1e-13 * scale
+    # a herald that is the previous one shares its state
+    for k in range(1, len(heralds)):
+        assert (states[k] is states[k - 1]) == (heralds[k] is heralds[k - 1])
     if gridded:
         assert np.array_equal(jsa.amplitudes, before)
         assert not jsa.amplitudes.flags.writeable

@@ -10,6 +10,7 @@ import pytest
 import heraldpurity as hp
 import heraldpurity.schmidt as schmidt_module
 from conftest import chirped_copy, identity_filter
+from heraldpurity.core import _flush_underflow
 
 
 def full_svd_weights(grid, rel_threshold=1e-12):
@@ -18,8 +19,8 @@ def full_svd_weights(grid, rel_threshold=1e-12):
     ``decompose`` flushes subnormal samples to zero before factoring, so the
     reference does the same to see the identical matrix.
     """
-    scaled = grid.amplitudes * math.sqrt(grid.cell_area)
-    scaled[np.abs(scaled) < np.finfo(float).tiny] = 0.0
+    scaled = _flush_underflow(grid.amplitudes * math.sqrt(grid.cell_area),
+                              schmidt_module._SAMPLE_FLOOR)
     p = np.linalg.svd(scaled, full_matrices=False)[1] ** 2
     return p[p >= rel_threshold * p[0]]
 
