@@ -97,43 +97,71 @@ def _flush_underflow(b, floor=_UNDERFLOW_FLOOR):
     return b
 
 
-def _gram(b):
-    """``b @ b^H`` of a writable 2-D array, band-aware and underflow-free.
+def _band_pairs(spans, n, m):
+    """Overlapping pairs of row-block column spans, or ``None`` if dense.
 
-    ``b`` is flushed by ``_flush_underflow`` in place.  Its rows are split
-    into blocks of ``_GRAM_BLOCK``, and each pair of blocks is
-    contracted only over the overlap of their nonzero column spans, so a
-    tilted ridge costs the work inside its band.  Off-diagonal blocks are
-    mirrored, so a real result is exactly symmetric.  When the spans would
-    skip less than half of the dense work, one ``b @ b^H`` runs instead
-    (BLAS ``syrk`` for real ``b``), which is faster on dense input.
+    Each span ``(start, rows, lo, hi)`` is a block of rows of an ``n x m``
+    matrix ``B`` that is zero outside columns ``lo:hi``.  Returns the pairs
+    ``(i, j, lo, hi)``, ``i <= j``, of spans that overlap, with their
+    overlap; or ``None`` when contracting only those overlaps would skip
+    less than half of the work of the dense ``B B^H``, which is then faster.
     """
-    n, m = b.shape
-    blocks = []
-    for start in range(0, n, _GRAM_BLOCK):
-        rows = slice(start, min(start + _GRAM_BLOCK, n))
-        # Flushed block by block, so the span is read while it is in cache.
-        cols = np.flatnonzero(_flush_underflow(b[rows]).any(axis=0))
-        if cols.size:
-            blocks.append((rows, rows.stop - start, cols[0], cols[-1] + 1))
-    # Work in units of one multiply-add of the dense product b @ b^H.
     pairs = []
-    work = 0
-    for i, (rows_i, n_i, lo_i, hi_i) in enumerate(blocks):
-        for rows_j, n_j, lo_j, hi_j in blocks[i:]:
+    work = 0  # in multiply-adds of the dense product
+    for i, (_, n_i, lo_i, hi_i) in enumerate(spans):
+        for j in range(i, len(spans)):
+            _, n_j, lo_j, hi_j = spans[j]
             lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
             if lo < hi:
-                pairs.append((rows_i, rows_j, lo, hi))
-                work += n_i * n_j * (hi - lo) * (1 if rows_i is rows_j else 2)
-    if 2 * work > n * n * m:
-        return b @ b.conj().T
-    out = np.zeros((n, n), dtype=b.dtype)
-    for rows_i, rows_j, lo, hi in pairs:
-        block = b[rows_i, lo:hi]
-        if rows_i is rows_j:
+                pairs.append((i, j, lo, hi))
+                work += n_i * n_j * (hi - lo) * (1 if i == j else 2)
+    return None if 2 * work > n * n * m else pairs
+
+
+def _gram(pieces, shape):
+    """``B B^H`` of an ``n x m`` matrix given as row pieces, band-aware and
+    underflow-free.
+
+    Each piece ``(start, offset, block)`` holds, as a writable 2-D array,
+    the rows ``start:start + len(block)`` of ``B`` at the columns from
+    ``offset``; ``B`` is zero outside its pieces, and no two pieces share a
+    row.  A dense ``B`` is the one piece ``(0, 0, B)``.  Pieces are flushed
+    by ``_flush_underflow`` in place.  Their rows are split into blocks of
+    ``_GRAM_BLOCK``, each trimmed to its nonzero column span, and each pair
+    of blocks is contracted only over the overlap of their spans, so a
+    tilted ridge costs the work inside its band.  Off-diagonal blocks are
+    mirrored, so a real result is exactly symmetric.  When the spans would
+    skip less than half of the dense work (``_band_pairs``), one
+    ``B B^H`` runs instead (BLAS ``syrk`` for real ``B``), which is faster on
+    dense input; such a ``B`` must come as one dense piece.
+    """
+    n, m = shape
+    blocks, spans = [], []
+    for start, offset, piece in pieces:
+        for r in range(0, len(piece), _GRAM_BLOCK):
+            block = piece[r:r + _GRAM_BLOCK]
+            # Flushed block by block, so the span is read while it is in cache.
+            cols = np.flatnonzero(_flush_underflow(block).any(axis=0))
+            if cols.size:
+                lo, hi = cols[0], cols[-1] + 1
+                blocks.append(block[:, lo:hi])
+                spans.append((start + r, len(block), offset + lo, offset + hi))
+    pairs = _band_pairs(spans, n, m)
+    if pairs is None:
+        (_, _, whole), = pieces
+        return whole @ whole.conj().T
+    out = np.zeros((n, n), dtype=np.result_type(
+        float, *(piece.dtype for _, _, piece in pieces)))
+    for i, j, lo, hi in pairs:
+        start_i, n_i, lo_i, _ = spans[i]
+        rows_i = slice(start_i, start_i + n_i)
+        block = blocks[i][:, lo - lo_i:hi - lo_i]
+        if i == j:
             out[rows_i, rows_i] = block @ block.conj().T
         else:
-            product = block @ b[rows_j, lo:hi].conj().T
+            start_j, n_j, lo_j, _ = spans[j]
+            rows_j = slice(start_j, start_j + n_j)
+            product = block @ blocks[j][:, lo - lo_j:hi - lo_j].conj().T
             out[rows_i, rows_j] = product
             out[rows_j, rows_i] = product.conj().T
     return out
@@ -146,20 +174,24 @@ def _squared_modulus(state):
     return state * state
 
 
-def _purity_success(state, weights, squared=None):
+def _purity_success(state, weights, squared=None, overwrite=False):
     """``(purity, success)`` of an unnormalized state ``M`` under weights ``w``.
 
     ``w`` is one row of diagonal weights or a stack of rows, each reduced
     alone: ``success = w @ diag(M)``, ``purity = w @ |M|**2 @ w / success**2``.
     ``squared`` is ``_squared_modulus(M)`` when the caller reduces one state
-    many times.  An empty row gives a non-finite purity without a warning.
+    many times.  With ``overwrite`` the caller gives up ``M``: a real state
+    is then squared in place, to the same bits, so no second n x n array is
+    allocated.  An empty row gives a non-finite purity without a warning.
     """
-    if squared is None:
-        squared = _squared_modulus(state)
     # Each row is a 1 x n matrix, so it takes the same vector-matrix
     # products alone as in any stack.
     rows = weights[..., None, :]
     success = (rows @ np.real(np.diagonal(state)))[..., 0]
+    if squared is None:
+        in_place = overwrite and not np.iscomplexobj(state)
+        squared = (np.multiply(state, state, out=state) if in_place
+                   else _squared_modulus(state))
     numerator = (rows @ squared @ weights[..., :, None])[..., 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return numerator / success**2, success

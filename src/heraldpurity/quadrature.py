@@ -15,10 +15,17 @@ entry moves by less than about 1e-150.  On a strongly correlated source
 most of ``B`` lies below that floor, and the rest is a tilted ridge, so
 ``_gram`` contracts each pair of 128-row blocks only over the overlap of
 their nonzero column spans; on the K = 22 KTP source that is about 7% of
-the dense work.  When the spans would skip less than half of it, one
-``B B^H`` runs instead: for a real amplitude ``B.conj()`` is ``B`` itself,
-so numpy calls the BLAS symmetric rank-k update (``syrk``).  Real states
-are exactly symmetric on both paths.  Equal heralds (the same object) share
+the dense work.  A sample below the floor need not be computed either:
+``|B|`` can reach it only inside an ellipse of the intensity's quadratic
+form, so ``_root_weighted`` evaluates the double Gaussian, whose ``exp``
+was the largest cost of a pass, only over each row block's hull of that
+ellipse, about a quarter of the unfiltered KTP node grid, and hands those
+blocks to ``_gram`` as row pieces.  The states are the same bits as from
+the whole grid.  When the blocks would skip less than half of the dense
+work, the whole grid is evaluated and one ``B B^H`` runs instead: for a
+real amplitude ``B.conj()`` is ``B`` itself, so numpy calls the BLAS
+symmetric rank-k update (``syrk``).  Real states are exactly symmetric on
+both paths.  Equal heralds (the same object) share
 one state.  The heralding probability is the state's weighted trace
 and the purity the weighted sum of its squared entries, both from
 ``core._purity_success``, and two-photon interference is a delay-phased
@@ -52,6 +59,9 @@ from .core import (
     HomCurve,
     NumericalError,
     TabulatedFilter,
+    _GRAM_BLOCK,
+    _UNDERFLOW_FLOOR,
+    _band_pairs,
     _check_delay_step,
     _clip_unit,
     _coincidences,
@@ -82,6 +92,10 @@ __all__ = [
 _NODES_PER_FEATURE = 5.2
 _NODE_MARGIN = 32
 _MAX_NODES = 6000
+
+# Margin in the exponent of the live band (a factor exp(-1/2) in amplitude),
+# far above the rounding of the quadratic form and of exp.
+_BAND_MARGIN = 1.0
 
 # Interference is cut off where its envelope has decayed below exp(-49).
 _DECAY_CUTOFF = 7.0
@@ -243,6 +257,53 @@ def _weighted(weights, grid, filt):
     return weights * filter_transmission(filt, grid)
 
 
+def _root_weighted(jsa, x, y, root):
+    """Row pieces of ``B = Phi(x, y) * root`` on node axes, for ``core._gram``.
+
+    ``|B|`` can reach the underflow floor only inside the ellipse
+    ``a x^2 + 2 b x y + c y^2 <= L``, ``L = 2 ln(Phi(0, 0) max(root) / floor)``,
+    so each block of ``_GRAM_BLOCK`` signal rows is evaluated only over the
+    hull of its rows' idler intervals, widened by ``_BAND_MARGIN`` in ``L``
+    and one node on each side against rounding.  When those spans would
+    skip less than half of the dense work (``core._band_pairs``), ``B`` is
+    evaluated whole, as one piece.
+    """
+    nx, ny = x.size, y.size
+    a, b, c = jsa.intensity_coefficients()
+    peak = float(eval_double_gaussian(jsa, 0.0, 0.0) * root.max())
+    reach = (2.0 * math.log(peak / _UNDERFLOW_FLOOR) + _BAND_MARGIN
+             if peak > 0.0 else -math.inf)
+    # A grid whose four corners lie inside the ellipse lies inside it whole.
+    if max(a * u * u + 2.0 * b * u * v + c * v * v
+           for u in (float(x[0]), float(x[-1]))
+           for v in (float(y[0]), float(y[-1]))) > reach:
+        disc = c * reach - (a * c - b * b) * x * x
+        live = disc >= 0.0
+        half = np.sqrt(np.where(live, disc, 0.0))
+        lo = np.searchsorted(y, (-b * x - half) / c) - 1
+        hi = np.searchsorted(y, (-b * x + half) / c, side="right") + 1
+        lo = np.where(live, np.maximum(lo, 0), ny)
+        hi = np.where(live, np.minimum(hi, ny), 0)
+        spans = []
+        for start in range(0, nx, _GRAM_BLOCK):
+            rows = slice(start, start + _GRAM_BLOCK)
+            span_lo, span_hi = int(lo[rows].min()), int(hi[rows].max())
+            if span_lo < span_hi:
+                spans.append((start, min(_GRAM_BLOCK, nx - start), span_lo,
+                              span_hi))
+        if _band_pairs(spans, nx, ny) is not None:
+            pieces = []
+            for start, n_rows, span_lo, span_hi in spans:
+                block = eval_double_gaussian(
+                    jsa, x[start:start + n_rows, None], y[None, span_lo:span_hi])
+                block *= root[span_lo:span_hi]
+                pieces.append((start, span_lo, block))
+            return pieces
+    block = eval_double_gaussian(jsa, x[:, None], y[None, :])
+    block *= root
+    return [(0, 0, block)]
+
+
 def _heralded_states(jsa, heralds, heralded, spec, refine, max_delay=None):
     """Signal nodes, signal weights, and one heralded state per herald.
 
@@ -284,11 +345,10 @@ def _heralded_states(jsa, heralds, heralded, spec, refine, max_delay=None):
         # sample is scaled in place; gridded amplitudes are read-only.
         root = np.sqrt(_weighted(wy, y, herald))
         if isinstance(jsa, GriddedJsa):
-            b = jsa.amplitudes * root
+            pieces = [(0, 0, jsa.amplitudes * root)]
         else:
-            b = eval_double_gaussian(jsa, x[:, None], y[None, :])
-            b *= root
-        states.append(_gram(b))
+            pieces = _root_weighted(jsa, x, y, root)
+        states.append(_gram(pieces, (x.size, y.size)))
     return x, _weighted(wx, x, heralded), states
 
 
@@ -318,7 +378,7 @@ def _refined(jsa, check, what, compute):
 
 def _single_pair(jsa, herald, heralded, spec, refine):
     _, wx, (state,) = _heralded_states(jsa, (herald,), heralded, spec, refine)
-    purity, success = _purity_success(state, wx)
+    purity, success = _purity_success(state, wx, overwrite=True)
     success = float(success)
     if not math.isfinite(success) or success <= 0.0:
         raise NumericalError(

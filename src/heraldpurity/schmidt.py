@@ -26,6 +26,7 @@ from .core import (
     GriddedJsa,
     HomCurve,
     NumericalError,
+    _UNDERFLOW_FLOOR,
     _check_delay_step,
     _clip_unit,
     _coincidences,
@@ -71,9 +72,10 @@ _ACCURACY_FLOOR = 1e-3
 
 # Samples below the smallest normal double are zeroed before factoring, so
 # no subnormal number enters the SVD.  The quadrature states' higher floor,
-# sqrt(tiny), would make the SVD about a fifth faster again, but it flips
-# the sign of rounding-noise samples (|u| < 1e-15) in the signal modes'
-# tails on the KTP source, so the factored matrix keeps this one.
+# sqrt(tiny), would make the SVD about a fifth faster again; it flipped the
+# sign of rounding-noise samples (|u| < 1e-15) in the signal modes' tails
+# on the KTP source, which are now zeroed after the SVD, and it is left for
+# a change measured on its own.
 _SAMPLE_FLOOR = np.finfo(float).tiny
 
 _log = logging.getLogger(__name__)
@@ -290,7 +292,10 @@ def decompose(gridded, rel_threshold=1e-12):
     the smallest normal double are set to zero before factoring, by the
     same ``core._flush_underflow`` that floors the quadrature states; this
     changes the amplitude by less than 2.3e-308 and keeps subnormal
-    arithmetic, which slows the SVD, out of the linear algebra.  One DEBUG
+    arithmetic, which slows the SVD, out of the linear algebra.  Signal
+    rows and idler columns whose every scaled sample lies below
+    ``core._UNDERFLOW_FLOOR`` hold only SVD rounding noise in the modes,
+    and those mode samples are set to exact zero.  One DEBUG
     record per call on the ``heraldpurity.schmidt`` logger reports the grid
     shape, sketch ranks, fallback, modes kept and residual weight.
 
@@ -313,6 +318,9 @@ def decompose(gridded, rel_threshold=1e-12):
         )
     scaled = gridded.amplitudes * math.sqrt(gridded.cell_area)
     _flush_underflow(scaled, _SAMPLE_FLOOR)
+    below = np.abs(scaled) < _UNDERFLOW_FLOOR
+    dead_rows, dead_cols = below.all(axis=1), below.all(axis=0)
+    del below
     try:
         u, s, vh, ranks, residual = _truncated_svd(scaled, rel_threshold)
     except np.linalg.LinAlgError as exc:
@@ -343,11 +351,16 @@ def decompose(gridded, rel_threshold=1e-12):
     phases = peaks / np.abs(peaks)
     signal = signal * phases.conj()[:, None]
     idler = idler * phases[:, None]
+    # Where every sample lies below the underflow floor the true modes are
+    # below about 1e-140, and the SVD leaves only its rounding noise there.
+    signal[:, dead_rows] = 0.0
+    idler[:, dead_cols] = 0.0
 
     head = min(12, keep)
     for modes, step in ((signal, gridded.signal_step),
                         (idler, gridded.idler_step)):
-        gram = _gram(modes[:head].copy()) * step
+        lead = modes[:head].copy()
+        gram = _gram([(0, 0, lead)], lead.shape) * step
         if np.abs(gram - np.eye(head)).max() > 1e-8:
             raise NumericalError("decomposed modes lost discrete orthonormality")
 

@@ -218,7 +218,8 @@ def _gridded_curve(jsa, center):
     ``core._gram`` of a copy of ``A.T``, so it has the quadrature states'
     underflow floor and band-aware product.
     """
-    state = _gram(jsa.amplitudes.T.copy())
+    idler_rows = jsa.amplitudes.T.copy()
+    state = _gram([(0, 0, idler_rows)], idler_rows.shape)
     state *= jsa.signal_step
     squared = _squared_modulus(state)
 

@@ -275,6 +275,24 @@ def test_purity_success_reduces_each_row_alone():
     assert purity[0] == float(w @ squared @ w) / inline**2
 
 
+@pytest.mark.parametrize("complex_state", [False, True])
+def test_purity_success_in_place_gives_the_same_bits(complex_state):
+    # an owned real state is squared in place; a complex one is left alone
+    rng = np.random.default_rng(SEED)
+    a = rng.standard_normal((40, 30))
+    if complex_state:
+        a = a + 1j * rng.standard_normal((40, 30))
+    state = a @ a.conj().T
+    weights = rng.uniform(0.0, 1.0, 40)
+    kept = state.copy()
+    expected = _purity_success(state, weights)
+    assert _purity_success(state, weights, overwrite=True) == expected
+    if complex_state:
+        assert np.array_equal(state, kept)
+    else:
+        assert np.array_equal(state, kept * kept)
+
+
 def _ridge(n, m, complex_phase=False, zero_rows=None):
     """A tilted Gaussian ridge; its tails fall below the underflow floor, so
     the row blocks' column spans skip most of the dense work."""
@@ -288,6 +306,18 @@ def _ridge(n, m, complex_phase=False, zero_rows=None):
     return b
 
 
+def _row_pieces(b):
+    """``b`` as ``_GRAM_BLOCK``-row pieces cut to their nonzero columns."""
+    pieces = []
+    for start in range(0, len(b), _GRAM_BLOCK):
+        rows = b[start:start + _GRAM_BLOCK]
+        cols = np.flatnonzero(rows.any(axis=0))
+        if cols.size:
+            pieces.append((start, cols[0],
+                           rows[:, cols[0]:cols[-1] + 1].copy()))
+    return pieces
+
+
 @pytest.mark.parametrize("name,b", [
     ("banded real", _ridge(4 * _GRAM_BLOCK, 600)),
     ("banded complex", _ridge(4 * _GRAM_BLOCK, 600, complex_phase=True)),
@@ -299,7 +329,7 @@ def _ridge(n, m, complex_phase=False, zero_rows=None):
 ])
 def test_gram_matches_dense_product(name, b):
     dense = b @ b.conj().T
-    gram = _gram(b.copy())
+    gram = _gram([(0, 0, b.copy())], b.shape)
     scale = np.abs(dense).max()
     assert np.abs(gram - dense).max() <= 1e-13 * scale, name
     if np.iscomplexobj(b):
@@ -309,19 +339,23 @@ def test_gram_matches_dense_product(name, b):
     if name == "dense":
         # no span skips half the work, so the one dense product runs
         assert np.array_equal(gram, dense)
+    else:
+        # the same matrix in row pieces, zero outside them, gives the same
+        # bits, with or without its all-zero blocks
+        assert np.array_equal(_gram(_row_pieces(b), b.shape), gram), name
 
 
 def test_gram_zeroes_samples_below_the_underflow_floor():
     below = np.nextafter(_UNDERFLOW_FLOOR, 0.0)
     above = np.nextafter(_UNDERFLOW_FLOOR, 1.0)
     b = np.array([[below, above, 1.0], [-below, -above, 0.5]])
-    gram = _gram(b)
+    gram = _gram([(0, 0, b)], b.shape)
     assert np.array_equal(b, [[0.0, above, 1.0], [0.0, -above, 0.5]])
     assert np.array_equal(gram, b @ b.T)
     # the floor applies to the modulus of a complex sample: both of these
     # have parts below it, but only the second has a modulus above it
     c = _UNDERFLOW_FLOOR * np.array([[0.7 + 0.7j, 0.75 + 0.75j]])
-    _gram(c)
+    _gram([(0, 0, c)], c.shape)
     assert c[0, 0] == 0.0
     assert c[0, 1] == 0.75 * _UNDERFLOW_FLOOR * (1 + 1j)
 

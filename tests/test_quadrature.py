@@ -290,6 +290,66 @@ def test_heralded_states_are_gram_matrices(request, source, heralds):
         assert not jsa.amplitudes.flags.writeable
 
 
+_KTP_TAB_GRID = np.linspace(-30.0, 30.0, 61)
+
+
+@pytest.mark.parametrize("source, heralds, heralded, refine, max_delay, band", [
+    ("jsa_ktp", (None,), None, 1.0, None, True),
+    ("jsa_ktp", (hp.GaussianFilter(0.0, 0.05),), None, 1.0, None, False),
+    ("jsa_ktp", (hp.GaussianFilter(3.0, 0.05),), None, 1.0, None, False),
+    ("jsa_ktp", (hp.GaussianFilter(0.0, 2.0),), None, 1.0, None, False),
+    ("jsa_ktp", (hp.GaussianFilter(-4.0, 2.0),), None, 1.0, None, False),
+    ("jsa_ktp", (hp.GaussianFilter(0.0, 14.0),), None, 1.0, None, True),
+    ("jsa_ktp", (hp.GaussianFilter(5.0, 14.0),), None, 1.0, None, True),
+    ("jsa_ktp", (hp.TabulatedFilter(
+        _KTP_TAB_GRID, np.exp(-((_KTP_TAB_GRID - 1.0) / 3.0) ** 2)),),
+     None, 1.0, None, False),
+    ("jsa_ktp", (hp.GaussianFilter(0.5, 14.0),), hp.GaussianFilter(0.2, 3.0),
+     1.0, None, True),
+    ("jsa_ktp", (_REPEATED, hp.GaussianFilter(1.0, 14.0)), None, 1.0, 3.0,
+     True),
+    ("jsa_ktp", (hp.GaussianFilter(0.0, 14.0),), None, 2.0, None, True),
+    ("jsa_k26", (None, hp.GaussianFilter(0.3, 0.6)), None, 1.0, 2.0, False),
+    ("jsa_ktp", (hp.GaussianFilter(400.0, 0.05),), None, 1.0, None, True),
+])
+def test_band_sampled_states_match_dense_evaluation(
+        request, monkeypatch, source, heralds, heralded, refine, max_delay,
+        band):
+    # B evaluated only over the live band of each row block gives the same
+    # bits as B evaluated on the whole node grid
+    jsa = request.getfixturevalue(source)
+    args = (jsa, heralds, heralded, None, refine, max_delay)
+    banded = []
+    sampler = quadrature._root_weighted
+
+    def recorded(jsa, x, y, root):
+        pieces = sampler(jsa, x, y, root)
+        banded.append([p.shape for _, _, p in pieces] != [(x.size, y.size)])
+        return pieces
+
+    monkeypatch.setattr(quadrature, "_root_weighted", recorded)
+    x, wx, states = quadrature._heralded_states(*args)
+    monkeypatch.setattr(quadrature, "_root_weighted", lambda jsa, x, y, root: [
+        (0, 0, hp.eval_double_gaussian(jsa, x[:, None], y[None, :]) * root)])
+    x_ref, wx_ref, dense = quadrature._heralded_states(*args)
+    assert np.array_equal(x, x_ref) and np.array_equal(wx, wx_ref)
+    assert len(states) == len(dense)
+    for state, ref in zip(states, dense):
+        assert np.array_equal(state, ref)
+    assert any(banded) == band
+
+
+def test_herald_beyond_the_band_gives_an_empty_state(jsa_ktp):
+    # every root-weighted sample lies below the underflow floor
+    far = hp.GaussianFilter(400.0, 0.05)
+    _, _, (state,) = quadrature._heralded_states(jsa_ktp, (far,), None, None,
+                                                 1.0)
+    assert not state.any()
+    with pytest.raises(hp.NumericalError,
+                       match="heralding probability evaluated to 0.0"):
+        hp.filtered_purity(jsa_ktp, far)
+
+
 @pytest.mark.parametrize("n", [*range(1, 41), 48, 400, 1888])
 def test_leggauss_matches_numpy(n):
     x, w = _leggauss(n)

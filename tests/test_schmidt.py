@@ -171,6 +171,32 @@ def test_modes_rebuild_samples(k26_grid, k26_modes):
     assert captured == pytest.approx(np.sum(k26_modes.coefficients[:2]), rel=1e-9)
 
 
+def test_modes_vanish_where_the_amplitude_underflows(jsa_k26, monkeypatch):
+    # the grid reaches about 47 marginal widths, so its outer rows and
+    # columns lie wholly below the underflow floor
+    axis = np.linspace(-120.0, 120.0, 400)
+    grid = hp.GriddedJsa(axis, axis, hp.eval_double_gaussian(
+        jsa_k26, axis[:, None], axis[None, :])).normalize()
+    scaled = np.abs(grid.amplitudes) * math.sqrt(grid.cell_area)
+    dead_rows = np.all(scaled < schmidt_module._UNDERFLOW_FLOOR, axis=1)
+    dead_cols = np.all(scaled < schmidt_module._UNDERFLOW_FLOOR, axis=0)
+    assert dead_rows.any() and dead_cols.any()
+    modes = hp.decompose(grid)
+    assert not modes.signal_modes[:, dead_rows].any()
+    assert not modes.idler_modes[:, dead_cols].any()
+    # without the zeroing those samples hold SVD rounding noise, and
+    # everything else is unchanged
+    monkeypatch.setattr(schmidt_module, "_UNDERFLOW_FLOOR", 0.0)
+    noisy = hp.decompose(grid)
+    assert noisy.signal_modes[:, dead_rows].any()
+    assert np.array_equal(noisy.coefficients, modes.coefficients)
+    assert np.array_equal(noisy.signal_modes[:, ~dead_rows],
+                          modes.signal_modes[:, ~dead_rows])
+    assert np.array_equal(noisy.idler_modes[:, ~dead_cols],
+                          modes.idler_modes[:, ~dead_cols])
+    assert np.abs(noisy.reconstruct() - modes.reconstruct()).max() <= 1e-15
+
+
 def test_weights_follow_thermal_law(k26_modes, ktp_modes, jsa_ktp):
     thermal = hp.thermal_schmidt_coefficients(2.6, n_modes=11)
     np.testing.assert_allclose(k26_modes.coefficients[:11], thermal, atol=1e-3)

@@ -6,7 +6,7 @@ Usage::
 
 Writes five source configs under ``OUTDIR`` (the demo source, the KTP
 source, the demo with a detuned filter, the demo without a filter, and a
-128-point gridded copy of the demo as CSV), then runs a fixed list of 70
+128-point gridded copy of the demo as CSV), then runs a fixed list of 72
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -119,6 +119,10 @@ def invocations():
         # quadrature and grid flags on a gridded amplitude: exit 2
         ["report", *c, "--extent", "9", "--nodes", "64"],
         ["schmidt", *c, "--extent", "9", "--grid-n", "300"],
+        # narrow and mid-width KTP heralds: banded heralded states
+        ["report", "--config", "ktp.json", "--filter-width", "0.05"],
+        ["hom", "--config", "ktp.json", "--filter-width", "2.0",
+         "--tau-points", "41"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
