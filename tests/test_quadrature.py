@@ -388,9 +388,42 @@ def test_leggauss_exact_to_degree_2n_minus_1(n):
 
 
 def test_leggauss_newton_cap_raises(monkeypatch):
+    # n = 32 still needs two Newton steps from the asymptotic guesses
     monkeypatch.setattr(quadrature, "_NEWTON_MAX_STEPS", 1)
     with pytest.raises(hp.ConvergenceError):
-        _leggauss.__wrapped__(400)
+        _leggauss.__wrapped__(32)
+
+
+@pytest.mark.parametrize("n", [208, 1888, 6000, 12000])
+def test_leggauss_takes_one_recurrence_sweep(n, monkeypatch):
+    sweeps = []
+    sweep = quadrature._legendre_pair
+
+    def counting(x, degree):
+        sweeps.append(degree)
+        return sweep(x, degree)
+
+    monkeypatch.setattr(quadrature, "_legendre_pair", counting)
+    _leggauss.__wrapped__(n)
+    assert sweeps == [n]
+
+
+def test_leggauss_arrays_are_read_only():
+    # the cache hands the same arrays to every caller
+    for array in _leggauss(64):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_bessel_zeros_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    table = quadrature._J0_ZEROS
+    ref = special.jn_zeros(0, 40)
+    assert np.all(np.abs(table - ref[:table.size]) <= np.spacing(table))
+    # McMahon's expansion continues the table
+    zeros = quadrature._bessel_j0_zeros(40)
+    assert np.array_equal(zeros[:table.size], table)
+    assert np.all(np.abs(zeros[table.size:] / ref[table.size:] - 1.0) <= 1e-15)
 
 
 def test_nodes_never_use_the_eigen_solve(jsa_ktp, monkeypatch):
