@@ -323,17 +323,15 @@ def cmd_sweep(args):
         theta1 = parse_angle(args.theta1)
         theta2 = parse_angle(args.theta2)
         pairs += [("theta1", _fmt(theta1)), ("theta2", _fmt(theta2))]
-        grid = sweep_aspect_ratio(ratios=ratios, filter_widths=widths,
-                                  theta1=theta1, theta2=theta2)
-        payload = grid_to_dict(grid)
-        header, rows = grid_to_rows(grid)
+        result = sweep_aspect_ratio(ratios=ratios, filter_widths=widths,
+                                    theta1=theta1, theta2=theta2)
+        to_dict, to_rows = grid_to_dict, grid_to_rows
     elif args.kind == "orientation":
         thetas = _parse_range(args.thetas, angles=True) if args.thetas else None
         pairs += [("ratio", _fmt(args.ratio))]
-        grid = sweep_orientation(theta1_values=thetas, filter_widths=widths,
-                                 ratio=args.ratio)
-        payload = grid_to_dict(grid)
-        header, rows = grid_to_rows(grid)
+        result = sweep_orientation(theta1_values=thetas, filter_widths=widths,
+                                   ratio=args.ratio)
+        to_dict, to_rows = grid_to_dict, grid_to_rows
     else:
         run = _build_run_config(args)
         if not isinstance(run.jsa, DoubleGaussianJsa):
@@ -345,18 +343,17 @@ def cmd_sweep(args):
             ("theta2", _fmt(run.jsa.theta2)),
             ("two_filters", str(bool(args.two_filters)).lower()),
         ]
-        points = tradeoff_curve(run.jsa, filter_widths=widths,
+        result = tradeoff_curve(run.jsa, filter_widths=widths,
                                 two_filter=args.two_filters)
-        payload = tradeoff_to_dict(points)
-        header, rows = tradeoff_to_rows(points)
+        to_dict, to_rows = tradeoff_to_dict, tradeoff_to_rows
 
     with _open_output(args) as handle:
         if args.format == "json":
-            json.dump({"meta": _meta_dict(args, pairs), "data": payload},
-                      handle, indent=2)
+            json.dump({"meta": _meta_dict(args, pairs),
+                       "data": to_dict(result)}, handle, indent=2)
             handle.write("\n")
         else:
-            _write_csv(handle, _meta_lines(args, pairs), header, rows)
+            _write_csv(handle, _meta_lines(args, pairs), *to_rows(result))
     return 0
 
 

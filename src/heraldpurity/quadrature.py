@@ -14,37 +14,37 @@ underflow, and subnormal arithmetic slows BLAS about twofold, while a state
 entry moves by less than about 1e-150.  On a strongly correlated source
 most of ``B`` lies below that floor, and the rest is a tilted ridge, so
 ``_gram`` contracts each pair of 128-row blocks only over the overlap of
-their nonzero column spans; on the K = 22 KTP source that is about 7% of
-the dense work.  A sample below the floor need not be computed either:
-``|B|`` can reach it only inside an ellipse of the intensity's quadratic
-form, so ``_root_weighted`` evaluates the double Gaussian, whose ``exp``
-was the largest cost of a pass, only over each row block's hull of that
-ellipse, about a quarter of the unfiltered KTP node grid, and hands those
-blocks to ``_gram`` as row pieces.  The states are the same bits as from
-the whole grid.  When the blocks would skip less than half of the dense
-work, the whole grid is evaluated and one ``B B^H`` runs instead: for a
-real amplitude ``B.conj()`` is ``B`` itself, so numpy calls the BLAS
+their nonzero column spans; on the unfiltered K = 22 KTP source that is
+about 10% of the dense work.  A sample below the floor need not be
+computed either: ``|B|`` can reach it only inside an ellipse of the
+intensity's quadratic form, so ``_root_weighted`` evaluates the double
+Gaussian, whose ``exp`` was the largest cost of a pass, only over each row
+block's hull of that ellipse, about 30% of the unfiltered KTP node grid,
+and hands those blocks to ``_gram`` as row pieces.  The states are the same
+bits as from the whole grid.  When the blocks would skip less than half of
+the dense work, the whole grid is evaluated and one ``B B^H`` runs instead:
+for a real amplitude ``B.conj()`` is ``B`` itself, so numpy calls the BLAS
 symmetric rank-k update (``syrk``).  Real states are exactly symmetric on
-both paths.  Equal heralds (the same object) share
-one state.  The heralding probability is the state's weighted trace
-and the purity the weighted sum of its squared entries, both from
-``core._purity_success``, and two-photon interference is a delay-phased
-double sum over the two arms' states.  For parametric amplitudes the
-integration windows track the Gaussian mass of each integrand (including
-the displacement caused by off-center filters), and node counts scale with
-the window length measured in units of the finest feature, so narrow
-filters and strongly elongated amplitudes spend nodes only where structure
-lives.
+both paths.  Equal heralds (the same object) share one state.  The
+heralding probability is the state's weighted trace and the purity the
+weighted sum of its squared entries, both from ``core._purity_success``,
+and two-photon interference is a delay-phased double sum over the two arms'
+states.  For parametric amplitudes the integration windows track the
+Gaussian mass of each integrand (including the displacement caused by
+off-center filters), and node counts scale with the window length measured
+in units of the finest feature, so narrow filters and strongly elongated
+amplitudes spend nodes only where structure lives.  The density,
+``_NODES_PER_FEATURE``, is set from a measured knee: results stop moving at
+about 1.9 nodes per feature.
 
 Nodes and weights come from Newton's method on the Legendre three-term
 recurrence, in O(n^2) time and O(n) memory, not from numpy's eigen-solve of
 the dense n x n companion matrix, which costs O(n^3) time and O(n^2) memory.
 Asymptotic first guesses put every node within 5e-12 of its root at
 n = 208 and within rounding at n = 1888, so from n = 40 on one Newton step,
-one O(n^2) recurrence sweep, gives both the nodes and the weights.  That
-matters because a pass over filters on the K = 22 KTP source builds about a
-dozen fresh node sets of 200 to 1900 nodes, and with four sweeps a set they
-took about 40% of its time.
+one O(n^2) recurrence sweep, gives both the nodes and the weights.  A pass
+over a filter ladder on the K = 22 KTP source builds seven fresh node sets
+of 208 to 960 nodes, which then take about a sixth of its time.
 """
 
 from __future__ import annotations
@@ -93,9 +93,13 @@ __all__ = [
 ]
 
 # Nodes per unit window-length/feature ratio, the flat safety margin, and
-# the node ceiling per axis.  5.2 nodes per feature width keeps Gauss-Legendre
-# error below 1e-9 for Gaussian integrands; the margin covers short windows.
-_NODES_PER_FEATURE = 5.2
+# the node ceiling per axis.  Measured against 5.2 nodes per feature on 200
+# random draws, an off-centre KTP filter ladder and unfiltered KTP (one and
+# two filters), results stop moving at about 1.9 nodes per feature: from
+# 1.95 up every result is within 6e-15 relative, while the worst case, the
+# unfiltered KTP purity, moves by 1.2e-14 at 1.9 and by 2e-13 at 1.82.  2.6
+# is 1.4 times that knee; the margin covers short windows.
+_NODES_PER_FEATURE = 2.6
 _NODE_MARGIN = 32
 _MAX_NODES = 6000
 
@@ -131,7 +135,10 @@ class QuadratureSpec:
 
     Attributes:
         n_nodes: Baseline nodes per axis, in [32, 6000]; counts grow from it
-            with the window length in units of the finest integrand feature.
+            with the window length in units of the finest integrand feature,
+            at 2.6 nodes per feature.  The 6000 cap also holds for the axes
+            of a convergence check, which doubles the counts, so a check
+            with ``n_nodes`` above 3000 raises ``ConvergenceError``.
         half_extent: Window half-width in standard deviations of the
             windowed mass; finite and at least 4.
     """
@@ -255,16 +262,23 @@ def _axis(lo, hi, n):
 
 
 def _node_count(spec, length, feature, refine, extra=0):
-    """Nodes for one axis; raises when the count would exceed the ceiling."""
+    """Nodes for one axis; raises when the final count exceeds the ceiling.
+
+    The ceiling applies after ``refine``, so the doubled axes of a
+    convergence check stay within it too.
+    """
     need = int(math.ceil(_NODES_PER_FEATURE * length / feature))
-    need += _NODE_MARGIN + extra
-    if need > _MAX_NODES:
+    base = max(spec.n_nodes, need + _NODE_MARGIN + extra)
+    n = int(round(base * refine))
+    n = ((n + 15) // 16) * 16
+    if n > _MAX_NODES:
+        doubled = (f" ({base} nodes doubled for the convergence check)"
+                   if refine != 1.0 else "")
         raise ConvergenceError(
-            f"axis needs {need} nodes to resolve its window but at most "
-            f"{_MAX_NODES} are allowed"
+            f"axis needs {n} nodes to resolve its window{doubled} but at "
+            f"most {_MAX_NODES} are allowed"
         )
-    n = int(round(max(spec.n_nodes, need) * refine))
-    return ((n + 15) // 16) * 16
+    return n
 
 
 def _clamp_window(lo, hi, scale):

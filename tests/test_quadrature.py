@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
-from conftest import SEED, identity_filter
+from conftest import KTP_PARAMS, SEED, draw_case, identity_filter
 from heraldpurity import quadrature
 from heraldpurity.quadrature import _leggauss
 
@@ -465,6 +465,70 @@ def test_node_budget_exhaustion(jsa_ktp, monkeypatch):
     spec = hp.QuadratureSpec(n_nodes=64)
     with pytest.raises(hp.ConvergenceError):
         hp.filtered_purity(jsa_ktp, filt, spec=spec)
+
+
+def test_doubled_node_count_raises_past_the_budget():
+    # the budget holds for the final count, after the convergence check's
+    # doubling: a real 12000^2 state would take 1.15 GB
+    spec = hp.QuadratureSpec(n_nodes=6000)
+    assert quadrature._node_count(spec, 1.0, 1.0, 1.0) == 6000
+    with pytest.raises(hp.ConvergenceError, match="doubled"):
+        quadrature._node_count(spec, 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("n_nodes", [32, 200, 2999, 3000, 3001, 6000])
+def test_doubled_axes_stay_within_the_budget(n_nodes):
+    spec = hp.QuadratureSpec(n_nodes=n_nodes)
+    kept = 0
+    for ratio in np.geomspace(1.0, 3000.0, 60):
+        for extra in (0, 16, 900):
+            try:
+                n = quadrature._node_count(spec, ratio, 1.0, 2.0, extra)
+            except hp.ConvergenceError:
+                continue
+            assert n <= quadrature._MAX_NODES and n % 16 == 0
+            kept += 1
+    assert (kept > 0) == (n_nodes <= 3000)
+
+
+def _margin_cases():
+    """Unfiltered KTP, an off-centre KTP filter ladder and acceptance draws."""
+    ktp = hp.DoubleGaussianJsa(*KTP_PARAMS)
+    cases = [(ktp, None)]
+    cases += [(ktp, hp.GaussianFilter(0.3 * min(width, 1.0), width))
+              for width in np.geomspace(0.05, 60.0, 7)]
+    rng = np.random.default_rng(SEED)
+    cases += [draw_case(rng)[:2] for _ in range(20)]
+    return cases
+
+
+def _margin_values(cases):
+    values = []
+    for jsa, herald in cases:
+        values.append(quadrature._single_pair(jsa, herald, None, None, 1.0))
+        if herald is not None:
+            values.append(quadrature._single_pair(jsa, herald, herald, None,
+                                                  1.0))
+    return np.array(values)
+
+
+def test_node_density_keeps_a_margin(jsa_ktp, monkeypatch):
+    # at 0.7 of the density, 1.82 nodes per feature, just under the measured
+    # knee of about 1.9, results still agree to 1e-11 (2e-13 measured); a
+    # cut of the constant to the knee or below fails here
+    cases = _margin_cases()
+    reference = _margin_values(cases)
+    monkeypatch.setattr(quadrature, "_NODES_PER_FEATURE",
+                        0.7 * quadrature._NODES_PER_FEATURE)
+    sparse = _margin_values(cases)
+    assert np.all(np.abs(sparse / reference - 1.0) <= 1e-11)
+    filt = hp.GaussianFilter(0.0, 2.0)
+    a, _, _ = jsa_ktp.intensity_coefficients()
+    delays = np.linspace(-1.0, 1.0, 201) * 4.0 * math.sqrt(2.0 * a)
+    dip = hp.hom_dip(jsa_ktp, filt, filt, delays)
+    exact = hp.hom_dip_analytic(
+        jsa_ktp, hp.closed_form_purity(jsa_ktp, filt), delays)
+    assert np.abs(dip.coincidences - exact.coincidences).max() <= 1e-12
 
 
 def test_convergence_check_passes_on_defaults(jsa_ktp):

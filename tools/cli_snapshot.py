@@ -6,7 +6,7 @@ Usage::
 
 Writes five source configs under ``OUTDIR`` (the demo source, the KTP
 source, the demo with a detuned filter, the demo without a filter, and a
-128-point gridded copy of the demo as CSV), then runs a fixed list of 72
+128-point gridded copy of the demo as CSV), then runs a fixed list of 74
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -123,6 +123,10 @@ def invocations():
         ["report", "--config", "ktp.json", "--filter-width", "0.05"],
         ["hom", "--config", "ktp.json", "--filter-width", "2.0",
          "--tau-points", "41"],
+        # the widest KTP herald, whose node axes are the largest filtered ones
+        ["report", "--config", "ktp.json", "--filter-width", "20"],
+        ["report", "--config", "ktp.json", "--filter-width", "20",
+         "--format", "json"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
