@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport,
-                   HomCurve, _delay_array, _splitter_product)
+                   _delay_array, _dip_curve, _splitter_product)
 
 __all__ = [
     "closed_form_pair",
@@ -229,8 +229,7 @@ def schmidt_mode_analytic(jsa, mu, omega, side="signal"):
     return (-1j) ** int(mu) * values.astype(complex)
 
 
-def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5,
-                     transmissivity=0.5):
+def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5):
     """Closed-form coincidence dip for equal Gaussian-filtered sources.
 
     The dip is Gaussian in delay with a width set by the signal conditional
@@ -238,44 +237,39 @@ def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5,
 
         c(tau) = 1 - 2*R*T*(1 + purity * exp(-tau**2 / (2*a)))
 
-    where ``a`` is the leading intensity coefficient.  The width does not
-    depend on the herald filter; only the depth does.
+    where ``a`` is the leading intensity coefficient and ``T = 1 - R``.  The
+    width does not depend on the herald filter; only the depth does.
 
     Args:
         jsa: ``DoubleGaussianJsa`` of both sources.
         purity: Heralded purity behind the (equal) herald filters.
         delays: Relative delays in ps.
-        reflectivity: Beam splitter intensity reflectivity.
-        transmissivity: Beam splitter intensity transmissivity.
+        reflectivity: Beam splitter intensity reflectivity, in [0, 1].
 
     Returns:
-        ``HomCurve`` sampled at the given delays.
+        ``HomCurve`` sampled at the given delays, carrying ``reflectivity``.
     """
     _require_types(jsa)
     if not 0.0 <= purity <= 1.0:
         raise ValueError(f"purity must lie in [0, 1], got {purity}")
-    rt = _splitter_product(reflectivity, transmissivity)
     tau = _delay_array(delays)
     a, _, _ = jsa.intensity_coefficients()
-    samples = 1.0 - 2.0 * rt * (1.0 + purity * np.exp(-tau * tau / (2.0 * a)))
-    return HomCurve(tau, np.clip(samples, 0.0, 1.0))
+    return _dip_curve(tau, purity * np.exp(-tau * tau / (2.0 * a)),
+                      reflectivity)
 
 
-def visibility(purity, reflectivity=0.5, transmissivity=0.5):
+def visibility(purity, reflectivity=0.5):
     """Interference visibility of two equal sources of given purity.
 
-    ``V = R*T*purity / (1 - 2*R*T - R*T*purity)``; on a balanced splitter
-    this reduces to ``purity / (2 - purity)``, bit for bit.  ``purity`` may
-    be an array; a scalar purity gives a float.
+    ``V = R*T*purity / (1 - 2*R*T - R*T*purity)`` with ``T = 1 - R``; on a
+    balanced splitter this reduces to ``purity / (2 - purity)``, bit for
+    bit.  ``purity`` may be an array; a scalar purity gives a float.
     """
     p = np.asarray(purity, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"purity must lie in [0, 1], got {purity}")
-    rt = _splitter_product(reflectivity, transmissivity)
-    denom = 1.0 - 2.0 * rt - rt * p
-    if np.any(denom <= 0.0):
-        raise ValueError("splitter parameters leave no distinguishable baseline")
-    v = rt * p / denom
+    rt = _splitter_product(reflectivity)
+    v = rt * p / (1.0 - 2.0 * rt - rt * p)
     return float(v) if v.ndim == 0 else v
 
 

@@ -257,6 +257,8 @@ def _parse_range(text, log=False, angles=False):
         raise ValueError(f"range must look like start:stop:count, got {text!r}")
     start = parse_angle(parts[0]) if angles else float(parts[0])
     stop = parse_angle(parts[1]) if angles else float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"range endpoints must be finite, got {text!r}")
     count = int(parts[2])
     if count < 2:
         raise ValueError(f"range needs at least 2 points, got {count}")
@@ -376,26 +378,22 @@ def cmd_hom(args):
         raise ValueError("gridded amplitudes need an explicit --tau-max")
     delays = np.linspace(-tau_max, tau_max, args.tau_points)
     reflectivity = args.reflectivity
-    transmissivity = 1.0 - reflectivity
     curve = hom_dip(run.jsa, run.herald_filter, run.herald_filter, delays,
-                    reflectivity=reflectivity, transmissivity=transmissivity,
-                    spec=run.spec)
+                    reflectivity=reflectivity, spec=run.spec)
 
     closed = None
     if (isinstance(run.jsa, DoubleGaussianJsa)
             and isinstance(run.herald_filter, GaussianFilter)):
         purity = closed_form_purity(run.jsa, run.herald_filter)
         closed = hom_dip_analytic(run.jsa, purity, delays,
-                                  reflectivity=reflectivity,
-                                  transmissivity=transmissivity)
+                                  reflectivity=reflectivity)
 
-    baseline = 1.0 - 2.0 * reflectivity * transmissivity
     pairs = [
         ("reflectivity", _fmt(reflectivity)),
-        ("transmissivity", _fmt(transmissivity)),
-        ("baseline", _fmt(baseline)),
+        ("transmissivity", _fmt(1.0 - reflectivity)),
+        ("baseline", _fmt(curve.baseline)),
         ("dip_minimum", _fmt(curve.coincidences.min())),
-        ("visibility", _fmt(curve.visibility(reflectivity, transmissivity))),
+        ("visibility", _fmt(curve.visibility())),
     ]
     header = ["delay_ps", "coincidence"]
     columns = [curve.delays, curve.coincidences]

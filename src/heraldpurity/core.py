@@ -197,13 +197,11 @@ def _purity_success(state, weights, squared=None, overwrite=False):
         return numerator / success**2, success
 
 
-def _splitter_product(reflectivity, transmissivity):
-    """``R*T`` of a beam splitter; R and T must lie in [0, 1] and sum to one."""
-    if not (0.0 <= reflectivity <= 1.0 and 0.0 <= transmissivity <= 1.0):
-        raise ValueError("reflectivity and transmissivity must lie in [0, 1]")
-    if abs(reflectivity + transmissivity - 1.0) > 1e-9:
-        raise ValueError("reflectivity and transmissivity must sum to one")
-    return reflectivity * transmissivity
+def _splitter_product(reflectivity):
+    """``R*T`` of a lossless beam splitter, ``T = 1 - R``; R must lie in [0, 1]."""
+    if not 0.0 <= reflectivity <= 1.0:
+        raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
+    return reflectivity * (1.0 - reflectivity)
 
 
 def _delay_array(delays):
@@ -226,8 +224,8 @@ def _check_delay_step(delays, step):
         )
 
 
-def _coincidences(x, wx, state_x, state_y, delays, rt_product):
-    """Coincidences at each delay from two arms' unnormalized heralded states.
+def _arm_overlaps(x, wx, state_x, state_y, delays):
+    """Normalized two-arm overlap at each delay from unnormalized heralded states.
 
     The states ``M(w, w~)`` sit on signal nodes ``x`` with weights ``wx``; all
     delays come from one product with the phase matrix ``wx*exp(i*tau*x)``.
@@ -244,8 +242,14 @@ def _coincidences(x, wx, state_x, state_y, delays, rt_product):
     u *= wx
     terms = u @ cross
     terms *= np.conjugate(u, out=u)
-    overlap = terms.real.sum(axis=1) / (success_x * success_y)
-    return np.clip(1.0 - 2.0 * rt_product * (1.0 + overlap), 0.0, 1.0)
+    return terms.real.sum(axis=1) / (success_x * success_y)
+
+
+def _dip_curve(delays, overlap, reflectivity):
+    """``HomCurve`` of ``1 - 2*R*T*(1 + overlap)``, clipped to [0, 1]."""
+    rt = _splitter_product(reflectivity)
+    samples = np.clip(1.0 - 2.0 * rt * (1.0 + overlap), 0.0, 1.0)
+    return HomCurve(delays, samples, reflectivity)
 
 
 def parse_angle(value):
@@ -710,34 +714,44 @@ class HomCurve:
     Attributes:
         delays: Delay samples in ps.
         coincidences: Coincidence probability at each delay, within [0, 1].
+        reflectivity: Intensity reflectivity R of the lossless beam splitter
+            the curve was computed for; its transmissivity is ``1 - R``.
     """
 
     delays: np.ndarray
     coincidences: np.ndarray
+    reflectivity: float = 0.5
 
     def __post_init__(self):
         delays = np.array(self.delays, dtype=float, copy=True)
         coincidences = np.array(self.coincidences, dtype=float, copy=True)
         if delays.ndim != 1 or coincidences.shape != delays.shape:
             raise ValueError("delays and coincidences must be matching 1-D arrays")
+        if delays.size == 0 or not np.isfinite([delays, coincidences]).all():
+            raise ValueError("delays and coincidences must be non-empty and finite")
+        _splitter_product(self.reflectivity)
         delays.setflags(write=False)
         coincidences.setflags(write=False)
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "coincidences", coincidences)
 
-    def visibility(self, reflectivity=0.5, transmissivity=0.5):
+    @property
+    def baseline(self):
+        """Distinguishable-photon coincidence level ``1 - 2*R*T``."""
+        return 1.0 - 2.0 * _splitter_product(self.reflectivity)
+
+    def visibility(self):
         """Interference visibility against the distinguishable baseline.
 
-        The baseline is ``1 - 2*R*T`` and the visibility is
-        ``(baseline - minimum) / (baseline + minimum)``.
+        The visibility is ``(baseline - minimum) / (baseline + minimum)``.
         """
-        base = 1.0 - 2.0 * _splitter_product(reflectivity, transmissivity)
+        base = self.baseline
         dip = float(self.coincidences.min())
         if base + dip <= 0.0:
             raise NumericalError("degenerate curve: baseline plus minimum is zero")
         return (base - dip) / (base + dip)
 
-    def half_depth_width(self, reflectivity=0.5, transmissivity=0.5):
+    def half_depth_width(self):
         """Full width of the dip at half its depth, by linear interpolation.
 
         Requires strictly increasing delays that bracket the dip.
@@ -748,32 +762,26 @@ class HomCurve:
         """
         if np.any(np.diff(self.delays) <= 0.0):
             raise ValueError("delays must be strictly increasing")
-        base = 1.0 - 2.0 * _splitter_product(reflectivity, transmissivity)
+        base = self.baseline
         values = self.coincidences
         i_min = int(np.argmin(values))
         depth = base - values[i_min]
         if depth <= 0.0:
             raise ValueError("curve has no dip below the baseline")
         level = base - 0.5 * depth
-
-        def crossing(side):
-            if side == "left":
-                idx = np.nonzero(values[: i_min + 1] > level)[0]
-                if idx.size == 0:
-                    raise ValueError("curve does not reach half depth left of the dip")
-                i = idx[-1]
-                x0, x1 = self.delays[i], self.delays[i + 1]
-                y0, y1 = values[i], values[i + 1]
-            else:
-                idx = np.nonzero(values[i_min:] > level)[0]
-                if idx.size == 0:
-                    raise ValueError("curve does not reach half depth right of the dip")
-                i = i_min + idx[0]
-                x0, x1 = self.delays[i - 1], self.delays[i]
-                y0, y1 = values[i - 1], values[i]
-            return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
-
-        return float(crossing("right") - crossing("left"))
+        edges = []
+        for step, side in ((-1, "left"), (1, "right")):
+            # The first sample above half depth out from the dip, and its
+            # inner neighbour, bracket the crossing.
+            above = np.flatnonzero(values[i_min::step] > level)
+            if above.size == 0:
+                raise ValueError(
+                    f"curve does not reach half depth {side} of the dip")
+            outer = i_min + step * int(above[0])
+            lo = min(outer, outer - step)
+            (x0, x1), (y0, y1) = self.delays[lo:lo + 2], values[lo:lo + 2]
+            edges.append(x0 + (level - y0) * (x1 - x0) / (y1 - y0))
+        return float(edges[1] - edges[0])
 
 
 @dataclass(frozen=True)

@@ -62,16 +62,16 @@ from .core import (
     GaussianFilter,
     GriddedJsa,
     HeraldingReport,
-    HomCurve,
     NumericalError,
     TabulatedFilter,
     _GRAM_BLOCK,
     _UNDERFLOW_FLOOR,
+    _arm_overlaps,
     _band_pairs,
     _check_delay_step,
     _clip_unit,
-    _coincidences,
     _delay_array,
+    _dip_curve,
     _filtered_idler,
     _gram,
     _purity_success,
@@ -560,9 +560,9 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None,
     return _clip_unit(purity), _clip_unit(success)
 
 
-def _hom_samples(jsa, herald_x, herald_y, delays, rt_product, spec, refine):
-    """Coincidence samples for one node-count refinement level."""
-    out = np.full(delays.shape, 1.0 - 2.0 * rt_product)
+def _hom_overlaps(jsa, herald_x, herald_y, delays, spec, refine):
+    """Two-arm overlaps for one node-count refinement level."""
+    out = np.zeros(delays.shape)
     resolved = np.ones(delays.shape, dtype=bool)
     if isinstance(jsa, DoubleGaussianJsa):
         w_sig, _ = jsa.conditional_widths()
@@ -572,21 +572,20 @@ def _hom_samples(jsa, herald_x, herald_y, delays, rt_product, spec, refine):
     x, wx, states = _heralded_states(
         jsa, (herald_x, herald_y), None, spec, refine,
         max_delay=float(np.abs(delays[resolved]).max()))
-    out[resolved] = _coincidences(x, wx, *states, delays[resolved],
-                                  rt_product)
+    out[resolved] = _arm_overlaps(x, wx, *states, delays[resolved])
     return out
 
 
-def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5,
-            transmissivity=0.5, spec=None, check=False):
+def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5, spec=None,
+            check=False):
     """Coincidence dip of heralded photons from two identical sources.
 
     Each source is heralded through its own idler filter; the heralded
-    photons meet on a beam splitter with the given intensity reflectivity
-    and transmissivity, and one photon is delayed.  Far from zero delay the
-    coincidence probability is the distinguishable baseline ``1 - 2*R*T``;
-    at zero delay with equal filters it reaches
-    ``1 - 2*R*T*(1 + purity)``.
+    photons meet on a lossless beam splitter with the given intensity
+    reflectivity R (transmissivity ``T = 1 - R``), and one photon is
+    delayed.  Far from zero delay the coincidence probability is the
+    distinguishable baseline ``1 - 2*R*T``; at zero delay with equal filters
+    it reaches ``1 - 2*R*T*(1 + purity)``.
 
     For parametric amplitudes, delays beyond the point where the
     interference envelope has decayed below ``exp(-49)`` are returned at
@@ -600,22 +599,21 @@ def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5,
         herald_x: Herald filter of the first source.
         herald_y: Herald filter of the second source.
         delays: Relative delays in ps.
-        reflectivity: Beam splitter intensity reflectivity.
-        transmissivity: Beam splitter intensity transmissivity; must sum to
-            one with ``reflectivity``.
+        reflectivity: Beam splitter intensity reflectivity, in [0, 1].
         spec: Optional ``QuadratureSpec``.
-        check: Doubled-node convergence check on the whole curve.
+        check: Doubled-node convergence check on the two-arm overlap at
+            every delay, which is the purity at zero delay for equal filters.
 
     Returns:
-        ``HomCurve`` sampled at the given delays.
+        ``HomCurve`` sampled at the given delays, carrying ``reflectivity``.
     """
     if herald_x is None or herald_y is None:
         raise ValueError("hom_dip requires a herald filter for each source")
-    rt = _splitter_product(reflectivity, transmissivity)
+    _splitter_product(reflectivity)  # checked before any integration
     delays = _delay_array(delays)
-    samples, = _refined(jsa, check, "dip samples", lambda refine: (
-        _hom_samples(jsa, herald_x, herald_y, delays, rt, spec, refine),))
-    return HomCurve(delays, samples)
+    overlap, = _refined(jsa, check, "dip overlaps", lambda refine: (
+        _hom_overlaps(jsa, herald_x, herald_y, delays, spec, refine),))
+    return _dip_curve(delays, overlap, reflectivity)
 
 
 def heralding_report(jsa, herald_filter=None, spec=None):

@@ -24,15 +24,14 @@ import numpy as np
 
 from .core import (
     GriddedJsa,
-    HomCurve,
     NumericalError,
     _UNDERFLOW_FLOOR,
+    _arm_overlaps,
     _check_delay_step,
     _clip_unit,
-    _coincidences,
     _delay_array,
+    _dip_curve,
     _flush_underflow,
-    _gram,
     _purity_success,
     _require_success,
     _splitter_product,
@@ -359,8 +358,8 @@ def decompose(gridded, rel_threshold=1e-12):
     head = min(12, keep)
     for modes, step in ((signal, gridded.signal_step),
                         (idler, gridded.idler_step)):
-        lead = modes[:head].copy()
-        gram = _gram([(0, 0, lead)], lead.shape) * step
+        lead = modes[:head]
+        gram = (lead @ lead.conj().T) * step
         if np.abs(gram - np.eye(head)).max() > 1e-8:
             raise NumericalError("decomposed modes lost discrete orthonormality")
 
@@ -451,7 +450,7 @@ def two_filter_schmidt(decomposition, herald_overlap, heralded_overlap):
 
 
 def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
-                    reflectivity=0.5, transmissivity=0.5):
+                    reflectivity=0.5):
     """Coincidence dip of two identical sources, from mode overlaps.
 
     Each arm's herald overlap ``Q``, weighted by the mode amplitudes, maps
@@ -466,11 +465,10 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
         herald_x: ``OverlapMatrix`` (idler side) of the first source.
         herald_y: ``OverlapMatrix`` (idler side) of the second source.
         delays: Relative delays in ps.
-        reflectivity: Beam splitter intensity reflectivity.
-        transmissivity: Beam splitter intensity transmissivity.
+        reflectivity: Beam splitter intensity reflectivity, in [0, 1].
 
     Returns:
-        ``HomCurve`` sampled at the given delays.
+        ``HomCurve`` sampled at the given delays, carrying ``reflectivity``.
 
     Raises:
         ConvergenceError: If a delay is too large for the grid spacing to
@@ -479,7 +477,7 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
     for overlap in (herald_x, herald_y):
         if overlap.side != "idler":
             raise ValueError("herald overlaps must be built on the idler modes")
-    rt = _splitter_product(reflectivity, transmissivity)
+    _splitter_product(reflectivity)  # checked before any integration
     delays = _delay_array(delays)
     _check_delay_step(delays, decomposition.signal_step)
     sqp = np.sqrt(decomposition.coefficients)
@@ -488,7 +486,8 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
               for overlap in (herald_x, herald_y)]
     grid = decomposition.signal_grid
     weights = np.full(grid.size, decomposition.signal_step)
-    return HomCurve(delays, _coincidences(grid, weights, *states, delays, rt))
+    return _dip_curve(delays, _arm_overlaps(grid, weights, *states, delays),
+                      reflectivity)
 
 
 def mode_projection_herald(decomposition, index):

@@ -181,9 +181,9 @@ def test_visibility_formula():
     delays = np.linspace(-8.0, 8.0, 801)
     curve = hp.hom_dip_analytic(hp.DoubleGaussianJsa(
         1.0, 5.0, math.pi / 4, -math.pi / 4), purity, delays,
-        reflectivity=0.6, transmissivity=0.4)
-    assert curve.visibility(0.6, 0.4) == pytest.approx(
-        hp.visibility(purity, 0.6, 0.4), rel=1e-6)
+        reflectivity=0.6)
+    assert curve.visibility() == pytest.approx(
+        hp.visibility(purity, 0.6), rel=1e-6)
 
 
 def test_closed_form_report(jsa_ktp):

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -198,6 +199,24 @@ def test_sweep_rejects_bad_range():
                            "--no-timestamp")
     assert code == 2
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("kind, flag, text", [
+    ("aspect", "--ratios", "1:inf:5"),
+    ("aspect", "--widths", "0.1:inf:3"),
+    ("aspect", "--ratios", "nan:2:3"),
+    ("orientation", "--thetas", "0:-inf:3"),
+])
+def test_sweep_rejects_non_finite_range(kind, flag, text):
+    # an infinite end used to print numpy's RuntimeWarning before an error
+    # about a NaN width or ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("sweep", kind, flag, text, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["message"]
+    assert "finite" in message and text in message
 
 
 def test_sweep_tradeoff_two_filters(k26_config):

@@ -431,3 +431,28 @@ def test_hom_curve_rejects_flat_or_unsorted():
         hp.HomCurve(delays[::-1], np.full(11, 0.4)).half_depth_width()
     with pytest.raises(ValueError):
         hp.HomCurve(delays, np.zeros(5))
+
+
+@pytest.mark.parametrize("delays, coincidences", [
+    ([], []),
+    ([0.0, 1.0], [math.nan, 0.4]),
+    ([0.0, math.inf], [0.3, 0.4]),
+])
+def test_hom_curve_rejects_empty_or_non_finite(delays, coincidences):
+    # an empty curve used to fail later in numpy, and a NaN sample gave a
+    # NaN visibility
+    with pytest.raises(ValueError, match="non-empty and finite"):
+        hp.HomCurve(delays, coincidences)
+
+
+def test_hom_curve_keeps_its_splitter():
+    delays = np.linspace(-6, 6, 2001)
+    shape = np.exp(-(delays**2) / 2.0)
+    balanced = hp.HomCurve(delays, 0.5 - 0.4 * shape)
+    assert balanced.reflectivity == 0.5 and balanced.baseline == 0.5
+    # R = 0.9 gives the baseline 1 - 2*0.09 = 0.82 and the same depth
+    curve = hp.HomCurve(delays, 0.82 - 0.4 * shape, reflectivity=0.9)
+    assert curve.baseline == pytest.approx(0.82, rel=1e-15)
+    assert curve.visibility() == pytest.approx(0.4 / 1.24, rel=1e-12)
+    assert curve.half_depth_width() == pytest.approx(
+        balanced.half_depth_width(), rel=1e-12)

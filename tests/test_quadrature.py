@@ -137,8 +137,10 @@ def test_hom_limits_and_symmetry(jsa_k26):
 def test_hom_mirror_reflectivity(jsa_k26):
     filt = hp.GaussianFilter(0.0, 1.0)
     curve = hp.hom_dip(jsa_k26, filt, filt, np.linspace(-2, 2, 5),
-                       reflectivity=1.0, transmissivity=0.0)
+                       reflectivity=1.0)
     np.testing.assert_allclose(curve.coincidences, 1.0, atol=1e-12)
+    assert curve.baseline == 1.0
+    assert curve.visibility() == 0.0
 
 
 def test_hom_distinct_arm_filters(jsa_k26):
@@ -170,24 +172,48 @@ def test_hom_validates_splitter(jsa_k26, k26_modes):
     overlap = hp.overlap_matrix(k26_modes, filt)
     curve = hp.hom_dip(jsa_k26, filt, filt, np.array([-1.0, 0.0, 1.0]))
     entry_points = [
-        lambda r, t, d: hp.hom_dip(jsa_k26, filt, filt, d,
-                                   reflectivity=r, transmissivity=t),
-        lambda r, t, d: hp.hom_dip_schmidt(k26_modes, overlap, overlap, d,
-                                           reflectivity=r, transmissivity=t),
-        lambda r, t, d: hp.hom_dip_analytic(jsa_k26, 0.8, d,
-                                            reflectivity=r, transmissivity=t),
-        lambda r, t, d: hp.visibility(0.5, r, t),
-        lambda r, t, d: curve.visibility(r, t),
-        lambda r, t, d: curve.half_depth_width(r, t),
+        lambda r, d: hp.hom_dip(jsa_k26, filt, filt, d, reflectivity=r),
+        lambda r, d: hp.hom_dip_schmidt(k26_modes, overlap, overlap, d,
+                                        reflectivity=r),
+        lambda r, d: hp.hom_dip_analytic(jsa_k26, 0.8, d, reflectivity=r),
+        lambda r, d: hp.visibility(0.5, r),
+        lambda r, d: hp.HomCurve(curve.delays, curve.coincidences, r),
     ]
     for call in entry_points:
-        for refl, trans in [(0.7, 0.5), (-0.1, 1.1), (1.2, -0.2),
-                            (1.5, -0.5)]:
+        for refl in [-0.1, 1.2, 1.5, math.nan]:
             with pytest.raises(ValueError, match="reflectivity"):
-                call(refl, trans, np.array([0.0]))
+                call(refl, np.array([0.0]))
     for call in entry_points[:3]:
         with pytest.raises(ValueError, match="non-empty 1-D"):
-            call(0.5, 0.5, np.array([]))
+            call(0.5, np.array([]))
+
+
+@pytest.mark.parametrize("reflectivity", [0.3, 0.7])
+@pytest.mark.parametrize("route", ["quadrature", "schmidt", "analytic"])
+def test_unbalanced_dip_summaries(jsa_k26, k26_modes, route, reflectivity):
+    # each curve keeps its splitter, so its summaries need no arguments:
+    # the visibility follows the splitter and the width does not
+    filt = hp.GaussianFilter(0.0, 1.0)
+    overlap = hp.overlap_matrix(k26_modes, filt)
+    delays = np.linspace(-2.5, 2.5, 101)
+    purity = {"quadrature": hp.filtered_purity(jsa_k26, filt),
+              "schmidt": hp.schmidt_quantities(k26_modes, overlap)[0],
+              "analytic": hp.closed_form_purity(jsa_k26, filt)}[route]
+    dip = {
+        "quadrature": lambda r: hp.hom_dip(jsa_k26, filt, filt, delays,
+                                           reflectivity=r),
+        "schmidt": lambda r: hp.hom_dip_schmidt(k26_modes, overlap, overlap,
+                                                delays, reflectivity=r),
+        "analytic": lambda r: hp.hom_dip_analytic(jsa_k26, purity, delays,
+                                                  reflectivity=r),
+    }[route]
+    curve = dip(reflectivity)
+    assert curve.reflectivity == reflectivity
+    assert curve.baseline == 1.0 - 2.0 * reflectivity * (1.0 - reflectivity)
+    assert curve.visibility() == pytest.approx(
+        hp.visibility(purity, reflectivity), abs=1e-6)
+    assert curve.half_depth_width() == pytest.approx(
+        dip(0.5).half_depth_width(), rel=1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -6,7 +6,7 @@ Usage::
 
 Writes five source configs under ``OUTDIR`` (the demo source, the KTP
 source, the demo with a detuned filter, the demo without a filter, and a
-128-point gridded copy of the demo as CSV), then runs a fixed list of 74
+128-point gridded copy of the demo as CSV), then runs a fixed list of 78
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -127,6 +127,14 @@ def invocations():
         ["report", "--config", "ktp.json", "--filter-width", "20"],
         ["report", "--config", "ktp.json", "--filter-width", "20",
          "--format", "json"],
+        # unbalanced splitters, parametric and gridded
+        ["hom", "--config", "demo.json", "--reflectivity", "0.7",
+         "--tau-max", "2.0", "--tau-points", "5"],
+        ["hom", *c, "--reflectivity", "0.3", "--tau-max", "1.0",
+         "--tau-points", "9"],
+        # a non-finite range endpoint: exit 2
+        ["sweep", "aspect", "--ratios", "1:inf:5"],
+        ["sweep", "aspect", "--widths", "0.1:inf:3"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
