@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple
 from functools import partial
 
 import numpy as np
@@ -56,25 +56,15 @@ from .sweep import (
     tradeoff_curve,
 )
 
-__all__ = ["RunConfig", "main", "load_jsa_csv"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation computes from.
-
-    Attributes:
-        jsa: The source amplitude (parametric or gridded).
-        herald_filter: Optional filter on the idler arm.
-        spec: Quadrature controls after flag overrides.
-    """
-
-    jsa: object
-    herald_filter: object
-    spec: QuadratureSpec
+__all__ = ["main", "load_jsa_csv"]
 
 
 def _fmt(value):
+    """One output field: a number to 12 digits, ``None`` empty, text as is."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
     return format(float(value), ".12g")
 
 
@@ -120,6 +110,11 @@ def load_jsa_csv(path):
 
 
 def _build_run_config(args):
+    """``(jsa, herald_filter, spec)`` from the config file and flags.
+
+    ``herald_filter`` is ``None`` without one; ``spec`` is the
+    ``QuadratureSpec`` after the ``--nodes`` and ``--extent`` overrides.
+    """
     config = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -151,8 +146,7 @@ def _build_run_config(args):
         spec_kwargs["n_nodes"] = args.nodes
     if getattr(args, "extent", None) is not None:
         spec_kwargs["half_extent"] = args.extent
-    return RunConfig(jsa=jsa, herald_filter=herald,
-                     spec=QuadratureSpec(**spec_kwargs))
+    return jsa, herald, QuadratureSpec(**spec_kwargs)
 
 
 @contextmanager
@@ -174,6 +168,11 @@ def _meta_dict(args, pairs):
 
 def _meta_lines(args, pairs):
     return [f"# {key} = {value}" for key, value in _meta_dict(args, pairs).items()]
+
+
+def _write_json(handle, payload):
+    json.dump(payload, handle, indent=2)
+    handle.write("\n")
 
 
 def _write_csv(handle, meta_lines, header, rows):
@@ -270,15 +269,14 @@ def _parse_range(text, log=False, angles=False):
 
 
 def cmd_report(args):
-    run = _build_run_config(args)
-    numeric = heralding_report(run.jsa, run.herald_filter, spec=run.spec)
+    jsa, herald, spec = _build_run_config(args)
+    numeric = heralding_report(jsa, herald, spec=spec)
     closed = None
-    if isinstance(run.jsa, DoubleGaussianJsa) and (
-            run.herald_filter is None
-            or isinstance(run.herald_filter, GaussianFilter)):
-        closed = closed_form_report(run.jsa, run.herald_filter)
+    if isinstance(jsa, DoubleGaussianJsa) and (
+            herald is None or isinstance(herald, GaussianFilter)):
+        closed = closed_form_report(jsa, herald)
 
-    if run.herald_filter is None:
+    if herald is None:
         names = ["purity_unfiltered", "schmidt_number", "g2"]
     else:
         names = ["success", "purity_filtered", "purity_unfiltered",
@@ -293,7 +291,7 @@ def cmd_report(args):
 
     with _open_output(args) as handle:
         if args.format == "json":
-            payload = {
+            _write_json(handle, {
                 "meta": _meta_dict(args, []),
                 "quantities": {
                     name: {
@@ -303,17 +301,11 @@ def cmd_report(args):
                     }
                     for name, reference, value, difference in rows
                 },
-            }
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+            })
         else:
-            for line in _meta_lines(args, []):
-                handle.write(line + "\n")
-            handle.write("quantity,analytic,quadrature,difference\n")
-            for name, reference, value, difference in rows:
-                left = _fmt(reference) if reference is not None else ""
-                diff = _fmt(difference) if difference is not None else ""
-                handle.write(f"{name},{left},{_fmt(value)},{diff}\n")
+            _write_csv(handle, _meta_lines(args, []),
+                       ["quantity", "analytic", "quadrature", "difference"],
+                       rows)
     return 0
 
 
@@ -335,33 +327,32 @@ def cmd_sweep(args):
                                    ratio=args.ratio)
         to_dict, to_rows = grid_to_dict, grid_to_rows
     else:
-        run = _build_run_config(args)
-        if not isinstance(run.jsa, DoubleGaussianJsa):
+        jsa, _, _ = _build_run_config(args)
+        if not isinstance(jsa, DoubleGaussianJsa):
             raise ValueError("tradeoff sweeps need a parametric jsa config")
         pairs += [
-            ("sigma1", _fmt(run.jsa.sigma1)),
-            ("sigma2", _fmt(run.jsa.sigma2)),
-            ("theta1", _fmt(run.jsa.theta1)),
-            ("theta2", _fmt(run.jsa.theta2)),
+            ("sigma1", _fmt(jsa.sigma1)),
+            ("sigma2", _fmt(jsa.sigma2)),
+            ("theta1", _fmt(jsa.theta1)),
+            ("theta2", _fmt(jsa.theta2)),
             ("two_filters", str(bool(args.two_filters)).lower()),
         ]
-        result = tradeoff_curve(run.jsa, filter_widths=widths,
+        result = tradeoff_curve(jsa, filter_widths=widths,
                                 two_filter=args.two_filters)
         to_dict, to_rows = tradeoff_to_dict, tradeoff_to_rows
 
     with _open_output(args) as handle:
         if args.format == "json":
-            json.dump({"meta": _meta_dict(args, pairs),
-                       "data": to_dict(result)}, handle, indent=2)
-            handle.write("\n")
+            _write_json(handle, {"meta": _meta_dict(args, pairs),
+                                 "data": to_dict(result)})
         else:
             _write_csv(handle, _meta_lines(args, pairs), *to_rows(result))
     return 0
 
 
 def cmd_hom(args):
-    run = _build_run_config(args)
-    if run.herald_filter is None:
+    jsa, herald, spec = _build_run_config(args)
+    if herald is None:
         raise ValueError("hom needs a herald filter (config or --filter-width)")
     if args.tau_points < 3 or args.tau_points % 2 == 0:
         raise ValueError(f"--tau-points must be odd and at least 3 to sample "
@@ -371,21 +362,21 @@ def cmd_hom(args):
         if not math.isfinite(args.tau_max):
             raise ValueError(f"--tau-max must be finite, got {args.tau_max}")
         tau_max = args.tau_max
-    elif isinstance(run.jsa, DoubleGaussianJsa):
-        a, _, _ = run.jsa.intensity_coefficients()
+    elif isinstance(jsa, DoubleGaussianJsa):
+        a, _, _ = jsa.intensity_coefficients()
         tau_max = 4.0 * math.sqrt(2.0 * a)
     else:
         raise ValueError("gridded amplitudes need an explicit --tau-max")
     delays = np.linspace(-tau_max, tau_max, args.tau_points)
     reflectivity = args.reflectivity
-    curve = hom_dip(run.jsa, run.herald_filter, run.herald_filter, delays,
-                    reflectivity=reflectivity, spec=run.spec)
+    curve = hom_dip(jsa, herald, herald, delays, reflectivity=reflectivity,
+                    spec=spec)
 
     closed = None
-    if (isinstance(run.jsa, DoubleGaussianJsa)
-            and isinstance(run.herald_filter, GaussianFilter)):
-        purity = closed_form_purity(run.jsa, run.herald_filter)
-        closed = hom_dip_analytic(run.jsa, purity, delays,
+    if (isinstance(jsa, DoubleGaussianJsa)
+            and isinstance(herald, GaussianFilter)):
+        purity = closed_form_purity(jsa, herald)
+        closed = hom_dip_analytic(jsa, purity, delays,
                                   reflectivity=reflectivity)
 
     pairs = [
@@ -407,17 +398,17 @@ def cmd_hom(args):
 
 
 def cmd_schmidt(args):
-    run = _build_run_config(args)
-    if isinstance(run.jsa, DoubleGaussianJsa):
-        extent, points = recommended_grid(run.jsa)
+    jsa, _, _ = _build_run_config(args)
+    if isinstance(jsa, DoubleGaussianJsa):
+        extent, points = recommended_grid(jsa)
         if args.extent is not None:
             extent = args.extent
         if args.grid_n is not None:
             points = args.grid_n
-        gridded = discretize(run.jsa, half_extent=extent, n_points=points)
-        k_reference = schmidt_number(run.jsa)
+        gridded = discretize(jsa, half_extent=extent, n_points=points)
+        k_reference = schmidt_number(jsa)
     else:
-        gridded = run.jsa
+        gridded = jsa
         k_reference = None
     modes = decompose(gridded)
     if k_reference is None:
@@ -447,15 +438,15 @@ def cmd_schmidt(args):
 
 
 def cmd_solve_filter(args):
-    run = _build_run_config(args)
+    jsa, herald, _ = _build_run_config(args)
     center = 0.0
-    if run.herald_filter is not None:
-        if not isinstance(run.herald_filter, GaussianFilter):
+    if herald is not None:
+        if not isinstance(herald, GaussianFilter):
             raise ValueError("solve-filter sizes a Gaussian herald filter; "
                              "the config filter is tabulated")
-        center = run.herald_filter.center
+        center = herald.center
     solution = solve_filter_for_target(
-        run.jsa,
+        jsa,
         target_purity=args.target_purity,
         target_visibility=args.target_visibility,
         center=center,
@@ -468,14 +459,12 @@ def cmd_solve_filter(args):
         ("method", solution.method),
         ("iterations", str(solution.iterations)),
     ]
-    if isinstance(run.jsa, DoubleGaussianJsa):
+    if isinstance(jsa, DoubleGaussianJsa):
         pairs.insert(1, ("sigma_f_over_sigma1",
-                         _fmt(solution.sigma_f / run.jsa.sigma1)))
+                         _fmt(solution.sigma_f / jsa.sigma1)))
     with _open_output(args) as handle:
         if args.format == "json":
-            payload = _meta_dict(args, pairs)
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+            _write_json(handle, _meta_dict(args, pairs))
         else:
             for key, value in pairs:
                 handle.write(f"{key},{value}\n")

@@ -62,17 +62,17 @@ _SUCCESS_FLOOR = 1e-12
 
 
 def _clip_unit(value, slack=1e-6):
-    if value < -slack or value > 1.0 + slack:
+    if not -slack <= value <= 1.0 + slack:
         raise NumericalError(f"result {value} lies outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
 
 def _require_success(success, what="heralding probability"):
-    """Return ``success``; raise, naming it ``what``, below the floor."""
-    if success < _SUCCESS_FLOOR:
+    """Return ``success``; raise, naming it ``what``, below the floor or NaN."""
+    if not success >= _SUCCESS_FLOOR:
         raise NumericalError(
-            f"{what} {success:.3e} is below {_SUCCESS_FLOOR}; the filtered "
-            "state is numerically empty"
+            f"{what} {success:.3e} is not at least {_SUCCESS_FLOOR}; the "
+            "filtered state is numerically empty or undefined"
         )
     return success
 
@@ -86,14 +86,15 @@ _UNDERFLOW_FLOOR = math.sqrt(np.finfo(float).tiny)
 _GRAM_BLOCK = 128
 
 
-def _flush_underflow(b, floor=_UNDERFLOW_FLOOR):
-    """Zero, in place, the entries of ``b`` with modulus below ``floor``.
+def _flush_underflow(b):
+    """Zero, in place, the entries of ``b`` with modulus below the floor.
 
-    At the default floor a zeroed sample moves any product sum by less than
-    ``_UNDERFLOW_FLOOR`` times the largest sample, which is below 1e-150
-    for normalized data.  Returns ``b``.
+    The floor is ``_UNDERFLOW_FLOOR``, the one sample floor of the package.
+    A zeroed sample moves any product sum by less than that floor times the
+    largest sample, which is below 1e-150 for normalized data.  Returns
+    ``b``.
     """
-    np.copyto(b, 0.0, where=np.abs(b) < floor)
+    np.copyto(b, 0.0, where=np.abs(b) < _UNDERFLOW_FLOOR)
     return b
 
 
@@ -471,7 +472,7 @@ class GaussianFilter:
         return np.exp(-0.5 * z * z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedFilter:
     """Measured intensity transmission on a frequency grid.
 
@@ -517,7 +518,7 @@ def filter_transmission(filt, omega):
     return filt.transmission(omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GriddedJsa:
     """Joint spectral amplitude sampled on a uniform rectangular grid.
 
@@ -707,7 +708,7 @@ def recommended_grid(jsa, herald_filter=None):
     return half_extent, n_points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomCurve:
     """Two-photon coincidence probability versus relative delay.
 

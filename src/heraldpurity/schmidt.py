@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     GriddedJsa,
     NumericalError,
-    _UNDERFLOW_FLOOR,
     _arm_overlaps,
     _check_delay_step,
     _clip_unit,
@@ -69,18 +68,10 @@ _SKETCH_START = 32
 _OVERSAMPLE = 10
 _ACCURACY_FLOOR = 1e-3
 
-# Samples below the smallest normal double are zeroed before factoring, so
-# no subnormal number enters the SVD.  The quadrature states' higher floor,
-# sqrt(tiny), would make the SVD about a fifth faster again; it flipped the
-# sign of rounding-noise samples (|u| < 1e-15) in the signal modes' tails
-# on the KTP source, which are now zeroed after the SVD, and it is left for
-# a change measured on its own.
-_SAMPLE_FLOOR = np.finfo(float).tiny
-
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Mode decomposition of a gridded joint spectral amplitude.
 
@@ -146,7 +137,7 @@ class SchmidtDecomposition:
         return (self.signal_modes[:m].T * sqp) @ self.idler_modes[:m]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapMatrix:
     """Filter overlaps on one Schmidt mode family.
 
@@ -169,6 +160,8 @@ class OverlapMatrix:
             raise ValueError("overlap matrix must be square")
         if self.side not in ("idler", "signal"):
             raise ValueError(f"side must be 'idler' or 'signal', got {self.side!r}")
+        if not np.isfinite(m).all():
+            raise ValueError("overlap matrix entries must be finite")
         if np.abs(m - m.conj().T).max() > 1e-12:
             raise ValueError("overlap matrix must be Hermitian within 1e-12")
         diag = np.real(np.diagonal(m))
@@ -178,7 +171,7 @@ class OverlapMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeProjection:
     """Heralding on one Schmidt mode of the idler.
 
@@ -287,16 +280,16 @@ def decompose(gridded, rel_threshold=1e-12):
     When that rank would reach half the smaller grid dimension, or when
     ``rel_threshold`` is not positive, the full SVD runs instead.  Results
     are deterministic: repeated calls return bit-identical arrays, and the
-    global numpy random state is neither read nor changed.  Samples below
-    the smallest normal double are set to zero before factoring, by the
-    same ``core._flush_underflow`` that floors the quadrature states; this
-    changes the amplitude by less than 2.3e-308 and keeps subnormal
-    arithmetic, which slows the SVD, out of the linear algebra.  Signal
-    rows and idler columns whose every scaled sample lies below
-    ``core._UNDERFLOW_FLOOR`` hold only SVD rounding noise in the modes,
-    and those mode samples are set to exact zero.  One DEBUG
-    record per call on the ``heraldpurity.schmidt`` logger reports the grid
-    shape, sketch ranks, fallback, modes kept and residual weight.
+    global numpy random state is neither read nor changed.  Scaled samples
+    below ``core._UNDERFLOW_FLOOR`` (``sqrt(tiny)``, about 1.5e-154) are
+    set to zero before factoring, by the same ``core._flush_underflow``
+    that floors the quadrature states and the gridded solve; this keeps
+    subnormal arithmetic, which slows the SVD, out of the linear algebra.
+    On the signal rows and idler columns the flush leaves empty, the modes
+    hold only SVD rounding noise, and those mode samples are set to exact
+    zero.  One DEBUG record per call on the ``heraldpurity.schmidt`` logger
+    reports the grid shape, sketch ranks, fallback, modes kept and residual
+    weight.
 
     Args:
         gridded: ``GriddedJsa`` with ``norm()`` equal to one within 1e-6.
@@ -316,10 +309,8 @@ def decompose(gridded, rel_threshold=1e-12):
             f"amplitude norm is {gridded.norm():.6f}; normalize() it first"
         )
     scaled = gridded.amplitudes * math.sqrt(gridded.cell_area)
-    _flush_underflow(scaled, _SAMPLE_FLOOR)
-    below = np.abs(scaled) < _UNDERFLOW_FLOOR
-    dead_rows, dead_cols = below.all(axis=1), below.all(axis=0)
-    del below
+    _flush_underflow(scaled)
+    dead_rows, dead_cols = ~scaled.any(axis=1), ~scaled.any(axis=0)
     try:
         u, s, vh, ranks, residual = _truncated_svd(scaled, rel_threshold)
     except np.linalg.LinAlgError as exc:
@@ -350,8 +341,8 @@ def decompose(gridded, rel_threshold=1e-12):
     phases = peaks / np.abs(peaks)
     signal = signal * phases.conj()[:, None]
     idler = idler * phases[:, None]
-    # Where every sample lies below the underflow floor the true modes are
-    # below about 1e-140, and the SVD leaves only its rounding noise there.
+    # On rows and columns the flush emptied, the true modes are below about
+    # 1e-140, and the SVD leaves only its rounding noise there.
     signal[:, dead_rows] = 0.0
     idler[:, dead_cols] = 0.0
 

@@ -16,8 +16,9 @@ import numpy as np
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter,
                        visibility)
-from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _gram,
-                   _purity_success, _require_success, _squared_modulus)
+from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _clip_unit,
+                   _gram, _purity_success, _require_success,
+                   _squared_modulus)
 
 __all__ = [
     "TradeoffPoint",
@@ -47,7 +48,7 @@ class TradeoffPoint:
     visibility: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
     """Purity and success surfaces over two swept parameters.
 
@@ -332,7 +333,8 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
         (purity,), (success,) = evaluate([width])
     else:
         raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
-    _require_success(float(success))
+    success = _clip_unit(_require_success(float(success)))
+    purity = _clip_unit(float(purity))
 
     return FilterSolution(
         sigma_f=float(width),

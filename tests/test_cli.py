@@ -508,6 +508,21 @@ def test_jsa_csv_without_samples_exit_2(tmp_path):
     assert "no samples" in error["message"]
 
 
+def test_solve_filter_on_separable_gridded_config(tmp_path):
+    grid = hp.discretize(hp.DoubleGaussianJsa(1.0, 2.0, 0.0, math.pi / 2),
+                         6.0, 200)
+    path = tmp_path / "jsa.csv"
+    write_jsa_csv(path, grid)
+    config = tmp_path / "gridded.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": str(path)}}))
+    code, out, err = run_cli("solve-filter", "--config", str(config),
+                             "--target-purity", "0.5", "--no-timestamp")
+    assert (code, err) == (0, "")
+    pairs = dict(line.split(",", 1) for line in out.splitlines() if line)
+    assert pairs["method"] == "bracket_end"
+    assert pairs["purity"] == pairs["visibility"] == "1"
+
+
 def test_hom_gridded_requires_tau_max(tmp_path, jsa_k26):
     grid = hp.discretize(jsa_k26, half_extent=5.0, n_points=256)
     path = tmp_path / "jsa.csv"

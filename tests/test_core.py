@@ -9,8 +9,8 @@ from scipy.integrate import dblquad
 
 import heraldpurity as hp
 from conftest import SEED, draw_source
-from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _gram,
-                               _purity_success)
+from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _clip_unit,
+                               _gram, _purity_success, _require_success)
 
 
 def test_package_exports_every_public_name():
@@ -456,3 +456,28 @@ def test_hom_curve_keeps_its_splitter():
     assert curve.visibility() == pytest.approx(0.4 / 1.24, rel=1e-12)
     assert curve.half_depth_width() == pytest.approx(
         balanced.half_depth_width(), rel=1e-12)
+
+
+@pytest.mark.parametrize("check", [_clip_unit, _require_success])
+def test_figure_checks_reject_nan(check):
+    with pytest.raises(hp.NumericalError):
+        check(math.nan)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hp.HomCurve([0.0, 1.0], [0.2, 0.3]),
+    lambda: hp.TabulatedFilter([0.0, 1.0], [0.5, 0.5]),
+    lambda: hp.GriddedJsa([0.0, 1.0], [0.0, 1.0], np.ones((2, 2))),
+    lambda: hp.SchmidtDecomposition([1.0], [[1.0, 0.0]], [[1.0, 0.0]],
+                                    [0.0, 1.0], [0.0, 1.0]),
+    lambda: hp.OverlapMatrix(np.eye(2), "idler"),
+    lambda: hp.ModeProjection(0, 0.5, 1.0, np.array([1.0, 0.0])),
+    lambda: hp.SweepGrid("a", [1.0, 2.0], "b", [1.0, 2.0],
+                         np.zeros((2, 2)), np.zeros((2, 2))),
+], ids=["HomCurve", "TabulatedFilter", "GriddedJsa", "SchmidtDecomposition",
+        "OverlapMatrix", "ModeProjection", "SweepGrid"])
+def test_array_records_compare_and_hash_by_identity(make):
+    # field-wise equality would ask numpy arrays for a truth value
+    first, second = make(), make()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2

@@ -575,6 +575,25 @@ def test_convergence_check_flags_aliasing(jsa_k26, monkeypatch):
         hp.herald_success(jsa_k26, filt, spec=spec, check=True)
 
 
+def test_hom_dip_convergence_check(jsa_k26, jsa_ktp, k26_grid):
+    delays = np.linspace(-3.0, 3.0, 201)
+    for fx, fy in (((0.0, 0.6), (0.0, 0.6)), ((0.0, 0.4), (0.3, 1.1))):
+        fx, fy = hp.GaussianFilter(*fx), hp.GaussianFilter(*fy)
+        checked = hp.hom_dip(jsa_k26, fx, fy, delays, check=True)
+        plain = hp.hom_dip(jsa_k26, fx, fy, delays)
+        np.testing.assert_allclose(checked.coincidences, plain.coincidences,
+                                   rtol=0.0, atol=1e-12)
+    # the comb of test_convergence_check_flags_aliasing, on the KTP source
+    # at default settings, moves the overlaps by about 4e-4
+    grid = np.linspace(-8.0, 8.0, 161)
+    comb = hp.TabulatedFilter(grid, (np.arange(161) % 2).astype(float))
+    with pytest.raises(hp.ConvergenceError, match="dip overlaps"):
+        hp.hom_dip(jsa_ktp, comb, comb, delays, check=True)
+    filt = hp.GaussianFilter(0.0, 1.0)
+    with pytest.raises(ValueError):
+        hp.hom_dip(k26_grid, filt, filt, delays, check=True)
+
+
 def test_convergence_check_rejects_gridded(k26_grid):
     with pytest.raises(ValueError):
         hp.filtered_purity(k26_grid, hp.GaussianFilter(0.0, 1.0), check=True)

@@ -10,17 +10,16 @@ import pytest
 import heraldpurity as hp
 import heraldpurity.schmidt as schmidt_module
 from conftest import chirped_copy, identity_filter
-from heraldpurity.core import _flush_underflow
+from heraldpurity.core import _UNDERFLOW_FLOOR, _flush_underflow
 
 
 def full_svd_weights(grid, rel_threshold=1e-12):
     """Retained weights of a full SVD of the samples ``decompose`` factors.
 
-    ``decompose`` flushes subnormal samples to zero before factoring, so the
-    reference does the same to see the identical matrix.
+    ``decompose`` flushes samples below the underflow floor to zero before
+    factoring, so the reference does the same to see the identical matrix.
     """
-    scaled = _flush_underflow(grid.amplitudes * math.sqrt(grid.cell_area),
-                              schmidt_module._SAMPLE_FLOOR)
+    scaled = _flush_underflow(grid.amplitudes * math.sqrt(grid.cell_area))
     p = np.linalg.svd(scaled, full_matrices=False)[1] ** 2
     return p[p >= rel_threshold * p[0]]
 
@@ -178,22 +177,38 @@ def test_modes_vanish_where_the_amplitude_underflows(jsa_k26, monkeypatch):
     grid = hp.GriddedJsa(axis, axis, hp.eval_double_gaussian(
         jsa_k26, axis[:, None], axis[None, :])).normalize()
     scaled = np.abs(grid.amplitudes) * math.sqrt(grid.cell_area)
-    dead_rows = np.all(scaled < schmidt_module._UNDERFLOW_FLOOR, axis=1)
-    dead_cols = np.all(scaled < schmidt_module._UNDERFLOW_FLOOR, axis=0)
+    dead_rows = np.all(scaled < _UNDERFLOW_FLOOR, axis=1)
+    dead_cols = np.all(scaled < _UNDERFLOW_FLOOR, axis=0)
     assert dead_rows.any() and dead_cols.any()
+    truncated_svd, factors = schmidt_module._truncated_svd, []
+
+    def recording(*args):
+        factors.append(truncated_svd(*args))
+        return factors[-1]
+    monkeypatch.setattr(schmidt_module, "_truncated_svd", recording)
     modes = hp.decompose(grid)
     assert not modes.signal_modes[:, dead_rows].any()
     assert not modes.idler_modes[:, dead_cols].any()
     # without the zeroing those samples hold SVD rounding noise, and
-    # everything else is unchanged
-    monkeypatch.setattr(schmidt_module, "_UNDERFLOW_FLOOR", 0.0)
-    noisy = hp.decompose(grid)
-    assert noisy.signal_modes[:, dead_rows].any()
-    assert np.array_equal(noisy.coefficients, modes.coefficients)
-    assert np.array_equal(noisy.signal_modes[:, ~dead_rows],
+    # everything else is unchanged; on this real amplitude each mode's
+    # phase is an exact sign
+    (u, s, vh, _, _), = factors
+    keep = modes.n_modes
+    noisy_signal = u[:, :keep].T / math.sqrt(grid.signal_step)
+    noisy_idler = vh[:keep] / math.sqrt(grid.idler_step)
+    assert noisy_signal[:, dead_rows].any()
+    peak = np.argmax(np.abs(modes.signal_modes), axis=1)[:, None]
+    signs = (np.take_along_axis(modes.signal_modes, peak, axis=1)
+             / np.take_along_axis(noisy_signal, peak, axis=1))
+    assert np.array_equal(np.abs(signs), np.ones_like(signs))
+    assert np.array_equal((s * s)[:keep], modes.coefficients)
+    assert np.array_equal((noisy_signal * signs)[:, ~dead_rows],
                           modes.signal_modes[:, ~dead_rows])
-    assert np.array_equal(noisy.idler_modes[:, ~dead_cols],
+    assert np.array_equal((noisy_idler * signs)[:, ~dead_cols],
                           modes.idler_modes[:, ~dead_cols])
+    noisy = hp.SchmidtDecomposition(modes.coefficients, noisy_signal,
+                                    noisy_idler, grid.signal_grid,
+                                    grid.idler_grid)
     assert np.abs(noisy.reconstruct() - modes.reconstruct()).max() <= 1e-15
 
 
@@ -274,6 +289,10 @@ def test_overlap_matrix_validation(k26_modes):
     overweight = np.eye(n) * 1.5
     with pytest.raises(ValueError):
         hp.OverlapMatrix(matrix=overweight, side="idler")
+    # NaN passes every comparison above, and would reach the figures
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hp.OverlapMatrix(matrix=np.full((2, 2), bad), side="idler")
 
 
 def test_schmidt_quantities_match_quadrature(k26_grid, k26_modes):

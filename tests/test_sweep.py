@@ -117,6 +117,17 @@ def test_solver_separable_hits_bracket_end(jsa_separable):
     assert solution.purity == pytest.approx(1.0, abs=1e-9)
 
 
+def test_solver_clips_a_separable_gridded_purity():
+    # the scan's purity of a separable amplitude exceeds one by rounding
+    grid = hp.discretize(hp.DoubleGaussianJsa(1.0, 2.0, 0.0, math.pi / 2),
+                         6.0, 200)
+    solution = hp.solve_filter_for_target(grid, target_purity=0.5)
+    assert solution.method == "bracket_end"
+    assert solution.purity == 1.0
+    assert solution.visibility == 1.0
+    assert solution.success == pytest.approx(1.0, abs=1e-6)
+
+
 def test_solver_unachievable_target(jsa_k26):
     # needs a width below 1e-3 of the ridge width
     with pytest.raises(ValueError, match="unachievable"):
