@@ -22,9 +22,11 @@ import datetime as _dt
 import json
 import math
 import sys
+import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, astuple
-from functools import partial
+from functools import cache, partial
+from itertools import chain, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -58,9 +60,14 @@ from .sweep import (
 
 __all__ = ["main", "load_jsa_csv"]
 
+# Fields that the table writer formats and writes at a time.
+_CHUNK_VALUES = 8192
+# The columns of a trade-off table, which are ``TradeoffPoint`` fields.
+_TRADEOFF_COLUMNS = ("sigma_f", "success", "purity", "visibility")
+
 
 def _fmt(value):
-    """One output field: a number to 12 digits, ``None`` empty, text as is."""
+    """A meta value or report field: 12 digits, ``None`` empty, text as is."""
     if value is None:
         return ""
     if isinstance(value, str):
@@ -71,39 +78,48 @@ def _fmt(value):
 def load_jsa_csv(path):
     """Read tabulated amplitude samples from CSV.
 
-    The file must have a header ``omega_signal,omega_idler,re,im`` and one
-    row per grid cell, covering a full rectangle of signal and idler
-    frequencies with each ``(signal, idler)`` pair exactly once.
+    The file must have a header naming the columns ``omega_signal``,
+    ``omega_idler``, ``re`` and ``im``, in any order and among any others,
+    and one row per grid cell, covering a full rectangle of signal and
+    idler frequencies with each ``(signal, idler)`` pair exactly once.
 
     Returns:
         A normalized ``GriddedJsa``.
 
     Raises:
-        ValueError: If a column is missing, there are no sample rows, or
-            the rows do not cover the rectangle once.
+        ValueError: If a column is missing, a row is short or not numeric,
+            there are no sample rows, or the rows do not cover the
+            rectangle once.
     """
-    data = np.genfromtxt(path, delimiter=",", names=True)
     required = ("omega_signal", "omega_idler", "re", "im")
-    names = data.dtype.names or ()
-    if any(column not in names for column in required):
-        raise ValueError(
-            f"jsa csv must have columns {','.join(required)}, found "
-            f"{','.join(names)}"
-        )
-    if data.size == 0:
+    with open(path, "r", encoding="utf-8") as handle:
+        names = [name.strip() for name in handle.readline().lstrip("#")
+                 .split(",")]
+        if any(column not in names for column in required):
+            raise ValueError(
+                f"jsa csv must have columns {','.join(required)}, found "
+                f"{','.join(names)}"
+            )
+        with warnings.catch_warnings():
+            # A header alone is reported below, as having no samples.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            data = np.loadtxt(handle, delimiter=",", ndmin=2,
+                              usecols=[names.index(c) for c in required])
+    if len(data) == 0:
         raise ValueError(f"jsa csv {path} has no samples, only a header")
-    signal = np.unique(data["omega_signal"])
-    idler = np.unique(data["omega_idler"])
-    ix = np.searchsorted(signal, data["omega_signal"])
-    iy = np.searchsorted(idler, data["omega_idler"])
-    if (signal.size * idler.size != data.size
-            or np.unique(ix * idler.size + iy).size != data.size):
+    omega_signal, omega_idler, real, imag = data.T
+    signal = np.unique(omega_signal)
+    idler = np.unique(omega_idler)
+    ix = np.searchsorted(signal, omega_signal)
+    iy = np.searchsorted(idler, omega_idler)
+    if (signal.size * idler.size != len(data)
+            or np.unique(ix * idler.size + iy).size != len(data)):
         raise ValueError(
             "jsa csv must cover a full rectangle of signal and idler "
             "frequencies, with each (signal, idler) pair exactly once"
         )
     amplitudes = np.zeros((signal.size, idler.size), dtype=complex)
-    amplitudes[ix, iy] = data["re"] + 1j * data["im"]
+    amplitudes[ix, iy] = real + 1j * imag
     if np.abs(amplitudes.imag).max() == 0.0:
         amplitudes = amplitudes.real
     return GriddedJsa(signal, idler, amplitudes).normalize()
@@ -175,12 +191,23 @@ def _write_json(handle, payload):
     handle.write("\n")
 
 
-def _write_csv(handle, meta_lines, header, rows):
+def _write_csv(handle, meta_lines, header, rows, field="%.12g"):
+    """Meta lines, a header line and ``rows``, every field by one template.
+
+    The default ``field`` writes a number to 12 significant digits, as
+    ``format(float(value), ".12g")`` does; rows of text, already formatted
+    by ``_fmt``, go through ``"%s"``.  Each chunk of rows is formatted in
+    one call and written at once, so no table-sized string is built.
+    """
     for line in meta_lines:
         handle.write(line + "\n")
     handle.write(",".join(header) + "\n")
-    for row in rows:
-        handle.write(",".join(_fmt(v) for v in row) + "\n")
+    template = ",".join([field] * len(header)) + "\n"
+    chunk_rows = max(1, _CHUNK_VALUES // len(header))
+    rows = iter(rows)
+    while chunk := list(islice(rows, chunk_rows)):
+        handle.write((template * len(chunk))
+                     % tuple(chain.from_iterable(chunk)))
 
 
 def export_modes_csv(decomposition, handle, n_modes, reference):
@@ -228,8 +255,8 @@ def grid_to_rows(grid):
 
 def tradeoff_to_rows(points):
     """Header and rows for a trade-off curve, in fixed column order."""
-    header = ["sigma_f", "success", "purity", "visibility"]
-    return header, [astuple(p) for p in points]
+    return (list(_TRADEOFF_COLUMNS),
+            list(map(attrgetter(*_TRADEOFF_COLUMNS), points)))
 
 
 def grid_to_dict(grid):
@@ -246,7 +273,8 @@ def grid_to_dict(grid):
 
 def tradeoff_to_dict(points):
     """JSON-ready list of mappings for a trade-off curve."""
-    return [asdict(p) for p in points]
+    return [dict(zip(_TRADEOFF_COLUMNS, row))
+            for row in tradeoff_to_rows(points)[1]]
 
 
 def _parse_range(text, log=False, angles=False):
@@ -305,7 +333,7 @@ def cmd_report(args):
         else:
             _write_csv(handle, _meta_lines(args, []),
                        ["quantity", "analytic", "quadrature", "difference"],
-                       rows)
+                       [tuple(map(_fmt, row)) for row in rows], field="%s")
     return 0
 
 
@@ -479,6 +507,8 @@ def _add_common(parser, formats=("csv", "json"), default_format="csv"):
                         help="omit the generation timestamp for diffable output")
 
 
+# Built once per process, on first use: parsing leaves the parser as it was.
+@cache
 def build_parser():
     # No "--conf" for "--config"; sub-parsers don't inherit allow_abbrev.
     strict = partial(argparse.ArgumentParser, allow_abbrev=False)

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
-from heraldpurity.cli import (export_modes_csv, grid_to_dict, grid_to_rows,
+from heraldpurity.cli import (_fmt, _write_csv, build_parser,
+                              export_modes_csv, grid_to_dict, grid_to_rows,
                               load_jsa_csv, main, tradeoff_to_dict,
                               tradeoff_to_rows)
 
@@ -494,8 +495,11 @@ def test_jsa_csv_rejects_duplicated_and_missing_cell(tmp_path):
 def test_jsa_csv_without_samples_exit_2(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("omega_signal,omega_idler,re,im\n")
-    with pytest.raises(ValueError, match="no samples"):
-        load_jsa_csv(str(path))
+    with warnings.catch_warnings():
+        # the error alone reports the empty file, with no parser warning
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no samples"):
+            load_jsa_csv(str(path))
 
     config = tmp_path / "empty.json"
     config.write_text(json.dumps({"jsa": {"csv_path": str(path)}}))
@@ -506,6 +510,43 @@ def test_jsa_csv_without_samples_exit_2(tmp_path):
     error = json.loads(err)
     assert error["error"] == "config"
     assert "no samples" in error["message"]
+
+
+def test_jsa_csv_matches_columns_by_name(tmp_path, k26_grid):
+    # the four columns in another order, among two the loader ignores
+    in_order = tmp_path / "jsa.csv"
+    write_jsa_csv(in_order, k26_grid)
+    sig, idl, re, im = np.loadtxt(in_order, delimiter=",", skiprows=1).T
+    reordered = tmp_path / "reordered.csv"
+    np.savetxt(reordered, np.column_stack([im, np.ones_like(re), idl, re,
+                                           sig, -im]),
+               delimiter=",", header="im,weight,omega_idler,re,omega_signal,x",
+               comments="")
+    expected = load_jsa_csv(str(in_order))
+    loaded = load_jsa_csv(str(reordered))
+    np.testing.assert_array_equal(loaded.signal_grid, expected.signal_grid)
+    np.testing.assert_array_equal(loaded.idler_grid, expected.idler_grid)
+    np.testing.assert_array_equal(loaded.amplitudes, expected.amplitudes)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.0,abc,1.0,0.0\n", "could not convert"),
+    ("0.0,1.0,1.0\n", "column"),
+    ("0.0,1.0,,0.0\n", "could not convert"),
+])
+def test_jsa_csv_malformed_row_exit_2(tmp_path, row, message):
+    path = tmp_path / "malformed.csv"
+    path.write_text("omega_signal,omega_idler,re,im\n0.0,0.0,1.0,0.0\n"
+                    + row)
+    with pytest.raises(ValueError, match=message):
+        load_jsa_csv(str(path))
+
+    config = tmp_path / "malformed.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": str(path)}}))
+    code, out, err = run_cli("report", "--config", str(config),
+                             "--filter-width", "0.8", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "config"
 
 
 def test_solve_filter_on_separable_gridded_config(tmp_path):
@@ -651,3 +692,74 @@ def test_export_modes_csv_round_trip(k26_modes):
         k26_modes.signal_modes[0, 0].real, rel=1e-9, abs=1e-14)
     assert blocks[2].strip().splitlines()[0] == "# idler modes"
     assert len(signal_lines) == 2 + k26_modes.signal_grid.size
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e16,
+               123456789012.5, math.inf, -math.inf, math.nan, 7, -3,
+               np.float64(0.1), np.int64(-12), 1.0, 2**53 + 1]
+
+
+def old_row(row):
+    """A table row as written one value at a time."""
+    return ",".join(format(float(v), ".12g") for v in row) + "\n"
+
+
+def test_table_writer_formats_as_twelve_digits():
+    rng = np.random.default_rng(7)
+    magnitudes = 10.0 ** rng.uniform(-300, 300, 20_000)
+    signs = rng.choice([-1.0, 1.0], magnitudes.size)
+    tables = [
+        [tuple(EDGE_VALUES)],
+        [tuple(EDGE_VALUES[i:i + 4]) for i in range(0, 16, 4)],
+        # more rows than one chunk holds, as lists like array.tolist()
+        (magnitudes * signs).reshape(-1, 5).tolist(),
+    ]
+    for rows in tables:
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        buffer = io.StringIO()
+        _write_csv(buffer, ["# meta = 1"], header, rows)
+        expected = ("# meta = 1\n" + ",".join(header) + "\n"
+                    + "".join(old_row(row) for row in rows))
+        assert buffer.getvalue() == expected
+
+
+def test_table_writer_report_rows():
+    rows = [("success", None, np.float64(0.25), None),
+            ("g2", 1.5, 1.5, 0.0), ("schmidt_number", 2, 2.0, 5e-324)]
+    buffer = io.StringIO()
+    _write_csv(buffer, [], ["quantity", "analytic", "quadrature",
+                            "difference"],
+               [tuple(map(_fmt, row)) for row in rows], field="%s")
+    assert buffer.getvalue() == (
+        "quantity,analytic,quadrature,difference\n"
+        "success,,0.25,\n"
+        "g2,1.5,1.5,0\n"
+        "schmidt_number,2,2,4.94065645841e-324\n")
+
+
+def test_cached_parser_matches_fresh_processes(tmp_path, k26_config):
+    # One parser serves every call in a process; each call must still
+    # print and exit as a run in a fresh interpreter does.
+    assert build_parser() is build_parser()
+    calls = [
+        ["sweep", "aspect", "--ratios", "1:3:3", "--widths", "0.5:2:3"],
+        ["report", "--config", k26_config, "--filter-width", "0.8",
+         "--format", "json"],
+        ["report", "--conf", k26_config],
+        ["sweep", "aspect", "--ratios", "1:inf:5"],
+        ["schmidt", "--config", k26_config, "--n-modes", "2"],
+    ]
+    calls = [call + ["--no-timestamp"] for call in calls]
+    env = dict(os.environ)
+    package_root = str(Path(hp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    fresh = []
+    for call in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "heraldpurity.cli", *call],
+            capture_output=True, text=True, timeout=120, env=env)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0]
+    for _ in range(2):
+        assert [run_cli(*call) for call in calls] == fresh

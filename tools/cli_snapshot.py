@@ -6,7 +6,7 @@ Usage::
 
 Writes five source configs under ``OUTDIR`` (the demo source, the KTP
 source, the demo with a detuned filter, the demo without a filter, and a
-128-point gridded copy of the demo as CSV), then runs a fixed list of 78
+128-point gridded copy of the demo as CSV), then runs a fixed list of 79
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -135,6 +135,9 @@ def invocations():
         # a non-finite range endpoint: exit 2
         ["sweep", "aspect", "--ratios", "1:inf:5"],
         ["sweep", "aspect", "--widths", "0.1:inf:3"],
+        # a table reaching e-notation and values of exactly 1
+        ["sweep", "aspect", "--ratios", "1:8:101", "--widths",
+         "1e-6:1000:101"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
