@@ -13,69 +13,11 @@ application configures logging.
 import logging
 
 from . import analytic, core, quadrature, schmidt, sweep
-from .analytic import (
-    closed_form_pair,
-    closed_form_purity,
-    closed_form_report,
-    closed_form_success,
-    closed_form_two_filter,
-    hom_dip_analytic,
-    mode_scales,
-    schmidt_mode_analytic,
-    schmidt_number,
-    thermal_schmidt_coefficients,
-    visibility,
-)
-from .core import (
-    ConvergenceError,
-    DoubleGaussianJsa,
-    GaussianFilter,
-    GridCoverageError,
-    GriddedJsa,
-    HeraldingReport,
-    HomCurve,
-    NumericalError,
-    SourcePhysicalParams,
-    TabulatedFilter,
-    discretize,
-    eval_double_gaussian,
-    filter_from_dict,
-    filter_transmission,
-    from_physical,
-    jsa_from_dict,
-    parse_angle,
-    recommended_grid,
-)
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    filtered_purity,
-    herald_success,
-    heralding_report,
-    hom_dip,
-    two_filter_quantities,
-    unfiltered_purity,
-)
-from .schmidt import (
-    ModeProjection,
-    OverlapMatrix,
-    SchmidtDecomposition,
-    decompose,
-    hom_dip_schmidt,
-    mode_projection_herald,
-    overlap_matrix,
-    schmidt_quantities,
-    two_filter_schmidt,
-)
-from .sweep import (
-    FilterSolution,
-    SweepGrid,
-    TradeoffPoint,
-    solve_filter_for_target,
-    sweep_aspect_ratio,
-    sweep_orientation,
-    tradeoff_curve,
-)
+from .analytic import *
+from .core import *
+from .quadrature import *
+from .schmidt import *
+from .sweep import *
 
 __version__ = "0.1.0"
 

@@ -145,6 +145,10 @@ def _build_run_config(args):
         raise ValueError("config must define a 'jsa' section")
     section = config["jsa"]
     if isinstance(section, dict) and "csv_path" in section:
+        extra = sorted(set(section) - {"csv_path"})
+        if extra:
+            raise ValueError(f"a jsa section with csv_path holds nothing "
+                             f"else; remove {extra}")
         # The samples fix the grid: no node count or extent is read.
         for name in ("nodes", "extent", "grid_n"):
             if getattr(args, name, None) is not None:
@@ -263,8 +267,8 @@ def grid_to_dict(grid):
     """JSON-ready mapping for a ``SweepGrid``."""
     return {
         "axes": {
-            grid.axis1_name: np.asarray(grid.axis1, dtype=float).tolist(),
-            grid.axis2_name: np.asarray(grid.axis2, dtype=float).tolist(),
+            grid.axis1_name: grid.axis1.tolist(),
+            grid.axis2_name: grid.axis2.tolist(),
         },
         "success": grid.success.tolist(),
         "purity": grid.purity.tolist(),

@@ -77,6 +77,24 @@ def _require_success(success, what="heralding probability"):
     return success
 
 
+def _real(name, value, positive=False):
+    """``value`` as a finite float, positive if asked; refuses bool and str."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}, got {value}")
+    return value
+
+
+def _freeze(record, **arrays):
+    """Set each array, made read-only, as a field of the frozen ``record``."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
+
+
 # Samples below this modulus are zeroed before a product: its square is the
 # smallest normal double, so no product of two kept samples underflows into
 # subnormal arithmetic, which slows BLAS about twofold.
@@ -312,16 +330,9 @@ class DoubleGaussianJsa:
     theta2: float
 
     def __post_init__(self):
-        for name in ("sigma1", "sigma2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, name, value)
-        for name in ("theta1", "theta2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+        for name in ("sigma1", "sigma2", "theta1", "theta2"):
+            object.__setattr__(self, name, _real(
+                name, getattr(self, name), positive=name.startswith("sigma")))
         if abs(math.sin(self.theta1 - self.theta2)) < MIN_ANGLE_SINE:
             raise ValueError(
                 "theta1 and theta2 coincide modulo pi; the two ridges are "
@@ -418,10 +429,9 @@ class SourcePhysicalParams:
     pm_angle: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.pulse_duration) and self.pulse_duration > 0.0):
-            raise ValueError("pulse_duration must be positive and finite")
-        if not (math.isfinite(self.pm_bandwidth) and self.pm_bandwidth > 0.0):
-            raise ValueError("pm_bandwidth must be positive and finite")
+        for name in ("pulse_duration", "pm_bandwidth"):
+            object.__setattr__(self, name, _real(
+                name, getattr(self, name), positive=True))
 
 
 def from_physical(params):
@@ -459,12 +469,10 @@ class GaussianFilter:
     width: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise ValueError("filter width must be positive and finite")
-        if not math.isfinite(self.center):
-            raise ValueError("filter center must be finite")
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "width",
+                           _real("filter width", self.width, positive=True))
+        object.__setattr__(self, "center",
+                           _real("filter center", self.center))
 
     def transmission(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -500,11 +508,7 @@ class TabulatedFilter:
             raise ValueError("filter samples must be finite")
         if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
             raise ValueError("transmission values must lie within [0, 1]")
-        values = np.clip(values, 0.0, 1.0)
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        _freeze(self, grid=grid, values=np.clip(values, 0.0, 1.0))
 
     def transmission(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -555,11 +559,7 @@ class GriddedJsa:
             )
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
-        for arr in (signal, idler, amps):
-            arr.setflags(write=False)
-        object.__setattr__(self, "signal_grid", signal)
-        object.__setattr__(self, "idler_grid", idler)
-        object.__setattr__(self, "amplitudes", amps)
+        _freeze(self, signal_grid=signal, idler_grid=idler, amplitudes=amps)
 
     @property
     def signal_step(self):
@@ -731,10 +731,7 @@ class HomCurve:
         if delays.size == 0 or not np.isfinite([delays, coincidences]).all():
             raise ValueError("delays and coincidences must be non-empty and finite")
         _splitter_product(self.reflectivity)
-        delays.setflags(write=False)
-        coincidences.setflags(write=False)
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "coincidences", coincidences)
+        _freeze(self, delays=delays, coincidences=coincidences)
 
     @property
     def baseline(self):
@@ -826,16 +823,16 @@ def jsa_from_dict(config):
     keys = set(config)
     if keys == direct:
         return DoubleGaussianJsa(
-            sigma1=float(config["sigma1"]),
-            sigma2=float(config["sigma2"]),
+            sigma1=config["sigma1"],
+            sigma2=config["sigma2"],
             theta1=parse_angle(config["theta1"]),
             theta2=parse_angle(config["theta2"]),
         )
     if keys == physical:
         params = SourcePhysicalParams(
-            pulse_duration=float(config["pulse_duration"]),
+            pulse_duration=config["pulse_duration"],
             pump_angle=parse_angle(config["pump_angle"]),
-            pm_bandwidth=float(config["pm_bandwidth"]),
+            pm_bandwidth=config["pm_bandwidth"],
             pm_angle=parse_angle(config["pm_angle"]),
         )
         return from_physical(params)
@@ -856,8 +853,7 @@ def filter_from_dict(config):
     """
     keys = set(config)
     if keys == {"center", "width"}:
-        return GaussianFilter(center=float(config["center"]),
-                              width=float(config["width"]))
+        return GaussianFilter(center=config["center"], width=config["width"])
     if keys == {"grid", "transmission"}:
         return TabulatedFilter(grid=config["grid"], values=config["transmission"])
     raise ValueError(

@@ -31,6 +31,7 @@ from .core import (
     _delay_array,
     _dip_curve,
     _flush_underflow,
+    _freeze,
     _purity_success,
     _require_success,
     _splitter_product,
@@ -98,17 +99,13 @@ class SchmidtDecomposition:
             raise ValueError("coefficients must be a non-empty 1-D array")
         if np.any(p < 0.0) or np.any(p[1:] > p[:-1] * (1.0 + _DEGENERACY_TOL)):
             raise ValueError("coefficients must be non-negative and descending")
-        arrays = {"coefficients": p}
-        for name in ("signal_modes", "idler_modes", "signal_grid", "idler_grid"):
-            arr = np.array(getattr(self, name), copy=True)
-            arrays[name] = arr
+        arrays = {name: np.array(getattr(self, name), copy=True) for name in
+                  ("signal_modes", "idler_modes", "signal_grid", "idler_grid")}
         if arrays["signal_modes"].shape != (p.size, arrays["signal_grid"].size):
             raise ValueError("signal_modes shape does not match grid and weights")
         if arrays["idler_modes"].shape != (p.size, arrays["idler_grid"].size):
             raise ValueError("idler_modes shape does not match grid and weights")
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, coefficients=p, **arrays)
 
     @property
     def n_modes(self):
@@ -167,8 +164,7 @@ class OverlapMatrix:
         diag = np.real(np.diagonal(m))
         if diag.min() < -1e-9 or diag.max() > 1.0 + 1e-9:
             raise ValueError("overlap diagonal must lie within [0, 1]")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _freeze(self, matrix=m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter,
                        visibility)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _clip_unit,
-                   _gram, _purity_success, _require_success,
+                   _freeze, _gram, _purity_success, _require_success,
                    _squared_modulus)
 
 __all__ = [
@@ -69,11 +69,12 @@ class SweepGrid:
     purity: np.ndarray
 
     def __post_init__(self):
-        axis1 = np.asarray(self.axis1, dtype=float)
-        axis2 = np.asarray(self.axis2, dtype=float)
-        shape = (axis1.size, axis2.size)
-        if self.success.shape != shape or self.purity.shape != shape:
+        arrays = {name: np.array(getattr(self, name), dtype=float, copy=True)
+                  for name in ("axis1", "axis2", "success", "purity")}
+        shape = (arrays["axis1"].size, arrays["axis2"].size)
+        if arrays["success"].shape != shape or arrays["purity"].shape != shape:
             raise ValueError("surface shapes do not match the axes")
+        _freeze(self, **arrays)
 
 
 @dataclass(frozen=True)
@@ -126,58 +127,54 @@ def _closed_grid(axis1_name, axis1, jsas, widths):
 
 
 def sweep_aspect_ratio(ratios=None, filter_widths=None, theta1=math.pi / 4,
-                       theta2=-math.pi / 4, sigma1=1.0):
+                       theta2=-math.pi / 4):
     """Sweep the ridge width ratio against the herald filter width.
 
-    The first ridge width is held at ``sigma1`` and the second at
-    ``ratio * sigma1``; the filter is Gaussian and centered.  With the
-    default ``sigma1`` of one, the filter axis reads directly as the
-    width ratio ``sigma_f / sigma1``.
+    The first ridge width is held at one and the second at ``ratio``; the
+    filter is Gaussian and centered.  Purity and success depend on the
+    widths only through their ratios to ``sigma1``, so the filter axis
+    reads directly as ``sigma_f / sigma1``.
 
     Args:
         ratios: Ridge width ratios; defaults to 101 points on [1, 8].
-        filter_widths: Filter widths in rad/ps; defaults to 101
-            logarithmic points on ``[0.01, 10] * sigma1``.
+        filter_widths: Filter widths in units of ``sigma1``; defaults to
+            101 logarithmic points on [0.01, 10].
         theta1: First ridge tilt.
         theta2: Second ridge tilt.
-        sigma1: First ridge width, rad/ps.
 
     Returns:
         ``SweepGrid`` with axes ``aspect_ratio`` and ``filter_width``.
     """
     ratios = np.linspace(1.0, 8.0, 101) if ratios is None \
         else np.asarray(ratios, dtype=float)
-    widths = _widths(filter_widths, sigma1)
-    jsas = [DoubleGaussianJsa(sigma1, ratio * sigma1, theta1, theta2)
-            for ratio in ratios]
+    widths = _widths(filter_widths, 1.0)
+    jsas = [DoubleGaussianJsa(1.0, ratio, theta1, theta2) for ratio in ratios]
     return _closed_grid("aspect_ratio", ratios, jsas, widths)
 
 
-def sweep_orientation(theta1_values=None, filter_widths=None, ratio=5.0,
-                      sigma1=1.0):
+def sweep_orientation(theta1_values=None, filter_widths=None, ratio=5.0):
     """Sweep the ridge orientation against the herald filter width.
 
     The two ridges are kept perpendicular (``theta2 = theta1 - pi/2``) with
-    a fixed width ratio, and the first tilt is swept.  At ``theta1 = 0`` or
-    ``pi/2`` the ridges align with the frequency axes, the amplitude
+    a fixed width ratio, and the first tilt is swept; as in
+    ``sweep_aspect_ratio``, the first ridge width is one.  At ``theta1 = 0``
+    or ``pi/2`` the ridges align with the frequency axes, the amplitude
     factorizes, and the purity is one at every filter width.
 
     Args:
         theta1_values: First ridge tilts; defaults to 101 points on
             [0, pi/2].
-        filter_widths: Filter widths in rad/ps; defaults to 101
-            logarithmic points on ``[0.01, 10] * sigma1``.
+        filter_widths: Filter widths in units of ``sigma1``; defaults to
+            101 logarithmic points on [0.01, 10].
         ratio: Fixed ridge width ratio.
-        sigma1: First ridge width, rad/ps.
 
     Returns:
         ``SweepGrid`` with axes ``theta1`` and ``filter_width``.
     """
     thetas = np.linspace(0.0, math.pi / 2.0, 101) if theta1_values is None \
         else np.asarray(theta1_values, dtype=float)
-    widths = _widths(filter_widths, sigma1)
-    jsas = [DoubleGaussianJsa(sigma1, ratio * sigma1, theta1,
-                              theta1 - math.pi / 2.0)
+    widths = _widths(filter_widths, 1.0)
+    jsas = [DoubleGaussianJsa(1.0, ratio, theta1, theta1 - math.pi / 2.0)
             for theta1 in thetas]
     return _closed_grid("theta1", thetas, jsas, widths)
 

@@ -145,6 +145,28 @@ def test_unknown_config_key_exits_with_config_error(tmp_path, extra,
     assert repr(next(iter(extra))) in error["message"]
 
 
+K26 = {"sigma1": 1.0, "sigma2": 5.0, "theta1": "pi/4", "theta2": "-pi/4"}
+
+
+@pytest.mark.parametrize("config", [
+    {"jsa": K26, "filter": {"center": 0.0, "width": True}},
+    {"jsa": K26, "filter": {"center": False, "width": 0.6}},
+    {"jsa": {**K26, "sigma1": True}},
+    {"jsa": {**K26, "sigma2": "5.0"}},
+], ids=["width-true", "center-false", "sigma1-true", "sigma2-string"])
+def test_non_numeric_config_values_exit_2(tmp_path, config):
+    # a JSON true used to run as 1, false as 0, and "5.0" as 5.0
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli("report", "--config", str(path),
+                             "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "must be a number" in error["message"]
+
+
 def test_empty_heralding_exits_with_numerical_error(tmp_path):
     path = tmp_path / "detuned.json"
     path.write_text(json.dumps({
@@ -605,6 +627,23 @@ def test_grid_flags_on_gridded_config_exit_2(tmp_path, k26_grid, command,
     error = json.loads(err)
     assert error["error"] == "config"
     assert flag in error["message"]
+
+
+def test_csv_path_section_holds_nothing_else(tmp_path, k26_grid):
+    # the samples used to be loaded and the other keys ignored
+    path = tmp_path / "jsa.csv"
+    write_jsa_csv(path, k26_grid)
+    config = tmp_path / "gridded.json"
+    config.write_text(json.dumps({
+        "jsa": {"csv_path": str(path), "sigma1": 2.0, "bogus": 1},
+        "filter": {"center": 0.0, "width": 0.6}}))
+    code, out, err = run_cli("report", "--config", str(config),
+                             "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "'bogus'" in error["message"] and "'sigma1'" in error["message"]
 
 
 def test_output_file_and_entry_point(tmp_path, ktp_config):

@@ -137,6 +137,32 @@ def test_gaussian_filter_rejects_bad_width():
         hp.GaussianFilter(center=math.inf, width=1.0)
 
 
+_VALID = {
+    hp.DoubleGaussianJsa: dict(sigma1=1.0, sigma2=5.0, theta1=0.5,
+                               theta2=-0.5),
+    hp.SourcePhysicalParams: dict(pulse_duration=0.2, pump_angle=0.3,
+                                  pm_bandwidth=2.0, pm_angle=0.97),
+    hp.GaussianFilter: dict(center=0.3, width=1.1),
+}
+
+
+@pytest.mark.parametrize("record, field", [
+    (hp.DoubleGaussianJsa, "sigma1"), (hp.DoubleGaussianJsa, "sigma2"),
+    (hp.DoubleGaussianJsa, "theta1"), (hp.DoubleGaussianJsa, "theta2"),
+    (hp.SourcePhysicalParams, "pulse_duration"),
+    (hp.SourcePhysicalParams, "pm_bandwidth"),
+    (hp.GaussianFilter, "center"), (hp.GaussianFilter, "width"),
+], ids=lambda value: getattr(value, "__name__", value))
+@pytest.mark.parametrize("bad", [True, "1.0"], ids=["bool", "str"])
+def test_numeric_fields_refuse_bool_and_str(record, field, bad):
+    # a configuration's true was taken as 1, and "1.0" as 1.0
+    with pytest.raises(ValueError, match="must be a number"):
+        record(**{**_VALID[record], field: bad})
+    # an integer is a number and is stored as a float
+    value = getattr(record(**{**_VALID[record], field: 1}), field)
+    assert type(value) is float and value == 1.0
+
+
 def test_tabulated_filter_interpolates():
     filt = hp.TabulatedFilter(np.array([-1.0, 0.0, 1.0]),
                               np.array([0.0, 1.0, 0.2]))
@@ -464,20 +490,48 @@ def test_figure_checks_reject_nan(check):
         check(math.nan)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: hp.HomCurve([0.0, 1.0], [0.2, 0.3]),
-    lambda: hp.TabulatedFilter([0.0, 1.0], [0.5, 0.5]),
-    lambda: hp.GriddedJsa([0.0, 1.0], [0.0, 1.0], np.ones((2, 2))),
-    lambda: hp.SchmidtDecomposition([1.0], [[1.0, 0.0]], [[1.0, 0.0]],
-                                    [0.0, 1.0], [0.0, 1.0]),
-    lambda: hp.OverlapMatrix(np.eye(2), "idler"),
-    lambda: hp.ModeProjection(0, 0.5, 1.0, np.array([1.0, 0.0])),
-    lambda: hp.SweepGrid("a", [1.0, 2.0], "b", [1.0, 2.0],
-                         np.zeros((2, 2)), np.zeros((2, 2))),
-], ids=["HomCurve", "TabulatedFilter", "GriddedJsa", "SchmidtDecomposition",
-        "OverlapMatrix", "ModeProjection", "SweepGrid"])
-def test_array_records_compare_and_hash_by_identity(make):
+# Each array record with the arguments it is built from.
+ARRAY_RECORDS = [
+    (hp.HomCurve, lambda: ([0.0, 1.0], [0.2, 0.3])),
+    (hp.TabulatedFilter, lambda: ([0.0, 1.0], [0.5, 0.5])),
+    (hp.GriddedJsa, lambda: ([0.0, 1.0], [0.0, 1.0], np.ones((2, 2)))),
+    (hp.SchmidtDecomposition, lambda: ([1.0], [[1.0, 0.0]], [[1.0, 0.0]],
+                                       [0.0, 1.0], [0.0, 1.0])),
+    (hp.OverlapMatrix, lambda: (np.eye(2), "idler")),
+    (hp.ModeProjection, lambda: (0, 0.5, 1.0, np.array([1.0, 0.0]))),
+    # list surfaces used to fail on their missing .shape
+    (hp.SweepGrid, lambda: ("a", [1.0, 2.0], "b", [1.0], [[0.1], [0.2]],
+                            [[0.3], [0.4]])),
+]
+RECORD_IDS = [record.__name__ for record, _ in ARRAY_RECORDS]
+
+
+@pytest.mark.parametrize("record, args", ARRAY_RECORDS, ids=RECORD_IDS)
+def test_array_records_compare_and_hash_by_identity(record, args):
     # field-wise equality would ask numpy arrays for a truth value
-    first, second = make(), make()
+    first, second = record(*args()), record(*args())
     assert first == first and first != second
     assert len({first, second, first}) == 2
+
+
+# ModeProjection holds no validated arrays, so it keeps what it is given.
+FROZEN_RECORDS = [pair for pair in ARRAY_RECORDS
+                  if pair[0] is not hp.ModeProjection]
+
+
+@pytest.mark.parametrize("record, args", FROZEN_RECORDS,
+                         ids=[record.__name__ for record, _ in FROZEN_RECORDS])
+def test_array_records_keep_read_only_copies(record, args):
+    inputs = [arg if isinstance(arg, str) else np.array(arg, dtype=float)
+              for arg in args()]
+    built = record(*inputs)
+    arrays = {name: value for name, value in vars(built).items()
+              if isinstance(value, np.ndarray)}
+    assert len(arrays) == sum(not isinstance(arg, str) for arg in inputs)
+    kept = {name: value.copy() for name, value in arrays.items()}
+    assert not any(value.flags.writeable for value in arrays.values())
+    for arg in inputs:
+        if not isinstance(arg, str):
+            arg += 1.0
+    for name, value in arrays.items():
+        np.testing.assert_array_equal(value, kept[name], err_msg=name)

@@ -4,9 +4,10 @@ Usage::
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
-Writes five source configs under ``OUTDIR`` (the demo source, the KTP
-source, the demo with a detuned filter, the demo without a filter, and a
-128-point gridded copy of the demo as CSV), then runs a fixed list of 79
+Writes seven configs under ``OUTDIR`` (the demo source, the KTP source,
+the demo with a detuned filter, the demo without a filter, a 128-point
+gridded copy of the demo as CSV, that copy with extra jsa keys, and the
+demo with a boolean filter width), then runs a fixed list of 81
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -39,6 +40,10 @@ CONFIGS = {
     "nofilter.json": {"jsa": DEMO},
     "gridded.json": {"jsa": {"csv_path": "demo_grid.csv"},
                      "filter": {"center": 0.0, "width": 0.6}},
+    "csvextra.json": {"jsa": {"csv_path": "demo_grid.csv", "sigma1": 2.0,
+                              "bogus": 1},
+                      "filter": {"center": 0.0, "width": 0.6}},
+    "boolwidth.json": {"jsa": DEMO, "filter": {"center": 0.0, "width": True}},
 }
 
 
@@ -138,6 +143,9 @@ def invocations():
         # a table reaching e-notation and values of exactly 1
         ["sweep", "aspect", "--ratios", "1:8:101", "--widths",
          "1e-6:1000:101"],
+        # keys beside csv_path and a boolean filter width: exit 2
+        ["report", "--config", "csvextra.json"],
+        ["report", "--config", "boolwidth.json"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
