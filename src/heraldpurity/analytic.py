@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport,
-                   _delay_array, _dip_curve, _splitter_product)
+                   _delay_array, _dip_curve)
 
 __all__ = [
     "closed_form_pair",
@@ -27,7 +27,6 @@ __all__ = [
     "schmidt_mode_analytic",
     "mode_scales",
     "hom_dip_analytic",
-    "visibility",
 ]
 
 
@@ -258,21 +257,6 @@ def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5):
                       reflectivity)
 
 
-def visibility(purity, reflectivity=0.5):
-    """Interference visibility of two equal sources of given purity.
-
-    ``V = R*T*purity / (1 - 2*R*T - R*T*purity)`` with ``T = 1 - R``; on a
-    balanced splitter this reduces to ``purity / (2 - purity)``, bit for
-    bit.  ``purity`` may be an array; a scalar purity gives a float.
-    """
-    p = np.asarray(purity, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError(f"purity must lie in [0, 1], got {purity}")
-    rt = _splitter_product(reflectivity)
-    v = rt * p / (1.0 - 2.0 * rt - rt * p)
-    return float(v) if v.ndim == 0 else v
-
-
 def closed_form_report(jsa, herald_filter=None):
     """Closed-form scalar figures of merit for one source configuration.
 
@@ -285,16 +269,8 @@ def closed_form_report(jsa, herald_filter=None):
         ``HeraldingReport`` with success, purities, mode number, marginal
         g2, and balanced-splitter visibility.
     """
-    k = schmidt_number(jsa)
+    p_raw = 1.0 / schmidt_number(jsa)
     if herald_filter is None:
-        p_fil, success = 1.0 / k, 1.0
-    else:
-        p_fil, success = map(float, _filter_pair(jsa, herald_filter))
-    return HeraldingReport(
-        success=success,
-        purity_filtered=p_fil,
-        purity_unfiltered=1.0 / k,
-        schmidt_number=k,
-        g2=1.0 + 1.0 / k,
-        visibility=visibility(p_fil),
-    )
+        return HeraldingReport(1.0, p_raw, p_raw)
+    p_fil, success = map(float, _filter_pair(jsa, herald_filter))
+    return HeraldingReport(success, p_fil, p_raw)

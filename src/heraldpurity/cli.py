@@ -36,7 +36,6 @@ from .analytic import (
     hom_dip_analytic,
     schmidt_number,
     thermal_schmidt_coefficients,
-    visibility,
 )
 from .core import (
     DoubleGaussianJsa,
@@ -48,6 +47,7 @@ from .core import (
     jsa_from_dict,
     parse_angle,
     recommended_grid,
+    visibility,
 )
 from .quadrature import QuadratureSpec, heralding_report, hom_dip
 from .schmidt import decompose, mode_projection_herald

@@ -36,6 +36,7 @@ __all__ = [
     "parse_angle",
     "jsa_from_dict",
     "filter_from_dict",
+    "visibility",
 ]
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
@@ -86,6 +87,14 @@ def _real(name, value, positive=False):
         kind = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {kind}, got {value}")
     return value
+
+
+def _reals(name, values):
+    """``values`` as a new float array; refuses bool and str entries."""
+    for value in np.asarray(values, dtype=object).flat:
+        if isinstance(value, (bool, np.bool_, str)):
+            raise ValueError(f"{name} entry must be a number, got {value!r}")
+    return np.array(values, dtype=float, copy=True)
 
 
 def _freeze(record, **arrays):
@@ -218,9 +227,25 @@ def _purity_success(state, weights, squared=None, overwrite=False):
 
 def _splitter_product(reflectivity):
     """``R*T`` of a lossless beam splitter, ``T = 1 - R``; R must lie in [0, 1]."""
+    reflectivity = _real("reflectivity", reflectivity)
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
     return reflectivity * (1.0 - reflectivity)
+
+
+def visibility(purity, reflectivity=0.5):
+    """Interference visibility of two equal sources of given purity.
+
+    ``V = R*T*purity / (1 - 2*R*T - R*T*purity)`` with ``T = 1 - R``; on a
+    balanced splitter this reduces to ``purity / (2 - purity)``, bit for
+    bit.  ``purity`` may be an array; a scalar purity gives a float.
+    """
+    p = np.asarray(purity, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError(f"purity must lie in [0, 1], got {purity}")
+    rt = _splitter_product(reflectivity)
+    v = rt * p / (1.0 - 2.0 * rt - rt * p)
+    return float(v) if v.ndim == 0 else v
 
 
 def _delay_array(delays):
@@ -496,8 +521,8 @@ class TabulatedFilter:
     values: np.ndarray
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float, copy=True)
-        values = np.array(self.values, dtype=float, copy=True)
+        grid = _reals("filter grid", self.grid)
+        values = _reals("filter transmission", self.values)
         if grid.ndim != 1 or values.ndim != 1 or grid.size != values.size:
             raise ValueError("grid and values must be 1-D arrays of equal length")
         if grid.size < 2:
@@ -793,18 +818,26 @@ class HeraldingReport:
         success: Heralding probability.
         purity_filtered: Purity of the heralded photon behind the filter.
         purity_unfiltered: Purity with no filtering, ``1/K``.
-        schmidt_number: Mode number K of the unfiltered amplitude.
-        g2: Unheralded marginal second-order correlation, ``1 + 1/K``.
-        visibility: Interference visibility of the filtered photon against
-            an identical copy on a balanced splitter.
     """
 
     success: float
     purity_filtered: float
     purity_unfiltered: float
-    schmidt_number: float
-    g2: float
-    visibility: float
+
+    @property
+    def schmidt_number(self):
+        """Mode number K of the unfiltered amplitude."""
+        return 1.0 / self.purity_unfiltered
+
+    @property
+    def g2(self):
+        """Unheralded marginal second-order correlation, ``1 + 1/K``."""
+        return 1.0 + self.purity_unfiltered
+
+    @property
+    def visibility(self):
+        """Balanced-splitter visibility of the filtered photon with a copy."""
+        return visibility(self.purity_filtered)
 
 
 def jsa_from_dict(config):

@@ -35,7 +35,9 @@ off-center filters), and node counts scale with the window length measured
 in units of the finest feature, so narrow filters and strongly elongated
 amplitudes spend nodes only where structure lives.  The density,
 ``_NODES_PER_FEATURE``, is set from a measured knee: results stop moving at
-about 1.9 nodes per feature.
+about 1.9 nodes per feature.  A tabulated filter's knots are not features,
+so results with one on a double Gaussian come from doubled node counts and
+raise ``ConvergenceError`` if the doubling moved them by more than 1e-4.
 
 Nodes and weights come from Newton's method on the Legendre three-term
 recurrence, in O(n^2) time and O(n) memory, not from numpy's eigen-solve of
@@ -55,7 +57,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import visibility
 from .core import (
     ConvergenceError,
     DoubleGaussianJsa,
@@ -110,7 +111,7 @@ _BAND_MARGIN = 1.0
 # Interference is cut off where its envelope has decayed below exp(-49).
 _DECAY_CUTOFF = 7.0
 
-# Result tolerance for the doubled-node convergence check.
+# Result tolerance for the doubled-node check of tabulated filters.
 _CHECK_TOL = 1e-4
 
 # Newton on the Legendre recurrence stops once its error bound for the
@@ -134,11 +135,11 @@ class QuadratureSpec:
     """Controls for the Gauss-Legendre integration engine.
 
     Attributes:
-        n_nodes: Baseline nodes per axis, in [32, 6000]; counts grow from it
-            with the window length in units of the finest integrand feature,
-            at 2.6 nodes per feature.  The 6000 cap also holds for the axes
-            of a convergence check, which doubles the counts, so a check
-            with ``n_nodes`` above 3000 raises ``ConvergenceError``.
+        n_nodes: Floor on the nodes per axis, in [32, 6000]; counts grow
+            from it with the window length in units of the finest integrand
+            feature, at 2.6 nodes per feature.  The cap holds for the doubled
+            axes of a tabulated filter's convergence check too, so there
+            ``n_nodes`` above 3000 raises ``ConvergenceError``.
         half_extent: Window half-width in standard deviations of the
             windowed mass; finite and at least 4.
     """
@@ -281,29 +282,31 @@ def _node_count(spec, length, feature, refine, extra=0):
     return n
 
 
-def _clamp_window(lo, hi, scale):
-    """Keep a window non-empty; a vanishing window means vanishing mass."""
+def _restrict(lo, hi, feature, filt, tail, scale):
+    """Window and feature size cut to ``filt``; a vanishing window is widened."""
+    if isinstance(filt, GaussianFilter):
+        lo = max(lo, filt.center - tail * filt.width)
+        hi = min(hi, filt.center + tail * filt.width)
+        feature = min(feature, filt.width)
+    elif isinstance(filt, TabulatedFilter):
+        lo = max(lo, float(filt.grid[0]))
+        hi = min(hi, float(filt.grid[-1]))
     if hi - lo < 1e-12 * scale:
         mid = 0.5 * (lo + hi)
-        return mid - 1e-12 * scale, mid + 1e-12 * scale
-    return lo, hi
+        lo, hi = mid - 1e-12 * scale, mid + 1e-12 * scale
+    return lo, hi, feature
 
 
 def _idler_window(jsa, herald, tail):
     """Window and feature size for the idler (heralding) axis."""
     _, s_idl = jsa.marginal_widths()
     _, w_idl = jsa.conditional_widths()
-    lo, hi = -tail * s_idl, tail * s_idl
-    feature = w_idl
     if isinstance(herald, GaussianFilter):
+        # Marginal times passband; a cut to the passband moves off-centre ones.
         center, width = _filtered_idler(jsa, herald)
-        lo, hi = center - tail * width, center + tail * width
-        feature = min(w_idl, herald.width)
-    elif isinstance(herald, TabulatedFilter):
-        lo = max(lo, float(herald.grid[0]))
-        hi = min(hi, float(herald.grid[-1]))
-    lo, hi = _clamp_window(lo, hi, s_idl)
-    return lo, hi, feature
+        return _restrict(center - tail * width, center + tail * width,
+                         min(w_idl, herald.width), None, tail, s_idl)
+    return _restrict(-tail * s_idl, tail * s_idl, w_idl, herald, tail, s_idl)
 
 
 def _signal_window(jsa, idler_window, heralded, tail):
@@ -313,19 +316,9 @@ def _signal_window(jsa, idler_window, heralded, tail):
     w_sig, _ = jsa.conditional_widths()
     slope = -b / a
     ends = (slope * idler_window[0], slope * idler_window[1])
-    lo = min(ends) - tail * w_sig
-    hi = max(ends) + tail * w_sig
-    lo, hi = max(lo, -tail * s_sig), min(hi, tail * s_sig)
-    feature = w_sig
-    if isinstance(heralded, GaussianFilter):
-        lo = max(lo, heralded.center - tail * heralded.width)
-        hi = min(hi, heralded.center + tail * heralded.width)
-        feature = min(w_sig, heralded.width)
-    elif isinstance(heralded, TabulatedFilter):
-        lo = max(lo, float(heralded.grid[0]))
-        hi = min(hi, float(heralded.grid[-1]))
-    lo, hi = _clamp_window(lo, hi, s_sig)
-    return lo, hi, feature
+    lo = max(min(ends) - tail * w_sig, -tail * s_sig)
+    hi = min(max(ends) + tail * w_sig, tail * s_sig)
+    return _restrict(lo, hi, w_sig, heralded, tail, s_sig)
 
 
 def _weighted(weights, grid, filt):
@@ -429,25 +422,25 @@ def _heralded_states(jsa, heralds, heralded, spec, refine, max_delay=None):
     return x, _weighted(wx, x, heralded), states
 
 
-def _refined(jsa, check, what, compute):
-    """``compute(1.0)``, or with ``check`` the doubled-node ``compute(2.0)``.
+def _refined(jsa, filters, what, compute):
+    """``compute(1.0)``, or the doubled-node ``compute(2.0)`` where it can move.
 
-    ``compute`` maps a node-count factor to a tuple; its first item, called
+    ``compute`` maps a node-count factor to a tuple whose first item, called
     ``what``, may move by at most ``_CHECK_TOL`` when node counts double.
+    Only a ``TabulatedFilter`` on a double Gaussian is checked: its knots
+    leave the integrand piecewise smooth.  Gaussian integrands move by at
+    most 1e-12 when doubled, and gridded samples cannot be refined.
     """
     result = compute(1.0)
-    if not check:
+    if not (isinstance(jsa, DoubleGaussianJsa) and any(
+            isinstance(f, TabulatedFilter) for f in filters)):
         return result
-    if isinstance(jsa, GriddedJsa):
-        raise ValueError(
-            "convergence checks need a parametric amplitude; gridded "
-            "samples cannot be refined"
-        )
     fine = compute(2.0)
     drift = float(np.abs(fine[0] - result[0]).max())
     if drift > _CHECK_TOL:
         raise ConvergenceError(
-            f"{what} moved by {drift:.3e} when node counts were doubled; "
+            f"{what} moved by {drift:.3e} when node counts were doubled; a "
+            "tabulated filter's knots leave the integrand piecewise smooth; "
             "increase n_nodes or half_extent"
         )
     return fine
@@ -467,12 +460,12 @@ def _single_pair(jsa, herald, heralded, spec, refine):
     return float(purity), success
 
 
-def _checked_pair(jsa, herald, heralded, spec, check):
-    return _refined(jsa, check, "purity", lambda refine: _single_pair(
-        jsa, herald, heralded, spec, refine))
+def _checked_pair(jsa, herald, heralded, spec):
+    return _refined(jsa, (herald, heralded), "purity", lambda refine:
+                    _single_pair(jsa, herald, heralded, spec, refine))
 
 
-def unfiltered_purity(jsa, spec=None, check=False):
+def unfiltered_purity(jsa, spec=None):
     """Spectral purity of the heralded photon with no filtering.
 
     This equals the inverse Schmidt mode number of the amplitude and is the
@@ -481,42 +474,38 @@ def unfiltered_purity(jsa, spec=None, check=False):
     Args:
         jsa: ``DoubleGaussianJsa`` or normalized ``GriddedJsa``.
         spec: Optional ``QuadratureSpec``; defaults to ``DEFAULT_SPEC``.
-        check: Recompute with doubled node counts and raise
-            ``ConvergenceError`` if the purity moves by more than 1e-4.
 
     Returns:
         Purity in (0, 1].
     """
-    purity, _ = _checked_pair(jsa, None, None, spec, check)
+    purity, _ = _checked_pair(jsa, None, None, spec)
     return _clip_unit(purity)
 
 
-def herald_success(jsa, herald_filter, spec=None, check=False):
+def herald_success(jsa, herald_filter, spec=None):
     """Probability that the idler passes the herald filter.
 
     Args:
         jsa: ``DoubleGaussianJsa`` or normalized ``GriddedJsa``.
         herald_filter: Filter on the idler (heralding) arm.
         spec: Optional ``QuadratureSpec``.
-        check: Doubled-node convergence check.
 
     Returns:
         Success probability in [0, 1].
     """
     if herald_filter is None:
         raise ValueError("herald_success requires a herald filter")
-    _, success = _checked_pair(jsa, herald_filter, None, spec, check)
+    _, success = _checked_pair(jsa, herald_filter, None, spec)
     return _clip_unit(success)
 
 
-def filtered_purity(jsa, herald_filter, spec=None, check=False):
+def filtered_purity(jsa, herald_filter, spec=None):
     """Purity of the heralded photon when the idler is filtered.
 
     Args:
         jsa: ``DoubleGaussianJsa`` or normalized ``GriddedJsa``.
         herald_filter: Filter on the idler (heralding) arm.
         spec: Optional ``QuadratureSpec``.
-        check: Doubled-node convergence check.
 
     Returns:
         Purity in (0, 1].
@@ -527,13 +516,12 @@ def filtered_purity(jsa, herald_filter, spec=None, check=False):
     """
     if herald_filter is None:
         raise ValueError("filtered_purity requires a herald filter")
-    purity, success = _checked_pair(jsa, herald_filter, None, spec, check)
+    purity, success = _checked_pair(jsa, herald_filter, None, spec)
     _require_success(success)
     return _clip_unit(purity)
 
 
-def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None,
-                          check=False):
+def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None):
     """Purity and success probability with filters on both arms.
 
     The heralded (signal) photon keeps only the amplitude passed by its own
@@ -544,7 +532,6 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None,
         herald_filter: Filter on the idler (heralding) arm.
         heralded_filter: Filter on the signal (heralded) arm.
         spec: Optional ``QuadratureSpec``.
-        check: Doubled-node convergence check.
 
     Returns:
         Tuple ``(purity, success)``.
@@ -554,8 +541,7 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None,
     """
     if herald_filter is None or heralded_filter is None:
         raise ValueError("two_filter_quantities requires both filters")
-    purity, success = _checked_pair(jsa, herald_filter, heralded_filter,
-                                    spec, check)
+    purity, success = _checked_pair(jsa, herald_filter, heralded_filter, spec)
     _require_success(success, "two-filter success")
     return _clip_unit(purity), _clip_unit(success)
 
@@ -576,8 +562,7 @@ def _hom_overlaps(jsa, herald_x, herald_y, delays, spec, refine):
     return out
 
 
-def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5, spec=None,
-            check=False):
+def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5, spec=None):
     """Coincidence dip of heralded photons from two identical sources.
 
     Each source is heralded through its own idler filter; the heralded
@@ -601,8 +586,6 @@ def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5, spec=None,
         delays: Relative delays in ps.
         reflectivity: Beam splitter intensity reflectivity, in [0, 1].
         spec: Optional ``QuadratureSpec``.
-        check: Doubled-node convergence check on the two-arm overlap at
-            every delay, which is the purity at zero delay for equal filters.
 
     Returns:
         ``HomCurve`` sampled at the given delays, carrying ``reflectivity``.
@@ -611,8 +594,9 @@ def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5, spec=None,
         raise ValueError("hom_dip requires a herald filter for each source")
     _splitter_product(reflectivity)  # checked before any integration
     delays = _delay_array(delays)
-    overlap, = _refined(jsa, check, "dip overlaps", lambda refine: (
-        _hom_overlaps(jsa, herald_x, herald_y, delays, spec, refine),))
+    overlap, = _refined(jsa, (herald_x, herald_y), "dip overlaps",
+                        lambda refine: (_hom_overlaps(
+                            jsa, herald_x, herald_y, delays, spec, refine),))
     return _dip_curve(delays, overlap, reflectivity)
 
 
@@ -632,16 +616,7 @@ def heralding_report(jsa, herald_filter=None, spec=None):
     """
     p_raw = unfiltered_purity(jsa, spec=spec)
     if herald_filter is None:
-        p_fil, success = p_raw, 1.0
-    else:
-        p_fil, success = _checked_pair(jsa, herald_filter, None, spec, False)
-        _require_success(success)
-        p_fil, success = _clip_unit(p_fil), _clip_unit(success)
-    return HeraldingReport(
-        success=success,
-        purity_filtered=p_fil,
-        purity_unfiltered=p_raw,
-        schmidt_number=1.0 / p_raw,
-        g2=1.0 + p_raw,
-        visibility=visibility(p_fil),
-    )
+        return HeraldingReport(1.0, p_raw, p_raw)
+    purity, success = _checked_pair(jsa, herald_filter, None, spec)
+    _require_success(success)
+    return HeraldingReport(_clip_unit(success), _clip_unit(purity), p_raw)

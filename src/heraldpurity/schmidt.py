@@ -97,8 +97,9 @@ class SchmidtDecomposition:
         p = np.array(self.coefficients, dtype=float, copy=True)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D array")
-        if np.any(p < 0.0) or np.any(p[1:] > p[:-1] * (1.0 + _DEGENERACY_TOL)):
-            raise ValueError("coefficients must be non-negative and descending")
+        if not 0.0 <= p.min() <= p.max() < math.inf or np.any(
+                p[1:] > p[:-1] * (1.0 + _DEGENERACY_TOL)):
+            raise ValueError("coefficients must be finite, non-negative, descending")
         arrays = {name: np.array(getattr(self, name), copy=True) for name in
                   ("signal_modes", "idler_modes", "signal_grid", "idler_grid")}
         if arrays["signal_modes"].shape != (p.size, arrays["signal_grid"].size):

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (closed_form_pair, closed_form_purity,
-                       closed_form_success, closed_form_two_filter,
-                       visibility)
+                       closed_form_success, closed_form_two_filter)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _clip_unit,
                    _freeze, _gram, _purity_success, _require_success,
-                   _squared_modulus)
+                   _squared_modulus, visibility)
 
 __all__ = [
     "TradeoffPoint",

@@ -55,6 +55,32 @@ def identity_filter(jsa, tails=12.0):
     return hp.TabulatedFilter(grid, np.ones_like(grid))
 
 
+def tabulated_reference(jsa, filt, nodes=20, tails=40.0):
+    """Exact ``(success, purity)`` of a tabulated idler herald, numpy only.
+
+    For a real double Gaussian with intensity coefficients ``(a, b, c)`` the
+    unnormalized idler state is closed form,
+    ``rho(y, y') = exp(-(c/2)(y^2 + y'^2) + b^2 (y + y')^2 / (4a))``, and the
+    transmission is linear between knots.  So Gauss-Legendre panels between
+    the knots, within ``tails`` marginal s.d., integrate it to rounding:
+    with weights ``w`` (nodes times transmission), ``P = |w rho w|_F / tr^2``
+    summed entry by entry and ``S = tr * sqrt((ac - b^2) / (pi a))``, with
+    ``tr = sum(w diag(rho))``.
+    """
+    a, b, c = jsa.intensity_coefficients()
+    _, s_idl = jsa.marginal_widths()
+    knots = np.clip(filt.grid, -tails * s_idl, tails * s_idl)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = knots[:-1, None], knots[1:, None]
+    y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+    w = (0.5 * (hi - lo) * w).ravel() * filt.transmission(y)
+    rho = np.exp(-0.5 * c * (y[:, None] ** 2 + y[None, :] ** 2)
+                 + b * b * (y[:, None] + y[None, :]) ** 2 / (4.0 * a))
+    trace = w @ np.diagonal(rho)
+    purity = w @ (rho * rho) @ w / trace**2
+    return trace * math.sqrt((a * c - b * b) / (math.pi * a)), purity
+
+
 def chirped_copy(grid, seed_phase=(0.21, -0.13, 0.17, 0.4)):
     """Same intensity as ``grid`` with a smooth complex spectral phase."""
     ws = grid.signal_grid[:, None]

@@ -208,9 +208,10 @@ def test_closed_form_report_matches_quadrature_report(jsa_ktp, filt):
     numeric = hp.heralding_report(jsa_ktp, filt)
     assert type(closed) is hp.HeraldingReport
     assert type(numeric) is hp.HeraldingReport
-    for field in dataclasses.fields(hp.HeraldingReport):
-        assert getattr(closed, field.name) == pytest.approx(
-            getattr(numeric, field.name), rel=1e-9), field.name
+    names = [field.name for field in dataclasses.fields(hp.HeraldingReport)]
+    for name in names + ["schmidt_number", "g2", "visibility"]:
+        assert getattr(closed, name) == pytest.approx(
+            getattr(numeric, name), rel=1e-9), name
     if filt is None:
         assert closed.success == 1.0
         assert closed.purity_filtered == closed.purity_unfiltered

@@ -153,7 +153,10 @@ K26 = {"sigma1": 1.0, "sigma2": 5.0, "theta1": "pi/4", "theta2": "-pi/4"}
     {"jsa": K26, "filter": {"center": False, "width": 0.6}},
     {"jsa": {**K26, "sigma1": True}},
     {"jsa": {**K26, "sigma2": "5.0"}},
-], ids=["width-true", "center-false", "sigma1-true", "sigma2-string"])
+    {"jsa": K26, "filter": {"grid": [-1, "0", True],
+                            "transmission": [False, "1.0", 0]}},
+], ids=["width-true", "center-false", "sigma1-true", "sigma2-string",
+        "tabulated-mixed"])
 def test_non_numeric_config_values_exit_2(tmp_path, config):
     # a JSON true used to run as 1, false as 0, and "5.0" as 5.0
     path = tmp_path / "typed.json"
@@ -177,6 +180,22 @@ def test_empty_heralding_exits_with_numerical_error(tmp_path):
     code, _, err = run_cli("report", "--config", str(path))
     assert code == 3
     assert json.loads(err)["error"] == "numerical"
+
+
+@pytest.mark.parametrize("command", ["report", "hom"])
+def test_unresolved_tabulated_herald_exits_3(tmp_path, command):
+    # a box whose knots sit in the amplitude's mass: report printed a
+    # success 2.6% low with exit 0
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"jsa": K26, "filter": {
+        "grid": [-5, -1 - 1e-6, -1, 1, 1 + 1e-6, 5],
+        "transmission": [0, 0, 1, 1, 0, 0]}}))
+    code, out, err = run_cli(command, "--config", str(path), "--no-timestamp")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "numerical"
+    assert "tabulated filter" in error["message"]
 
 
 def test_sweep_deterministic_output(tmp_path):

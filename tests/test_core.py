@@ -181,6 +181,20 @@ def test_tabulated_filter_validation():
         hp.TabulatedFilter(np.array([0.0, 1.0]), np.array([-0.5, 0.5]))
 
 
+@pytest.mark.parametrize("grid, values", [
+    ([-1, "0", True], [False, "1.0", 0]),
+    ([-1.0, 0.0, 1.0], [0.0, "1.0", 0.0]),
+    ([-1, 0, True], [0.0, 1.0, 0.0]),
+    ([-1.0, 0.0, 1.0], np.array([False, True, False])),
+], ids=["mixed", "string-value", "bool-knot", "bool-array"])
+def test_tabulated_filter_refuses_bool_and_str(grid, values):
+    # these used to build, as float(True) = 1.0 and float("1.0") = 1.0
+    with pytest.raises(ValueError, match="must be a number"):
+        hp.TabulatedFilter(grid, values)
+    with pytest.raises(ValueError, match="must be a number"):
+        hp.filter_from_dict({"grid": grid, "transmission": values})
+
+
 def test_filter_dispatch_rejects_unknown():
     with pytest.raises(TypeError):
         hp.filter_transmission(3.0, np.array([0.0]))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
-from conftest import KTP_PARAMS, SEED, draw_case, identity_filter
+from conftest import (K26_PARAMS, KTP_PARAMS, SEED, draw_case, identity_filter,
+                      tabulated_reference)
 from heraldpurity import quadrature
 from heraldpurity.quadrature import _leggauss
 
@@ -180,7 +181,7 @@ def test_hom_validates_splitter(jsa_k26, k26_modes):
         lambda r, d: hp.HomCurve(curve.delays, curve.coincidences, r),
     ]
     for call in entry_points:
-        for refl in [-0.1, 1.2, 1.5, math.nan]:
+        for refl in [-0.1, 1.2, 1.5, math.nan, True]:
             with pytest.raises(ValueError, match="reflectivity"):
                 call(refl, np.array([0.0]))
     for call in entry_points[:3]:
@@ -557,10 +558,29 @@ def test_node_density_keeps_a_margin(jsa_ktp, monkeypatch):
     assert np.abs(dip.coincidences - exact.coincidences).max() <= 1e-12
 
 
-def test_convergence_check_passes_on_defaults(jsa_ktp):
+def _refines(monkeypatch, name):
+    """The node-count factors each later call of ``quadrature.<name>`` gets."""
+    seen, inner = [], getattr(quadrature, name)
+
+    def spy(*args):
+        seen.append(args[-1])
+        return inner(*args)
+    monkeypatch.setattr(quadrature, name, spy)
+    return seen
+
+
+def test_convergence_check_passes_on_defaults(jsa_ktp, monkeypatch):
+    # Gaussian integrands have converged at the node rule's density, so
+    # they are computed once, unrefined
     filt = hp.GaussianFilter(0.0, 0.72)
-    value = hp.filtered_purity(jsa_ktp, filt, check=True)
-    assert value == pytest.approx(hp.closed_form_purity(jsa_ktp, filt), rel=1e-8)
+    plain = quadrature._single_pair(jsa_ktp, filt, None, None, 1.0)
+    doubled = quadrature._single_pair(jsa_ktp, filt, None, None, 2.0)
+    np.testing.assert_allclose(doubled, plain, rtol=0.0, atol=1e-12)
+    refines = _refines(monkeypatch, "_single_pair")
+    assert hp.filtered_purity(jsa_ktp, filt) == plain[0]
+    assert refines == [1.0]
+    assert plain[0] == pytest.approx(hp.closed_form_purity(jsa_ktp, filt),
+                                     rel=1e-8)
 
 
 def test_convergence_check_flags_aliasing(jsa_k26, monkeypatch):
@@ -572,31 +592,93 @@ def test_convergence_check_flags_aliasing(jsa_k26, monkeypatch):
     filt = hp.TabulatedFilter(grid, comb)
     spec = hp.QuadratureSpec(n_nodes=32)
     with pytest.raises(hp.NumericalError):
-        hp.herald_success(jsa_k26, filt, spec=spec, check=True)
+        hp.herald_success(jsa_k26, filt, spec=spec)
 
 
-def test_hom_dip_convergence_check(jsa_k26, jsa_ktp, k26_grid):
+def test_hom_dip_convergence_check(jsa_k26, jsa_ktp, k26_grid, monkeypatch):
     delays = np.linspace(-3.0, 3.0, 201)
     for fx, fy in (((0.0, 0.6), (0.0, 0.6)), ((0.0, 0.4), (0.3, 1.1))):
         fx, fy = hp.GaussianFilter(*fx), hp.GaussianFilter(*fy)
-        checked = hp.hom_dip(jsa_k26, fx, fy, delays, check=True)
-        plain = hp.hom_dip(jsa_k26, fx, fy, delays)
-        np.testing.assert_allclose(checked.coincidences, plain.coincidences,
-                                   rtol=0.0, atol=1e-12)
+        doubled = quadrature._hom_overlaps(jsa_k26, fx, fy, delays, None, 2.0)
+        plain = quadrature._hom_overlaps(jsa_k26, fx, fy, delays, None, 1.0)
+        np.testing.assert_allclose(doubled, plain, rtol=0.0, atol=1e-12)
     # the comb of test_convergence_check_flags_aliasing, on the KTP source
     # at default settings, moves the overlaps by about 4e-4
     grid = np.linspace(-8.0, 8.0, 161)
     comb = hp.TabulatedFilter(grid, (np.arange(161) % 2).astype(float))
     with pytest.raises(hp.ConvergenceError, match="dip overlaps"):
-        hp.hom_dip(jsa_ktp, comb, comb, delays, check=True)
-    filt = hp.GaussianFilter(0.0, 1.0)
-    with pytest.raises(ValueError):
-        hp.hom_dip(k26_grid, filt, filt, delays, check=True)
+        hp.hom_dip(jsa_ktp, comb, comb, delays)
+    # gridded samples cannot be refined, even behind a tabulated herald
+    refines = _refines(monkeypatch, "_hom_overlaps")
+    hp.hom_dip(k26_grid, comb, comb, np.linspace(-1.0, 1.0, 5))
+    assert refines == [1.0]
 
 
-def test_convergence_check_rejects_gridded(k26_grid):
-    with pytest.raises(ValueError):
-        hp.filtered_purity(k26_grid, hp.GaussianFilter(0.0, 1.0), check=True)
+def test_convergence_check_rejects_gridded(k26_grid, jsa_k26, monkeypatch):
+    # a gridded amplitude with a tabulated herald is never refined
+    filt = identity_filter(jsa_k26)
+    refines = _refines(monkeypatch, "_single_pair")
+    purity = hp.filtered_purity(k26_grid, filt)
+    assert refines == [1.0]
+    assert purity == pytest.approx(5.0 / 13.0, rel=1e-6)
+
+
+# The demo box of 2 rad/ps, with 1e-6 ramps: its knots sit inside the
+# amplitude's mass, and at default settings its purity moves by 8.1e-3
+# when node counts double.
+BOX = ([-5.0, -1.0 - 1e-6, -1.0, 1.0, 1.0 + 1e-6, 5.0],
+       [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+
+
+def _gaussian_table(center, width, span, knots):
+    grid = np.linspace(center - span * width, center + span * width, knots)
+    return hp.TabulatedFilter(grid, np.exp(-0.5 * ((grid - center) / width)**2))
+
+
+@pytest.mark.parametrize("jsa", [hp.DoubleGaussianJsa(*K26_PARAMS),
+                                 hp.DoubleGaussianJsa(*KTP_PARAMS)],
+                         ids=["demo", "ktp"])
+def test_tabulated_reference_flat_table(jsa):
+    # unit transmission over the whole marginal: certain heralding, 1/K
+    success, purity = tabulated_reference(jsa, identity_filter(jsa))
+    assert success == pytest.approx(1.0, abs=1e-13)
+    assert purity == pytest.approx(1.0 / hp.schmidt_number(jsa), abs=1e-13)
+
+
+def test_tabulated_reference_box(jsa_k26):
+    # independent of the node count per panel, to rounding
+    box = hp.TabulatedFilter(*BOX)
+    for nodes in (20, 40, 80):
+        success, purity = tabulated_reference(jsa_k26, box, nodes)
+        assert success == pytest.approx(0.305113542520, abs=1e-12)
+        assert purity == pytest.approx(0.877079709208, abs=1e-12)
+
+
+def test_unresolved_tabulated_herald_raises(jsa_k26):
+    # the single pass is 2.6% low in success and 0.6% high in purity
+    box = hp.TabulatedFilter(*BOX)
+    for call in (hp.filtered_purity, hp.herald_success,
+                 lambda jsa, f: hp.heralding_report(jsa, f)):
+        with pytest.raises(hp.ConvergenceError, match="tabulated filter"):
+            call(jsa_k26, box)
+    with pytest.raises(hp.ConvergenceError, match="dip overlaps"):
+        hp.hom_dip(jsa_k26, box, box, [0.0])
+
+
+@pytest.mark.parametrize("jsa, filt", [
+    (hp.DoubleGaussianJsa(*KTP_PARAMS), _gaussian_table(0.0, 2.0, 4.0, 61)),
+    (hp.DoubleGaussianJsa(*K26_PARAMS), _gaussian_table(0.0, 0.6, 5.0, 121)),
+], ids=["ktp-61", "demo-121"])
+def test_smooth_tabulated_herald_meets_reference(jsa, filt):
+    # they come from the doubled pass, within 1.3e-6 of the reference
+    success, purity = tabulated_reference(jsa, filt)
+    doubled = quadrature._single_pair(jsa, filt, None, None, 2.0)
+    assert hp.filtered_purity(jsa, filt) == doubled[0]
+    assert hp.herald_success(jsa, filt) == doubled[1]
+    assert doubled == pytest.approx((purity, success), abs=1e-4)
+    # at zero delay, equal heralds overlap by the purity
+    dip = hp.hom_dip(jsa, filt, filt, [0.0]).coincidences[0]
+    assert 1.0 - 2.0 * dip == pytest.approx(purity, abs=1e-4)
 
 
 def test_heralding_report_consistency(jsa_ktp):

@@ -260,6 +260,15 @@ def test_decomposition_validation(k26_modes):
             )
 
 
+@pytest.mark.parametrize("weights", [[math.nan], [math.inf], [1.0, math.nan]])
+def test_decomposition_refuses_non_finite_weights(weights):
+    # NaN passed the sign and order checks, since it compares false
+    n = len(weights)
+    with pytest.raises(ValueError, match="finite"):
+        hp.SchmidtDecomposition(weights, np.eye(n, 2), np.eye(n, 2),
+                                [0.0, 1.0], [0.0, 1.0])
+
+
 def test_overlap_identity_filter(k26_modes, jsa_k26):
     overlap = hp.overlap_matrix(k26_modes, identity_filter(jsa_k26))
     np.testing.assert_allclose(

@@ -4,10 +4,12 @@ Usage::
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
-Writes seven configs under ``OUTDIR`` (the demo source, the KTP source,
+Writes nine configs under ``OUTDIR`` (the demo source, the KTP source,
 the demo with a detuned filter, the demo without a filter, a 128-point
-gridded copy of the demo as CSV, that copy with extra jsa keys, and the
-demo with a boolean filter width), then runs a fixed list of 81
+gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
+with a boolean filter width, the demo behind a tabulated box herald, and
+the demo behind a table with boolean and string entries), then runs a
+fixed list of 83
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
@@ -44,6 +46,11 @@ CONFIGS = {
                               "bogus": 1},
                       "filter": {"center": 0.0, "width": 0.6}},
     "boolwidth.json": {"jsa": DEMO, "filter": {"center": 0.0, "width": True}},
+    "tabbox.json": {"jsa": DEMO, "filter": {
+        "grid": [-5, -1 - 1e-6, -1, 1, 1 + 1e-6, 5],
+        "transmission": [0, 0, 1, 1, 0, 0]}},
+    "tabtyped.json": {"jsa": DEMO, "filter": {
+        "grid": [-1, "0", True], "transmission": [False, "1.0", 0]}},
 }
 
 
@@ -146,6 +153,10 @@ def invocations():
         # keys beside csv_path and a boolean filter width: exit 2
         ["report", "--config", "csvextra.json"],
         ["report", "--config", "boolwidth.json"],
+        # a box herald whose knots the nodes cannot resolve: exit 3; a
+        # table with boolean and string entries: exit 2
+        ["report", "--config", "tabbox.json"],
+        ["report", "--config", "tabtyped.json"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
