@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport,
-                   _delay_array, _dip_curve)
+                   _delay_array, _dip_curve, _real)
 
 __all__ = [
     "closed_form_pair",
@@ -155,8 +155,8 @@ def thermal_schmidt_coefficients(mode_number, n_modes=64):
     Returns:
         Array of the first ``n_modes`` weights, descending.
     """
-    k = float(mode_number)
-    if not math.isfinite(k) or k < 1.0:
+    k = _real("mode number", mode_number)
+    if k < 1.0:
         raise ValueError(f"mode number must be >= 1, got {mode_number}")
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
@@ -249,6 +249,7 @@ def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5):
         ``HomCurve`` sampled at the given delays, carrying ``reflectivity``.
     """
     _require_types(jsa)
+    purity = _real("purity", purity)
     if not 0.0 <= purity <= 1.0:
         raise ValueError(f"purity must lie in [0, 1], got {purity}")
     tau = _delay_array(delays)

@@ -240,9 +240,10 @@ def visibility(purity, reflectivity=0.5):
     balanced splitter this reduces to ``purity / (2 - purity)``, bit for
     bit.  ``purity`` may be an array; a scalar purity gives a float.
     """
-    p = np.asarray(purity, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError(f"purity must lie in [0, 1], got {purity}")
+    p = np.asarray(purity)
+    if p.dtype.kind not in "iuf" or not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError(f"purity must be a number in [0, 1], got {purity}")
+    p = p.astype(float, copy=False)
     rt = _splitter_product(reflectivity)
     v = rt * p / (1.0 - 2.0 * rt - rt * p)
     return float(v) if v.ndim == 0 else v
@@ -545,6 +546,26 @@ def filter_transmission(filt, omega):
     if not isinstance(filt, (GaussianFilter, TabulatedFilter)):
         raise TypeError(f"not a spectral filter: {type(filt).__name__}")
     return filt.transmission(omega)
+
+
+def _cell_weights(filt, grid, step):
+    """Weights ``step * T`` of the cells of a uniform ``grid``, or ``step``.
+
+    ``T`` is sampled at each cell centre; a tabulated filter's interpolant is
+    integrated exactly over each cell instead, as the difference of its
+    piecewise-quadratic antiderivative at the cell edges.
+    """
+    if not isinstance(filt, TabulatedFilter):
+        return (np.full(grid.size, step) if filt is None
+                else filter_transmission(filt, grid) * step)
+    knots, t = filt.grid, filt.values
+    area = np.append(0.0, np.cumsum(0.5 * (t[1:] + t[:-1]) * np.diff(knots)))
+    edges = np.clip(np.append(grid - 0.5 * step, grid[-1] + 0.5 * step),
+                    knots[0], knots[-1])
+    k = np.minimum(np.searchsorted(knots, edges, "right"), knots.size - 1) - 1
+    d = edges - knots[k]
+    slope = (t[k + 1] - t[k]) / (knots[k + 1] - knots[k])
+    return np.diff(area[k] + d * (t[k] + 0.5 * slope * d))
 
 
 @dataclass(frozen=True, eq=False)

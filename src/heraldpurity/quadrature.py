@@ -35,9 +35,10 @@ off-center filters), and node counts scale with the window length measured
 in units of the finest feature, so narrow filters and strongly elongated
 amplitudes spend nodes only where structure lives.  The density,
 ``_NODES_PER_FEATURE``, is set from a measured knee: results stop moving at
-about 1.9 nodes per feature.  A tabulated filter's knots are not features,
-so results with one on a double Gaussian come from doubled node counts and
-raise ``ConvergenceError`` if the doubling moved them by more than 1e-4.
+about 1.9 nodes per feature.  A tabulated filter's knots split its axis into
+panels, each with Gauss-Legendre nodes of its own (``_arm_axis``): the
+transmission is linear on a panel, so every integrand is smooth where it is
+sampled and every result comes from one pass.
 
 Nodes and weights come from Newton's method on the Legendre three-term
 recurrence, in O(n^2) time and O(n) memory, not from numpy's eigen-solve of
@@ -68,6 +69,7 @@ from .core import (
     _GRAM_BLOCK,
     _UNDERFLOW_FLOOR,
     _arm_overlaps,
+    _cell_weights,
     _band_pairs,
     _check_delay_step,
     _clip_unit,
@@ -111,9 +113,6 @@ _BAND_MARGIN = 1.0
 # Interference is cut off where its envelope has decayed below exp(-49).
 _DECAY_CUTOFF = 7.0
 
-# Result tolerance for the doubled-node check of tabulated filters.
-_CHECK_TOL = 1e-4
-
 # Newton on the Legendre recurrence stops once its error bound for the
 # stepped nodes is below _NEWTON_TOL, a tenth of the rounding unit near +-1;
 # from the asymptotic guesses that takes one step for n >= 40 and two below.
@@ -135,11 +134,10 @@ class QuadratureSpec:
     """Controls for the Gauss-Legendre integration engine.
 
     Attributes:
-        n_nodes: Floor on the nodes per axis, in [32, 6000]; counts grow
-            from it with the window length in units of the finest integrand
-            feature, at 2.6 nodes per feature.  The cap holds for the doubled
-            axes of a tabulated filter's convergence check too, so there
-            ``n_nodes`` above 3000 raises ``ConvergenceError``.
+        n_nodes: Integer floor on the nodes per axis, in [32, 6000];
+            counts grow from it at 2.6 nodes per finest integrand feature of
+            the window.  The signal axis holds the n x n states, so the cap
+            holds there after a tabulated heralded filter's knot panels too.
         half_extent: Window half-width in standard deviations of the
             windowed mass; finite and at least 4.
     """
@@ -148,6 +146,9 @@ class QuadratureSpec:
     half_extent: float = 8.0
 
     def __post_init__(self):
+        if type(self.n_nodes) is bool or not isinstance(self.n_nodes, (
+                int, np.integer)):
+            raise ValueError(f"n_nodes must be an integer, got {self.n_nodes!r}")
         if not 32 <= self.n_nodes <= _MAX_NODES:
             raise ValueError(f"n_nodes must lie in [32, {_MAX_NODES}], got "
                              f"{self.n_nodes}")
@@ -255,31 +256,37 @@ def _leggauss(n):
     return nodes, weights
 
 
-def _axis(lo, hi, n):
-    x, w = _leggauss(int(n))
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return mid + half * x, half * w
+def _arm_axis(spec, lo, hi, feature, filt, extra=0):
+    """Gauss-Legendre nodes on ``[lo, hi]``, and weights times ``filt``.
 
-
-def _node_count(spec, length, feature, refine, extra=0):
-    """Nodes for one axis; raises when the final count exceeds the ceiling.
-
-    The ceiling applies after ``refine``, so the doubled axes of a
-    convergence check stay within it too.
+    The node rule gives the window ``n`` nodes: ``_NODES_PER_FEATURE`` per
+    ``feature`` of its length plus ``_NODE_MARGIN`` and ``extra``, at least
+    ``spec.n_nodes``, rounded up to a multiple of 16, at most ``_MAX_NODES``.
+    A tabulated ``filt`` splits the window at its knots inside it, and a
+    panel of length ``l`` gets ``ceil(n l / (hi - lo)) + 2`` nodes: the
+    transmission is linear there, so the integrand is smooth.
     """
-    need = int(math.ceil(_NODES_PER_FEATURE * length / feature))
-    base = max(spec.n_nodes, need + _NODE_MARGIN + extra)
-    n = int(round(base * refine))
+    need = int(math.ceil(_NODES_PER_FEATURE * (hi - lo) / feature))
+    n = max(spec.n_nodes, need + _NODE_MARGIN + extra)
     n = ((n + 15) // 16) * 16
     if n > _MAX_NODES:
-        doubled = (f" ({base} nodes doubled for the convergence check)"
-                   if refine != 1.0 else "")
         raise ConvergenceError(
-            f"axis needs {n} nodes to resolve its window{doubled} but at "
-            f"most {_MAX_NODES} are allowed"
+            f"axis needs {n} nodes to resolve its window but at most "
+            f"{_MAX_NODES} are allowed"
         )
-    return n
+    edges, counts = (lo, hi), (n,)
+    if isinstance(filt, TabulatedFilter):
+        knots = filt.grid[(filt.grid > lo) & (filt.grid < hi)]
+        edges = np.concatenate(([lo], knots, [hi]))
+        counts = np.ceil(n * np.diff(edges) / (hi - lo)).astype(int) + 2
+    nodes, weights = [], []
+    for a, b, count in zip(edges[:-1], edges[1:], counts):
+        x, w = _leggauss(int(count))
+        half = 0.5 * (b - a)
+        nodes.append(0.5 * (b + a) + half * x)
+        weights.append(half * w)
+    x, w = np.concatenate(nodes), np.concatenate(weights)
+    return x, w if filt is None else w * filter_transmission(filt, x)
 
 
 def _restrict(lo, hi, feature, filt, tail, scale):
@@ -319,12 +326,6 @@ def _signal_window(jsa, idler_window, heralded, tail):
     lo = max(min(ends) - tail * w_sig, -tail * s_sig)
     hi = min(max(ends) + tail * w_sig, tail * s_sig)
     return _restrict(lo, hi, w_sig, heralded, tail, s_sig)
-
-
-def _weighted(weights, grid, filt):
-    if filt is None:
-        return weights
-    return weights * filter_transmission(filt, grid)
 
 
 def _root_weighted(jsa, x, y, root):
@@ -374,7 +375,7 @@ def _root_weighted(jsa, x, y, root):
     return [(0, 0, block)]
 
 
-def _heralded_states(jsa, heralds, heralded, spec, refine, max_delay=None):
+def _heralded_states(jsa, heralds, heralded, spec, max_delay=None):
     """Signal nodes, signal weights, and one heralded state per herald.
 
     Each state ``M(w, w~)`` is unnormalized and sampled on the one signal
@@ -389,21 +390,24 @@ def _heralded_states(jsa, heralds, heralded, spec, refine, max_delay=None):
         if max_delay is not None:
             _check_delay_step(max_delay, jsa.signal_step)
         x, y = jsa.signal_grid, jsa.idler_grid
-        wx = np.full(x.size, jsa.signal_step)
-        idler_axes = [(y, np.full(y.size, jsa.idler_step))] * len(heralds)
+        wx = _cell_weights(heralded, x, jsa.signal_step)
+        idler_axes = [(y, _cell_weights(h, y, jsa.idler_step))
+                      for h in heralds]
     elif isinstance(jsa, DoubleGaussianJsa):
         spec = spec if spec is not None else DEFAULT_SPEC
         tail = spec.half_extent
         windows = [_idler_window(jsa, h, tail) for h in heralds]
-        idler_axes = [_axis(lo, hi, _node_count(spec, hi - lo, feature, refine))
-                      for lo, hi, feature in windows]
+        idler_axes = [_arm_axis(spec, *window, h)
+                      for h, window in zip(heralds, windows)]
         hull = (min(w[0] for w in windows), max(w[1] for w in windows))
         xlo, xhi, xfeat = _signal_window(jsa, hull, heralded, tail)
         osc = 0
         if max_delay is not None:
             osc = int(math.ceil(0.4 * max_delay * (xhi - xlo))) + 16
-        x, wx = _axis(xlo, xhi,
-                      _node_count(spec, xhi - xlo, xfeat, refine, osc))
+        x, wx = _arm_axis(spec, xlo, xhi, xfeat, heralded, osc)
+        if x.size > _MAX_NODES:  # the n x n states live on this axis
+            raise ConvergenceError(f"signal axis needs {x.size} nodes across "
+                                   f"knots; at most {_MAX_NODES} are allowed")
     else:
         raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
     states = []
@@ -413,41 +417,17 @@ def _heralded_states(jsa, heralds, heralded, spec, refine, max_delay=None):
             continue
         # One arm's root-weighted amplitude is alive at a time.  A fresh
         # sample is scaled in place; gridded amplitudes are read-only.
-        root = np.sqrt(_weighted(wy, y, herald))
+        root = np.sqrt(wy)
         if isinstance(jsa, GriddedJsa):
             pieces = [(0, 0, jsa.amplitudes * root)]
         else:
             pieces = _root_weighted(jsa, x, y, root)
         states.append(_gram(pieces, (x.size, y.size)))
-    return x, _weighted(wx, x, heralded), states
+    return x, wx, states
 
 
-def _refined(jsa, filters, what, compute):
-    """``compute(1.0)``, or the doubled-node ``compute(2.0)`` where it can move.
-
-    ``compute`` maps a node-count factor to a tuple whose first item, called
-    ``what``, may move by at most ``_CHECK_TOL`` when node counts double.
-    Only a ``TabulatedFilter`` on a double Gaussian is checked: its knots
-    leave the integrand piecewise smooth.  Gaussian integrands move by at
-    most 1e-12 when doubled, and gridded samples cannot be refined.
-    """
-    result = compute(1.0)
-    if not (isinstance(jsa, DoubleGaussianJsa) and any(
-            isinstance(f, TabulatedFilter) for f in filters)):
-        return result
-    fine = compute(2.0)
-    drift = float(np.abs(fine[0] - result[0]).max())
-    if drift > _CHECK_TOL:
-        raise ConvergenceError(
-            f"{what} moved by {drift:.3e} when node counts were doubled; a "
-            "tabulated filter's knots leave the integrand piecewise smooth; "
-            "increase n_nodes or half_extent"
-        )
-    return fine
-
-
-def _single_pair(jsa, herald, heralded, spec, refine):
-    _, wx, (state,) = _heralded_states(jsa, (herald,), heralded, spec, refine)
+def _single_pair(jsa, herald, heralded, spec):
+    _, wx, (state,) = _heralded_states(jsa, (herald,), heralded, spec)
     purity, success = _purity_success(state, wx, overwrite=True)
     success = float(success)
     if not math.isfinite(success) or success <= 0.0:
@@ -458,11 +438,6 @@ def _single_pair(jsa, herald, heralded, spec, refine):
     if not math.isfinite(purity):
         raise NumericalError("purity evaluated to a non-finite value")
     return float(purity), success
-
-
-def _checked_pair(jsa, herald, heralded, spec):
-    return _refined(jsa, (herald, heralded), "purity", lambda refine:
-                    _single_pair(jsa, herald, heralded, spec, refine))
 
 
 def unfiltered_purity(jsa, spec=None):
@@ -478,7 +453,7 @@ def unfiltered_purity(jsa, spec=None):
     Returns:
         Purity in (0, 1].
     """
-    purity, _ = _checked_pair(jsa, None, None, spec)
+    purity, _ = _single_pair(jsa, None, None, spec)
     return _clip_unit(purity)
 
 
@@ -495,7 +470,7 @@ def herald_success(jsa, herald_filter, spec=None):
     """
     if herald_filter is None:
         raise ValueError("herald_success requires a herald filter")
-    _, success = _checked_pair(jsa, herald_filter, None, spec)
+    _, success = _single_pair(jsa, herald_filter, None, spec)
     return _clip_unit(success)
 
 
@@ -516,7 +491,7 @@ def filtered_purity(jsa, herald_filter, spec=None):
     """
     if herald_filter is None:
         raise ValueError("filtered_purity requires a herald filter")
-    purity, success = _checked_pair(jsa, herald_filter, None, spec)
+    purity, success = _single_pair(jsa, herald_filter, None, spec)
     _require_success(success)
     return _clip_unit(purity)
 
@@ -541,13 +516,13 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None):
     """
     if herald_filter is None or heralded_filter is None:
         raise ValueError("two_filter_quantities requires both filters")
-    purity, success = _checked_pair(jsa, herald_filter, heralded_filter, spec)
+    purity, success = _single_pair(jsa, herald_filter, heralded_filter, spec)
     _require_success(success, "two-filter success")
     return _clip_unit(purity), _clip_unit(success)
 
 
-def _hom_overlaps(jsa, herald_x, herald_y, delays, spec, refine):
-    """Two-arm overlaps for one node-count refinement level."""
+def _hom_overlaps(jsa, herald_x, herald_y, delays, spec):
+    """Two-arm overlaps at each delay."""
     out = np.zeros(delays.shape)
     resolved = np.ones(delays.shape, dtype=bool)
     if isinstance(jsa, DoubleGaussianJsa):
@@ -556,7 +531,7 @@ def _hom_overlaps(jsa, herald_x, herald_y, delays, spec, refine):
         if not np.any(resolved):
             return out
     x, wx, states = _heralded_states(
-        jsa, (herald_x, herald_y), None, spec, refine,
+        jsa, (herald_x, herald_y), None, spec,
         max_delay=float(np.abs(delays[resolved]).max()))
     out[resolved] = _arm_overlaps(x, wx, *states, delays[resolved])
     return out
@@ -594,9 +569,7 @@ def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5, spec=None):
         raise ValueError("hom_dip requires a herald filter for each source")
     _splitter_product(reflectivity)  # checked before any integration
     delays = _delay_array(delays)
-    overlap, = _refined(jsa, (herald_x, herald_y), "dip overlaps",
-                        lambda refine: (_hom_overlaps(
-                            jsa, herald_x, herald_y, delays, spec, refine),))
+    overlap = _hom_overlaps(jsa, herald_x, herald_y, delays, spec)
     return _dip_curve(delays, overlap, reflectivity)
 
 
@@ -617,6 +590,6 @@ def heralding_report(jsa, herald_filter=None, spec=None):
     p_raw = unfiltered_purity(jsa, spec=spec)
     if herald_filter is None:
         return HeraldingReport(1.0, p_raw, p_raw)
-    purity, success = _checked_pair(jsa, herald_filter, None, spec)
+    purity, success = _single_pair(jsa, herald_filter, None, spec)
     _require_success(success)
     return HeraldingReport(_clip_unit(success), _clip_unit(purity), p_raw)

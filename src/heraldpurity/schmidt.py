@@ -26,6 +26,7 @@ from .core import (
     GriddedJsa,
     NumericalError,
     _arm_overlaps,
+    _cell_weights,
     _check_delay_step,
     _clip_unit,
     _delay_array,
@@ -35,7 +36,6 @@ from .core import (
     _purity_success,
     _require_success,
     _splitter_product,
-    filter_transmission,
 )
 
 __all__ = [
@@ -363,6 +363,8 @@ def decompose(gridded, rel_threshold=1e-12):
 def overlap_matrix(decomposition, filt, side="idler"):
     """Filter overlap matrix on one mode family of a decomposition.
 
+    A tabulated filter is integrated over each grid cell (``_cell_weights``).
+
     Args:
         decomposition: ``SchmidtDecomposition`` providing the modes.
         filt: Spectral filter applied on that arm.
@@ -381,7 +383,9 @@ def overlap_matrix(decomposition, filt, side="idler"):
         step = decomposition.signal_step
     else:
         raise ValueError(f"side must be 'idler' or 'signal', got {side!r}")
-    weights = filter_transmission(filt, grid) * step
+    if filt is None:  # _cell_weights would read it as no filter
+        raise TypeError("not a spectral filter: NoneType")
+    weights = _cell_weights(filt, grid, step)
     q = (modes * weights) @ modes.conj().T
     q = 0.5 * (q + q.conj().T)
     return OverlapMatrix(matrix=q, side=side)

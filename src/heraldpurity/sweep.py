@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _clip_unit,
-                   _freeze, _gram, _purity_success, _require_success,
+                   _freeze, _gram, _purity_success, _real, _require_success,
                    _squared_modulus, visibility)
 
 __all__ = [
@@ -295,11 +295,12 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
     if (target_purity is None) == (target_visibility is None):
         raise ValueError("give exactly one of target_purity or target_visibility")
     if target_visibility is not None:
-        if not 0.0 < target_visibility < 1.0:
+        v = _real("target visibility", target_visibility)
+        if not 0.0 < v < 1.0:
             raise ValueError("target visibility must lie strictly in (0, 1)")
-        target = 2.0 * target_visibility / (1.0 + target_visibility)
+        target = 2.0 * v / (1.0 + v)
     else:
-        target = float(target_purity)
+        target = _real("target purity", target_purity)
     if not 0.0 < target < 1.0:
         raise ValueError("target purity must lie strictly in (0, 1)")
 

@@ -55,30 +55,71 @@ def identity_filter(jsa, tails=12.0):
     return hp.TabulatedFilter(grid, np.ones_like(grid))
 
 
+def _panels(jsa, knots, nodes, tails):
+    """Gauss-Legendre nodes and weights on the panels between ``knots``.
+
+    Knots are clipped to ``tails`` marginal idler s.d.; a panel gets two
+    nodes plus ``nodes`` per conditional idler width of its length, so long
+    panels converge and short ones stay cheap.
+    """
+    _, s_idl = jsa.marginal_widths()
+    _, w_idl = jsa.conditional_widths()
+    knots = np.unique(np.clip(knots, -tails * s_idl, tails * s_idl))
+    ys, ws = [], []
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        x, w = np.polynomial.legendre.leggauss(
+            2 + math.ceil(nodes * (hi - lo) / w_idl))
+        ys.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+        ws.append(0.5 * (hi - lo) * w)
+    return np.concatenate(ys), np.concatenate(ws)
+
+
+def _idler_sums(jsa, y, u, v):
+    """``(u diag(rho), v diag(rho), u rho^2 v)`` of the closed-form idler state.
+
+    For a real double Gaussian with intensity coefficients ``(a, b, c)`` the
+    unnormalized idler state is
+    ``rho(y, y') = exp(-(c/2)(y^2 + y'^2) + b^2 (y + y')^2 / (4a))``; its
+    square is contracted a block of rows at a time.
+    """
+    a, b, c = jsa.intensity_coefficients()
+
+    def rho(p, q):
+        return np.exp(-0.5 * c * (p * p + q * q) + b * b * (p + q) ** 2 / (4 * a))
+
+    diag = rho(y, y)
+    cross = sum(u[i:i + 512] @ rho(y[i:i + 512, None], y[None, :]) ** 2 @ v
+                for i in range(0, y.size, 512))
+    return u @ diag, v @ diag, cross
+
+
 def tabulated_reference(jsa, filt, nodes=20, tails=40.0):
     """Exact ``(success, purity)`` of a tabulated idler herald, numpy only.
 
-    For a real double Gaussian with intensity coefficients ``(a, b, c)`` the
-    unnormalized idler state is closed form,
-    ``rho(y, y') = exp(-(c/2)(y^2 + y'^2) + b^2 (y + y')^2 / (4a))``, and the
-    transmission is linear between knots.  So Gauss-Legendre panels between
-    the knots, within ``tails`` marginal s.d., integrate it to rounding:
-    with weights ``w`` (nodes times transmission), ``P = |w rho w|_F / tr^2``
-    summed entry by entry and ``S = tr * sqrt((ac - b^2) / (pi a))``, with
-    ``tr = sum(w diag(rho))``.
+    The transmission is linear between knots, so Gauss-Legendre panels
+    between them (``_panels``) integrate the closed-form idler state to
+    rounding: with weights ``w`` (nodes times transmission),
+    ``P = w rho^2 w / tr^2`` and ``S = tr * sqrt((ac - b^2) / (pi a))``,
+    with ``tr = sum(w diag(rho))``.
     """
     a, b, c = jsa.intensity_coefficients()
-    _, s_idl = jsa.marginal_widths()
-    knots = np.clip(filt.grid, -tails * s_idl, tails * s_idl)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    lo, hi = knots[:-1, None], knots[1:, None]
-    y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
-    w = (0.5 * (hi - lo) * w).ravel() * filt.transmission(y)
-    rho = np.exp(-0.5 * c * (y[:, None] ** 2 + y[None, :] ** 2)
-                 + b * b * (y[:, None] + y[None, :]) ** 2 / (4.0 * a))
-    trace = w @ np.diagonal(rho)
-    purity = w @ (rho * rho) @ w / trace**2
-    return trace * math.sqrt((a * c - b * b) / (math.pi * a)), purity
+    y, w = _panels(jsa, filt.grid, nodes, tails)
+    w = w * filt.transmission(y)
+    trace, _, cross = _idler_sums(jsa, y, w, w)
+    return trace * math.sqrt((a * c - b * b) / (math.pi * a)), cross / trace**2
+
+
+def tabulated_overlap(jsa, fx, fy, nodes=20, tails=40.0):
+    """Exact zero-delay overlap of two tabulated idler heralds, numpy only.
+
+    ``sum(T_x T_y rho^2) / (S_x S_y)`` in the terms of
+    ``tabulated_reference``, on panels between the knots of both heralds;
+    equal heralds overlap by the purity.
+    """
+    y, w = _panels(jsa, np.concatenate((fx.grid, fy.grid)), nodes, tails)
+    trace_x, trace_y, cross = _idler_sums(jsa, y, w * fx.transmission(y),
+                                          w * fy.transmission(y))
+    return cross / (trace_x * trace_y)
 
 
 def chirped_copy(grid, seed_phase=(0.21, -0.13, 0.17, 0.4)):

@@ -186,6 +186,18 @@ def test_visibility_formula():
         hp.visibility(purity, 0.6), rel=1e-6)
 
 
+@pytest.mark.parametrize("call", [
+    lambda jsa: hp.hom_dip_analytic(jsa, True, [0.0]),
+    lambda jsa: hp.thermal_schmidt_coefficients(True),
+    lambda jsa: hp.visibility(True),
+    lambda jsa: hp.visibility(np.array([0.5, 0.9]) > 0.6),
+], ids=["dip-purity", "mode-number", "visibility", "visibility-array"])
+def test_closed_forms_refuse_bool(jsa_k26, call):
+    # each ran with true taken as 1
+    with pytest.raises(ValueError, match="must be a number"):
+        call(jsa_k26)
+
+
 def test_closed_form_report(jsa_ktp):
     filt = hp.GaussianFilter(0.0, 0.72)
     report = hp.closed_form_report(jsa_ktp, filt)

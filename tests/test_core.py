@@ -9,8 +9,9 @@ from scipy.integrate import dblquad
 
 import heraldpurity as hp
 from conftest import SEED, draw_source
-from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _clip_unit,
-                               _gram, _purity_success, _require_success)
+from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _cell_weights,
+                               _clip_unit, _gram, _purity_success,
+                               _require_success)
 
 
 def test_package_exports_every_public_name():
@@ -193,6 +194,31 @@ def test_tabulated_filter_refuses_bool_and_str(grid, values):
         hp.TabulatedFilter(grid, values)
     with pytest.raises(ValueError, match="must be a number"):
         hp.filter_from_dict({"grid": grid, "transmission": values})
+
+
+def test_cell_weights_integrate_the_interpolant():
+    # each cell of a tabulated filter gets the exact integral of its linear
+    # interpolant: trapezoids between the cell edges and the knots inside
+    # the cell; Gaussian filters and no filter keep point samples
+    filt = hp.TabulatedFilter([-1.3, -0.2, 0.05, 0.9, 1.4],
+                              [0.0, 1.0, 0.4, 0.7, 0.0])
+    knots, values = filt.grid, filt.values
+    grid = np.linspace(-2.0, 2.0, 17)
+    step = grid[1] - grid[0]
+    weights = _cell_weights(filt, grid, step)
+    for centre, weight in zip(grid, weights):
+        lo, hi = centre - 0.5 * step, centre + 0.5 * step
+        points = np.union1d([lo, hi], knots[(knots > lo) & (knots < hi)])
+        samples = filt.transmission(points)
+        exact = np.sum(0.5 * (samples[1:] + samples[:-1]) * np.diff(points))
+        assert weight == pytest.approx(exact, rel=1e-13, abs=1e-16)
+    area = np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(knots))
+    assert weights.sum() == pytest.approx(area, rel=1e-14)
+    gauss = hp.GaussianFilter(0.2, 0.7)
+    assert np.array_equal(_cell_weights(gauss, grid, step),
+                          gauss.transmission(grid) * step)
+    assert np.array_equal(_cell_weights(None, grid, step),
+                          np.full(grid.size, step))
 
 
 def test_filter_dispatch_rejects_unknown():

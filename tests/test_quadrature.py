@@ -7,8 +7,8 @@ import pytest
 
 import heraldpurity as hp
 from conftest import (K26_PARAMS, KTP_PARAMS, SEED, draw_case, identity_filter,
-                      tabulated_reference)
-from heraldpurity import quadrature
+                      tabulated_overlap, tabulated_reference)
+from heraldpurity import core, quadrature
 from heraldpurity.quadrature import _leggauss
 
 
@@ -269,16 +269,13 @@ def _explicit_states(jsa, heralds, x):
     for herald in heralds:
         if isinstance(jsa, hp.GriddedJsa):
             y = jsa.idler_grid
-            wy = np.full(y.size, jsa.idler_step)
+            wy = core._cell_weights(herald, y, jsa.idler_step)
             phi = jsa.amplitudes
         else:
             lo, hi, feature = quadrature._idler_window(jsa, herald,
                                                        spec.half_extent)
-            y, wy = quadrature._axis(lo, hi, quadrature._node_count(
-                spec, hi - lo, feature, 1.0))
+            y, wy = quadrature._arm_axis(spec, lo, hi, feature, herald)
             phi = hp.eval_double_gaussian(jsa, x[:, None], y[None, :])
-        if herald is not None:
-            wy = wy * hp.filter_transmission(herald, y)
         states.append((phi * wy) @ phi.conj().T)
     return states
 
@@ -298,7 +295,7 @@ def test_heralded_states_are_gram_matrices(request, source, heralds):
     jsa = request.getfixturevalue(source)
     gridded = isinstance(jsa, hp.GriddedJsa)
     before = jsa.amplitudes.copy() if gridded else None
-    x, _, states = quadrature._heralded_states(jsa, heralds, None, None, 1.0)
+    x, _, states = quadrature._heralded_states(jsa, heralds, None, None)
     for state, explicit in zip(states, _explicit_states(jsa, heralds, x)):
         scale = np.abs(state).max()
         assert scale > 0.0
@@ -320,7 +317,8 @@ def test_heralded_states_are_gram_matrices(request, source, heralds):
 _KTP_TAB_GRID = np.linspace(-30.0, 30.0, 61)
 
 
-@pytest.mark.parametrize("source, heralds, heralded, refine, max_delay, band", [
+@pytest.mark.parametrize(
+        "source, heralds, heralded, density, max_delay, band", [
     ("jsa_ktp", (None,), None, 1.0, None, True),
     ("jsa_ktp", (hp.GaussianFilter(0.0, 0.05),), None, 1.0, None, False),
     ("jsa_ktp", (hp.GaussianFilter(3.0, 0.05),), None, 1.0, None, False),
@@ -338,14 +336,20 @@ _KTP_TAB_GRID = np.linspace(-30.0, 30.0, 61)
     ("jsa_ktp", (hp.GaussianFilter(0.0, 14.0),), None, 2.0, None, True),
     ("jsa_k26", (None, hp.GaussianFilter(0.3, 0.6)), None, 1.0, 2.0, False),
     ("jsa_ktp", (hp.GaussianFilter(400.0, 0.05),), None, 1.0, None, True),
+    ("jsa_ktp", (hp.GaussianFilter(0.0, 14.0),), hp.TabulatedFilter(
+        _KTP_TAB_GRID, np.exp(-((_KTP_TAB_GRID + 2.0) / 9.0) ** 2)),
+     1.0, None, True),
 ])
 def test_band_sampled_states_match_dense_evaluation(
-        request, monkeypatch, source, heralds, heralded, refine, max_delay,
+        request, monkeypatch, source, heralds, heralded, density, max_delay,
         band):
     # B evaluated only over the live band of each row block gives the same
-    # bits as B evaluated on the whole node grid
+    # bits as B evaluated on the whole node grid, also at a denser node rule
+    # and on the knot panels of a tabulated heralded filter
     jsa = request.getfixturevalue(source)
-    args = (jsa, heralds, heralded, None, refine, max_delay)
+    monkeypatch.setattr(quadrature, "_NODES_PER_FEATURE",
+                        density * quadrature._NODES_PER_FEATURE)
+    args = (jsa, heralds, heralded, None, max_delay)
     banded = []
     sampler = quadrature._root_weighted
 
@@ -369,8 +373,7 @@ def test_band_sampled_states_match_dense_evaluation(
 def test_herald_beyond_the_band_gives_an_empty_state(jsa_ktp):
     # every root-weighted sample lies below the underflow floor
     far = hp.GaussianFilter(400.0, 0.05)
-    _, _, (state,) = quadrature._heralded_states(jsa_ktp, (far,), None, None,
-                                                 1.0)
+    _, _, (state,) = quadrature._heralded_states(jsa_ktp, (far,), None, None)
     assert not state.any()
     with pytest.raises(hp.NumericalError,
                        match="heralding probability evaluated to 0.0"):
@@ -477,6 +480,13 @@ def test_quadrature_spec_validation():
             hp.QuadratureSpec(half_extent=extent)
 
 
+@pytest.mark.parametrize("n_nodes", [100.5, np.float64(200.0), True, "200"])
+def test_quadrature_spec_requires_an_integer_node_floor(n_nodes):
+    with pytest.raises(ValueError, match="n_nodes must be an integer"):
+        hp.QuadratureSpec(n_nodes=n_nodes)
+    assert hp.QuadratureSpec(n_nodes=np.int64(64)).n_nodes == 64
+
+
 def test_non_amplitudes_raise_type_error():
     # hom_dip used to fail with an AttributeError on the missing grid step
     filt = hp.GaussianFilter(0.0, 1.0)
@@ -494,28 +504,51 @@ def test_node_budget_exhaustion(jsa_ktp, monkeypatch):
         hp.filtered_purity(jsa_ktp, filt, spec=spec)
 
 
-def test_doubled_node_count_raises_past_the_budget():
-    # the budget holds for the final count, after the convergence check's
-    # doubling: a real 12000^2 state would take 1.15 GB
+def test_doubled_node_count_raises_past_the_budget(jsa_k26):
+    # the budget holds for the signal axis after the panels of a tabulated
+    # heralded filter, since the n x n states live on it: a real 12000^2
+    # state would take 1.15 GB.  Idler panels only lengthen B, so a dense
+    # table there is not capped.
     spec = hp.QuadratureSpec(n_nodes=6000)
-    assert quadrature._node_count(spec, 1.0, 1.0, 1.0) == 6000
-    with pytest.raises(hp.ConvergenceError, match="doubled"):
-        quadrature._node_count(spec, 1.0, 1.0, 2.0)
+    x, _ = quadrature._arm_axis(spec, -1.0, 1.0, 1.0, None)
+    assert x.size == 6000
+    with pytest.raises(hp.ConvergenceError, match="axis needs 6016 nodes"):
+        quadrature._arm_axis(quadrature.DEFAULT_SPEC, 0.0, 2300.0, 1.0, None)
+    dense = _gaussian_table(0.0, 0.8, 6.0, 3001)
+    with pytest.raises(hp.ConvergenceError, match="signal axis needs 9000"):
+        hp.two_filter_quantities(jsa_k26, identity_filter(jsa_k26), dense)
+    lo, hi, feature = quadrature._idler_window(jsa_k26, dense, 8.0)
+    y, _ = quadrature._arm_axis(quadrature.DEFAULT_SPEC, lo, hi, feature,
+                                dense)
+    assert y.size == 9000
+    assert hp.filtered_purity(jsa_k26, dense) > 0.0
 
 
 @pytest.mark.parametrize("n_nodes", [32, 200, 2999, 3000, 3001, 6000])
-def test_doubled_axes_stay_within_the_budget(n_nodes):
+def test_doubled_axes_stay_within_the_budget(jsa_k26, n_nodes):
+    # a panel adds at most three nodes to its share of the node rule's
+    # count, and a signal axis whose panels pass the budget is refused
+    # before any state is built
     spec = hp.QuadratureSpec(n_nodes=n_nodes)
-    kept = 0
-    for ratio in np.geomspace(1.0, 3000.0, 60):
-        for extra in (0, 16, 900):
-            try:
-                n = quadrature._node_count(spec, ratio, 1.0, 2.0, extra)
-            except hp.ConvergenceError:
-                continue
-            assert n <= quadrature._MAX_NODES and n % 16 == 0
-            kept += 1
-    assert (kept > 0) == (n_nodes <= 3000)
+    hull = quadrature._idler_window(jsa_k26, None, spec.half_extent)[:2]
+    refused = 0
+    for knots in (2, 11, 101, 2001):
+        table = _gaussian_table(0.0, 3.0, 6.0, knots)
+        lo, hi, feature = quadrature._signal_window(jsa_k26, hull, table,
+                                                    spec.half_extent)
+        plain, _ = quadrature._arm_axis(spec, lo, hi, feature, None)
+        x, w = quadrature._arm_axis(spec, lo, hi, feature, table)
+        panels = 1 + np.count_nonzero((table.grid > lo) & (table.grid < hi))
+        assert plain.size + 2 * panels <= x.size <= plain.size + 3 * panels
+        assert np.all(np.diff(x) > 0.0) and lo < x[0] and x[-1] < hi
+        # the transmission is linear on each panel, so its integral is exact
+        exact = core._cell_weights(table, np.array([0.5 * (lo + hi)]), hi - lo)
+        assert w.sum() == pytest.approx(exact[0], rel=1e-13)
+        if x.size > quadrature._MAX_NODES:
+            refused += 1
+            with pytest.raises(hp.ConvergenceError, match="signal axis"):
+                quadrature._heralded_states(jsa_k26, (None,), table, spec)
+    assert refused == {2999: 1, 3000: 1, 3001: 1, 6000: 4}.get(n_nodes, 0)
 
 
 def _margin_cases():
@@ -529,22 +562,34 @@ def _margin_cases():
     return cases
 
 
-def _margin_values(cases):
+def _margin_values(cases, spec=None):
     values = []
     for jsa, herald in cases:
-        values.append(quadrature._single_pair(jsa, herald, None, None, 1.0))
+        values.append(quadrature._single_pair(jsa, herald, None, spec))
         if herald is not None:
-            values.append(quadrature._single_pair(jsa, herald, herald, None,
-                                                  1.0))
+            values.append(quadrature._single_pair(jsa, herald, herald, spec))
     return np.array(values)
+
+
+def _doubled_rule(monkeypatch):
+    """Double the node rule's density and margin; returns a doubled floor."""
+    monkeypatch.setattr(quadrature, "_NODES_PER_FEATURE",
+                        2.0 * quadrature._NODES_PER_FEATURE)
+    monkeypatch.setattr(quadrature, "_NODE_MARGIN",
+                        2 * quadrature._NODE_MARGIN)
+    return hp.QuadratureSpec(n_nodes=2 * quadrature.DEFAULT_SPEC.n_nodes)
 
 
 def test_node_density_keeps_a_margin(jsa_ktp, monkeypatch):
     # at 0.7 of the density, 1.82 nodes per feature, just under the measured
     # knee of about 1.9, results still agree to 1e-11 (2e-13 measured); a
-    # cut of the constant to the knee or below fails here
+    # cut of the constant to the knee or below fails here.  Twice the
+    # density, margin and floor move them by at most 1e-12.
     cases = _margin_cases()
     reference = _margin_values(cases)
+    with monkeypatch.context() as patch:
+        dense = _margin_values(cases, _doubled_rule(patch))
+    np.testing.assert_allclose(dense, reference, rtol=0.0, atol=1e-12)
     monkeypatch.setattr(quadrature, "_NODES_PER_FEATURE",
                         0.7 * quadrature._NODES_PER_FEATURE)
     sparse = _margin_values(cases)
@@ -558,74 +603,91 @@ def test_node_density_keeps_a_margin(jsa_ktp, monkeypatch):
     assert np.abs(dip.coincidences - exact.coincidences).max() <= 1e-12
 
 
-def _refines(monkeypatch, name):
-    """The node-count factors each later call of ``quadrature.<name>`` gets."""
+def _calls(monkeypatch, name):
+    """The arguments of each later call of ``quadrature.<name>``."""
     seen, inner = [], getattr(quadrature, name)
 
-    def spy(*args):
-        seen.append(args[-1])
-        return inner(*args)
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return inner(*args, **kwargs)
     monkeypatch.setattr(quadrature, name, spy)
     return seen
 
 
 def test_convergence_check_passes_on_defaults(jsa_ktp, monkeypatch):
-    # Gaussian integrands have converged at the node rule's density, so
-    # they are computed once, unrefined
+    # Gaussian integrands have converged at the node rule's density: twice
+    # the density, margin and floor move them by at most 1e-12, and each
+    # result comes from one pass
     filt = hp.GaussianFilter(0.0, 0.72)
-    plain = quadrature._single_pair(jsa_ktp, filt, None, None, 1.0)
-    doubled = quadrature._single_pair(jsa_ktp, filt, None, None, 2.0)
+    plain = quadrature._single_pair(jsa_ktp, filt, None, None)
+    with monkeypatch.context() as patch:
+        doubled = quadrature._single_pair(jsa_ktp, filt, None,
+                                          _doubled_rule(patch))
     np.testing.assert_allclose(doubled, plain, rtol=0.0, atol=1e-12)
-    refines = _refines(monkeypatch, "_single_pair")
+    calls = _calls(monkeypatch, "_heralded_states")
     assert hp.filtered_purity(jsa_ktp, filt) == plain[0]
-    assert refines == [1.0]
+    assert len(calls) == 1
     assert plain[0] == pytest.approx(hp.closed_form_purity(jsa_ktp, filt),
                                      rel=1e-8)
 
 
-def test_convergence_check_flags_aliasing(jsa_k26, monkeypatch):
-    # a comb finer than the fixed node spacing cannot be integrated reliably;
-    # without nodes per feature every axis gets the 32-node margin
-    monkeypatch.setattr(quadrature, "_NODES_PER_FEATURE", 0.0)
-    grid = np.linspace(-8.0, 8.0, 161)
-    comb = (np.arange(161) % 2).astype(float)
-    filt = hp.TabulatedFilter(grid, comb)
-    spec = hp.QuadratureSpec(n_nodes=32)
-    with pytest.raises(hp.NumericalError):
-        hp.herald_success(jsa_k26, filt, spec=spec)
+# A comb finer than the node rule's spacing, which aliased before the knot
+# panels.
+COMB = (np.linspace(-8.0, 8.0, 161), (np.arange(161) % 2).astype(float))
+
+
+def test_convergence_check_flags_aliasing(jsa_k26):
+    # the comb's panels integrate it to rounding, from the default floor
+    # and from the lowest one
+    filt = hp.TabulatedFilter(*COMB)
+    success, purity = tabulated_reference(jsa_k26, filt)
+    for spec in (None, hp.QuadratureSpec(n_nodes=32)):
+        assert hp.herald_success(jsa_k26, filt, spec=spec) == pytest.approx(
+            success, rel=1e-10)
+        assert hp.filtered_purity(jsa_k26, filt, spec=spec) == pytest.approx(
+            purity, rel=1e-10)
 
 
 def test_hom_dip_convergence_check(jsa_k26, jsa_ktp, k26_grid, monkeypatch):
     delays = np.linspace(-3.0, 3.0, 201)
     for fx, fy in (((0.0, 0.6), (0.0, 0.6)), ((0.0, 0.4), (0.3, 1.1))):
         fx, fy = hp.GaussianFilter(*fx), hp.GaussianFilter(*fy)
-        doubled = quadrature._hom_overlaps(jsa_k26, fx, fy, delays, None, 2.0)
-        plain = quadrature._hom_overlaps(jsa_k26, fx, fy, delays, None, 1.0)
+        plain = quadrature._hom_overlaps(jsa_k26, fx, fy, delays, None)
+        with monkeypatch.context() as patch:
+            doubled = quadrature._hom_overlaps(jsa_k26, fx, fy, delays,
+                                               _doubled_rule(patch))
         np.testing.assert_allclose(doubled, plain, rtol=0.0, atol=1e-12)
-    # the comb of test_convergence_check_flags_aliasing, on the KTP source
-    # at default settings, moves the overlaps by about 4e-4
-    grid = np.linspace(-8.0, 8.0, 161)
-    comb = hp.TabulatedFilter(grid, (np.arange(161) % 2).astype(float))
-    with pytest.raises(hp.ConvergenceError, match="dip overlaps"):
-        hp.hom_dip(jsa_ktp, comb, comb, delays)
-    # gridded samples cannot be refined, even behind a tabulated herald
-    refines = _refines(monkeypatch, "_hom_overlaps")
+    # the comb on the KTP source, whose overlaps moved by about 4e-4 when
+    # node counts doubled, overlaps itself by the exact purity
+    comb = hp.TabulatedFilter(*COMB)
+    _, purity = tabulated_reference(jsa_ktp, comb)
+    dip = hp.hom_dip(jsa_ktp, comb, comb, delays)
+    assert 1.0 - 2.0 * dip.coincidences[100] == pytest.approx(purity,
+                                                              rel=1e-10)
+    # every route runs one pass, gridded samples too
+    calls = _calls(monkeypatch, "_hom_overlaps")
     hp.hom_dip(k26_grid, comb, comb, np.linspace(-1.0, 1.0, 5))
-    assert refines == [1.0]
+    assert len(calls) == 1
 
 
 def test_convergence_check_rejects_gridded(k26_grid, jsa_k26, monkeypatch):
-    # a gridded amplitude with a tabulated herald is never refined
+    # a gridded amplitude with a tabulated herald runs one pass
     filt = identity_filter(jsa_k26)
-    refines = _refines(monkeypatch, "_single_pair")
+    calls = _calls(monkeypatch, "_single_pair")
     purity = hp.filtered_purity(k26_grid, filt)
-    assert refines == [1.0]
+    assert len(calls) == 1
     assert purity == pytest.approx(5.0 / 13.0, rel=1e-6)
 
 
-# The demo box of 2 rad/ps, with 1e-6 ramps: its knots sit inside the
-# amplitude's mass, and at default settings its purity moves by 8.1e-3
-# when node counts double.
+def _box(lo, hi):
+    """A box herald on ``[lo, hi]`` with 1e-6 ramps, zero 5 rad/ps beyond."""
+    return hp.TabulatedFilter([lo - 5.0, lo - 1e-6, lo, hi, hi + 1e-6, hi + 5.0],
+                              [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+
+
+# The demo box of 2 rad/ps: its knots sit inside the amplitude's mass, and
+# at default settings node counts doubled from the node rule's moved its
+# purity by 8.1e-3.
 BOX = ([-5.0, -1.0 - 1e-6, -1.0, 1.0, 1.0 + 1e-6, 5.0],
        [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -655,14 +717,17 @@ def test_tabulated_reference_box(jsa_k26):
 
 
 def test_unresolved_tabulated_herald_raises(jsa_k26):
-    # the single pass is 2.6% low in success and 0.6% high in purity
+    # the box whose single pass was 2.6% low in success and 0.6% high in
+    # purity, and whose doubled pass raised, meets the reference
     box = hp.TabulatedFilter(*BOX)
-    for call in (hp.filtered_purity, hp.herald_success,
-                 lambda jsa, f: hp.heralding_report(jsa, f)):
-        with pytest.raises(hp.ConvergenceError, match="tabulated filter"):
-            call(jsa_k26, box)
-    with pytest.raises(hp.ConvergenceError, match="dip overlaps"):
-        hp.hom_dip(jsa_k26, box, box, [0.0])
+    success, purity = tabulated_reference(jsa_k26, box)
+    report = hp.heralding_report(jsa_k26, box)
+    assert report.success == pytest.approx(success, rel=1e-10)
+    assert report.purity_filtered == pytest.approx(purity, rel=1e-10)
+    assert hp.herald_success(jsa_k26, box) == pytest.approx(success, rel=1e-10)
+    assert hp.filtered_purity(jsa_k26, box) == pytest.approx(purity, rel=1e-10)
+    dip = hp.hom_dip(jsa_k26, box, box, [0.0]).coincidences[0]
+    assert 1.0 - 2.0 * dip == pytest.approx(purity, rel=1e-10)
 
 
 @pytest.mark.parametrize("jsa, filt", [
@@ -670,15 +735,61 @@ def test_unresolved_tabulated_herald_raises(jsa_k26):
     (hp.DoubleGaussianJsa(*K26_PARAMS), _gaussian_table(0.0, 0.6, 5.0, 121)),
 ], ids=["ktp-61", "demo-121"])
 def test_smooth_tabulated_herald_meets_reference(jsa, filt):
-    # they come from the doubled pass, within 1.3e-6 of the reference
+    # one pass over the knot panels meets the reference to rounding
     success, purity = tabulated_reference(jsa, filt)
-    doubled = quadrature._single_pair(jsa, filt, None, None, 2.0)
-    assert hp.filtered_purity(jsa, filt) == doubled[0]
-    assert hp.herald_success(jsa, filt) == doubled[1]
-    assert doubled == pytest.approx((purity, success), abs=1e-4)
+    assert hp.filtered_purity(jsa, filt) == pytest.approx(purity, rel=1e-10)
+    assert hp.herald_success(jsa, filt) == pytest.approx(success, rel=1e-10)
     # at zero delay, equal heralds overlap by the purity
     dip = hp.hom_dip(jsa, filt, filt, [0.0]).coincidences[0]
-    assert 1.0 - 2.0 * dip == pytest.approx(purity, abs=1e-4)
+    assert 1.0 - 2.0 * dip == pytest.approx(purity, rel=1e-10)
+
+
+_DEMO = hp.DoubleGaussianJsa(*K26_PARAMS)
+_KTP = hp.DoubleGaussianJsa(*KTP_PARAMS)
+_ORACLE_CASES = {
+    "demo-box": (_DEMO, _box(-1.0, 1.0)),
+    "demo-narrow-box": (_DEMO, _box(-0.3, 0.3)),
+    "demo-skew-box": (_DEMO, _box(-0.2, 1.3)),
+    "ktp-box": (_KTP, _box(-2.0, 2.0)),
+    "ktp-narrow-box": (_KTP, _box(-0.5, 0.5)),
+    "ktp-skew-box": (_KTP, _box(0.1, 0.9)),
+    "ktp-comb": (_KTP, hp.TabulatedFilter(*COMB)),
+    "demo-off-centre-box": (_DEMO, _box(1.0, 3.0)),
+    "ktp-61": (_KTP, _gaussian_table(0.0, 2.0, 4.0, 61)),
+    "demo-121": (_DEMO, _gaussian_table(0.0, 0.6, 5.0, 121)),
+    "demo-3001": (_DEMO, _gaussian_table(0.3, 0.8, 6.0, 3001)),
+}
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_tabulated_heralds_meet_the_exact_oracle(case):
+    # every entry point meets the numpy-only references within 1e-10
+    jsa, filt = _ORACLE_CASES[case]
+    success, purity = tabulated_reference(jsa, filt)
+    report = hp.heralding_report(jsa, filt)
+    figures = [(hp.herald_success(jsa, filt), success),
+               (hp.filtered_purity(jsa, filt), purity),
+               (report.success, success), (report.purity_filtered, purity)]
+    # the dip at zero delay: equal heralds, and against a box
+    other = _box(-0.5, 0.7)
+    dips = hp.hom_dip(jsa, filt, filt, [0.0]).coincidences[0], hp.hom_dip(
+        jsa, filt, other, [0.0]).coincidences[0]
+    figures += [(1.0 - 2.0 * dips[0], purity),
+                (1.0 - 2.0 * dips[1], tabulated_overlap(jsa, filt, other))]
+    # the table as the heralded filter behind a flat herald: the swapped
+    # source exchanges the arms
+    swapped = hp.DoubleGaussianJsa(jsa.sigma1, jsa.sigma2,
+                                   math.pi / 2 - jsa.theta1,
+                                   math.pi / 2 - jsa.theta2)
+    if filt.grid.size > 1000:
+        # its panels pass the signal axis's node budget
+        with pytest.raises(hp.ConvergenceError, match="signal axis"):
+            hp.two_filter_quantities(jsa, identity_filter(jsa), filt)
+    else:
+        two = hp.two_filter_quantities(jsa, identity_filter(jsa), filt)
+        figures += zip(two, tabulated_reference(swapped, filt)[::-1])
+    for value, exact in figures:
+        assert value == pytest.approx(exact, rel=1e-10)
 
 
 def test_heralding_report_consistency(jsa_ktp):

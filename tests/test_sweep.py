@@ -156,6 +156,15 @@ def test_solver_argument_validation(jsa_k26):
                                        center=center)
 
 
+@pytest.mark.parametrize("target", [dict(target_purity="0.9"),
+                                    dict(target_visibility="0.5")],
+                         ids=["purity", "visibility"])
+def test_solver_targets_refuse_str(jsa_k26, target):
+    # a purity string was solved for, a visibility string raised TypeError
+    with pytest.raises(ValueError, match="must be a number"):
+        hp.solve_filter_for_target(jsa_k26, **target)
+
+
 # A 256-point grid cannot reach a purity of 0.99.
 @pytest.mark.parametrize("target", [0.5, 0.8, 0.9])
 def test_solver_on_gridded_amplitude(jsa_k26, k26_grid, target):

@@ -9,10 +9,9 @@ the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, and
 the demo behind a table with boolean and string entries), then runs a
-fixed list of 83
-``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
-interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
-``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
+fixed list of 84 ``heraldpurity.cli`` invocations with ``--no-timestamp``,
+each in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the
+caller's ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
 ``NN.code`` in ``OUTDIR``, and ``index.json`` lists the argument vectors.
 The runs use ``OUTDIR`` as their working directory and name the configs by
 relative path, so no output embeds a location: two snapshots taken with
@@ -153,10 +152,13 @@ def invocations():
         # keys beside csv_path and a boolean filter width: exit 2
         ["report", "--config", "csvextra.json"],
         ["report", "--config", "boolwidth.json"],
-        # a box herald whose knots the nodes cannot resolve: exit 3; a
-        # table with boolean and string entries: exit 2
+        # a box herald whose knots sit in the amplitude's mass, integrated
+        # on knot panels; a table with boolean and string entries: exit 2
         ["report", "--config", "tabbox.json"],
         ["report", "--config", "tabtyped.json"],
+        # the box herald's dip
+        ["hom", "--config", "tabbox.json", "--tau-max", "2", "--tau-points",
+         "5"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
