@@ -37,6 +37,21 @@ def _require_types(jsa, filt=None):
         raise TypeError("closed forms exist only for Gaussian filters")
 
 
+def _purity_half(a, b, c, width):
+    """Purity half of ``closed_form_pair``; it does not read the center."""
+    # A product, not ``width**2``: on Python floats ``**`` is C ``pow``,
+    # which misrounds some squares that numpy arrays square exactly.
+    return np.sqrt(1.0 - b * b / (a * (c + 0.5 / (width * width))))
+
+
+def _success_half(a, b, c, width, center):
+    """Success half of ``closed_form_pair``."""
+    w = a * c - b * b
+    z = 2.0 * (width * width)
+    denom = a + z * w
+    return np.sqrt(z * w / denom) * np.exp(-(center * center) * w / denom)
+
+
 def closed_form_pair(a, b, c, width, center=0.0):
     """Heralded purity and success for a Gaussian herald filter.
 
@@ -49,18 +64,16 @@ def closed_form_pair(a, b, c, width, center=0.0):
         purity = sqrt(1 - b**2 / (a * (c + phi)))
         success = sqrt(z*w / (a + z*w)) * exp(-w0**2 * w / (a + z*w))
 
+    The kernel has two halves, one per line above.  ``closed_form_purity``
+    evaluates only the purity half and ``closed_form_success`` only the
+    success half, each with the same operations in the same order, so the
+    scalar wrappers equal this pair bit for bit.
+
     Returns:
         Tuple ``(purity, success)`` of arrays (or numpy scalars).
     """
-    # A product, not ``width**2``: on Python floats ``**`` is C ``pow``,
-    # which misrounds some squares that numpy arrays square exactly.
-    width_sq = width * width
-    w = a * c - b * b
-    z = 2.0 * width_sq
-    denom = a + z * w
-    success = np.sqrt(z * w / denom) * np.exp(-(center * center) * w / denom)
-    purity = np.sqrt(1.0 - b * b / (a * (c + 0.5 / width_sq)))
-    return purity, success
+    return (_purity_half(a, b, c, width),
+            _success_half(a, b, c, width, center))
 
 
 def closed_form_two_filter(a, b, c, width, center, signal_width,
@@ -86,12 +99,6 @@ def closed_form_two_filter(a, b, c, width, center, signal_width,
     return purity, success * np.sqrt(w / w_s) * np.exp(-pull * signal_center * w)
 
 
-def _filter_pair(jsa, herald_filter):
-    _require_types(jsa, herald_filter)
-    return closed_form_pair(*jsa.intensity_coefficients(), herald_filter.width,
-                            herald_filter.center)
-
-
 def closed_form_success(jsa, herald_filter):
     """Heralding probability for a Gaussian herald filter, in closed form.
 
@@ -111,7 +118,9 @@ def closed_form_success(jsa, herald_filter):
     Returns:
         Success probability in [0, 1].
     """
-    return float(_filter_pair(jsa, herald_filter)[1])
+    _require_types(jsa, herald_filter)
+    return float(_success_half(*jsa.intensity_coefficients(),
+                               herald_filter.width, herald_filter.center))
 
 
 def closed_form_purity(jsa, herald_filter):
@@ -128,7 +137,9 @@ def closed_form_purity(jsa, herald_filter):
     Returns:
         Purity in (0, 1].
     """
-    return float(_filter_pair(jsa, herald_filter)[0])
+    _require_types(jsa, herald_filter)
+    return float(_purity_half(*jsa.intensity_coefficients(),
+                              herald_filter.width))
 
 
 def schmidt_number(jsa):
@@ -273,5 +284,8 @@ def closed_form_report(jsa, herald_filter=None):
     p_raw = 1.0 / schmidt_number(jsa)
     if herald_filter is None:
         return HeraldingReport(1.0, p_raw, p_raw)
-    p_fil, success = map(float, _filter_pair(jsa, herald_filter))
+    _require_types(jsa, herald_filter)
+    p_fil, success = map(float, closed_form_pair(
+        *jsa.intensity_coefficients(), herald_filter.width,
+        herald_filter.center))
     return HeraldingReport(success, p_fil, p_raw)

@@ -78,15 +78,29 @@ def _require_success(success, what="heralding probability"):
     return success
 
 
-def _real(name, value, positive=False):
-    """``value`` as a finite float, positive if asked; refuses bool and str."""
+def _real(name, value, positive=False, minimum=None):
+    """``value`` as a finite float; refuses bool and str.
+
+    With ``positive`` the value must exceed zero; with ``minimum`` it must
+    be at least that.
+    """
     if isinstance(value, (bool, np.bool_, str)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     value = float(value)
+    if minimum is not None and not (math.isfinite(value) and value >= minimum):
+        raise ValueError(f"{name} must be finite and at least {minimum:g}, "
+                         f"got {value}")
     if not math.isfinite(value) or (positive and value <= 0.0):
         kind = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {kind}, got {value}")
     return value
+
+
+def _integer(name, value):
+    """``value`` as an int; refuses bool and every non-integer type."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _reals(name, values):
@@ -250,8 +264,11 @@ def visibility(purity, reflectivity=0.5):
 
 
 def _delay_array(delays):
-    """Delays as a float array; they must be finite and form a 1-D array."""
-    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    """Delays as a float array; they must be finite and form a 1-D array.
+
+    Entries go through ``_reals``, so booleans and strings are refused.
+    """
+    delays = np.atleast_1d(_reals("delay", delays))
     if delays.ndim != 1 or delays.size == 0:
         raise ValueError("delays must be a non-empty 1-D array")
     if not np.all(np.isfinite(delays)):
@@ -666,25 +683,24 @@ def discretize(jsa, half_extent=6.0, n_points=512):
         jsa: ``DoubleGaussianJsa`` to sample.
         half_extent: Grid half-width in units of ``max(sigma1, sigma2)``;
             finite and at least 4.
-        n_points: Samples per axis; at least 64.
+        n_points: Samples per axis; an integer, at least 64.
 
     Returns:
         A normalized ``GriddedJsa``.
 
     Raises:
-        ValueError: If ``half_extent`` is not finite, or it or ``n_points``
-            is below its minimum.
+        ValueError: If ``half_extent`` is not a finite number or
+            ``n_points`` not an integer, or either is below its minimum.
         GridCoverageError: If the discrete norm deviates from one by more
             than 5%.
     """
+    n_points = _integer("n_points", n_points)
     if n_points < 64:
         raise ValueError(f"n_points must be at least 64, got {n_points}")
-    if not (math.isfinite(half_extent) and half_extent >= 4.0):
-        raise ValueError(
-            f"half_extent must be finite and at least 4, got {half_extent}")
+    half_extent = _real("half_extent", half_extent, minimum=4.0)
     smax = max(jsa.sigma1, jsa.sigma2)
     limit = half_extent * smax
-    grid = np.linspace(-limit, limit, int(n_points))
+    grid = np.linspace(-limit, limit, n_points)
     step = grid[1] - grid[0]
 
     thin_width = _thin_width(jsa)

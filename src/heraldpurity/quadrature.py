@@ -77,7 +77,9 @@ from .core import (
     _dip_curve,
     _filtered_idler,
     _gram,
+    _integer,
     _purity_success,
+    _real,
     _require_success,
     _splitter_product,
     eval_double_gaussian,
@@ -146,15 +148,13 @@ class QuadratureSpec:
     half_extent: float = 8.0
 
     def __post_init__(self):
-        if type(self.n_nodes) is bool or not isinstance(self.n_nodes, (
-                int, np.integer)):
-            raise ValueError(f"n_nodes must be an integer, got {self.n_nodes!r}")
-        if not 32 <= self.n_nodes <= _MAX_NODES:
+        n_nodes = _integer("n_nodes", self.n_nodes)
+        if not 32 <= n_nodes <= _MAX_NODES:
             raise ValueError(f"n_nodes must lie in [32, {_MAX_NODES}], got "
-                             f"{self.n_nodes}")
-        if not (math.isfinite(self.half_extent) and self.half_extent >= 4.0):
-            raise ValueError(f"half_extent must be finite and at least 4, "
-                             f"got {self.half_extent}")
+                             f"{n_nodes}")
+        object.__setattr__(self, "n_nodes", n_nodes)
+        object.__setattr__(self, "half_extent", _real(
+            "half_extent", self.half_extent, minimum=4.0))
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -34,6 +34,7 @@ from .core import (
     _flush_underflow,
     _freeze,
     _purity_success,
+    _real,
     _require_success,
     _splitter_product,
 )
@@ -305,6 +306,7 @@ def decompose(gridded, rel_threshold=1e-12):
         raise ValueError(
             f"amplitude norm is {gridded.norm():.6f}; normalize() it first"
         )
+    rel_threshold = _real("rel_threshold", rel_threshold)
     scaled = gridded.amplitudes * math.sqrt(gridded.cell_area)
     _flush_underflow(scaled)
     dead_rows, dead_cols = ~scaled.any(axis=1), ~scaled.any(axis=0)

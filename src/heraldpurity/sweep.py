@@ -16,8 +16,8 @@ import numpy as np
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _clip_unit,
-                   _freeze, _gram, _purity_success, _real, _require_success,
-                   _squared_modulus, visibility)
+                   _freeze, _gram, _purity_success, _real, _reals,
+                   _require_success, _squared_modulus, visibility)
 
 __all__ = [
     "TradeoffPoint",
@@ -100,14 +100,29 @@ class FilterSolution:
     iterations: int
 
 
+def _axis(name, values, positive=False):
+    """``values`` as a non-empty 1-D array of finite floats, positive if asked.
+
+    Entries go through ``core._reals``; every failure raises ``ValueError``.
+    """
+    axis = _reals(name, values)
+    if axis.ndim != 1 or axis.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D array, got shape "
+                         f"{axis.shape}")
+    valid = np.isfinite(axis)
+    if positive:
+        valid &= axis > 0.0
+    if not valid.all():
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}")
+    return axis
+
+
 def _widths(filter_widths, scale):
     """Widths as an array; 101 log points on [0.01, 10] * scale for None."""
     if filter_widths is None:
         return np.logspace(-2.0, 1.0, 101) * scale
-    widths = np.asarray(filter_widths, dtype=float)
-    if not np.all(np.isfinite(widths) & (widths > 0.0)):
-        raise ValueError("filter widths must be positive and finite")
-    return widths
+    return _axis("filter widths", filter_widths, positive=True)
 
 
 def _closed_grid(axis1_name, axis1, jsas, widths):
@@ -115,7 +130,10 @@ def _closed_grid(axis1_name, axis1, jsas, widths):
 
     One ``closed_form_purity`` and one ``closed_form_success`` call per
     point, looked up in this module: the benchmark's tracer counts these
-    calls and its checks perturb them here.
+    calls and its checks perturb them here.  Each call evaluates only its
+    own half of the ``closed_form_pair`` kernel, so a point costs one
+    kernel evaluation and the surfaces equal the broadcast kernel bit for
+    bit.
     """
     filters = [GaussianFilter(center=0.0, width=w) for w in widths]
     shape = (len(jsas), len(filters))
@@ -145,7 +163,7 @@ def sweep_aspect_ratio(ratios=None, filter_widths=None, theta1=math.pi / 4,
         ``SweepGrid`` with axes ``aspect_ratio`` and ``filter_width``.
     """
     ratios = np.linspace(1.0, 8.0, 101) if ratios is None \
-        else np.asarray(ratios, dtype=float)
+        else _axis("ratios", ratios)
     widths = _widths(filter_widths, 1.0)
     jsas = [DoubleGaussianJsa(1.0, ratio, theta1, theta2) for ratio in ratios]
     return _closed_grid("aspect_ratio", ratios, jsas, widths)
@@ -171,7 +189,7 @@ def sweep_orientation(theta1_values=None, filter_widths=None, ratio=5.0):
         ``SweepGrid`` with axes ``theta1`` and ``filter_width``.
     """
     thetas = np.linspace(0.0, math.pi / 2.0, 101) if theta1_values is None \
-        else np.asarray(theta1_values, dtype=float)
+        else _axis("theta1 values", theta1_values)
     widths = _widths(filter_widths, 1.0)
     jsas = [DoubleGaussianJsa(1.0, ratio, theta1, theta1 - math.pi / 2.0)
             for theta1 in thetas]

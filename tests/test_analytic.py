@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
-from conftest import SEED, draw_source
+from conftest import K26_PARAMS, SEED, draw_source
+from heraldpurity import analytic
 
 
 def test_closed_forms_match_quadrature_on_random_sources():
@@ -58,6 +59,49 @@ def test_two_filter_closed_form_matches_schmidt_route(jsa_k26, k26_modes,
             *jsa.intensity_coefficients(), herald.width, herald.center,
             heralded.width, heralded.center)
         assert modal == pytest.approx(closed, rel=1e-6)
+
+
+def test_scalar_closed_forms_are_the_kernel_halves(monkeypatch):
+    # each wrapper evaluates only its own half of closed_form_pair, and the
+    # sweeps' surfaces are the kernel broadcast over their grids, bit for bit
+    rng = np.random.default_rng(SEED + 23)
+    for _ in range(20):
+        jsa = draw_source(rng)
+        widths = 10.0 ** rng.uniform(-3.0, 3.0, 16)
+        centers = rng.uniform(-3.0, 3.0, 16)
+        purity, success = hp.closed_form_pair(*jsa.intensity_coefficients(),
+                                              widths, centers)
+        for i, filt in enumerate(map(hp.GaussianFilter, centers, widths)):
+            assert hp.closed_form_purity(jsa, filt) == purity[i]
+            assert hp.closed_form_success(jsa, filt) == success[i]
+
+    ratios = rng.uniform(1.0, 8.0, 7)
+    thetas = rng.uniform(0.0, math.pi / 2.0, 7)
+    widths = 10.0 ** rng.uniform(-3.0, 3.0, 9)
+    grids = [(hp.sweep_aspect_ratio(ratios=ratios, filter_widths=widths),
+              [hp.DoubleGaussianJsa(1.0, r, math.pi / 4, -math.pi / 4)
+               for r in ratios]),
+             (hp.sweep_orientation(theta1_values=thetas, filter_widths=widths),
+              [hp.DoubleGaussianJsa(1.0, 5.0, t, t - math.pi / 2)
+               for t in thetas])]
+    for grid, jsas in grids:
+        coefficients = np.array([jsa.intensity_coefficients() for jsa in jsas])
+        purity, success = hp.closed_form_pair(*coefficients.T[:, :, None],
+                                              widths, 0.0)
+        assert np.array_equal(grid.purity, purity)
+        assert np.array_equal(grid.success, success)
+
+    def refuse(*args):
+        raise AssertionError("the other half was evaluated")
+
+    filt = hp.GaussianFilter(0.4, 0.7)
+    jsa = hp.DoubleGaussianJsa(*K26_PARAMS)
+    expected = hp.closed_form_pair(*jsa.intensity_coefficients(), 0.7, 0.4)
+    monkeypatch.setattr(analytic, "_success_half", refuse)
+    assert hp.closed_form_purity(jsa, filt) == expected[0]
+    monkeypatch.undo()
+    monkeypatch.setattr(analytic, "_purity_half", refuse)
+    assert hp.closed_form_success(jsa, filt) == expected[1]
 
 
 def test_closed_forms_require_parametric_inputs(jsa_k26, k26_grid):

@@ -324,6 +324,31 @@ def test_discretize_rejects_non_finite_extent(jsa_k26, extent):
         hp.discretize(jsa_k26, half_extent=extent, n_points=512)
 
 
+@pytest.mark.parametrize("half_extent, n_points, match", [
+    (6.0, 300.5, "n_points must be an integer"),
+    (6.0, True, "n_points must be an integer"),
+    ("6.0", 300, "half_extent must be a number"),
+], ids=["fractional-count", "bool-count", "str-extent"])
+def test_discretize_requires_numbers(jsa_k26, half_extent, n_points, match):
+    # a fractional count built a truncated grid; a string extent raised
+    # TypeError
+    with pytest.raises(ValueError, match=match):
+        hp.discretize(jsa_k26, half_extent, n_points)
+
+
+@pytest.mark.parametrize("delays", [[True], [0.0, "1.0"]], ids=["bool", "str"])
+def test_dips_refuse_bool_and_str_delays(jsa_k26, k26_modes, delays):
+    # a boolean delay ran as 1 ps
+    filt = hp.GaussianFilter(0.0, 1.0)
+    overlap = hp.overlap_matrix(k26_modes, filt)
+    with pytest.raises(ValueError, match="delay entry must be a number"):
+        hp.hom_dip(jsa_k26, filt, filt, delays)
+    with pytest.raises(ValueError, match="delay entry must be a number"):
+        hp.hom_dip_analytic(jsa_k26, 0.8, delays)
+    with pytest.raises(ValueError, match="delay entry must be a number"):
+        hp.hom_dip_schmidt(k26_modes, overlap, overlap, delays)
+
+
 def test_purity_success_reduces_each_row_alone():
     rng = np.random.default_rng(SEED)
     n = 40

@@ -487,6 +487,14 @@ def test_quadrature_spec_requires_an_integer_node_floor(n_nodes):
     assert hp.QuadratureSpec(n_nodes=np.int64(64)).n_nodes == 64
 
 
+@pytest.mark.parametrize("extent", ["8.0", True], ids=["str", "bool"])
+def test_quadrature_spec_requires_a_numeric_extent(extent):
+    # a string raised TypeError
+    with pytest.raises(ValueError, match="half_extent must be a number"):
+        hp.QuadratureSpec(half_extent=extent)
+    assert hp.QuadratureSpec(half_extent=8).half_extent == 8.0
+
+
 def test_non_amplitudes_raise_type_error():
     # hom_dip used to fail with an AttributeError on the missing grid step
     filt = hp.GaussianFilter(0.0, 1.0)

@@ -236,6 +236,14 @@ def test_decompose_rejects_unnormalized(k26_grid):
         hp.decompose(doubled)
 
 
+@pytest.mark.parametrize("threshold", [True, "1e-12", math.nan],
+                         ids=["bool", "str", "nan"])
+def test_decompose_requires_a_numeric_threshold(k26_grid, threshold):
+    # true ran as a threshold of 1 and a string raised TypeError
+    with pytest.raises(ValueError, match="rel_threshold must be"):
+        hp.decompose(k26_grid, threshold)
+
+
 def test_truncation_keeps_weights_unrescaled(k26_grid):
     full = hp.decompose(k26_grid)
     coarse = hp.decompose(k26_grid, rel_threshold=1e-2)

@@ -91,6 +91,42 @@ def test_sweeps_reject_invalid_widths(jsa_k26, bad):
         hp.sweep_orientation(theta1_values=[0.5], filter_widths=widths)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda jsa: hp.sweep_aspect_ratio(ratios=["2"], filter_widths=[0.5]),
+     "ratios entry must be a number"),
+    (lambda jsa: hp.sweep_aspect_ratio(ratios=[2.0], filter_widths=[True]),
+     "filter widths entry must be a number"),
+    (lambda jsa: hp.sweep_orientation(theta1_values=["0.5"],
+                                      filter_widths=[0.5]),
+     "theta1 values entry must be a number"),
+    (lambda jsa: hp.tradeoff_curve(jsa, [True]),
+     "filter widths entry must be a number"),
+    (lambda jsa: hp.tradeoff_curve(jsa, []), "non-empty 1-D"),
+    (lambda jsa: hp.sweep_aspect_ratio(ratios=[], filter_widths=[0.5]),
+     "non-empty 1-D"),
+    (lambda jsa: hp.sweep_orientation(theta1_values=[0.5], filter_widths=[]),
+     "non-empty 1-D"),
+    (lambda jsa: hp.sweep_aspect_ratio(ratios=[[2.0, 3.0]],
+                                       filter_widths=[0.5]),
+     "non-empty 1-D"),
+    (lambda jsa: hp.sweep_orientation(theta1_values=[0.5],
+                                      filter_widths=[[0.5, 1.0]]),
+     "non-empty 1-D"),
+    (lambda jsa: hp.tradeoff_curve(jsa, [[0.5], [1.0]]), "non-empty 1-D"),
+    (lambda jsa: hp.sweep_aspect_ratio(ratios=[2.0, math.nan],
+                                       filter_widths=[0.5]),
+     "ratios must be finite"),
+], ids=["aspect-str-ratio", "aspect-bool-width", "orientation-str-theta",
+        "tradeoff-bool-width", "tradeoff-empty", "aspect-empty-ratios",
+        "orientation-empty-widths", "aspect-2d-ratios",
+        "orientation-2d-widths", "tradeoff-2d-widths", "aspect-nan-ratio"])
+def test_sweep_axes_are_checked(jsa_k26, call, match):
+    # strings and booleans were computed as numbers, empty axes gave empty
+    # results, and a 2-D axis raised TypeError
+    with pytest.raises(ValueError, match=match):
+        call(jsa_k26)
+
+
 def test_solver_benchmark_visibility(jsa_ktp):
     solution = hp.solve_filter_for_target(jsa_ktp, target_visibility=0.5)
     assert solution.sigma_f / jsa_ktp.sigma1 == pytest.approx(0.16, abs=0.02)

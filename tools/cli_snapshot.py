@@ -9,7 +9,7 @@ the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, and
 the demo behind a table with boolean and string entries), then runs a
-fixed list of 84 ``heraldpurity.cli`` invocations with ``--no-timestamp``,
+fixed list of 85 ``heraldpurity.cli`` invocations with ``--no-timestamp``,
 each in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the
 caller's ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
 ``NN.code`` in ``OUTDIR``, and ``index.json`` lists the argument vectors.
@@ -159,6 +159,9 @@ def invocations():
         # the box herald's dip
         ["hom", "--config", "tabbox.json", "--tau-max", "2", "--tau-points",
          "5"],
+        # JSON with e-notation widths and purity of exactly 1 at both ends
+        ["sweep", "orientation", "--format", "json", "--thetas",
+         "0:1.5707963267948966:101", "--widths", "1e-6:1000:101"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
