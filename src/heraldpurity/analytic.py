@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport,
-                   _delay_array, _dip_curve, _real)
+                   _delay_array, _dip_curve, _integer, _real)
 
 __all__ = [
     "closed_form_pair",
@@ -169,9 +169,10 @@ def thermal_schmidt_coefficients(mode_number, n_modes=64):
     k = _real("mode number", mode_number)
     if k < 1.0:
         raise ValueError(f"mode number must be >= 1, got {mode_number}")
+    n_modes = _integer("n_modes", n_modes)
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
-    mu = np.arange(int(n_modes), dtype=float)
+    mu = np.arange(n_modes, dtype=float)
     ratio = (k - 1.0) / (k + 1.0)
     return 2.0 / (k + 1.0) * ratio**mu
 
@@ -229,14 +230,15 @@ def schmidt_mode_analytic(jsa, mu, omega, side="signal"):
         Complex array of mode samples.
     """
     _require_types(jsa)
-    if mu < 0 or int(mu) != mu:
+    mu = _integer("mode index", mu)
+    if mu < 0:
         raise ValueError(f"mode index must be a non-negative integer, got {mu}")
     if side not in ("signal", "idler"):
         raise ValueError(f"side must be 'signal' or 'idler', got {side!r}")
     scale = mode_scales(jsa)[0 if side == "signal" else 1]
     x = np.asarray(omega, dtype=float) / scale
-    values = _hermite_function(int(mu), x) / math.sqrt(scale)
-    return (-1j) ** int(mu) * values.astype(complex)
+    values = _hermite_function(mu, x) / math.sqrt(scale)
+    return (-1j) ** mu * values.astype(complex)
 
 
 def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5):

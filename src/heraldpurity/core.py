@@ -160,22 +160,24 @@ def _band_pairs(spans, n, m):
     return None if 2 * work > n * n * m else pairs
 
 
-def _gram(pieces, shape):
-    """``B B^H`` of an ``n x m`` matrix given as row pieces, band-aware and
-    underflow-free.
+def _gram_blocks(pieces, shape):
+    """Yield the block products ``(rows_i, rows_j, B_i B_j^H)`` of ``B B^H``.
 
-    Each piece ``(start, offset, block)`` holds, as a writable 2-D array,
-    the rows ``start:start + len(block)`` of ``B`` at the columns from
-    ``offset``; ``B`` is zero outside its pieces, and no two pieces share a
-    row.  A dense ``B`` is the one piece ``(0, 0, B)``.  Pieces are flushed
-    by ``_flush_underflow`` in place.  Their rows are split into blocks of
-    ``_GRAM_BLOCK``, each trimmed to its nonzero column span, and each pair
-    of blocks is contracted only over the overlap of their spans, so a
-    tilted ridge costs the work inside its band.  Off-diagonal blocks are
-    mirrored, so a real result is exactly symmetric.  When the spans would
-    skip less than half of the dense work (``_band_pairs``), one
-    ``B B^H`` runs instead (BLAS ``syrk`` for real ``B``), which is faster on
-    dense input; such a ``B`` must come as one dense piece.
+    ``B`` is an ``n x m`` matrix given as row pieces, and its products are
+    band-aware and underflow-free.  Each piece ``(start, offset, block)``
+    holds, as a writable 2-D array, the rows ``start:start + len(block)`` of
+    ``B`` at the columns from ``offset``; ``B`` is zero outside its pieces,
+    and no two pieces share a row.  A dense ``B`` is the one piece
+    ``(0, 0, B)``.  Pieces are flushed by ``_flush_underflow`` in place.
+    Their rows are split into blocks of ``_GRAM_BLOCK``, each trimmed to its
+    nonzero column span, and each pair ``i <= j`` of blocks is contracted
+    only over the overlap of their spans, so a tilted ridge costs the work
+    inside its band; ``rows_i`` and ``rows_j`` are the pair's row slices,
+    and the blocks ``j > i`` are the conjugate transposes of those given.
+    When the spans would skip less than half of the dense work
+    (``_band_pairs``), the one product ``B B^H`` is yielded instead (BLAS
+    ``syrk`` for real ``B``), which is faster on dense input; such a ``B``
+    must come as one dense piece.  Each product is a new array.
     """
     n, m = shape
     blocks, spans = [], []
@@ -191,22 +193,36 @@ def _gram(pieces, shape):
     pairs = _band_pairs(spans, n, m)
     if pairs is None:
         (_, _, whole), = pieces
-        return whole @ whole.conj().T
-    out = np.zeros((n, n), dtype=np.result_type(
-        float, *(piece.dtype for _, _, piece in pieces)))
+        yield slice(0, n), slice(0, n), whole @ whole.conj().T
+        return
     for i, j, lo, hi in pairs:
         start_i, n_i, lo_i, _ = spans[i]
-        rows_i = slice(start_i, start_i + n_i)
+        start_j, n_j, lo_j, _ = spans[j]
         block = blocks[i][:, lo - lo_i:hi - lo_i]
-        if i == j:
-            out[rows_i, rows_i] = block @ block.conj().T
-        else:
-            start_j, n_j, lo_j, _ = spans[j]
-            rows_j = slice(start_j, start_j + n_j)
-            product = block @ blocks[j][:, lo - lo_j:hi - lo_j].conj().T
-            out[rows_i, rows_j] = product
+        other = block if i == j else blocks[j][:, lo - lo_j:hi - lo_j]
+        yield (slice(start_i, start_i + n_i), slice(start_j, start_j + n_j),
+               block @ other.conj().T)
+
+
+def _gram(pieces, shape):
+    """``B B^H`` assembled from ``_gram_blocks(pieces, shape)``.
+
+    Only callers that need the whole state assemble it: off-diagonal blocks
+    are mirrored, so a real result is exactly symmetric, and the one dense
+    product is returned as it is.
+    """
+    n = shape[0]
+    dtype = np.result_type(float, *(piece.dtype for _, _, piece in pieces))
+    out = None
+    for rows_i, rows_j, product in _gram_blocks(pieces, shape):
+        if product.shape == (n, n):
+            return product
+        if out is None:
+            out = np.zeros((n, n), dtype)
+        out[rows_i, rows_j] = product
+        if rows_i != rows_j:
             out[rows_j, rows_i] = product.conj().T
-    return out
+    return np.zeros((n, n), dtype) if out is None else out
 
 
 def _squared_modulus(state):
@@ -216,25 +232,38 @@ def _squared_modulus(state):
     return state * state
 
 
-def _purity_success(state, weights, squared=None, overwrite=False):
+def _purity_success(pairs, weights):
     """``(purity, success)`` of an unnormalized state ``M`` under weights ``w``.
 
-    ``w`` is one row of diagonal weights or a stack of rows, each reduced
-    alone: ``success = w @ diag(M)``, ``purity = w @ |M|**2 @ w / success**2``.
-    ``squared`` is ``_squared_modulus(M)`` when the caller reduces one state
-    many times.  With ``overwrite`` the caller gives up ``M``: a real state
-    is then squared in place, to the same bits, so no second n x n array is
-    allocated.  An empty row gives a non-finite purity without a warning.
+    ``M`` is Hermitian and comes as block pairs ``(rows_i, rows_j, M_ij)``
+    over pairs ``i <= j`` of row slices, as ``_gram_blocks`` yields them;
+    a whole state is the one pair ``(rows, rows, M)``.  A pair may carry
+    ``|M_ij|**2`` as a fourth entry, for a caller that keeps ``M_ij`` or
+    reduces it many times.  Otherwise ``M_ij`` is the reduction's own: a
+    real block is squared in place, to the same bits, so no second array of
+    its size is allocated.  ``w`` is one row of diagonal weights or a stack
+    of rows, each reduced alone: ``success = w @ diag(M)`` over the
+    diagonal pairs, ``purity = w @ |M|**2 @ w / success**2``, where each
+    off-diagonal pair counts twice.  The sums are numpy floats, so an empty
+    state or row gives a non-finite purity without a warning.
     """
-    # Each row is a 1 x n matrix, so it takes the same vector-matrix
-    # products alone as in any stack.
-    rows = weights[..., None, :]
-    success = (rows @ np.real(np.diagonal(state)))[..., 0]
-    if squared is None:
-        in_place = overwrite and not np.iscomplexobj(state)
-        squared = (np.multiply(state, state, out=state) if in_place
-                   else _squared_modulus(state))
-    numerator = (rows @ squared @ weights[..., :, None])[..., 0, 0]
+    success = np.zeros(weights.shape[:-1])
+    numerator = np.zeros(weights.shape[:-1])
+    for rows_i, rows_j, block, *kept in pairs:
+        # Each row is a 1 x n matrix, so it takes the same vector-matrix
+        # products alone as in any stack.
+        left = weights[..., None, rows_i]
+        diagonal = rows_i == rows_j
+        if diagonal:
+            success = success + (left @ np.real(np.diagonal(block)))[..., 0]
+        if kept:
+            (squared,) = kept
+        elif np.iscomplexobj(block):
+            squared = _squared_modulus(block)
+        else:
+            squared = np.multiply(block, block, out=block)
+        term = (left @ squared @ weights[..., rows_j, None])[..., 0, 0]
+        numerator = numerator + (term if diagonal else 2.0 * term)
     with np.errstate(divide="ignore", invalid="ignore"):
         return numerator / success**2, success
 
@@ -452,7 +481,10 @@ def eval_double_gaussian(jsa, omega_signal, omega_idler):
     u1 += u2
     del u2
     u1 *= -0.5
-    return norm * np.exp(u1)
+    # The exp and the norm factor in place too; a scalar stays a scalar.
+    u1 = np.exp(u1, out=u1 if np.ndim(u1) else None)
+    u1 *= norm
+    return u1
 
 
 @dataclass(frozen=True)
@@ -605,7 +637,7 @@ class GriddedJsa:
         idler = np.array(self.idler_grid, dtype=float, copy=True)
         amps = np.array(self.amplitudes, copy=True)
         if not np.iscomplexobj(amps):
-            amps = amps.astype(float)
+            amps = amps.astype(float, copy=False)
         for name, grid in (("signal_grid", signal), ("idler_grid", idler)):
             if grid.ndim != 1 or grid.size < 2:
                 raise ValueError(f"{name} must be a 1-D array with >= 2 points")
@@ -638,7 +670,10 @@ class GriddedJsa:
 
     def norm(self):
         """Discrete value of the double integral of ``|Phi|**2``."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.cell_area)
+        a = self.amplitudes
+        # Real samples square to the bits of abs(a)**2 with one temporary.
+        squared = np.abs(a) ** 2 if np.iscomplexobj(a) else a * a
+        return float(np.sum(squared) * self.cell_area)
 
     def normalize(self):
         """Return a copy rescaled so that ``norm()`` equals one.
@@ -720,7 +755,8 @@ def discretize(jsa, half_extent=6.0, n_points=512):
             f"the grid clips or under-resolves the amplitude "
             f"(try half_extent={extent:.1f}, n_points={points})"
         )
-    return GriddedJsa(grid, grid, amps / math.sqrt(raw_norm))
+    amps /= math.sqrt(raw_norm)
+    return GriddedJsa(grid, grid, amps)
 
 
 # recommended_grid: marginal standard deviations covered per side, samples

@@ -5,35 +5,37 @@ combine quadrature weights and a herald transmission, the matrix
 
     M(w, w~) = integral dw' |t(w')|^2 Phi(w, w') conj(Phi(w~, w'))
 
-is the unnormalized reduced state of the heralded photon.  One sampler,
-``_heralded_states``, builds it on one signal axis for each herald filter
-and every route here, as ``M = B B^H`` with the root-weighted amplitude
-``B = Phi * sqrt(w)``, through ``core._gram``.  Samples of ``B`` with
-modulus below ``sqrt(tiny)`` are zeroed first: their products would
-underflow, and subnormal arithmetic slows BLAS about twofold, while a state
-entry moves by less than about 1e-150.  On a strongly correlated source
-most of ``B`` lies below that floor, and the rest is a tilted ridge, so
-``_gram`` contracts each pair of 128-row blocks only over the overlap of
-their nonzero column spans; on the unfiltered K = 22 KTP source that is
-about 10% of the dense work.  A sample below the floor need not be
-computed either: ``|B|`` can reach it only inside an ellipse of the
-intensity's quadratic form, so ``_root_weighted`` evaluates the double
-Gaussian, whose ``exp`` was the largest cost of a pass, only over each row
-block's hull of that ellipse, about 30% of the unfiltered KTP node grid,
-and hands those blocks to ``_gram`` as row pieces.  The states are the same
-bits as from the whole grid.  When the blocks would skip less than half of
-the dense work, the whole grid is evaluated and one ``B B^H`` runs instead:
+is the unnormalized reduced state of the heralded photon, ``M = B B^H``
+with the root-weighted amplitude ``B = Phi * sqrt(w)`` on one signal axis
+(``_heralded_axes``).  Samples of ``B`` with modulus below ``sqrt(tiny)``
+are zeroed first: their products would underflow, and subnormal
+arithmetic slows BLAS about twofold, while a state entry moves by less
+than about 1e-150.  On a strongly correlated source most of ``B`` lies
+below that floor, and the rest is a tilted ridge, so ``core._gram_blocks``
+contracts each pair of 128-row blocks only over the overlap of their
+nonzero column spans; on the unfiltered K = 22 KTP source that is about
+10% of the dense work.  A sample below the floor need not be computed
+either: ``|B|`` can reach it only inside an ellipse of the intensity's
+quadratic form, so ``_root_weighted`` evaluates the double Gaussian, whose
+``exp`` was the largest cost of a pass, only over each row block's hull of
+that ellipse, about 30% of the unfiltered KTP node grid, and hands those
+blocks on as row pieces.  When the blocks would skip less than half of the
+dense work, the whole grid is evaluated and one ``B B^H`` runs instead:
 for a real amplitude ``B.conj()`` is ``B`` itself, so numpy calls the BLAS
-symmetric rank-k update (``syrk``).  Real states are exactly symmetric on
-both paths.  Equal heralds (the same object) share one state.  The
-heralding probability is the state's weighted trace and the purity the
-weighted sum of its squared entries, both from ``core._purity_success``,
-and two-photon interference is a delay-phased double sum over the two arms'
-states.  For parametric amplitudes the integration windows track the
-Gaussian mass of each integrand (including the displacement caused by
-off-center filters), and node counts scale with the window length measured
-in units of the finest feature, so narrow filters and strongly elongated
-amplitudes spend nodes only where structure lives.  The density,
+symmetric rank-k update (``syrk``).  The heralding probability is the
+weighted trace of ``M`` and the purity the weighted sum of its squared
+entries, both reduced by ``core._purity_success`` straight from the block
+products (``_single_pair``), so a single-state result never holds the
+n x n state on the band path.  Two-photon interference is a delay-phased
+double sum over the two arms' whole states, which ``_heralded_states``
+assembles through ``core._gram``; real states are exactly symmetric on
+both paths, and equal heralds (the same object) share one state.
+
+For parametric amplitudes the integration windows track the Gaussian mass
+of each integrand (including the displacement caused by off-center
+filters), and node counts scale with the window length measured in units
+of the finest feature, so narrow filters and strongly elongated amplitudes
+spend nodes only where structure lives.  The density,
 ``_NODES_PER_FEATURE``, is set from a measured knee: results stop moving at
 about 1.9 nodes per feature.  A tabulated filter's knots split its axis into
 panels, each with Gauss-Legendre nodes of its own (``_arm_axis``): the
@@ -77,6 +79,7 @@ from .core import (
     _dip_curve,
     _filtered_idler,
     _gram,
+    _gram_blocks,
     _integer,
     _purity_success,
     _real,
@@ -329,9 +332,11 @@ def _signal_window(jsa, idler_window, heralded, tail):
 
 
 def _root_weighted(jsa, x, y, root):
-    """Row pieces of ``B = Phi(x, y) * root`` on node axes, for ``core._gram``.
+    """Row pieces of ``B = Phi(x, y) * root`` on node axes, for ``core._gram``
+    and ``core._gram_blocks``.
 
-    ``|B|`` can reach the underflow floor only inside the ellipse
+    A gridded amplitude gives its whole grid as one piece.  For a parametric
+    one, ``|B|`` can reach the underflow floor only inside the ellipse
     ``a x^2 + 2 b x y + c y^2 <= L``, ``L = 2 ln(Phi(0, 0) max(root) / floor)``,
     so each block of ``_GRAM_BLOCK`` signal rows is evaluated only over the
     hull of its rows' idler intervals, widened by ``_BAND_MARGIN`` in ``L``
@@ -339,6 +344,9 @@ def _root_weighted(jsa, x, y, root):
     skip less than half of the dense work (``core._band_pairs``), ``B`` is
     evaluated whole, as one piece.
     """
+    if isinstance(jsa, GriddedJsa):
+        # Gridded amplitudes are read-only, so the product is a fresh array.
+        return [(0, 0, jsa.amplitudes * root)]
     nx, ny = x.size, y.size
     a, b, c = jsa.intensity_coefficients()
     peak = float(eval_double_gaussian(jsa, 0.0, 0.0) * root.max())
@@ -375,60 +383,77 @@ def _root_weighted(jsa, x, y, root):
     return [(0, 0, block)]
 
 
-def _heralded_states(jsa, heralds, heralded, spec, max_delay=None):
-    """Signal nodes, signal weights, and one heralded state per herald.
+def _heralded_axes(jsa, heralds, heralded, spec, max_delay=None):
+    """Signal nodes, signal weights, and one idler axis per herald.
 
-    Each state ``M(w, w~)`` is unnormalized and sampled on the one signal
-    axis; the signal weights include the ``heralded`` filter.  For a
-    parametric amplitude the signal window covers the hull of the heralds'
-    idler windows, and with ``max_delay`` (ps) the axis gains the nodes the
-    interference phase needs up to that delay.  A gridded amplitude keeps
-    its grid, whose signal step must then resolve ``max_delay``.  A herald
-    that is the previous herald reuses its state.
+    Each idler axis is ``(nodes, weights)``, its weights including the
+    herald's transmission; the signal weights include the ``heralded``
+    filter.  For a parametric amplitude the signal window covers the hull of
+    the heralds' idler windows, and with ``max_delay`` (ps) the axis gains
+    the nodes the interference phase needs up to that delay.  A gridded
+    amplitude keeps its grid, whose signal step must then resolve
+    ``max_delay``.
     """
     if isinstance(jsa, GriddedJsa):
         if max_delay is not None:
             _check_delay_step(max_delay, jsa.signal_step)
         x, y = jsa.signal_grid, jsa.idler_grid
         wx = _cell_weights(heralded, x, jsa.signal_step)
-        idler_axes = [(y, _cell_weights(h, y, jsa.idler_step))
-                      for h in heralds]
-    elif isinstance(jsa, DoubleGaussianJsa):
-        spec = spec if spec is not None else DEFAULT_SPEC
-        tail = spec.half_extent
-        windows = [_idler_window(jsa, h, tail) for h in heralds]
-        idler_axes = [_arm_axis(spec, *window, h)
-                      for h, window in zip(heralds, windows)]
-        hull = (min(w[0] for w in windows), max(w[1] for w in windows))
-        xlo, xhi, xfeat = _signal_window(jsa, hull, heralded, tail)
-        osc = 0
-        if max_delay is not None:
-            osc = int(math.ceil(0.4 * max_delay * (xhi - xlo))) + 16
-        x, wx = _arm_axis(spec, xlo, xhi, xfeat, heralded, osc)
-        if x.size > _MAX_NODES:  # the n x n states live on this axis
-            raise ConvergenceError(f"signal axis needs {x.size} nodes across "
-                                   f"knots; at most {_MAX_NODES} are allowed")
-    else:
+        return x, wx, [(y, _cell_weights(h, y, jsa.idler_step))
+                       for h in heralds]
+    if not isinstance(jsa, DoubleGaussianJsa):
         raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
+    spec = spec if spec is not None else DEFAULT_SPEC
+    tail = spec.half_extent
+    windows = [_idler_window(jsa, h, tail) for h in heralds]
+    idler_axes = [_arm_axis(spec, *window, h)
+                  for h, window in zip(heralds, windows)]
+    hull = (min(w[0] for w in windows), max(w[1] for w in windows))
+    xlo, xhi, xfeat = _signal_window(jsa, hull, heralded, tail)
+    osc = 0
+    if max_delay is not None:
+        osc = int(math.ceil(0.4 * max_delay * (xhi - xlo))) + 16
+    x, wx = _arm_axis(spec, xlo, xhi, xfeat, heralded, osc)
+    if x.size > _MAX_NODES:  # the n x n states live on this axis
+        raise ConvergenceError(f"signal axis needs {x.size} nodes across "
+                               f"knots; at most {_MAX_NODES} are allowed")
+    return x, wx, idler_axes
+
+
+def _heralded_states(jsa, heralds, heralded, spec, max_delay=None):
+    """Signal nodes, signal weights, and one heralded state per herald.
+
+    Each state ``M(w, w~) = B B^H`` is unnormalized and assembled whole by
+    ``core._gram`` on the one signal axis (``_heralded_axes``), for the
+    dip, whose phased double sum needs the whole state.  A herald that is
+    the previous herald reuses its state.
+    """
+    x, wx, idler_axes = _heralded_axes(jsa, heralds, heralded, spec,
+                                       max_delay)
     states = []
     for k, (herald, (y, wy)) in enumerate(zip(heralds, idler_axes)):
         if k and herald is heralds[k - 1]:
             states.append(states[-1])
             continue
-        # One arm's root-weighted amplitude is alive at a time.  A fresh
-        # sample is scaled in place; gridded amplitudes are read-only.
-        root = np.sqrt(wy)
-        if isinstance(jsa, GriddedJsa):
-            pieces = [(0, 0, jsa.amplitudes * root)]
-        else:
-            pieces = _root_weighted(jsa, x, y, root)
+        # One arm's root-weighted amplitude is alive at a time.
+        pieces = _root_weighted(jsa, x, y, np.sqrt(wy))
         states.append(_gram(pieces, (x.size, y.size)))
     return x, wx, states
 
 
 def _single_pair(jsa, herald, heralded, spec):
-    _, wx, (state,) = _heralded_states(jsa, (herald,), heralded, spec)
-    purity, success = _purity_success(state, wx, overwrite=True)
+    """``(purity, success)`` of one herald, reduced from block products.
+
+    ``core._purity_success`` sums the weighted trace and the weighted
+    squared entries over the products that ``core._gram_blocks`` yields,
+    each squared in place.  On the band path the heralded state ``B B^H``
+    is never assembled, so peak memory is ``B``'s band and one block
+    product; a dense ``B`` gives its one ``n x n`` product.
+    """
+    x, wx, ((y, wy),) = _heralded_axes(jsa, (herald,), heralded, spec)
+    pieces = _root_weighted(jsa, x, y, np.sqrt(wy))
+    purity, success = _purity_success(
+        _gram_blocks(pieces, (x.size, y.size)), wx)
     success = float(success)
     if not math.isfinite(success) or success <= 0.0:
         raise NumericalError(

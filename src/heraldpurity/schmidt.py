@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     GriddedJsa,
+    _GRAM_BLOCK,
     NumericalError,
     _arm_overlaps,
     _cell_weights,
@@ -33,10 +34,12 @@ from .core import (
     _dip_curve,
     _flush_underflow,
     _freeze,
+    _integer,
     _purity_success,
     _real,
     _require_success,
     _splitter_product,
+    _squared_modulus,
 )
 
 __all__ = [
@@ -130,8 +133,15 @@ class SchmidtDecomposition:
         return 1.0 / self.purity()
 
     def reconstruct(self, n_modes=None):
-        """Rebuild the amplitude samples from the leading modes."""
-        m = self.n_modes if n_modes is None else min(int(n_modes), self.n_modes)
+        """Rebuild the amplitude samples from the leading modes.
+
+        ``n_modes`` is a non-negative integer; all modes when ``None``.
+        """
+        m = self.n_modes
+        if n_modes is not None:
+            m = min(_integer("n_modes", n_modes), m)
+            if m < 0:
+                raise ValueError(f"n_modes must be non-negative, got {m}")
         sqp = np.sqrt(self.coefficients[:m])
         return (self.signal_modes[:m].T * sqp) @ self.idler_modes[:m]
 
@@ -248,9 +258,12 @@ def _truncated_svd(scaled, rel_threshold):
         ub, s, vh = np.linalg.svd(b, full_matrices=False)
         p = s * s
         if p[-1] < floor * p[0]:
-            rest = q @ b
-            rest -= scaled
-            residual = float(np.vdot(rest, rest).real)
+            # Summed over row blocks, so no second grid-sized array is made.
+            residual = 0.0
+            for r in range(0, len(scaled), _GRAM_BLOCK):
+                rest = q[r:r + _GRAM_BLOCK] @ b
+                rest -= scaled[r:r + _GRAM_BLOCK]
+                residual += float(np.vdot(rest, rest).real)
             if residual < rel_threshold * p[0]:
                 return q @ ub, s, vh, ranks, residual
         rank = _next_rank(p, rank, floor)
@@ -409,7 +422,8 @@ def schmidt_quantities(decomposition, herald_overlap):
     """
     if herald_overlap.side != "idler":
         raise ValueError("herald overlaps must be built on the idler modes")
-    purity, success = _purity_success(herald_overlap.matrix,
+    q, whole = herald_overlap.matrix, slice(None)
+    purity, success = _purity_success([(whole, whole, q, _squared_modulus(q))],
                                       decomposition.coefficients)
     success = _require_success(float(success))
     return _clip_unit(float(purity)), _clip_unit(success)
@@ -495,13 +509,14 @@ def mode_projection_herald(decomposition, index):
         ``ModeProjection`` with success ``p_index``, purity exactly one,
         and the signal mode the heralded photon occupies.
     """
+    index = _integer("mode index", index)
     if not 0 <= index < decomposition.n_modes:
         raise ValueError(
             f"mode index {index} outside the {decomposition.n_modes} "
             "retained modes"
         )
     return ModeProjection(
-        index=int(index),
+        index=index,
         success=float(decomposition.coefficients[index]),
         purity=1.0,
         heralded_mode=decomposition.signal_modes[index],

@@ -229,19 +229,21 @@ def _gridded_curve(jsa, center):
     times ``idler_step``, one row per width), so the idler-side reduced
     state ``R = (A.T @ A.conj()) * signal_step``, the transpose of the
     quadrature route's signal-side state, and its squared modulus are built
-    once and each row is reduced by ``core._purity_success``.  ``R`` is
-    ``core._gram`` of a copy of ``A.T``, so it has the quadrature states'
-    underflow floor and band-aware product.
+    once and each row is reduced by ``core._purity_success``, as the one
+    block pair of the whole state.  ``R`` is ``core._gram`` of a copy of
+    ``A.T``, so it has the quadrature states' underflow floor and band-aware
+    product.
     """
     idler_rows = jsa.amplitudes.T.copy()
     state = _gram([(0, 0, idler_rows)], idler_rows.shape)
     state *= jsa.signal_step
-    squared = _squared_modulus(state)
+    whole = slice(None)
+    pair = (whole, whole, state, _squared_modulus(state))
 
     def evaluate(widths):
         weights = np.array([GaussianFilter(center, w).transmission(
             jsa.idler_grid) for w in widths]) * jsa.idler_step
-        return _purity_success(state, weights, squared)
+        return _purity_success([pair], weights)
     return evaluate
 
 

@@ -1,6 +1,7 @@
 """Tests for amplitude models, filters, grids, and parsing."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,8 +11,11 @@ from scipy.integrate import dblquad
 import heraldpurity as hp
 from conftest import SEED, draw_source
 from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _cell_weights,
-                               _clip_unit, _gram, _purity_success,
-                               _require_success)
+                               _clip_unit, _gram, _gram_blocks,
+                               _purity_success, _require_success,
+                               _squared_modulus)
+
+WHOLE = slice(None)
 
 
 def test_package_exports_every_public_name():
@@ -355,9 +359,9 @@ def test_purity_success_reduces_each_row_alone():
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     state = a @ a.conj().T
     weights = rng.uniform(0.0, 1.0, (5, n))
-    purity, success = _purity_success(state, weights)
+    purity, success = _purity_success([(WHOLE, WHOLE, state)], weights)
     for row, (p_row, s_row) in enumerate(zip(purity, success)):
-        p_one, s_one = _purity_success(state, weights[row])
+        p_one, s_one = _purity_success([(WHOLE, WHOLE, state)], weights[row])
         assert (p_one, s_one) == (p_row, s_row)
     w = weights[0]
     inline = float(w @ np.real(np.diagonal(state)))
@@ -368,20 +372,28 @@ def test_purity_success_reduces_each_row_alone():
 
 @pytest.mark.parametrize("complex_state", [False, True])
 def test_purity_success_in_place_gives_the_same_bits(complex_state):
-    # an owned real state is squared in place; a complex one is left alone
+    # an owned real block is squared in place; a complex one is left alone;
+    # both for a whole state and for the block pairs of a banded one
     rng = np.random.default_rng(SEED)
     a = rng.standard_normal((40, 30))
     if complex_state:
         a = a + 1j * rng.standard_normal((40, 30))
     state = a @ a.conj().T
-    weights = rng.uniform(0.0, 1.0, 40)
-    kept = state.copy()
-    expected = _purity_success(state, weights)
-    assert _purity_success(state, weights, overwrite=True) == expected
-    if complex_state:
-        assert np.array_equal(state, kept)
-    else:
-        assert np.array_equal(state, kept * kept)
+    b = _ridge(4 * _GRAM_BLOCK, 600, complex_phase=complex_state)
+    for pairs, n in (([(WHOLE, WHOLE, state)], 40),
+                     (list(_gram_blocks([(0, 0, b)], b.shape)), len(b))):
+        assert len(pairs) == 1 or len(pairs) > 4
+        weights = rng.uniform(0.0, 1.0, n)
+        kept = [block.copy() for _, _, block in pairs]
+        expected = _purity_success(
+            [(rows_i, rows_j, block, _squared_modulus(block))
+             for (rows_i, rows_j, _), block in zip(pairs, kept)], weights)
+        assert _purity_success(pairs, weights) == expected
+        for (_, _, block), before in zip(pairs, kept):
+            if complex_state:
+                assert np.array_equal(block, before)
+            else:
+                assert np.array_equal(block, before * before)
 
 
 def _ridge(n, m, complex_phase=False, zero_rows=None):
@@ -449,6 +461,22 @@ def test_gram_zeroes_samples_below_the_underflow_floor():
     _gram([(0, 0, c)], c.shape)
     assert c[0, 0] == 0.0
     assert c[0, 1] == 0.75 * _UNDERFLOW_FLOOR * (1 + 1j)
+
+
+def test_gridded_jsa_copies_real_samples_once():
+    # a float64 array is copied once, not once more by astype
+    grid = np.linspace(-3.0, 3.0, 640)
+    amplitudes = np.exp(-(grid[:, None] ** 2 + grid[None, :] ** 2))
+    tracemalloc.start()
+    try:
+        gridded = hp.GriddedJsa(grid, grid, amplitudes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * amplitudes.nbytes
+    assert np.array_equal(gridded.amplitudes, amplitudes)
+    assert gridded.amplitudes.dtype == np.float64
+    assert not np.shares_memory(gridded.amplitudes, amplitudes)
 
 
 def test_discretize_flags_clipped_ridge(jsa_ktp):

@@ -1,6 +1,7 @@
 """Tests for the direct numerical route to purity, success, and dips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,68 @@ def test_heralded_states_are_gram_matrices(request, source, heralds):
     if gridded:
         assert np.array_equal(jsa.amplitudes, before)
         assert not jsa.amplitudes.flags.writeable
+
+
+_K30 = (1.0, 60.0, math.pi / 4, -math.pi / 4)
+
+
+@pytest.mark.parametrize("source, herald, heralded, band", [
+    # band paths: unfiltered KTP (960 nodes), the two-filter KTP rung of
+    # width 13 and an unfiltered K = 30 source
+    (KTP_PARAMS, None, None, True),
+    (KTP_PARAMS, hp.GaussianFilter(0.0, 13.0), hp.GaussianFilter(0.0, 13.0),
+     True),
+    (_K30, None, None, True),
+    # one-piece paths: real parametric, real gridded and complex gridded
+    (KTP_PARAMS, hp.GaussianFilter(0.0, 2.0), None, False),
+    (K26_PARAMS, None, None, False),
+    ("k26_grid", hp.GaussianFilter(0.2, 0.9), None, False),
+    ("chirped_grid", hp.GaussianFilter(0.2, 0.9), None, False),
+])
+def test_block_reduction_matches_the_assembled_state(
+        request, source, herald, heralded, band):
+    # the block pairs of B B^H reduce to the reduction of the whole state:
+    # bit for bit on one piece, within 1e-14 relative on the band path
+    jsa = (request.getfixturevalue(source) if isinstance(source, str)
+           else hp.DoubleGaussianJsa(*source))
+    x, wx, ((y, wy),) = quadrature._heralded_axes(jsa, (herald,), heralded,
+                                                  None)
+    pieces = quadrature._root_weighted(jsa, x, y, np.sqrt(wy))
+    shape = (x.size, y.size)
+    assert (len(pieces) > 1) == band
+    if source == KTP_PARAMS and herald is None:
+        assert x.size == 960
+    whole = slice(None)
+    state = core._gram(pieces, shape)
+    expected = core._purity_success([(whole, whole, state)], wx)
+    pairs = list(core._gram_blocks(pieces, shape))
+    assert (len(pairs) > 1) == band
+    assert all(rows_i.start <= rows_j.start for rows_i, rows_j, _ in pairs)
+    got = core._purity_success(pairs, wx)
+    if band:
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+    else:
+        assert got == expected
+    # the public routes reduce the same blocks
+    purity, success = quadrature._single_pair(jsa, herald, heralded, None)
+    assert (purity, success) == (float(got[0]), float(got[1]))
+
+
+def test_single_state_purity_never_builds_the_state():
+    # 3168-node axes: one n x n float64 state is 80 MB, and the block
+    # reduction stays below a quarter of it
+    jsa = hp.DoubleGaussianJsa(1.0, 150.0, math.pi / 4, -math.pi / 4)
+    x, _, ((y, _),) = quadrature._heralded_axes(jsa, (None,), None, None)
+    assert x.size == y.size == 3168
+    tracemalloc.start()
+    try:
+        purity = hp.unfiltered_purity(jsa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * x.size**2 * 8
+    assert purity == pytest.approx(hp.closed_form_report(jsa).purity_filtered,
+                                   rel=1e-12)
 
 
 _KTP_TAB_GRID = np.linspace(-30.0, 30.0, 61)
@@ -632,7 +695,7 @@ def test_convergence_check_passes_on_defaults(jsa_ktp, monkeypatch):
         doubled = quadrature._single_pair(jsa_ktp, filt, None,
                                           _doubled_rule(patch))
     np.testing.assert_allclose(doubled, plain, rtol=0.0, atol=1e-12)
-    calls = _calls(monkeypatch, "_heralded_states")
+    calls = _calls(monkeypatch, "_heralded_axes")
     assert hp.filtered_purity(jsa_ktp, filt) == plain[0]
     assert len(calls) == 1
     assert plain[0] == pytest.approx(hp.closed_form_purity(jsa_ktp, filt),

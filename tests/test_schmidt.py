@@ -417,6 +417,36 @@ def test_mode_projection(k26_modes, jsa_separable):
             hp.mode_projection_herald(k26_modes, bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda jsa, modes: hp.thermal_schmidt_coefficients(2.6, 2.5),
+    lambda jsa, modes: hp.thermal_schmidt_coefficients(2.6, n_modes=True),
+    lambda jsa, modes: hp.schmidt_mode_analytic(jsa, True, 0.0),
+    lambda jsa, modes: hp.schmidt_mode_analytic(jsa, "1", 0.0),
+    lambda jsa, modes: hp.schmidt_mode_analytic(jsa, 1.0, 0.0),
+    lambda jsa, modes: modes.reconstruct(n_modes=2.5),
+    lambda jsa, modes: modes.reconstruct(n_modes=True),
+    lambda jsa, modes: hp.mode_projection_herald(modes, 1.5),
+    lambda jsa, modes: hp.mode_projection_herald(modes, True),
+    lambda jsa, modes: hp.mode_projection_herald(modes, "0"),
+], ids=["thermal-fraction", "thermal-bool", "mode-bool", "mode-str",
+        "mode-float", "reconstruct-fraction", "reconstruct-bool",
+        "projection-fraction", "projection-bool", "projection-str"])
+def test_integer_arguments_refuse_fractions_and_bools(jsa_k26, k26_modes,
+                                                      call):
+    # each was truncated, taken as 1, or raised TypeError or IndexError
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(jsa_k26, k26_modes)
+
+
+def test_reconstruct_refuses_a_negative_mode_count(k26_modes):
+    # -1 dropped the last mode silently
+    with pytest.raises(ValueError, match="non-negative"):
+        k26_modes.reconstruct(n_modes=-1)
+    assert not k26_modes.reconstruct(n_modes=0).any()
+    assert np.array_equal(k26_modes.reconstruct(np.int64(2)),
+                          k26_modes.reconstruct(2))
+
+
 def test_global_phase_does_not_change_results(k26_grid):
     p_ref = hp.decompose(k26_grid).coefficients
     rotated = hp.GriddedJsa(

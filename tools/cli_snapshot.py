@@ -4,18 +4,19 @@ Usage::
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
-Writes nine configs under ``OUTDIR`` (the demo source, the KTP source,
+Writes ten configs under ``OUTDIR`` (the demo source, the KTP source,
 the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
-with a boolean filter width, the demo behind a tabulated box herald, and
-the demo behind a table with boolean and string entries), then runs a
-fixed list of 85 ``heraldpurity.cli`` invocations with ``--no-timestamp``,
-each in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the
-caller's ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
-``NN.code`` in ``OUTDIR``, and ``index.json`` lists the argument vectors.
-The runs use ``OUTDIR`` as their working directory and name the configs by
-relative path, so no output embeds a location: two snapshots taken with
-different ``PYTHONPATH`` settings compare with ``diff -r``.
+with a boolean filter width, the demo behind a tabulated box herald, the
+demo behind a table with boolean and string entries, and a K = 30 source),
+then runs a fixed list of 86 ``heraldpurity.cli`` invocations with
+``--no-timestamp``, each in a fresh interpreter with
+``OPENBLAS_NUM_THREADS=1`` and the caller's ``PYTHONPATH``.  Every run
+leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
+``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
+their working directory and name the configs by relative path, so no
+output embeds a location: two snapshots taken with different
+``PYTHONPATH`` settings compare with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import heraldpurity as hp
 
 DEMO = {"sigma1": 1.0, "sigma2": 5.0, "theta1": "pi/4", "theta2": "-pi/4"}
 KTP = {"sigma1": 6.0, "sigma2": 0.70, "theta1": "pi/4", "theta2": 0.97}
+# K = 30: its unfiltered heralded state takes the band path of core._gram.
+K30 = {"sigma1": 1.0, "sigma2": 60.0, "theta1": "pi/4", "theta2": "-pi/4"}
 
 CONFIGS = {
     "demo.json": {"jsa": DEMO, "filter": {"center": 0.0, "width": 0.6}},
@@ -50,6 +53,7 @@ CONFIGS = {
         "transmission": [0, 0, 1, 1, 0, 0]}},
     "tabtyped.json": {"jsa": DEMO, "filter": {
         "grid": [-1, "0", True], "transmission": [False, "1.0", 0]}},
+    "k30.json": {"jsa": K30, "filter": {"center": 0.0, "width": 20.0}},
 }
 
 
@@ -162,6 +166,8 @@ def invocations():
         # JSON with e-notation widths and purity of exactly 1 at both ends
         ["sweep", "orientation", "--format", "json", "--thetas",
          "0:1.5707963267948966:101", "--widths", "1e-6:1000:101"],
+        # a K = 30 source, whose states are reduced from band blocks
+        ["report", "--config", "k30.json", "--format", "json"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
