@@ -9,6 +9,7 @@ and the idler (heralding) frequency as its second, and is normalized so that
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 import warnings
@@ -177,7 +178,8 @@ def _gram_blocks(pieces, shape):
     When the spans would skip less than half of the dense work
     (``_band_pairs``), the one product ``B B^H`` is yielded instead (BLAS
     ``syrk`` for real ``B``), which is faster on dense input; such a ``B``
-    must come as one dense piece.  Each product is a new array.
+    must come as one dense piece.  Each product is a new array.  Pieces at
+    multiples of ``_GRAM_BLOCK`` give every state on one axis the same rows.
     """
     n, m = shape
     blocks, spans = [], []
@@ -202,27 +204,6 @@ def _gram_blocks(pieces, shape):
         other = block if i == j else blocks[j][:, lo - lo_j:hi - lo_j]
         yield (slice(start_i, start_i + n_i), slice(start_j, start_j + n_j),
                block @ other.conj().T)
-
-
-def _gram(pieces, shape):
-    """``B B^H`` assembled from ``_gram_blocks(pieces, shape)``.
-
-    Only callers that need the whole state assemble it: off-diagonal blocks
-    are mirrored, so a real result is exactly symmetric, and the one dense
-    product is returned as it is.
-    """
-    n = shape[0]
-    dtype = np.result_type(float, *(piece.dtype for _, _, piece in pieces))
-    out = None
-    for rows_i, rows_j, product in _gram_blocks(pieces, shape):
-        if product.shape == (n, n):
-            return product
-        if out is None:
-            out = np.zeros((n, n), dtype)
-        out[rows_i, rows_j] = product
-        if rows_i != rows_j:
-            out[rows_j, rows_i] = product.conj().T
-    return np.zeros((n, n), dtype) if out is None else out
 
 
 def _squared_modulus(state):
@@ -315,25 +296,50 @@ def _check_delay_step(delays, step):
         )
 
 
-def _arm_overlaps(x, wx, state_x, state_y, delays):
+def _shared_blocks(pairs_x, pairs_y, n):
+    """``(rows_i, rows_j, M_x, M_y)`` on each block that both states hold;
+    a state that is one ``n x n`` product is sliced to the other's blocks."""
+    whole_x, whole_y = (
+        pairs[0][2] if len(pairs) == 1 and pairs[0][2].shape == (n, n)
+        else None for pairs in (pairs_x, pairs_y))
+    if whole_x is not None:
+        return [(i, j, whole_x[i, j], m_y) for i, j, m_y in pairs_y]
+    if whole_y is not None:
+        return [(i, j, m_x, whole_y[i, j]) for i, j, m_x in pairs_x]
+    held = {(i.start, j.start): m_y for i, j, m_y in pairs_y}
+    return [(i, j, m_x, held[i.start, j.start]) for i, j, m_x in pairs_x
+            if (i.start, j.start) in held]
+
+
+def _arm_overlaps(x, wx, pairs_x, pairs_y, delays):
     """Normalized two-arm overlap at each delay from unnormalized heralded states.
 
-    The states ``M(w, w~)`` sit on signal nodes ``x`` with weights ``wx``; all
-    delays come from one product with the phase matrix ``wx*exp(i*tau*x)``.
+    Each state ``M(w, w~)`` on signal nodes ``x`` with weights ``wx`` comes
+    as the block pairs of ``_gram_blocks`` (a whole state is one pair), and
+    its success is summed over the diagonal pairs.  ``M_x * conj(M_y)`` is
+    formed only on blocks both states hold, and all delays come from one
+    product of each with the phase matrix ``u = wx*exp(i*tau*x)``; the sum
+    is real, so an off-diagonal pair counts twice.
     """
-    success_x = float(wx @ np.real(np.diagonal(state_x)))
-    success_y = float(wx @ np.real(np.diagonal(state_y)))
+    success_x, success_y = (
+        sum(float(wx[rows_i] @ np.real(np.diagonal(block)))
+            for rows_i, rows_j, block in pairs if rows_i == rows_j)
+        for pairs in (pairs_x, pairs_y))
     _require_success(min(success_x, success_y),
                      "interferometer arm heralding probability")
-    cross = state_x * state_y.conj()
-    # In place: two (delays, nodes) complex arrays are alive, not four.
     u = np.zeros((delays.size, x.size), dtype=complex)
     np.multiply.outer(delays, x, out=u.imag)
     np.exp(u, out=u)
     u *= wx
-    terms = u @ cross
-    terms *= np.conjugate(u, out=u)
-    return terms.real.sum(axis=1) / (success_x * success_y)
+    overlap = np.zeros(delays.size)
+    for rows_i, rows_j, m_x, m_y in _shared_blocks(pairs_x, pairs_y, x.size):
+        terms = u[:, rows_i] @ (m_x * m_y.conj())
+        # conj(t) u has the real part of t conj(u), with no copy of u
+        np.conjugate(terms, out=terms)
+        terms *= u[:, rows_j]
+        sums = terms.real.sum(axis=1)
+        overlap += sums if rows_i == rows_j else 2.0 * sums
+    return overlap / (success_x * success_y)
 
 
 def _dip_curve(delays, overlap, reflectivity):
@@ -676,7 +682,7 @@ class GriddedJsa:
         return float(np.sum(squared) * self.cell_area)
 
     def normalize(self):
-        """Return a copy rescaled so that ``norm()`` equals one.
+        """Return a copy, sharing the grids, rescaled so ``norm()`` is one.
 
         Raises:
             NumericalError: If the sampled amplitude is numerically zero.
@@ -684,8 +690,9 @@ class GriddedJsa:
         n = self.norm()
         if n < 1e-300:
             raise NumericalError("cannot normalize a numerically zero amplitude")
-        return GriddedJsa(self.signal_grid, self.idler_grid,
-                          self.amplitudes / math.sqrt(n))
+        out = copy.copy(self)
+        _freeze(out, amplitudes=self.amplitudes / math.sqrt(n))
+        return out
 
 
 def _thin_width(jsa):

@@ -27,9 +27,9 @@ weighted trace of ``M`` and the purity the weighted sum of its squared
 entries, both reduced by ``core._purity_success`` straight from the block
 products (``_single_pair``), so a single-state result never holds the
 n x n state on the band path.  Two-photon interference is a delay-phased
-double sum over the two arms' whole states, which ``_heralded_states``
-assembles through ``core._gram``; real states are exactly symmetric on
-both paths, and equal heralds (the same object) share one state.
+double sum over both arms' states, which ``core._arm_overlaps`` sums over
+the blocks the two states share, from the same block pairs
+(``_state_pairs``); equal heralds (the same object) share one state.
 
 For parametric amplitudes the integration windows track the Gaussian mass
 of each integrand (including the displacement caused by off-center
@@ -78,7 +78,6 @@ from .core import (
     _delay_array,
     _dip_curve,
     _filtered_idler,
-    _gram,
     _gram_blocks,
     _integer,
     _purity_success,
@@ -332,8 +331,8 @@ def _signal_window(jsa, idler_window, heralded, tail):
 
 
 def _root_weighted(jsa, x, y, root):
-    """Row pieces of ``B = Phi(x, y) * root`` on node axes, for ``core._gram``
-    and ``core._gram_blocks``.
+    """Row pieces of ``B = Phi(x, y) * root`` on node axes, for
+    ``core._gram_blocks``.
 
     A gridded amplitude gives its whole grid as one piece.  For a parametric
     one, ``|B|`` can reach the underflow floor only inside the ellipse
@@ -420,40 +419,25 @@ def _heralded_axes(jsa, heralds, heralded, spec, max_delay=None):
     return x, wx, idler_axes
 
 
-def _heralded_states(jsa, heralds, heralded, spec, max_delay=None):
-    """Signal nodes, signal weights, and one heralded state per herald.
+def _state_pairs(jsa, x, y, wy):
+    """Block pairs of the heralded state ``B B^H``, ``B = Phi * sqrt(wy)``.
 
-    Each state ``M(w, w~) = B B^H`` is unnormalized and assembled whole by
-    ``core._gram`` on the one signal axis (``_heralded_axes``), for the
-    dip, whose phased double sum needs the whole state.  A herald that is
-    the previous herald reuses its state.
+    ``B`` goes straight into ``core._gram_blocks``, so no caller holds it
+    while the products are reduced.
     """
-    x, wx, idler_axes = _heralded_axes(jsa, heralds, heralded, spec,
-                                       max_delay)
-    states = []
-    for k, (herald, (y, wy)) in enumerate(zip(heralds, idler_axes)):
-        if k and herald is heralds[k - 1]:
-            states.append(states[-1])
-            continue
-        # One arm's root-weighted amplitude is alive at a time.
-        pieces = _root_weighted(jsa, x, y, np.sqrt(wy))
-        states.append(_gram(pieces, (x.size, y.size)))
-    return x, wx, states
+    return _gram_blocks(_root_weighted(jsa, x, y, np.sqrt(wy)),
+                        (x.size, y.size))
 
 
 def _single_pair(jsa, herald, heralded, spec):
     """``(purity, success)`` of one herald, reduced from block products.
 
-    ``core._purity_success`` sums the weighted trace and the weighted
-    squared entries over the products that ``core._gram_blocks`` yields,
-    each squared in place.  On the band path the heralded state ``B B^H``
-    is never assembled, so peak memory is ``B``'s band and one block
+    ``core._purity_success`` squares each product of ``_state_pairs`` in
+    place, so on the band path peak memory is ``B``'s band and one block
     product; a dense ``B`` gives its one ``n x n`` product.
     """
     x, wx, ((y, wy),) = _heralded_axes(jsa, (herald,), heralded, spec)
-    pieces = _root_weighted(jsa, x, y, np.sqrt(wy))
-    purity, success = _purity_success(
-        _gram_blocks(pieces, (x.size, y.size)), wx)
+    purity, success = _purity_success(_state_pairs(jsa, x, y, wy), wx)
     success = float(success)
     if not math.isfinite(success) or success <= 0.0:
         raise NumericalError(
@@ -555,10 +539,13 @@ def _hom_overlaps(jsa, herald_x, herald_y, delays, spec):
         resolved = np.abs(delays) <= _DECAY_CUTOFF / w_sig
         if not np.any(resolved):
             return out
-    x, wx, states = _heralded_states(
+    x, wx, ((y_x, w_x), (y_y, w_y)) = _heralded_axes(
         jsa, (herald_x, herald_y), None, spec,
         max_delay=float(np.abs(delays[resolved]).max()))
-    out[resolved] = _arm_overlaps(x, wx, *states, delays[resolved])
+    pairs_x = list(_state_pairs(jsa, x, y_x, w_x))
+    pairs_y = (pairs_x if herald_y is herald_x
+               else list(_state_pairs(jsa, x, y_y, w_y)))
+    out[resolved] = _arm_overlaps(x, wx, pairs_x, pairs_y, delays[resolved])
     return out
 
 

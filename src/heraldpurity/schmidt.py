@@ -464,9 +464,10 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
     Each arm's herald overlap ``Q``, weighted by the mode amplitudes, maps
     back onto the signal grid as that arm's heralded state
     ``G.T @ (sqrt(p) Q sqrt(p)) @ conj(G)``, with ``G`` the signal modes;
-    the dip is then the same contraction as the direct route on the grid.
-    The states are dense ``n x n`` arrays for ``n`` signal samples, so memory
-    grows as ``n**2``: the call peaks near 150 MB on a 1754-point grid.
+    the dip is then the same contraction as the direct route on the grid,
+    with each state as its one whole block pair.  The states are dense
+    ``n x n`` arrays for ``n`` signal samples, so memory grows as ``n**2``:
+    the call peaks near 150 MB on a 1754-point grid.
 
     Args:
         decomposition: ``SchmidtDecomposition`` of both sources.
@@ -490,11 +491,12 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
     _check_delay_step(delays, decomposition.signal_step)
     sqp = np.sqrt(decomposition.coefficients)
     modes = decomposition.signal_modes
-    states = [modes.T @ (sqp[:, None] * overlap.matrix * sqp) @ modes.conj()
-              for overlap in (herald_x, herald_y)]
+    whole = slice(None)
+    pairs = [[(whole, whole, modes.T @ (sqp[:, None] * overlap.matrix * sqp)
+               @ modes.conj())] for overlap in (herald_x, herald_y)]
     grid = decomposition.signal_grid
     weights = np.full(grid.size, decomposition.signal_step)
-    return _dip_curve(delays, _arm_overlaps(grid, weights, *states, delays),
+    return _dip_curve(delays, _arm_overlaps(grid, weights, *pairs, delays),
                       reflectivity)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _clip_unit,
-                   _freeze, _gram, _purity_success, _real, _reals,
+                   _freeze, _gram_blocks, _purity_success, _real, _reals,
                    _require_success, _squared_modulus, visibility)
 
 __all__ = [
@@ -228,22 +228,23 @@ def _gridded_curve(jsa, center):
     The herald filter enters only through its idler weights (transmission
     times ``idler_step``, one row per width), so the idler-side reduced
     state ``R = (A.T @ A.conj()) * signal_step``, the transpose of the
-    quadrature route's signal-side state, and its squared modulus are built
-    once and each row is reduced by ``core._purity_success``, as the one
-    block pair of the whole state.  ``R`` is ``core._gram`` of a copy of
-    ``A.T``, so it has the quadrature states' underflow floor and band-aware
-    product.
+    quadrature route's signal-side state, is built once as the
+    ``core._gram_blocks`` pairs of a copy of ``A.T``, with the quadrature
+    states' underflow floor and band-aware product.  Each block is scaled
+    by ``signal_step`` and carries its squared modulus, and each row of
+    weights is reduced over the pairs by ``core._purity_success``.
     """
     idler_rows = jsa.amplitudes.T.copy()
-    state = _gram([(0, 0, idler_rows)], idler_rows.shape)
-    state *= jsa.signal_step
-    whole = slice(None)
-    pair = (whole, whole, state, _squared_modulus(state))
+    pairs = []
+    for rows_i, rows_j, block in _gram_blocks([(0, 0, idler_rows)],
+                                              idler_rows.shape):
+        block *= jsa.signal_step
+        pairs.append((rows_i, rows_j, block, _squared_modulus(block)))
 
     def evaluate(widths):
         weights = np.array([GaussianFilter(center, w).transmission(
             jsa.idler_grid) for w in widths]) * jsa.idler_step
-        return _purity_success([pair], weights)
+        return _purity_success(pairs, weights)
     return evaluate
 
 

@@ -122,6 +122,24 @@ def tabulated_overlap(jsa, fx, fy, nodes=20, tails=40.0):
     return cross / (trace_x * trace_y)
 
 
+def assemble(pairs, n):
+    """The whole ``n x n`` state from its block pairs ``(rows_i, rows_j, M)``.
+
+    Off-diagonal blocks are mirrored, so a real state is exactly symmetric;
+    one whole product is returned as it is, and no pairs give zeros.
+    """
+    out = None
+    for rows_i, rows_j, block in pairs:
+        if block.shape == (n, n):
+            return block
+        if out is None:
+            out = np.zeros((n, n), np.result_type(float, block))
+        out[rows_i, rows_j] = block
+        if rows_i != rows_j:
+            out[rows_j, rows_i] = block.conj().T
+    return np.zeros((n, n)) if out is None else out
+
+
 def chirped_copy(grid, seed_phase=(0.21, -0.13, 0.17, 0.4)):
     """Same intensity as ``grid`` with a smooth complex spectral phase."""
     ws = grid.signal_grid[:, None]

@@ -9,9 +9,9 @@ import pytest
 from scipy.integrate import dblquad
 
 import heraldpurity as hp
-from conftest import SEED, draw_source
-from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _cell_weights,
-                               _clip_unit, _gram, _gram_blocks,
+from conftest import SEED, assemble, draw_source
+from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _arm_overlaps,
+                               _cell_weights, _clip_unit, _gram_blocks,
                                _purity_success, _require_success,
                                _squared_modulus)
 
@@ -432,7 +432,7 @@ def _row_pieces(b):
 ])
 def test_gram_matches_dense_product(name, b):
     dense = b @ b.conj().T
-    gram = _gram([(0, 0, b.copy())], b.shape)
+    gram = assemble(_gram_blocks([(0, 0, b.copy())], b.shape), len(b))
     scale = np.abs(dense).max()
     assert np.abs(gram - dense).max() <= 1e-13 * scale, name
     if np.iscomplexobj(b):
@@ -445,20 +445,54 @@ def test_gram_matches_dense_product(name, b):
     else:
         # the same matrix in row pieces, zero outside them, gives the same
         # bits, with or without its all-zero blocks
-        assert np.array_equal(_gram(_row_pieces(b), b.shape), gram), name
+        assert np.array_equal(
+            assemble(_gram_blocks(_row_pieces(b), b.shape), len(b)), gram), name
+
+
+_N_ARM = 3 * _GRAM_BLOCK + 5
+_ARM_FORMS = {
+    "band": _ridge(_N_ARM, 450, complex_phase=True),
+    "band without blocks 1-2": _ridge(
+        _N_ARM, 450, zero_rows=slice(_GRAM_BLOCK, 3 * _GRAM_BLOCK)),
+    "whole": np.random.default_rng(SEED).standard_normal((_N_ARM, 60)),
+}
+
+
+@pytest.mark.parametrize("form_x", _ARM_FORMS)
+@pytest.mark.parametrize("form_y", _ARM_FORMS)
+def test_arm_overlaps_sum_the_shared_blocks(form_x, form_y):
+    # band and whole states, in either order and with blocks that only one
+    # state holds, give the overlaps of the whole states
+    rng = np.random.default_rng(SEED)
+    x = np.linspace(-3.0, 3.0, _N_ARM)
+    wx = rng.uniform(0.5, 1.5, _N_ARM)
+    delays = np.linspace(-1.0, 1.0, 7)
+    b_x, b_y = _ARM_FORMS[form_x], _ARM_FORMS[form_y]
+    pairs_x = list(_gram_blocks([(0, 0, b_x.copy())], b_x.shape))
+    pairs_y = list(_gram_blocks([(0, 0, b_y.copy())], b_y.shape))
+    assert (len(pairs_x) == 1) == (form_x == "whole")
+    assert (len(pairs_y) == 1) == (form_y == "whole")
+    m_x, m_y = b_x @ b_x.conj().T, b_y @ b_y.conj().T
+    u = wx * np.exp(1j * np.multiply.outer(delays, x))
+    cross = np.einsum("da,ab,db->d", u, m_x * m_y.conj(), u.conj()).real
+    expected = cross / ((wx @ np.diagonal(m_x).real)
+                        * (wx @ np.diagonal(m_y).real))
+    got = _arm_overlaps(x, wx, pairs_x, pairs_y, delays)
+    np.testing.assert_allclose(got, expected, rtol=0.0,
+                               atol=1e-13 * np.abs(expected).max())
 
 
 def test_gram_zeroes_samples_below_the_underflow_floor():
     below = np.nextafter(_UNDERFLOW_FLOOR, 0.0)
     above = np.nextafter(_UNDERFLOW_FLOOR, 1.0)
     b = np.array([[below, above, 1.0], [-below, -above, 0.5]])
-    gram = _gram([(0, 0, b)], b.shape)
+    gram = assemble(_gram_blocks([(0, 0, b)], b.shape), len(b))
     assert np.array_equal(b, [[0.0, above, 1.0], [0.0, -above, 0.5]])
     assert np.array_equal(gram, b @ b.T)
     # the floor applies to the modulus of a complex sample: both of these
     # have parts below it, but only the second has a modulus above it
     c = _UNDERFLOW_FLOOR * np.array([[0.7 + 0.7j, 0.75 + 0.75j]])
-    _gram([(0, 0, c)], c.shape)
+    list(_gram_blocks([(0, 0, c)], c.shape))
     assert c[0, 0] == 0.0
     assert c[0, 1] == 0.75 * _UNDERFLOW_FLOOR * (1 + 1j)
 
@@ -477,6 +511,26 @@ def test_gridded_jsa_copies_real_samples_once():
     assert np.array_equal(gridded.amplitudes, amplitudes)
     assert gridded.amplitudes.dtype == np.float64
     assert not np.shares_memory(gridded.amplitudes, amplitudes)
+
+
+def test_normalize_allocates_one_grid():
+    # the scaled samples are the only new grid-sized array, and the copy
+    # shares the read-only grids
+    grid = np.linspace(-3.0, 3.0, 640)
+    gridded = hp.GriddedJsa(grid, grid, 3.0 * np.exp(
+        -(grid[:, None] ** 2 + grid[None, :] ** 2)))
+    tracemalloc.start()
+    try:
+        normed = gridded.normalize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * gridded.amplitudes.nbytes
+    assert normed.norm() == pytest.approx(1.0, rel=1e-14)
+    assert normed.signal_grid is gridded.signal_grid
+    assert normed.idler_grid is gridded.idler_grid
+    assert not normed.amplitudes.flags.writeable
+    assert not np.shares_memory(normed.amplitudes, gridded.amplitudes)
 
 
 def test_discretize_flags_clipped_ridge(jsa_ktp):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
-from conftest import (K26_PARAMS, KTP_PARAMS, SEED, draw_case, identity_filter,
-                      tabulated_overlap, tabulated_reference)
+from conftest import (K26_PARAMS, KTP_PARAMS, SEED, assemble, draw_case,
+                      identity_filter, tabulated_overlap, tabulated_reference)
 from heraldpurity import core, quadrature
 from heraldpurity.quadrature import _leggauss
 
@@ -281,6 +281,14 @@ def _explicit_states(jsa, heralds, x):
     return states
 
 
+def _assembled_states(jsa, heralds, heralded, spec, max_delay=None):
+    """Signal nodes, signal weights, and each herald's state made whole."""
+    x, wx, idler_axes = quadrature._heralded_axes(jsa, heralds, heralded,
+                                                  spec, max_delay)
+    return x, wx, [assemble(quadrature._state_pairs(jsa, x, y, wy), x.size)
+                   for y, wy in idler_axes]
+
+
 _REPEATED = hp.GaussianFilter(0.3, 0.6)
 
 
@@ -290,13 +298,14 @@ _REPEATED = hp.GaussianFilter(0.3, 0.6)
     ("k26_grid", (None, hp.GaussianFilter(0.2, 0.9), _zero_gap_filter())),
     ("chirped_grid", (None, hp.GaussianFilter(0.2, 0.9), _zero_gap_filter())),
 ])
-def test_heralded_states_are_gram_matrices(request, source, heralds):
-    # each state is core._gram of B = phi * sqrt(w), whose real results are
-    # exactly symmetric on both its blocked and its one-product path
+def test_heralded_states_are_gram_matrices(request, monkeypatch, source,
+                                           heralds):
+    # each state is the block pairs of B = phi * sqrt(w), whose real results
+    # are exactly symmetric on both its blocked and its one-product path
     jsa = request.getfixturevalue(source)
     gridded = isinstance(jsa, hp.GriddedJsa)
     before = jsa.amplitudes.copy() if gridded else None
-    x, _, states = quadrature._heralded_states(jsa, heralds, None, None)
+    x, _, states = _assembled_states(jsa, heralds, None, None)
     for state, explicit in zip(states, _explicit_states(jsa, heralds, x)):
         scale = np.abs(state).max()
         assert scale > 0.0
@@ -307,9 +316,16 @@ def test_heralded_states_are_gram_matrices(request, source, heralds):
             assert not np.iscomplexobj(state)
             assert np.array_equal(state, state.T)
         assert np.abs(state - explicit).max() <= 1e-13 * scale
-    # a herald that is the previous one shares its state
-    for k in range(1, len(heralds)):
-        assert (states[k] is states[k - 1]) == (heralds[k] is heralds[k - 1])
+    # a dip between a herald and itself builds one state, else two
+    calls = []
+    build = quadrature._state_pairs
+    monkeypatch.setattr(quadrature, "_state_pairs",
+                        lambda *args: calls.append(args) or build(*args))
+    for left, right in zip(heralds[:-1], heralds[1:]):
+        if left is not None:
+            calls.clear()
+            hp.hom_dip(jsa, left, right, [0.0])
+            assert len(calls) == (1 if right is left else 2)
     if gridded:
         assert np.array_equal(jsa.amplitudes, before)
         assert not jsa.amplitudes.flags.writeable
@@ -345,7 +361,7 @@ def test_block_reduction_matches_the_assembled_state(
     if source == KTP_PARAMS and herald is None:
         assert x.size == 960
     whole = slice(None)
-    state = core._gram(pieces, shape)
+    state = assemble(core._gram_blocks(pieces, shape), x.size)
     expected = core._purity_success([(whole, whole, state)], wx)
     pairs = list(core._gram_blocks(pieces, shape))
     assert (len(pairs) > 1) == band
@@ -375,6 +391,56 @@ def test_single_state_purity_never_builds_the_state():
     assert peak < 0.25 * x.size**2 * 8
     assert purity == pytest.approx(hp.closed_form_report(jsa).purity_filtered,
                                    rel=1e-12)
+
+
+def _dense_overlaps(jsa, heralds, delays):
+    """Two-arm overlaps from whole explicit states on ``hom_dip``'s axes."""
+    x, wx, _ = quadrature._heralded_axes(jsa, heralds, None, None,
+                                         float(np.abs(delays).max()))
+    state_x, state_y = _explicit_states(jsa, heralds, x)
+    u = wx * np.exp(1j * np.multiply.outer(delays, x))
+    cross = np.einsum("da,ab,db->d", u, state_x * state_y.conj(), u.conj())
+    success = [wx @ np.diagonal(state) for state in (state_x, state_y)]
+    return x, cross.real / (success[0] * success[1])
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_mixed_form_dip_matches_whole_states(flip):
+    # a band-path herald (9 block pairs) against a one-product herald, in
+    # both orders: the band state's blocks slice the whole one
+    jsa = hp.DoubleGaussianJsa(1.0, 24.0, math.pi / 4, -math.pi / 4)
+    heralds = (hp.GaussianFilter(0.0, 8.0), hp.GaussianFilter(0.1, 0.3))
+    heralds = heralds[::-1] if flip else heralds
+    delays = np.linspace(-1.0, 1.0, 11)
+    x, expected = _dense_overlaps(jsa, heralds, delays)
+    assert x.size == 416
+    _, _, axes = quadrature._heralded_axes(jsa, heralds, None, None, 1.0)
+    counts = [len(list(quadrature._state_pairs(jsa, x, y, wy)))
+              for y, wy in axes]
+    assert counts == ([1, 9] if flip else [9, 1])
+    curve = hp.hom_dip(jsa, *heralds, delays)
+    np.testing.assert_allclose(curve.coincidences, 0.5 * (1.0 - expected),
+                               rtol=0.0, atol=1e-14)
+
+
+def test_band_dip_never_builds_a_state():
+    # K = 30 at width 20: both states take the band path on an 896-node
+    # axis, and the dip stays below one 896 x 896 float64 state (6.4 MB)
+    jsa = hp.DoubleGaussianJsa(*_K30)
+    herald = hp.GaussianFilter(0.0, 20.0)
+    delays = np.linspace(-1.0, 1.0, 9)
+    x, _, _ = quadrature._heralded_axes(jsa, (herald,), None, None, 1.0)
+    assert x.size == 896
+    tracemalloc.start()
+    try:
+        curve = hp.hom_dip(jsa, herald, herald, delays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.size**2 * 8
+    _, expected = _dense_overlaps(jsa, (herald, herald), delays)
+    np.testing.assert_allclose(curve.coincidences, 0.5 * (1.0 - expected),
+                               rtol=0.0, atol=1e-14)
 
 
 _KTP_TAB_GRID = np.linspace(-30.0, 30.0, 61)
@@ -422,10 +488,10 @@ def test_band_sampled_states_match_dense_evaluation(
         return pieces
 
     monkeypatch.setattr(quadrature, "_root_weighted", recorded)
-    x, wx, states = quadrature._heralded_states(*args)
+    x, wx, states = _assembled_states(*args)
     monkeypatch.setattr(quadrature, "_root_weighted", lambda jsa, x, y, root: [
         (0, 0, hp.eval_double_gaussian(jsa, x[:, None], y[None, :]) * root)])
-    x_ref, wx_ref, dense = quadrature._heralded_states(*args)
+    x_ref, wx_ref, dense = _assembled_states(*args)
     assert np.array_equal(x, x_ref) and np.array_equal(wx, wx_ref)
     assert len(states) == len(dense)
     for state, ref in zip(states, dense):
@@ -434,10 +500,11 @@ def test_band_sampled_states_match_dense_evaluation(
 
 
 def test_herald_beyond_the_band_gives_an_empty_state(jsa_ktp):
-    # every root-weighted sample lies below the underflow floor
+    # every root-weighted sample lies below the underflow floor, so the
+    # state has no block pairs
     far = hp.GaussianFilter(400.0, 0.05)
-    _, _, (state,) = quadrature._heralded_states(jsa_ktp, (far,), None, None)
-    assert not state.any()
+    x, _, ((y, wy),) = quadrature._heralded_axes(jsa_ktp, (far,), None, None)
+    assert list(quadrature._state_pairs(jsa_ktp, x, y, wy)) == []
     with pytest.raises(hp.NumericalError,
                        match="heralding probability evaluated to 0.0"):
         hp.filtered_purity(jsa_ktp, far)
@@ -618,7 +685,7 @@ def test_doubled_axes_stay_within_the_budget(jsa_k26, n_nodes):
         if x.size > quadrature._MAX_NODES:
             refused += 1
             with pytest.raises(hp.ConvergenceError, match="signal axis"):
-                quadrature._heralded_states(jsa_k26, (None,), table, spec)
+                quadrature._heralded_axes(jsa_k26, (None,), table, spec)
     assert refused == {2999: 1, 3000: 1, 3001: 1, 6000: 4}.get(n_nodes, 0)
 
 

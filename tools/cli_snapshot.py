@@ -9,7 +9,7 @@ the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, the
 demo behind a table with boolean and string entries, and a K = 30 source),
-then runs a fixed list of 86 ``heraldpurity.cli`` invocations with
+then runs a fixed list of 87 ``heraldpurity.cli`` invocations with
 ``--no-timestamp``, each in a fresh interpreter with
 ``OPENBLAS_NUM_THREADS=1`` and the caller's ``PYTHONPATH``.  Every run
 leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
@@ -34,7 +34,7 @@ import heraldpurity as hp
 
 DEMO = {"sigma1": 1.0, "sigma2": 5.0, "theta1": "pi/4", "theta2": "-pi/4"}
 KTP = {"sigma1": 6.0, "sigma2": 0.70, "theta1": "pi/4", "theta2": 0.97}
-# K = 30: its unfiltered heralded state takes the band path of core._gram.
+# K = 30: its heralded states take the band path of core._gram_blocks.
 K30 = {"sigma1": 1.0, "sigma2": 60.0, "theta1": "pi/4", "theta2": "-pi/4"}
 
 CONFIGS = {
@@ -168,6 +168,9 @@ def invocations():
          "0:1.5707963267948966:101", "--widths", "1e-6:1000:101"],
         # a K = 30 source, whose states are reduced from band blocks
         ["report", "--config", "k30.json", "--format", "json"],
+        # its dip, whose overlaps are summed over shared band blocks
+        ["hom", "--config", "k30.json", "--tau-max", "1", "--tau-points",
+         "9"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
