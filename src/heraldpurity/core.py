@@ -112,6 +112,24 @@ def _reals(name, values):
     return np.array(values, dtype=float, copy=True)
 
 
+def _axis(name, values, positive=False):
+    """``values`` as a non-empty 1-D array of finite floats, positive if asked.
+
+    Entries go through ``_reals``; every failure raises ``ValueError``.
+    """
+    axis = _reals(name, values)
+    if axis.ndim != 1 or axis.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D array, got shape "
+                         f"{axis.shape}")
+    valid = np.isfinite(axis)
+    if positive:
+        valid &= axis > 0.0
+    if not valid.all():
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}")
+    return axis
+
+
 def _freeze(record, **arrays):
     """Set each array, made read-only, as a field of the frozen ``record``."""
     for name, array in arrays.items():
@@ -140,48 +158,24 @@ def _flush_underflow(b):
     return b
 
 
-def _band_pairs(spans, n, m):
-    """Overlapping pairs of row-block column spans, or ``None`` if dense.
-
-    Each span ``(start, rows, lo, hi)`` is a block of rows of an ``n x m``
-    matrix ``B`` that is zero outside columns ``lo:hi``.  Returns the pairs
-    ``(i, j, lo, hi)``, ``i <= j``, of spans that overlap, with their
-    overlap; or ``None`` when contracting only those overlaps would skip
-    less than half of the work of the dense ``B B^H``, which is then faster.
-    """
-    pairs = []
-    work = 0  # in multiply-adds of the dense product
-    for i, (_, n_i, lo_i, hi_i) in enumerate(spans):
-        for j in range(i, len(spans)):
-            _, n_j, lo_j, hi_j = spans[j]
-            lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
-            if lo < hi:
-                pairs.append((i, j, lo, hi))
-                work += n_i * n_j * (hi - lo) * (1 if i == j else 2)
-    return None if 2 * work > n * n * m else pairs
-
-
-def _gram_blocks(pieces, shape):
+def _gram_blocks(pieces):
     """Yield the block products ``(rows_i, rows_j, B_i B_j^H)`` of ``B B^H``.
 
-    ``B`` is an ``n x m`` matrix given as row pieces, and its products are
-    band-aware and underflow-free.  Each piece ``(start, offset, block)``
-    holds, as a writable 2-D array, the rows ``start:start + len(block)`` of
-    ``B`` at the columns from ``offset``; ``B`` is zero outside its pieces,
-    and no two pieces share a row.  A dense ``B`` is the one piece
-    ``(0, 0, B)``.  Pieces are flushed by ``_flush_underflow`` in place.
-    Their rows are split into blocks of ``_GRAM_BLOCK``, each trimmed to its
-    nonzero column span, and each pair ``i <= j`` of blocks is contracted
-    only over the overlap of their spans, so a tilted ridge costs the work
-    inside its band; ``rows_i`` and ``rows_j`` are the pair's row slices,
-    and the blocks ``j > i`` are the conjugate transposes of those given.
-    When the spans would skip less than half of the dense work
-    (``_band_pairs``), the one product ``B B^H`` is yielded instead (BLAS
-    ``syrk`` for real ``B``), which is faster on dense input; such a ``B``
-    must come as one dense piece.  Each product is a new array.  Pieces at
-    multiples of ``_GRAM_BLOCK`` give every state on one axis the same rows.
+    ``B`` is given as row pieces, and its products are band-aware and
+    underflow-free.  Each piece ``(start, offset, block)`` holds, as a
+    writable 2-D array, the rows ``start:start + len(block)`` of ``B`` at
+    the columns from ``offset``; ``B`` is zero outside its pieces, and no
+    two pieces share a row.  A dense ``B`` is the one piece ``(0, 0, B)``.
+    Pieces are flushed by ``_flush_underflow`` in place.  Their rows are
+    split into blocks of ``_GRAM_BLOCK``, each trimmed to its nonzero column
+    span, and each pair ``i <= j`` of blocks is contracted only over the
+    overlap of their spans, so a tilted ridge costs the work inside its
+    band; ``rows_i`` and ``rows_j`` are the pair's row slices, and the
+    blocks ``j > i`` are the conjugate transposes of those given.  Each
+    product is a new array of at most ``_GRAM_BLOCK`` rows and columns.
+    Pieces at multiples of ``_GRAM_BLOCK`` give every state on one axis the
+    same rows.
     """
-    n, m = shape
     blocks, spans = [], []
     for start, offset, piece in pieces:
         for r in range(0, len(piece), _GRAM_BLOCK):
@@ -192,18 +186,15 @@ def _gram_blocks(pieces, shape):
                 lo, hi = cols[0], cols[-1] + 1
                 blocks.append(block[:, lo:hi])
                 spans.append((start + r, len(block), offset + lo, offset + hi))
-    pairs = _band_pairs(spans, n, m)
-    if pairs is None:
-        (_, _, whole), = pieces
-        yield slice(0, n), slice(0, n), whole @ whole.conj().T
-        return
-    for i, j, lo, hi in pairs:
-        start_i, n_i, lo_i, _ = spans[i]
-        start_j, n_j, lo_j, _ = spans[j]
-        block = blocks[i][:, lo - lo_i:hi - lo_i]
-        other = block if i == j else blocks[j][:, lo - lo_j:hi - lo_j]
-        yield (slice(start_i, start_i + n_i), slice(start_j, start_j + n_j),
-               block @ other.conj().T)
+    for i, (start_i, n_i, lo_i, hi_i) in enumerate(spans):
+        for j in range(i, len(spans)):
+            start_j, n_j, lo_j, hi_j = spans[j]
+            lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
+            if lo < hi:
+                block = blocks[i][:, lo - lo_i:hi - lo_i]
+                other = block if i == j else blocks[j][:, lo - lo_j:hi - lo_j]
+                yield (slice(start_i, start_i + n_i),
+                       slice(start_j, start_j + n_j), block @ other.conj().T)
 
 
 def _squared_modulus(state):
@@ -274,16 +265,8 @@ def visibility(purity, reflectivity=0.5):
 
 
 def _delay_array(delays):
-    """Delays as a float array; they must be finite and form a 1-D array.
-
-    Entries go through ``_reals``, so booleans and strings are refused.
-    """
-    delays = np.atleast_1d(_reals("delay", delays))
-    if delays.ndim != 1 or delays.size == 0:
-        raise ValueError("delays must be a non-empty 1-D array")
-    if not np.all(np.isfinite(delays)):
-        raise ValueError("delays must be finite")
-    return delays
+    """Delays as an ``_axis`` of finite floats; a scalar is one delay."""
+    return _axis("delay", np.atleast_1d(np.asarray(delays, dtype=object)))
 
 
 def _check_delay_step(delays, step):
@@ -296,16 +279,8 @@ def _check_delay_step(delays, step):
         )
 
 
-def _shared_blocks(pairs_x, pairs_y, n):
-    """``(rows_i, rows_j, M_x, M_y)`` on each block that both states hold;
-    a state that is one ``n x n`` product is sliced to the other's blocks."""
-    whole_x, whole_y = (
-        pairs[0][2] if len(pairs) == 1 and pairs[0][2].shape == (n, n)
-        else None for pairs in (pairs_x, pairs_y))
-    if whole_x is not None:
-        return [(i, j, whole_x[i, j], m_y) for i, j, m_y in pairs_y]
-    if whole_y is not None:
-        return [(i, j, m_x, whole_y[i, j]) for i, j, m_x in pairs_x]
+def _shared_blocks(pairs_x, pairs_y):
+    """``(rows_i, rows_j, M_x, M_y)`` on each block that both states hold."""
     held = {(i.start, j.start): m_y for i, j, m_y in pairs_y}
     return [(i, j, m_x, held[i.start, j.start]) for i, j, m_x in pairs_x
             if (i.start, j.start) in held]
@@ -315,11 +290,11 @@ def _arm_overlaps(x, wx, pairs_x, pairs_y, delays):
     """Normalized two-arm overlap at each delay from unnormalized heralded states.
 
     Each state ``M(w, w~)`` on signal nodes ``x`` with weights ``wx`` comes
-    as the block pairs of ``_gram_blocks`` (a whole state is one pair), and
-    its success is summed over the diagonal pairs.  ``M_x * conj(M_y)`` is
-    formed only on blocks both states hold, and all delays come from one
-    product of each with the phase matrix ``u = wx*exp(i*tau*x)``; the sum
-    is real, so an off-diagonal pair counts twice.
+    as the block pairs of ``_gram_blocks``, and its success is summed over
+    the diagonal pairs.  ``M_x * conj(M_y)`` is formed only on blocks both
+    states hold, and all delays come from one product of each with the
+    phase matrix ``u = wx*exp(i*tau*x)``; the sum is real, so an
+    off-diagonal pair counts twice.
     """
     success_x, success_y = (
         sum(float(wx[rows_i] @ np.real(np.diagonal(block)))
@@ -332,7 +307,7 @@ def _arm_overlaps(x, wx, pairs_x, pairs_y, delays):
     np.exp(u, out=u)
     u *= wx
     overlap = np.zeros(delays.size)
-    for rows_i, rows_j, m_x, m_y in _shared_blocks(pairs_x, pairs_y, x.size):
+    for rows_i, rows_j, m_x, m_y in _shared_blocks(pairs_x, pairs_y):
         terms = u[:, rows_i] @ (m_x * m_y.conj())
         # conj(t) u has the real part of t conj(u), with no copy of u
         np.conjugate(terms, out=terms)

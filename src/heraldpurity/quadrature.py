@@ -19,17 +19,15 @@ either: ``|B|`` can reach it only inside an ellipse of the intensity's
 quadratic form, so ``_root_weighted`` evaluates the double Gaussian, whose
 ``exp`` was the largest cost of a pass, only over each row block's hull of
 that ellipse, about 30% of the unfiltered KTP node grid, and hands those
-blocks on as row pieces.  When the blocks would skip less than half of the
-dense work, the whole grid is evaluated and one ``B B^H`` runs instead:
-for a real amplitude ``B.conj()`` is ``B`` itself, so numpy calls the BLAS
-symmetric rank-k update (``syrk``).  The heralding probability is the
-weighted trace of ``M`` and the purity the weighted sum of its squared
-entries, both reduced by ``core._purity_success`` straight from the block
-products (``_single_pair``), so a single-state result never holds the
-n x n state on the band path.  Two-photon interference is a delay-phased
-double sum over both arms' states, which ``core._arm_overlaps`` sums over
-the blocks the two states share, from the same block pairs
-(``_state_pairs``); equal heralds (the same object) share one state.
+blocks on as row pieces.  A narrow herald's state fills every block pair
+and is contracted the same way.  The heralding probability is the weighted
+trace of ``M`` and the purity the weighted sum of its squared entries,
+both reduced by ``core._purity_success`` straight from the block products
+(``_single_pair``), so a single-state result never holds the n x n state.
+Two-photon interference is a delay-phased double sum over both arms'
+states, which ``core._arm_overlaps`` sums over the blocks the two states
+share, from the same block pairs (``_state_pairs``); equal heralds (the
+same object) share one state.
 
 For parametric amplitudes the integration windows track the Gaussian mass
 of each integrand (including the displacement caused by off-center
@@ -72,7 +70,6 @@ from .core import (
     _UNDERFLOW_FLOOR,
     _arm_overlaps,
     _cell_weights,
-    _band_pairs,
     _check_delay_step,
     _clip_unit,
     _delay_array,
@@ -339,47 +336,33 @@ def _root_weighted(jsa, x, y, root):
     ``a x^2 + 2 b x y + c y^2 <= L``, ``L = 2 ln(Phi(0, 0) max(root) / floor)``,
     so each block of ``_GRAM_BLOCK`` signal rows is evaluated only over the
     hull of its rows' idler intervals, widened by ``_BAND_MARGIN`` in ``L``
-    and one node on each side against rounding.  When those spans would
-    skip less than half of the dense work (``core._band_pairs``), ``B`` is
-    evaluated whole, as one piece.
+    and one node on each side against rounding.
     """
     if isinstance(jsa, GriddedJsa):
         # Gridded amplitudes are read-only, so the product is a fresh array.
         return [(0, 0, jsa.amplitudes * root)]
-    nx, ny = x.size, y.size
+    ny = y.size
     a, b, c = jsa.intensity_coefficients()
     peak = float(eval_double_gaussian(jsa, 0.0, 0.0) * root.max())
     reach = (2.0 * math.log(peak / _UNDERFLOW_FLOOR) + _BAND_MARGIN
              if peak > 0.0 else -math.inf)
-    # A grid whose four corners lie inside the ellipse lies inside it whole.
-    if max(a * u * u + 2.0 * b * u * v + c * v * v
-           for u in (float(x[0]), float(x[-1]))
-           for v in (float(y[0]), float(y[-1]))) > reach:
-        disc = c * reach - (a * c - b * b) * x * x
-        live = disc >= 0.0
-        half = np.sqrt(np.where(live, disc, 0.0))
-        lo = np.searchsorted(y, (-b * x - half) / c) - 1
-        hi = np.searchsorted(y, (-b * x + half) / c, side="right") + 1
-        lo = np.where(live, np.maximum(lo, 0), ny)
-        hi = np.where(live, np.minimum(hi, ny), 0)
-        spans = []
-        for start in range(0, nx, _GRAM_BLOCK):
-            rows = slice(start, start + _GRAM_BLOCK)
-            span_lo, span_hi = int(lo[rows].min()), int(hi[rows].max())
-            if span_lo < span_hi:
-                spans.append((start, min(_GRAM_BLOCK, nx - start), span_lo,
-                              span_hi))
-        if _band_pairs(spans, nx, ny) is not None:
-            pieces = []
-            for start, n_rows, span_lo, span_hi in spans:
-                block = eval_double_gaussian(
-                    jsa, x[start:start + n_rows, None], y[None, span_lo:span_hi])
-                block *= root[span_lo:span_hi]
-                pieces.append((start, span_lo, block))
-            return pieces
-    block = eval_double_gaussian(jsa, x[:, None], y[None, :])
-    block *= root
-    return [(0, 0, block)]
+    disc = c * reach - (a * c - b * b) * x * x
+    live = disc >= 0.0
+    half = np.sqrt(np.where(live, disc, 0.0))
+    lo = np.searchsorted(y, (-b * x - half) / c) - 1
+    hi = np.searchsorted(y, (-b * x + half) / c, side="right") + 1
+    lo = np.where(live, np.maximum(lo, 0), ny)
+    hi = np.where(live, np.minimum(hi, ny), 0)
+    pieces = []
+    for start in range(0, x.size, _GRAM_BLOCK):
+        rows = slice(start, start + _GRAM_BLOCK)
+        span_lo, span_hi = int(lo[rows].min()), int(hi[rows].max())
+        if span_lo < span_hi:
+            block = eval_double_gaussian(jsa, x[rows, None],
+                                         y[None, span_lo:span_hi])
+            block *= root[span_lo:span_hi]
+            pieces.append((start, span_lo, block))
+    return pieces
 
 
 def _heralded_axes(jsa, heralds, heralded, spec, max_delay=None):
@@ -425,16 +408,14 @@ def _state_pairs(jsa, x, y, wy):
     ``B`` goes straight into ``core._gram_blocks``, so no caller holds it
     while the products are reduced.
     """
-    return _gram_blocks(_root_weighted(jsa, x, y, np.sqrt(wy)),
-                        (x.size, y.size))
+    return _gram_blocks(_root_weighted(jsa, x, y, np.sqrt(wy)))
 
 
 def _single_pair(jsa, herald, heralded, spec):
     """``(purity, success)`` of one herald, reduced from block products.
 
     ``core._purity_success`` squares each product of ``_state_pairs`` in
-    place, so on the band path peak memory is ``B``'s band and one block
-    product; a dense ``B`` gives its one ``n x n`` product.
+    place, so peak memory is ``B``'s band and one block product.
     """
     x, wx, ((y, wy),) = _heralded_axes(jsa, (herald,), heralded, spec)
     purity, success = _purity_success(_state_pairs(jsa, x, y, wy), wx)

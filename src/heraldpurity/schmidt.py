@@ -406,6 +406,13 @@ def overlap_matrix(decomposition, filt, side="idler"):
     return OverlapMatrix(matrix=q, side=side)
 
 
+def _herald_matrix(overlap):
+    """The matrix of ``overlap``, which must be built on the idler modes."""
+    if overlap.side != "idler":
+        raise ValueError("herald overlaps must be built on the idler modes")
+    return overlap.matrix
+
+
 def schmidt_quantities(decomposition, herald_overlap):
     """Heralded purity and success probability from mode overlaps.
 
@@ -420,9 +427,7 @@ def schmidt_quantities(decomposition, herald_overlap):
     Raises:
         NumericalError: If the success probability falls below 1e-12.
     """
-    if herald_overlap.side != "idler":
-        raise ValueError("herald overlaps must be built on the idler modes")
-    q, whole = herald_overlap.matrix, slice(None)
+    q, whole = _herald_matrix(herald_overlap), slice(None)
     purity, success = _purity_success([(whole, whole, q, _squared_modulus(q))],
                                       decomposition.coefficients)
     success = _require_success(float(success))
@@ -443,12 +448,10 @@ def two_filter_schmidt(decomposition, herald_overlap, heralded_overlap):
     Raises:
         NumericalError: If the two-filter success falls below 1e-12.
     """
-    if herald_overlap.side != "idler":
-        raise ValueError("herald overlaps must be built on the idler modes")
+    q = _herald_matrix(herald_overlap)
     if heralded_overlap.side != "signal":
         raise ValueError("heralded overlaps must be built on the signal modes")
     sqp = np.sqrt(decomposition.coefficients)
-    q = herald_overlap.matrix
     qp = heralded_overlap.matrix
     success = _require_success(float(np.real(sqp @ (q * qp) @ sqp)),
                                "two-filter success")
@@ -464,10 +467,12 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
     Each arm's herald overlap ``Q``, weighted by the mode amplitudes, maps
     back onto the signal grid as that arm's heralded state
     ``G.T @ (sqrt(p) Q sqrt(p)) @ conj(G)``, with ``G`` the signal modes;
-    the dip is then the same contraction as the direct route on the grid,
-    with each state as its one whole block pair.  The states are dense
-    ``n x n`` arrays for ``n`` signal samples, so memory grows as ``n**2``:
-    the call peaks near 150 MB on a 1754-point grid.
+    the dip is then the same contraction as the direct route on the grid.
+    With ``KG = (sqrt(p) Q sqrt(p)) @ conj(G)`` formed once, each state is
+    built as the block pairs ``G[:, rows_i].T @ KG[:, rows_j]``, ``i <= j``,
+    of ``_GRAM_BLOCK`` signal rows each, so the two states together hold
+    about one ``n x n`` array of their dtype and no product of them is
+    formed whole: 46 MB traced on a 1754-point real grid with 481 delays.
 
     Args:
         decomposition: ``SchmidtDecomposition`` of both sources.
@@ -483,17 +488,20 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
         ConvergenceError: If a delay is too large for the grid spacing to
             resolve its phase.
     """
-    for overlap in (herald_x, herald_y):
-        if overlap.side != "idler":
-            raise ValueError("herald overlaps must be built on the idler modes")
+    matrices = [_herald_matrix(overlap) for overlap in (herald_x, herald_y)]
     _splitter_product(reflectivity)  # checked before any integration
     delays = _delay_array(delays)
     _check_delay_step(delays, decomposition.signal_step)
     sqp = np.sqrt(decomposition.coefficients)
     modes = decomposition.signal_modes
-    whole = slice(None)
-    pairs = [[(whole, whole, modes.T @ (sqp[:, None] * overlap.matrix * sqp)
-               @ modes.conj())] for overlap in (herald_x, herald_y)]
+    rows = [slice(r, r + _GRAM_BLOCK)
+            for r in range(0, modes.shape[1], _GRAM_BLOCK)]
+    pairs = []
+    for q in matrices:
+        kg = (sqp[:, None] * q * sqp) @ modes.conj()
+        pairs.append([(rows_i, rows_j, modes[:, rows_i].T @ kg[:, rows_j])
+                      for i, rows_i in enumerate(rows)
+                      for rows_j in rows[i:]])
     grid = decomposition.signal_grid
     weights = np.full(grid.size, decomposition.signal_step)
     return _dip_curve(delays, _arm_overlaps(grid, weights, *pairs, delays),

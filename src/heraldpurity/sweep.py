@@ -15,8 +15,8 @@ import numpy as np
 
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
-from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _clip_unit,
-                   _freeze, _gram_blocks, _purity_success, _real, _reals,
+from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _axis,
+                   _clip_unit, _freeze, _gram_blocks, _purity_success, _real,
                    _require_success, _squared_modulus, visibility)
 
 __all__ = [
@@ -98,24 +98,6 @@ class FilterSolution:
     visibility: float
     method: str
     iterations: int
-
-
-def _axis(name, values, positive=False):
-    """``values`` as a non-empty 1-D array of finite floats, positive if asked.
-
-    Entries go through ``core._reals``; every failure raises ``ValueError``.
-    """
-    axis = _reals(name, values)
-    if axis.ndim != 1 or axis.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D array, got shape "
-                         f"{axis.shape}")
-    valid = np.isfinite(axis)
-    if positive:
-        valid &= axis > 0.0
-    if not valid.all():
-        kind = "positive and finite" if positive else "finite"
-        raise ValueError(f"{name} must be {kind}")
-    return axis
 
 
 def _widths(filter_widths, scale):
@@ -236,8 +218,7 @@ def _gridded_curve(jsa, center):
     """
     idler_rows = jsa.amplitudes.T.copy()
     pairs = []
-    for rows_i, rows_j, block in _gram_blocks([(0, 0, idler_rows)],
-                                              idler_rows.shape):
+    for rows_i, rows_j, block in _gram_blocks([(0, 0, idler_rows)]):
         block *= jsa.signal_step
         pairs.append((rows_i, rows_j, block, _squared_modulus(block)))
 

@@ -125,13 +125,11 @@ def tabulated_overlap(jsa, fx, fy, nodes=20, tails=40.0):
 def assemble(pairs, n):
     """The whole ``n x n`` state from its block pairs ``(rows_i, rows_j, M)``.
 
-    Off-diagonal blocks are mirrored, so a real state is exactly symmetric;
-    one whole product is returned as it is, and no pairs give zeros.
+    Off-diagonal blocks are mirrored, so a real state is exactly symmetric,
+    and no pairs give zeros.
     """
     out = None
     for rows_i, rows_j, block in pairs:
-        if block.shape == (n, n):
-            return block
         if out is None:
             out = np.zeros((n, n), np.result_type(float, block))
         out[rows_i, rows_j] = block

@@ -381,7 +381,7 @@ def test_purity_success_in_place_gives_the_same_bits(complex_state):
     state = a @ a.conj().T
     b = _ridge(4 * _GRAM_BLOCK, 600, complex_phase=complex_state)
     for pairs, n in (([(WHOLE, WHOLE, state)], 40),
-                     (list(_gram_blocks([(0, 0, b)], b.shape)), len(b))):
+                     (list(_gram_blocks([(0, 0, b)])), len(b))):
         assert len(pairs) == 1 or len(pairs) > 4
         weights = rng.uniform(0.0, 1.0, n)
         kept = [block.copy() for _, _, block in pairs]
@@ -432,21 +432,41 @@ def _row_pieces(b):
 ])
 def test_gram_matches_dense_product(name, b):
     dense = b @ b.conj().T
-    gram = assemble(_gram_blocks([(0, 0, b.copy())], b.shape), len(b))
+    gram = assemble(_gram_blocks([(0, 0, b.copy())]), len(b))
     scale = np.abs(dense).max()
     assert np.abs(gram - dense).max() <= 1e-13 * scale, name
     if np.iscomplexobj(b):
         assert np.abs(gram - gram.conj().T).max() <= 1e-15 * scale, name
     else:
         assert np.array_equal(gram, gram.T), name
-    if name == "dense":
-        # no span skips half the work, so the one dense product runs
-        assert np.array_equal(gram, dense)
+    # the same matrix in row pieces, zero outside them, gives the same bits,
+    # with or without its all-zero blocks
+    assert np.array_equal(
+        assemble(_gram_blocks(_row_pieces(b)), len(b)), gram), name
+
+
+@pytest.mark.parametrize("complex_b", [False, True])
+@pytest.mark.parametrize("banded", [False, True])
+def test_gram_yields_only_row_blocks(banded, complex_b):
+    # dense and band input alike come back as pairs of at most _GRAM_BLOCK
+    # rows and columns, never as one n x n product
+    rng = np.random.default_rng(SEED)
+    n = 3 * _GRAM_BLOCK + 5
+    if banded:
+        b = _ridge(n, 450, complex_phase=complex_b)
     else:
-        # the same matrix in row pieces, zero outside them, gives the same
-        # bits, with or without its all-zero blocks
-        assert np.array_equal(
-            assemble(_gram_blocks(_row_pieces(b), b.shape), len(b)), gram), name
+        b = rng.standard_normal((n, 200))
+        if complex_b:
+            b = b + 1j * rng.standard_normal((n, 200))
+    pairs = list(_gram_blocks([(0, 0, b.copy())]))
+    assert len(pairs) > 1
+    for rows_i, rows_j, block in pairs:
+        assert block.shape == (rows_i.stop - rows_i.start,
+                               rows_j.stop - rows_j.start)
+        assert max(block.shape) <= _GRAM_BLOCK
+    dense = b @ b.conj().T
+    assert np.abs(assemble(pairs, n) - dense).max() <= (
+        1e-13 * np.abs(dense).max())
 
 
 _N_ARM = 3 * _GRAM_BLOCK + 5
@@ -461,17 +481,16 @@ _ARM_FORMS = {
 @pytest.mark.parametrize("form_x", _ARM_FORMS)
 @pytest.mark.parametrize("form_y", _ARM_FORMS)
 def test_arm_overlaps_sum_the_shared_blocks(form_x, form_y):
-    # band and whole states, in either order and with blocks that only one
-    # state holds, give the overlaps of the whole states
+    # band and dense states ("whole" is a dense B, whose state holds every
+    # block), in either order and with blocks that only one state holds,
+    # give the overlaps of the whole states
     rng = np.random.default_rng(SEED)
     x = np.linspace(-3.0, 3.0, _N_ARM)
     wx = rng.uniform(0.5, 1.5, _N_ARM)
     delays = np.linspace(-1.0, 1.0, 7)
     b_x, b_y = _ARM_FORMS[form_x], _ARM_FORMS[form_y]
-    pairs_x = list(_gram_blocks([(0, 0, b_x.copy())], b_x.shape))
-    pairs_y = list(_gram_blocks([(0, 0, b_y.copy())], b_y.shape))
-    assert (len(pairs_x) == 1) == (form_x == "whole")
-    assert (len(pairs_y) == 1) == (form_y == "whole")
+    pairs_x = list(_gram_blocks([(0, 0, b_x.copy())]))
+    pairs_y = list(_gram_blocks([(0, 0, b_y.copy())]))
     m_x, m_y = b_x @ b_x.conj().T, b_y @ b_y.conj().T
     u = wx * np.exp(1j * np.multiply.outer(delays, x))
     cross = np.einsum("da,ab,db->d", u, m_x * m_y.conj(), u.conj()).real
@@ -486,13 +505,13 @@ def test_gram_zeroes_samples_below_the_underflow_floor():
     below = np.nextafter(_UNDERFLOW_FLOOR, 0.0)
     above = np.nextafter(_UNDERFLOW_FLOOR, 1.0)
     b = np.array([[below, above, 1.0], [-below, -above, 0.5]])
-    gram = assemble(_gram_blocks([(0, 0, b)], b.shape), len(b))
+    gram = assemble(_gram_blocks([(0, 0, b)]), len(b))
     assert np.array_equal(b, [[0.0, above, 1.0], [0.0, -above, 0.5]])
     assert np.array_equal(gram, b @ b.T)
     # the floor applies to the modulus of a complex sample: both of these
     # have parts below it, but only the second has a modulus above it
     c = _UNDERFLOW_FLOOR * np.array([[0.7 + 0.7j, 0.75 + 0.75j]])
-    list(_gram_blocks([(0, 0, c)], c.shape))
+    list(_gram_blocks([(0, 0, c)]))
     assert c[0, 0] == 0.0
     assert c[0, 1] == 0.75 * _UNDERFLOW_FLOOR * (1 + 1j)
 

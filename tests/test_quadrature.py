@@ -301,7 +301,7 @@ _REPEATED = hp.GaussianFilter(0.3, 0.6)
 def test_heralded_states_are_gram_matrices(request, monkeypatch, source,
                                            heralds):
     # each state is the block pairs of B = phi * sqrt(w), whose real results
-    # are exactly symmetric on both its blocked and its one-product path
+    # are exactly symmetric
     jsa = request.getfixturevalue(source)
     gridded = isinstance(jsa, hp.GriddedJsa)
     before = jsa.amplitudes.copy() if gridded else None
@@ -335,13 +335,14 @@ _K30 = (1.0, 60.0, math.pi / 4, -math.pi / 4)
 
 
 @pytest.mark.parametrize("source, herald, heralded, band", [
-    # band paths: unfiltered KTP (960 nodes), the two-filter KTP rung of
-    # width 13 and an unfiltered K = 30 source
+    # the band skips most of the node grid: unfiltered KTP (960 nodes), the
+    # two-filter KTP rung of width 13 and an unfiltered K = 30 source
     (KTP_PARAMS, None, None, True),
     (KTP_PARAMS, hp.GaussianFilter(0.0, 13.0), hp.GaussianFilter(0.0, 13.0),
      True),
     (_K30, None, None, True),
-    # one-piece paths: real parametric, real gridded and complex gridded
+    # small and dense states: real parametric, real gridded and complex
+    # gridded
     (KTP_PARAMS, hp.GaussianFilter(0.0, 2.0), None, False),
     (K26_PARAMS, None, None, False),
     ("k26_grid", hp.GaussianFilter(0.2, 0.9), None, False),
@@ -349,28 +350,24 @@ _K30 = (1.0, 60.0, math.pi / 4, -math.pi / 4)
 ])
 def test_block_reduction_matches_the_assembled_state(
         request, source, herald, heralded, band):
-    # the block pairs of B B^H reduce to the reduction of the whole state:
-    # bit for bit on one piece, within 1e-14 relative on the band path
+    # the block pairs of B B^H reduce, within 1e-14 relative, to the
+    # reduction of the whole state
     jsa = (request.getfixturevalue(source) if isinstance(source, str)
            else hp.DoubleGaussianJsa(*source))
     x, wx, ((y, wy),) = quadrature._heralded_axes(jsa, (herald,), heralded,
                                                   None)
     pieces = quadrature._root_weighted(jsa, x, y, np.sqrt(wy))
-    shape = (x.size, y.size)
-    assert (len(pieces) > 1) == band
+    if band:
+        assert sum(piece.size for _, _, piece in pieces) < x.size * y.size / 2
     if source == KTP_PARAMS and herald is None:
         assert x.size == 960
     whole = slice(None)
-    state = assemble(core._gram_blocks(pieces, shape), x.size)
+    state = assemble(core._gram_blocks(pieces), x.size)
     expected = core._purity_success([(whole, whole, state)], wx)
-    pairs = list(core._gram_blocks(pieces, shape))
-    assert (len(pairs) > 1) == band
+    pairs = list(core._gram_blocks(pieces))
     assert all(rows_i.start <= rows_j.start for rows_i, rows_j, _ in pairs)
     got = core._purity_success(pairs, wx)
-    if band:
-        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
-    else:
-        assert got == expected
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
     # the public routes reduce the same blocks
     purity, success = quadrature._single_pair(jsa, herald, heralded, None)
     assert (purity, success) == (float(got[0]), float(got[1]))
@@ -406,18 +403,14 @@ def _dense_overlaps(jsa, heralds, delays):
 
 @pytest.mark.parametrize("flip", [False, True])
 def test_mixed_form_dip_matches_whole_states(flip):
-    # a band-path herald (9 block pairs) against a one-product herald, in
-    # both orders: the band state's blocks slice the whole one
+    # a wide herald, whose state is a band of block pairs, against a narrow
+    # one, whose state fills every pair, in both orders
     jsa = hp.DoubleGaussianJsa(1.0, 24.0, math.pi / 4, -math.pi / 4)
     heralds = (hp.GaussianFilter(0.0, 8.0), hp.GaussianFilter(0.1, 0.3))
     heralds = heralds[::-1] if flip else heralds
     delays = np.linspace(-1.0, 1.0, 11)
     x, expected = _dense_overlaps(jsa, heralds, delays)
     assert x.size == 416
-    _, _, axes = quadrature._heralded_axes(jsa, heralds, None, None, 1.0)
-    counts = [len(list(quadrature._state_pairs(jsa, x, y, wy)))
-              for y, wy in axes]
-    assert counts == ([1, 9] if flip else [9, 1])
     curve = hp.hom_dip(jsa, *heralds, delays)
     np.testing.assert_allclose(curve.coincidences, 0.5 * (1.0 - expected),
                                rtol=0.0, atol=1e-14)
@@ -484,7 +477,7 @@ def test_band_sampled_states_match_dense_evaluation(
 
     def recorded(jsa, x, y, root):
         pieces = sampler(jsa, x, y, root)
-        banded.append([p.shape for _, _, p in pieces] != [(x.size, y.size)])
+        banded.append(sum(p.size for _, _, p in pieces) < x.size * y.size)
         return pieces
 
     monkeypatch.setattr(quadrature, "_root_weighted", recorded)
@@ -496,7 +489,7 @@ def test_band_sampled_states_match_dense_evaluation(
     assert len(states) == len(dense)
     for state, ref in zip(states, dense):
         assert np.array_equal(state, ref)
-    assert any(banded) == band
+    assert any(banded) or not band
 
 
 def test_herald_beyond_the_band_gives_an_empty_state(jsa_ktp):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -402,6 +403,36 @@ def test_hom_dip_schmidt_dip_depth(k26_grid, k26_modes):
         0.5 * (1.0 - purity), abs=1e-8)
     with pytest.raises(hp.ConvergenceError):
         hp.hom_dip_schmidt(k26_modes, overlap, overlap, np.array([1e4]))
+
+
+def test_hom_dip_schmidt_never_builds_a_whole_state(ktp_modes):
+    # 1754 signal samples: the two real states' block pairs stay below one
+    # 1754 x 1754 complex array (about 0.66 of it; 2.5 times it when each
+    # state and their product were whole), and the curve is the dense
+    # double sum's
+    herald_x = hp.overlap_matrix(ktp_modes, hp.GaussianFilter(0.0, 6.0))
+    herald_y = hp.overlap_matrix(ktp_modes, hp.GaussianFilter(0.5, 4.0))
+    delays = np.linspace(-2.0, 2.0, 41)
+    n = ktp_modes.signal_grid.size
+    assert n == 1754
+    tracemalloc.start()
+    try:
+        curve = hp.hom_dip_schmidt(ktp_modes, herald_x, herald_y, delays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16
+    sqp = np.sqrt(ktp_modes.coefficients)
+    modes = ktp_modes.signal_modes
+    m_x, m_y = (modes.T @ (sqp[:, None] * h.matrix * sqp) @ modes.conj()
+                for h in (herald_x, herald_y))
+    w = np.full(n, ktp_modes.signal_step)
+    u = w * np.exp(1j * np.multiply.outer(delays, ktp_modes.signal_grid))
+    cross = np.einsum("da,ab,db->d", u, m_x * m_y.conj(), u.conj()).real
+    overlap = cross / ((w @ np.diagonal(m_x).real)
+                       * (w @ np.diagonal(m_y).real))
+    np.testing.assert_allclose(curve.coincidences, 0.5 * (1.0 - overlap),
+                               rtol=0.0, atol=1e-15)
 
 
 def test_mode_projection(k26_modes, jsa_separable):

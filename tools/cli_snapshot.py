@@ -9,7 +9,7 @@ the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, the
 demo behind a table with boolean and string entries, and a K = 30 source),
-then runs a fixed list of 87 ``heraldpurity.cli`` invocations with
+then runs a fixed list of 88 ``heraldpurity.cli`` invocations with
 ``--no-timestamp``, each in a fresh interpreter with
 ``OPENBLAS_NUM_THREADS=1`` and the caller's ``PYTHONPATH``.  Every run
 leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
@@ -34,7 +34,7 @@ import heraldpurity as hp
 
 DEMO = {"sigma1": 1.0, "sigma2": 5.0, "theta1": "pi/4", "theta2": "-pi/4"}
 KTP = {"sigma1": 6.0, "sigma2": 0.70, "theta1": "pi/4", "theta2": 0.97}
-# K = 30: its heralded states take the band path of core._gram_blocks.
+# K = 30: its heralded states are narrow bands of core._gram_blocks pairs.
 K30 = {"sigma1": 1.0, "sigma2": 60.0, "theta1": "pi/4", "theta2": "-pi/4"}
 
 CONFIGS = {
@@ -171,6 +171,8 @@ def invocations():
         # its dip, whose overlaps are summed over shared band blocks
         ["hom", "--config", "k30.json", "--tau-max", "1", "--tau-points",
          "9"],
+        # a large dense state, reduced from its 128-row block pairs
+        ["report", "--config", "demo.json", "--nodes", "1024"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
