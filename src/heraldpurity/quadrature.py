@@ -21,9 +21,9 @@ quadratic form, so ``_root_weighted`` evaluates the double Gaussian, whose
 that ellipse, about 30% of the unfiltered KTP node grid, and hands those
 blocks on as row pieces.  A narrow herald's state fills every block pair
 and is contracted the same way.  The heralding probability is the weighted
-trace of ``M`` and the purity the weighted sum of its squared entries,
-both reduced by ``core._purity_success`` straight from the block products
-(``_single_pair``), so a single-state result never holds the n x n state.
+trace of ``M`` (``herald_success`` sums it as ``wx |B|^2`` over the pieces)
+and the purity the weighted sum of its squared entries; ``_single_pair``
+reduces both straight from the block products (``core._purity_success``).
 Two-photon interference is a delay-phased double sum over both arms'
 states, which ``core._arm_overlaps`` sums over the blocks the two states
 share, from the same block pairs (``_state_pairs``); equal heralds (the
@@ -75,6 +75,7 @@ from .core import (
     _delay_array,
     _dip_curve,
     _filtered_idler,
+    _flush_underflow,
     _gram_blocks,
     _integer,
     _purity_success,
@@ -351,14 +352,13 @@ def _root_weighted(jsa, x, y, root):
     half = np.sqrt(np.where(live, disc, 0.0))
     lo = np.searchsorted(y, (-b * x - half) / c) - 1
     hi = np.searchsorted(y, (-b * x + half) / c, side="right") + 1
-    lo = np.where(live, np.maximum(lo, 0), ny)
-    hi = np.where(live, np.minimum(hi, ny), 0)
+    starts = range(0, x.size, _GRAM_BLOCK)
+    lo = np.minimum.reduceat(np.where(live, np.maximum(lo, 0), ny), starts)
+    hi = np.maximum.reduceat(np.where(live, np.minimum(hi, ny), 0), starts)
     pieces = []
-    for start in range(0, x.size, _GRAM_BLOCK):
-        rows = slice(start, start + _GRAM_BLOCK)
-        span_lo, span_hi = int(lo[rows].min()), int(hi[rows].max())
+    for start, span_lo, span_hi in zip(starts, lo.tolist(), hi.tolist()):
         if span_lo < span_hi:
-            block = eval_double_gaussian(jsa, x[rows, None],
+            block = eval_double_gaussian(jsa, x[start:start + _GRAM_BLOCK, None],
                                          y[None, span_lo:span_hi])
             block *= root[span_lo:span_hi]
             pieces.append((start, span_lo, block))
@@ -419,15 +419,18 @@ def _single_pair(jsa, herald, heralded, spec):
     """
     x, wx, ((y, wy),) = _heralded_axes(jsa, (herald,), heralded, spec)
     purity, success = _purity_success(_state_pairs(jsa, x, y, wy), wx)
-    success = float(success)
-    if not math.isfinite(success) or success <= 0.0:
-        raise NumericalError(
-            f"heralding probability evaluated to {success}; the filtered "
-            "state carries no numerical weight"
-        )
+    success = _checked_success(float(success))
     if not math.isfinite(purity):
         raise NumericalError("purity evaluated to a non-finite value")
     return float(purity), success
+
+
+def _checked_success(success):
+    """``success`` if finite and positive; ``NumericalError`` if not."""
+    if math.isfinite(success) and success > 0.0:
+        return success
+    raise NumericalError(f"heralding probability evaluated to {success}; "
+                         "the filtered state carries no numerical weight")
 
 
 def unfiltered_purity(jsa, spec=None):
@@ -460,8 +463,14 @@ def herald_success(jsa, herald_filter, spec=None):
     """
     if herald_filter is None:
         raise ValueError("herald_success requires a herald filter")
-    _, success = _single_pair(jsa, herald_filter, None, spec)
-    return _clip_unit(success)
+    x, wx, ((y, wy),) = _heralded_axes(jsa, (herald_filter,), None, spec)
+    success = 0.0
+    for start, _, block in _root_weighted(jsa, x, y, np.sqrt(wy)):
+        # wx times the row sums of |B|**2: the trace of B B^H alone
+        flat = _flush_underflow(block).view(float)
+        success += float(wx[start:start + len(block)]
+                         @ np.einsum("ij,ij->i", flat, flat))
+    return _clip_unit(_checked_success(success))
 
 
 def filtered_purity(jsa, herald_filter, spec=None):

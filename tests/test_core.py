@@ -38,6 +38,38 @@ def test_eval_broadcasts(jsa_k26):
     assert grid[2, 3] == pytest.approx(hp.eval_double_gaussian(jsa_k26, 0.0, 0.0))
 
 
+def two_square_amplitude(jsa, ws, wi):
+    """The double Gaussian as the sum of its two ridge squares."""
+    u1 = (ws * math.sin(jsa.theta1) + wi * math.cos(jsa.theta1)) / jsa.sigma1
+    u2 = (ws * math.sin(jsa.theta2) + wi * math.cos(jsa.theta2)) / jsa.sigma2
+    norm = math.sqrt(jsa.angle_sine() / (math.pi * jsa.sigma1 * jsa.sigma2))
+    return norm * np.exp(-0.5 * (u1 * u1 + u2 * u2))
+
+
+@pytest.mark.parametrize("params", (
+    (1.0, 5.0, math.pi / 4, -math.pi / 4),     # demo, K = 2.6
+    (6.0, 0.70, math.pi / 4, 0.97),            # KTP, K = 22
+    (1.0, 60.0, math.pi / 4, -math.pi / 4),    # K = 30
+    (1.0, 2.0, 0.0, math.pi / 2),              # separable
+))
+def test_completed_square_matches_the_two_ridge_squares(params):
+    # On correlated sources the completed square stays within rounding of
+    # the ridge form, where the expanded quadratic form cancels.
+    jsa = hp.DoubleGaussianJsa(*params)
+    extent, points = hp.recommended_grid(jsa)
+    grid = hp.discretize(jsa, half_extent=extent, n_points=points)
+    ws, wi = grid.signal_grid[:, None], grid.idler_grid[None, :]
+    value = hp.eval_double_gaussian(jsa, ws, wi)
+    reference = two_square_amplitude(jsa, ws, wi)
+    seen = reference > 1e-30 * reference.max()
+    assert seen.sum() > 1000
+    np.testing.assert_allclose(value[seen], reference[seen], rtol=1e-12, atol=0)
+    scalar = hp.eval_double_gaussian(jsa, 0.3, -0.2)
+    assert np.ndim(scalar) == 0 and isinstance(scalar, float)
+    assert scalar == pytest.approx(two_square_amplitude(jsa, 0.3, -0.2),
+                                   rel=1e-12)
+
+
 def test_unit_norm_adaptive(jsa_k26):
     norm, err = dblquad(
         lambda y, x: hp.eval_double_gaussian(jsa_k26, x, y) ** 2,

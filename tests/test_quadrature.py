@@ -373,6 +373,91 @@ def test_block_reduction_matches_the_assembled_state(
     assert (purity, success) == (float(got[0]), float(got[1]))
 
 
+_TABLE_GRID = np.linspace(-4.0, 4.0, 33)
+_TABLE = hp.TabulatedFilter(_TABLE_GRID,
+                            np.exp(-0.5 * ((_TABLE_GRID - 0.4) / 1.2) ** 2))
+
+
+@pytest.mark.parametrize("source, herald", [
+    (K26_PARAMS, hp.GaussianFilter(0.0, 0.8)),
+    (K26_PARAMS, _TABLE),
+    (KTP_PARAMS, hp.GaussianFilter(1.5, 2.0)),
+    (KTP_PARAMS, hp.GaussianFilter(0.0, 20.0)),
+    ("k26_grid", hp.GaussianFilter(0.6, 0.9)),
+    ("k26_grid", _TABLE),
+    ("chirped_grid", hp.GaussianFilter(-0.7, 0.6)),
+    ("chirped_grid", _TABLE),
+])
+def test_herald_success_sums_only_the_weighted_trace(request, monkeypatch,
+                                                     source, herald):
+    # the trace of B B^H, summed as wx |B|^2 row by row, with no block
+    # product of the state
+    jsa = (request.getfixturevalue(source) if isinstance(source, str)
+           else hp.DoubleGaussianJsa(*source))
+    _, expected = quadrature._single_pair(jsa, herald, None, None)
+    products = []
+    gram_blocks = quadrature._gram_blocks
+
+    def counted(pieces):
+        products.append(pieces)
+        return gram_blocks(pieces)
+
+    monkeypatch.setattr(quadrature, "_gram_blocks", counted)
+    success = hp.herald_success(jsa, herald)
+    assert products == []
+    assert success == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def _looped_pieces(jsa, x, y, root):
+    """``_root_weighted``'s pieces of a parametric amplitude, each block's
+    hull taken by a ``min()`` and a ``max()`` of its own."""
+    a, b, c = jsa.intensity_coefficients()
+    peak = float(hp.eval_double_gaussian(jsa, 0.0, 0.0) * root.max())
+    reach = (2.0 * math.log(peak / core._UNDERFLOW_FLOOR)
+             + quadrature._BAND_MARGIN if peak > 0.0 else -math.inf)
+    disc = c * reach - (a * c - b * b) * x * x
+    live = disc >= 0.0
+    half = np.sqrt(np.where(live, disc, 0.0))
+    lo = np.searchsorted(y, (-b * x - half) / c) - 1
+    hi = np.searchsorted(y, (-b * x + half) / c, side="right") + 1
+    lo = np.where(live, np.maximum(lo, 0), y.size)
+    hi = np.where(live, np.minimum(hi, y.size), 0)
+    pieces = []
+    for start in range(0, x.size, core._GRAM_BLOCK):
+        rows = slice(start, start + core._GRAM_BLOCK)
+        span_lo, span_hi = int(lo[rows].min()), int(hi[rows].max())
+        if span_lo < span_hi:
+            block = hp.eval_double_gaussian(jsa, x[rows, None],
+                                            y[None, span_lo:span_hi])
+            pieces.append((start, span_lo, block * root[span_lo:span_hi]))
+    return pieces
+
+
+@pytest.mark.parametrize("source, herald, heralded", [
+    (KTP_PARAMS, None, None),
+    (KTP_PARAMS, hp.GaussianFilter(0.0, 13.0), hp.GaussianFilter(0.0, 13.0)),
+    (_K30, None, None),
+    (KTP_PARAMS, hp.GaussianFilter(0.3, 2.0), None),
+    (KTP_PARAMS, hp.GaussianFilter(0.0, 0.05), None),
+    (K26_PARAMS, None, None),
+    (KTP_PARAMS, hp.GaussianFilter(400.0, 0.05), None),
+])
+def test_block_hulls_match_the_per_block_loop(source, herald, heralded):
+    # np.minimum.reduceat and np.maximum.reduceat take every block's hull
+    # at once, to the same pieces, on band and dense states and on a herald
+    # beyond the band
+    jsa = hp.DoubleGaussianJsa(*source)
+    x, _, ((y, wy),) = quadrature._heralded_axes(jsa, (herald,), heralded,
+                                                 None)
+    root = np.sqrt(wy)
+    pieces = quadrature._root_weighted(jsa, x, y, root)
+    expected = _looped_pieces(jsa, x, y, root)
+    assert [piece[:2] for piece in pieces] == [
+        piece[:2] for piece in expected]
+    for (_, _, block), (_, _, reference) in zip(pieces, expected):
+        assert np.array_equal(block, reference)
+
+
 def test_single_state_purity_never_builds_the_state():
     # 3168-node axes: one n x n float64 state is 80 MB, and the block
     # reduction stays below a quarter of it

@@ -55,6 +55,39 @@ def test_truncated_weights_match_full_svd(name, request):
                                rtol=0.0, atol=1e-12 * reference[0])
 
 
+def test_a_short_sketch_grows_without_redrawing(monkeypatch, caplog):
+    # K = 12 needs a second sketch rank on its recommended grid; the grown
+    # sketch draws only the missing test columns and keeps the ranks, the
+    # mode count and the full SVD's weights
+    jsa = hp.DoubleGaussianJsa(1.0, 12.0, math.pi / 4, -math.pi / 4)
+    extent, points = hp.recommended_grid(jsa)
+    grid = hp.discretize(jsa, half_extent=extent, n_points=points)
+    default_rng = np.random.default_rng
+    drawn = []
+
+    class CountedRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            drawn.append(shape[1])
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", CountedRng)
+    with caplog.at_level(logging.DEBUG, logger="heraldpurity"):
+        modes = hp.decompose(grid)
+    message = caplog.records[-1].getMessage()
+    assert "grid 406x406, sketch ranks [32, 113], full SVD False" in message
+    assert modes.n_modes == 83
+    assert drawn == [32, 81]
+    reference = full_svd_weights(grid)
+    assert modes.n_modes == reference.size
+    np.testing.assert_allclose(descending(modes.coefficients), reference,
+                               rtol=0.0, atol=1e-12 * reference[0])
+    u = modes.signal_modes.T * math.sqrt(modes.signal_step)
+    assert np.abs(u.T @ u - np.eye(modes.n_modes)).max() < 1e-13
+
+
 @pytest.mark.filterwarnings("ignore:grid step")
 def test_rank_past_half_the_grid_uses_full_svd(jsa_ktp, caplog):
     extent, _ = hp.recommended_grid(jsa_ktp)
@@ -433,6 +466,32 @@ def test_hom_dip_schmidt_never_builds_a_whole_state(ktp_modes):
                        * (w @ np.diagonal(m_y).real))
     np.testing.assert_allclose(curve.coincidences, 0.5 * (1.0 - overlap),
                                rtol=0.0, atol=1e-15)
+
+
+def test_hom_dip_schmidt_builds_one_state_for_equal_heralds(k26_modes,
+                                                            monkeypatch):
+    # the same overlap object on both arms forms its KG product once, to
+    # the bits of two equal states formed apart
+    filt = hp.GaussianFilter(0.2, 0.7)
+    herald = hp.overlap_matrix(k26_modes, filt)
+    twin = hp.overlap_matrix(k26_modes, filt)
+    other = hp.overlap_matrix(k26_modes, hp.GaussianFilter(-0.3, 1.1))
+    delays = np.linspace(-3.0, 3.0, 41)
+    formed = []
+    state_pairs = schmidt_module._signal_state_pairs
+
+    def counted(decomposition, q):
+        formed.append(q)
+        return state_pairs(decomposition, q)
+
+    monkeypatch.setattr(schmidt_module, "_signal_state_pairs", counted)
+    shared = hp.hom_dip_schmidt(k26_modes, herald, herald, delays)
+    assert len(formed) == 1
+    apart = hp.hom_dip_schmidt(k26_modes, herald, twin, delays)
+    assert len(formed) == 3
+    assert np.array_equal(shared.coincidences, apart.coincidences)
+    hp.hom_dip_schmidt(k26_modes, herald, other, delays)
+    assert len(formed) == 5
 
 
 def test_mode_projection(k26_modes, jsa_separable):
