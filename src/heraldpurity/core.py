@@ -73,10 +73,16 @@ def _require_success(success, what="heralding probability"):
     """Return ``success``; raise, naming it ``what``, below the floor or NaN."""
     if not success >= _SUCCESS_FLOOR:
         raise NumericalError(
-            f"{what} {success:.3e} is not at least {_SUCCESS_FLOOR}; the "
-            "filtered state is numerically empty or undefined"
+            f"{what} evaluated to {success}, not at least {_SUCCESS_FLOOR}; "
+            "the filtered state is numerically empty or undefined"
         )
     return success
+
+
+def _figures(purity, success, what="heralding probability"):
+    """Floor ``success`` (named ``what``), then clip both figures to [0, 1]."""
+    success = _require_success(float(success), what)
+    return _clip_unit(float(purity)), _clip_unit(success)
 
 
 def _real(name, value, positive=False, minimum=None):
@@ -106,9 +112,11 @@ def _integer(name, value):
 
 def _reals(name, values):
     """``values`` as a new float array; refuses bool and str entries."""
-    for value in np.asarray(values, dtype=object).flat:
-        if isinstance(value, (bool, np.bool_, str)):
-            raise ValueError(f"{name} entry must be a number, got {value!r}")
+    # a numeric array holds neither; np.asarray([1.0, True]) hides its bool
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for value in np.asarray(values, dtype=object).flat:
+            if isinstance(value, (bool, np.bool_, str)):
+                raise ValueError(f"{name} entry must be a number, got {value!r}")
     return np.array(values, dtype=float, copy=True)
 
 
@@ -551,16 +559,14 @@ class TabulatedFilter:
     values: np.ndarray
 
     def __post_init__(self):
-        grid = _reals("filter grid", self.grid)
-        values = _reals("filter transmission", self.values)
-        if grid.ndim != 1 or values.ndim != 1 or grid.size != values.size:
+        grid = _axis("filter grid", self.grid)
+        values = _axis("filter transmission", self.values)
+        if grid.size != values.size:
             raise ValueError("grid and values must be 1-D arrays of equal length")
         if grid.size < 2:
             raise ValueError("a tabulated filter needs at least two samples")
         if not np.all(np.diff(grid) > 0.0):
             raise ValueError("filter grid must be strictly increasing")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-            raise ValueError("filter samples must be finite")
         if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
             raise ValueError("transmission values must lie within [0, 1]")
         _freeze(self, grid=grid, values=np.clip(values, 0.0, 1.0))
@@ -613,13 +619,13 @@ class GriddedJsa:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        signal = np.array(self.signal_grid, dtype=float, copy=True)
-        idler = np.array(self.idler_grid, dtype=float, copy=True)
+        signal = _axis("signal_grid", self.signal_grid)
+        idler = _axis("idler_grid", self.idler_grid)
         amps = np.array(self.amplitudes, copy=True)
         if not np.iscomplexobj(amps):
             amps = amps.astype(float, copy=False)
         for name, grid in (("signal_grid", signal), ("idler_grid", idler)):
-            if grid.ndim != 1 or grid.size < 2:
+            if grid.size < 2:
                 raise ValueError(f"{name} must be a 1-D array with >= 2 points")
             steps = np.diff(grid)
             if np.any(steps <= 0.0):
@@ -803,8 +809,8 @@ class HomCurve:
     reflectivity: float = 0.5
 
     def __post_init__(self):
-        delays = np.array(self.delays, dtype=float, copy=True)
-        coincidences = np.array(self.coincidences, dtype=float, copy=True)
+        delays = _reals("delays", self.delays)
+        coincidences = _reals("coincidences", self.coincidences)
         if delays.ndim != 1 or coincidences.shape != delays.shape:
             raise ValueError("delays and coincidences must be matching 1-D arrays")
         if delays.size == 0 or not np.isfinite([delays, coincidences]).all():

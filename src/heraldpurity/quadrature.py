@@ -74,13 +74,13 @@ from .core import (
     _clip_unit,
     _delay_array,
     _dip_curve,
+    _figures,
     _filtered_idler,
     _flush_underflow,
     _gram_blocks,
     _integer,
     _purity_success,
     _real,
-    _require_success,
     _splitter_product,
     eval_double_gaussian,
     filter_transmission,
@@ -411,26 +411,14 @@ def _state_pairs(jsa, x, y, wy):
     return _gram_blocks(_root_weighted(jsa, x, y, np.sqrt(wy)))
 
 
-def _single_pair(jsa, herald, heralded, spec):
+def _single_pair(jsa, herald, heralded, spec, what="heralding probability"):
     """``(purity, success)`` of one herald, reduced from block products.
 
     ``core._purity_success`` squares each product of ``_state_pairs`` in
     place, so peak memory is ``B``'s band and one block product.
     """
     x, wx, ((y, wy),) = _heralded_axes(jsa, (herald,), heralded, spec)
-    purity, success = _purity_success(_state_pairs(jsa, x, y, wy), wx)
-    success = _checked_success(float(success))
-    if not math.isfinite(purity):
-        raise NumericalError("purity evaluated to a non-finite value")
-    return float(purity), success
-
-
-def _checked_success(success):
-    """``success`` if finite and positive; ``NumericalError`` if not."""
-    if math.isfinite(success) and success > 0.0:
-        return success
-    raise NumericalError(f"heralding probability evaluated to {success}; "
-                         "the filtered state carries no numerical weight")
+    return _figures(*_purity_success(_state_pairs(jsa, x, y, wy), wx), what)
 
 
 def unfiltered_purity(jsa, spec=None):
@@ -446,8 +434,7 @@ def unfiltered_purity(jsa, spec=None):
     Returns:
         Purity in (0, 1].
     """
-    purity, _ = _single_pair(jsa, None, None, spec)
-    return _clip_unit(purity)
+    return _single_pair(jsa, None, None, spec)[0]
 
 
 def herald_success(jsa, herald_filter, spec=None):
@@ -470,7 +457,11 @@ def herald_success(jsa, herald_filter, spec=None):
         flat = _flush_underflow(block).view(float)
         success += float(wx[start:start + len(block)]
                          @ np.einsum("ij,ij->i", flat, flat))
-    return _clip_unit(_checked_success(success))
+    # any positive success is a result here: nothing is conditioned on it
+    if not (math.isfinite(success) and success > 0.0):
+        raise NumericalError(f"heralding probability evaluated to {success}; "
+                             "the filtered state carries no numerical weight")
+    return _clip_unit(success)
 
 
 def filtered_purity(jsa, herald_filter, spec=None):
@@ -490,9 +481,7 @@ def filtered_purity(jsa, herald_filter, spec=None):
     """
     if herald_filter is None:
         raise ValueError("filtered_purity requires a herald filter")
-    purity, success = _single_pair(jsa, herald_filter, None, spec)
-    _require_success(success)
-    return _clip_unit(purity)
+    return _single_pair(jsa, herald_filter, None, spec)[0]
 
 
 def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None):
@@ -515,9 +504,8 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None):
     """
     if herald_filter is None or heralded_filter is None:
         raise ValueError("two_filter_quantities requires both filters")
-    purity, success = _single_pair(jsa, herald_filter, heralded_filter, spec)
-    _require_success(success, "two-filter success")
-    return _clip_unit(purity), _clip_unit(success)
+    return _single_pair(jsa, herald_filter, heralded_filter, spec,
+                        "two-filter success")
 
 
 def _hom_overlaps(jsa, herald_x, herald_y, delays, spec):
@@ -593,5 +581,4 @@ def heralding_report(jsa, herald_filter=None, spec=None):
     if herald_filter is None:
         return HeraldingReport(1.0, p_raw, p_raw)
     purity, success = _single_pair(jsa, herald_filter, None, spec)
-    _require_success(success)
-    return HeraldingReport(_clip_unit(success), _clip_unit(purity), p_raw)
+    return HeraldingReport(success, purity, p_raw)

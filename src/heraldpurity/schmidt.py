@@ -29,9 +29,9 @@ from .core import (
     _arm_overlaps,
     _cell_weights,
     _check_delay_step,
-    _clip_unit,
     _delay_array,
     _dip_curve,
+    _figures,
     _flush_underflow,
     _freeze,
     _integer,
@@ -418,10 +418,11 @@ def overlap_matrix(decomposition, filt, side="idler"):
     return OverlapMatrix(matrix=q, side=side)
 
 
-def _herald_matrix(overlap):
-    """The matrix of ``overlap``, which must be built on the idler modes."""
-    if overlap.side != "idler":
-        raise ValueError("herald overlaps must be built on the idler modes")
+def _side_matrix(overlap, side="idler"):
+    """The matrix of ``overlap``, which must be built on the ``side`` modes."""
+    if overlap.side != side:
+        role = "herald" if side == "idler" else "heralded"
+        raise ValueError(f"{role} overlaps must be built on the {side} modes")
     return overlap.matrix
 
 
@@ -439,11 +440,9 @@ def schmidt_quantities(decomposition, herald_overlap):
     Raises:
         NumericalError: If the success probability falls below 1e-12.
     """
-    q, whole = _herald_matrix(herald_overlap), slice(None)
-    purity, success = _purity_success([(whole, whole, q, _squared_modulus(q))],
-                                      decomposition.coefficients)
-    success = _require_success(float(success))
-    return _clip_unit(float(purity)), _clip_unit(success)
+    q, whole = _side_matrix(herald_overlap), slice(None)
+    return _figures(*_purity_success([(whole, whole, q, _squared_modulus(q))],
+                                     decomposition.coefficients))
 
 
 def two_filter_schmidt(decomposition, herald_overlap, heralded_overlap):
@@ -460,16 +459,15 @@ def two_filter_schmidt(decomposition, herald_overlap, heralded_overlap):
     Raises:
         NumericalError: If the two-filter success falls below 1e-12.
     """
-    q = _herald_matrix(herald_overlap)
-    if heralded_overlap.side != "signal":
-        raise ValueError("heralded overlaps must be built on the signal modes")
+    q = _side_matrix(herald_overlap)
+    qp = _side_matrix(heralded_overlap, "signal")
     sqp = np.sqrt(decomposition.coefficients)
-    qp = heralded_overlap.matrix
+    # floored before the division below, where a zero float would raise
     success = _require_success(float(np.real(sqp @ (q * qp) @ sqp)),
                                "two-filter success")
     linked = q.T @ (sqp[:, None] * qp)
     numerator = float(np.real(np.sum((sqp[:, None] * linked * sqp) * linked.T)))
-    return _clip_unit(numerator / success**2), _clip_unit(success)
+    return _figures(numerator / success**2, success, "two-filter success")
 
 
 def _signal_state_pairs(decomposition, q):
@@ -512,7 +510,7 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
         ConvergenceError: If a delay is too large for the grid spacing to
             resolve its phase.
     """
-    matrices = [_herald_matrix(overlap) for overlap in (herald_x, herald_y)]
+    matrices = [_side_matrix(overlap) for overlap in (herald_x, herald_y)]
     _splitter_product(reflectivity)  # checked before any integration
     delays = _delay_array(delays)
     _check_delay_step(delays, decomposition.signal_step)

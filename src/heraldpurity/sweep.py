@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _axis,
-                   _clip_unit, _freeze, _gram_blocks, _purity_success, _real,
+                   _figures, _freeze, _gram_blocks, _purity_success, _real,
                    _require_success, _squared_modulus, visibility)
 
 __all__ = [
@@ -332,13 +332,12 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
         (purity,), (success,) = evaluate([width])
     else:
         raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
-    success = _clip_unit(_require_success(float(success)))
-    purity = _clip_unit(float(purity))
+    purity, success = _figures(purity, success)
 
     return FilterSolution(
         sigma_f=float(width),
-        purity=float(purity),
-        success=float(success),
+        purity=purity,
+        success=success,
         visibility=visibility(purity),
         method=method,
         iterations=iterations,

@@ -598,6 +598,31 @@ def test_jsa_csv_malformed_row_exit_2(tmp_path, row, message):
     assert json.loads(err)["error"] == "config"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ("report",), ("solve-filter", "--target-purity", "0.9"), ("schmidt",),
+], ids=lambda command: command[0])
+def test_jsa_csv_non_finite_frequency_exit_2(tmp_path, k26_grid, bad,
+                                             command):
+    # the last signal frequency made non-finite on every row: the rows still
+    # cover a rectangle once, and these printed figures with exit 0
+    path = tmp_path / "nonfinite.csv"
+    write_jsa_csv(path, k26_grid)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    rows[rows[:, 0] == k26_grid.signal_grid[-1], 0] = bad
+    np.savetxt(path, rows, delimiter=",",
+               header="omega_signal,omega_idler,re,im", comments="")
+    config = tmp_path / "nonfinite.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": str(path)},
+                                  "filter": {"center": 0.0, "width": 0.8}}))
+    code, out, err = run_cli(*command, "--config", str(config),
+                             "--no-timestamp")
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "signal_grid must be finite" in error["message"]
+
+
 def test_solve_filter_on_separable_gridded_config(tmp_path):
     grid = hp.discretize(hp.DoubleGaussianJsa(1.0, 2.0, 0.0, math.pi / 2),
                          6.0, 200)

@@ -11,9 +11,9 @@ from scipy.integrate import dblquad
 import heraldpurity as hp
 from conftest import SEED, assemble, draw_source
 from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _arm_overlaps,
-                               _cell_weights, _clip_unit, _gram_blocks,
-                               _purity_success, _require_success,
-                               _squared_modulus)
+                               _cell_weights, _clip_unit, _figures,
+                               _gram_blocks, _purity_success, _reals,
+                               _require_success, _squared_modulus)
 
 WHOLE = slice(None)
 
@@ -627,6 +627,72 @@ def test_gridded_jsa_validation():
         hp.GriddedJsa(good, good, np.ones((8, 7)))
 
 
+@pytest.mark.parametrize("entry, message", [
+    (math.nan, "signal_grid must be finite"),
+    (math.inf, "signal_grid must be finite"),
+    ("1.0", "signal_grid entry must be a number"),
+], ids=["nan", "inf", "str"])
+def test_gridded_jsa_refuses_non_finite_and_string_grids(entry, message):
+    # each passed the spacing checks, and a NaN or inf grid gave figures
+    grid = np.linspace(-1, 1, 8).astype(object)
+    grid[-1] = entry
+    with pytest.raises(ValueError, match=message):
+        hp.GriddedJsa(grid, np.linspace(-1, 1, 8), np.ones((8, 8)))
+    if isinstance(entry, float):  # the same entry in a float array
+        with pytest.raises(ValueError, match=message):
+            hp.GriddedJsa(grid.astype(float), np.linspace(-1, 1, 8),
+                          np.ones((8, 8)))
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, True],
+    np.array([True, False]),
+    np.array(["1.0", "2.0"]),
+], ids=["bool-in-list", "bool-array", "numeric-str-array"])
+def test_reals_checks_entries_unless_given_a_numeric_array(values):
+    # np.asarray([1.0, True]) is a float array, so only an int, uint or
+    # float array skips the entry loop
+    with pytest.raises(ValueError, match="entry must be a number"):
+        _reals("x", values)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32, float])
+def test_reals_copies_numeric_arrays_to_float(dtype):
+    values = np.arange(3, dtype=dtype)
+    out = _reals("x", values)
+    assert out.dtype == float and not np.shares_memory(out, values)
+    np.testing.assert_array_equal(out, [0.0, 1.0, 2.0])
+
+
+_EMPTY_HERALD = hp.GaussianFilter(500.0, 0.1)
+_NEAR_FILTER = hp.GaussianFilter(0.0, 0.6)
+
+
+@pytest.mark.parametrize("route, what", [
+    (lambda jsa, modes: hp.filtered_purity(jsa, _EMPTY_HERALD),
+     "heralding probability"),
+    (lambda jsa, modes: hp.two_filter_quantities(jsa, _EMPTY_HERALD,
+                                                 _NEAR_FILTER),
+     "two-filter success"),
+    (lambda jsa, modes: hp.heralding_report(jsa, _EMPTY_HERALD),
+     "heralding probability"),
+    (lambda jsa, modes: hp.schmidt_quantities(
+        modes, hp.overlap_matrix(modes, _EMPTY_HERALD)),
+     "heralding probability"),
+    (lambda jsa, modes: hp.two_filter_schmidt(
+        modes, hp.overlap_matrix(modes, _EMPTY_HERALD),
+        hp.overlap_matrix(modes, _NEAR_FILTER, side="signal")),
+     "two-filter success"),
+], ids=["filtered_purity", "two_filter_quantities", "heralding_report",
+        "schmidt_quantities", "two_filter_schmidt"])
+def test_empty_herald_fails_the_one_success_gate(jsa_k26, k26_modes, route,
+                                                 what):
+    # a herald 500 rad/ps off the source passes nothing on either route
+    with pytest.raises(hp.NumericalError,
+                       match=f"^{what} evaluated to 0.0, not at least 1e-12;"):
+        route(jsa_k26, k26_modes)
+
+
 def test_gridded_jsa_normalize(k26_grid):
     scaled = hp.GriddedJsa(k26_grid.signal_grid, k26_grid.idler_grid,
                            2.5 * k26_grid.amplitudes)
@@ -669,6 +735,17 @@ def test_hom_curve_rejects_empty_or_non_finite(delays, coincidences):
         hp.HomCurve(delays, coincidences)
 
 
+@pytest.mark.parametrize("delays, coincidences", [
+    ([0.0, True], [0.3, 0.4]),
+    ([0.0, 1.0], [0.3, "0.4"]),
+    (np.array([0.0, 1.0]), np.array([True, False])),
+], ids=["bool-delay", "str-coincidence", "bool-array"])
+def test_hom_curve_refuses_bool_and_str(delays, coincidences):
+    # these used to build, as float(True) = 1.0 and float("0.4") = 0.4
+    with pytest.raises(ValueError, match="must be a number"):
+        hp.HomCurve(delays, coincidences)
+
+
 def test_hom_curve_keeps_its_splitter():
     delays = np.linspace(-6, 6, 2001)
     shape = np.exp(-(delays**2) / 2.0)
@@ -686,6 +763,18 @@ def test_hom_curve_keeps_its_splitter():
 def test_figure_checks_reject_nan(check):
     with pytest.raises(hp.NumericalError):
         check(math.nan)
+
+
+def test_one_gate_floors_success_then_clips_both_figures():
+    purity, success = _figures(np.float64(1.0 + 5e-7), 2e-12)
+    assert (purity, success) == (1.0, 2e-12)
+    assert type(purity) is float and type(success) is float
+    with pytest.raises(hp.NumericalError,
+                       match="^dip success evaluated to 5e-13, not at least"):
+        _figures(0.5, 5e-13, "dip success")
+    for purity, success in ((math.nan, 0.5), (0.5, 1.0 + 2e-6)):
+        with pytest.raises(hp.NumericalError, match="outside \\[0, 1\\]"):
+            _figures(purity, success)
 
 
 # Each array record with the arguments it is built from.

@@ -4,15 +4,16 @@ Usage::
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
-Writes ten configs under ``OUTDIR`` (the demo source, the KTP source,
+Writes twelve configs under ``OUTDIR`` (the demo source, the KTP source,
 the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, the
-demo behind a table with boolean and string entries, and a K = 30 source),
-then runs a fixed list of 88 ``heraldpurity.cli`` invocations with
-``--no-timestamp``, each in a fresh interpreter with
-``OPENBLAS_NUM_THREADS=1`` and the caller's ``PYTHONPATH``.  Every run
-leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
+demo behind a table with boolean and string entries, a K = 30 source, the
+gridded copy with its last signal frequency NaN, and the demo behind a
+herald 500 rad/ps away that passes nothing), then runs a fixed list of 90
+``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
+interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
+``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
 ``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
 their working directory and name the configs by relative path, so no
 output embeds a location: two snapshots taken with different
@@ -54,6 +55,9 @@ CONFIGS = {
     "tabtyped.json": {"jsa": DEMO, "filter": {
         "grid": [-1, "0", True], "transmission": [False, "1.0", 0]}},
     "k30.json": {"jsa": K30, "filter": {"center": 0.0, "width": 20.0}},
+    "nanfreq.json": {"jsa": {"csv_path": "nan_grid.csv"},
+                     "filter": {"center": 0.0, "width": 0.6}},
+    "farherald.json": {"jsa": DEMO, "filter": {"center": 500, "width": 0.1}},
 }
 
 
@@ -70,8 +74,12 @@ def write_inputs(outdir):
     rows = np.column_stack([ws.ravel(), wi.ravel(),
                             grid.amplitudes.real.ravel(),
                             np.imag(grid.amplitudes).ravel()])
-    np.savetxt(outdir / "demo_grid.csv", rows, fmt="%.17g", delimiter=",",
-               header="omega_signal,omega_idler,re,im", comments="")
+    for name in ("demo_grid.csv", "nan_grid.csv"):
+        np.savetxt(outdir / name, rows, fmt="%.17g", delimiter=",",
+                   header="omega_signal,omega_idler,re,im", comments="")
+        # the next file: the last signal frequency NaN on each of its rows,
+        # which still cover the rectangle once
+        rows[rows[:, 0] == grid.signal_grid[-1], 0] = np.nan
 
 
 def invocations():
@@ -173,6 +181,9 @@ def invocations():
          "9"],
         # a large dense state, reduced from its 128-row block pairs
         ["report", "--config", "demo.json", "--nodes", "1024"],
+        # a NaN grid frequency: exit 2; a herald that passes nothing: exit 3
+        ["report", "--config", "nanfreq.json"],
+        ["report", "--config", "farherald.json"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
