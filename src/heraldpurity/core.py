@@ -110,14 +110,19 @@ def _integer(name, value):
     return int(value)
 
 
-def _reals(name, values):
-    """``values`` as a new float array; refuses bool and str entries."""
+def _numbers(name, values):
+    """``values`` as a new float or complex array; no bool or str entries."""
     # a numeric array holds neither; np.asarray([1.0, True]) hides its bool
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iufc"):
         for value in np.asarray(values, dtype=object).flat:
             if isinstance(value, (bool, np.bool_, str)):
                 raise ValueError(f"{name} entry must be a number, got {value!r}")
-    return np.array(values, dtype=float, copy=True)
+    return np.array(values, dtype=None if np.iscomplexobj(values) else float)
+
+
+def _reals(name, values):
+    """``values`` as a new float array; refuses bool and str entries."""
+    return _numbers(name, values).astype(float, copy=False)
 
 
 def _axis(name, values, positive=False):
@@ -135,6 +140,20 @@ def _axis(name, values, positive=False):
     if not valid.all():
         kind = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {kind}")
+    return axis
+
+
+def _uniform_axis(name, values):
+    """An ``_axis`` of at least two increasing, evenly spaced points."""
+    axis = _axis(name, values)
+    if axis.size < 2:
+        raise ValueError(f"{name} must be a 1-D array with >= 2 points")
+    steps = np.diff(axis)
+    if np.any(steps <= 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    mean = steps.mean()
+    if np.abs(steps - mean).max() > 1e-12 * abs(mean):
+        raise ValueError(f"{name} must be uniformly spaced")
     return axis
 
 
@@ -273,8 +292,8 @@ def visibility(purity, reflectivity=0.5):
 
 
 def _delay_array(delays):
-    """Delays as an ``_axis`` of finite floats; a scalar is one delay."""
-    return _axis("delay", np.atleast_1d(np.asarray(delays, dtype=object)))
+    """Delays as an ``_axis`` of finite floats; a 0-d input is one delay."""
+    return _axis("delay", delays if np.ndim(delays) else np.reshape(delays, 1))
 
 
 def _check_delay_step(delays, step):
@@ -619,20 +638,9 @@ class GriddedJsa:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        signal = _axis("signal_grid", self.signal_grid)
-        idler = _axis("idler_grid", self.idler_grid)
-        amps = np.array(self.amplitudes, copy=True)
-        if not np.iscomplexobj(amps):
-            amps = amps.astype(float, copy=False)
-        for name, grid in (("signal_grid", signal), ("idler_grid", idler)):
-            if grid.size < 2:
-                raise ValueError(f"{name} must be a 1-D array with >= 2 points")
-            steps = np.diff(grid)
-            if np.any(steps <= 0.0):
-                raise ValueError(f"{name} must be strictly increasing")
-            mean = steps.mean()
-            if np.abs(steps - mean).max() > 1e-12 * abs(mean):
-                raise ValueError(f"{name} must be uniformly spaced")
+        signal = _uniform_axis("signal_grid", self.signal_grid)
+        idler = _uniform_axis("idler_grid", self.idler_grid)
+        amps = _numbers("amplitudes", self.amplitudes)
         if amps.shape != (signal.size, idler.size):
             raise ValueError(
                 f"amplitudes shape {amps.shape} does not match grids "
@@ -656,10 +664,7 @@ class GriddedJsa:
 
     def norm(self):
         """Discrete value of the double integral of ``|Phi|**2``."""
-        a = self.amplitudes
-        # Real samples square to the bits of abs(a)**2 with one temporary.
-        squared = np.abs(a) ** 2 if np.iscomplexobj(a) else a * a
-        return float(np.sum(squared) * self.cell_area)
+        return float(np.sum(_squared_modulus(self.amplitudes)) * self.cell_area)
 
     def normalize(self):
         """Return a copy, sharing the grids, rescaled so ``norm()`` is one.
@@ -673,6 +678,13 @@ class GriddedJsa:
         out = copy.copy(self)
         _freeze(out, amplitudes=self.amplitudes / math.sqrt(n))
         return out
+
+
+def _require_unit_norm(jsa):
+    """Raise ``ValueError`` if a ``GriddedJsa``'s norm is not one within 1e-6."""
+    norm = jsa.norm() if isinstance(jsa, GriddedJsa) else 1.0
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"amplitude norm is {norm:.6f}; normalize() it first")
 
 
 def _thin_width(jsa):
@@ -734,7 +746,7 @@ def discretize(jsa, half_extent=6.0, n_points=512):
         )
 
     amps = eval_double_gaussian(jsa, grid[:, None], grid[None, :])
-    raw_norm = float(np.sum(amps * amps) * step * step)
+    raw_norm = float(np.sum(_squared_modulus(amps)) * step * step)
     if abs(raw_norm - 1.0) > 0.05:
         extent, points = recommended_grid(jsa)
         raise GridCoverageError(
@@ -815,6 +827,8 @@ class HomCurve:
             raise ValueError("delays and coincidences must be matching 1-D arrays")
         if delays.size == 0 or not np.isfinite([delays, coincidences]).all():
             raise ValueError("delays and coincidences must be non-empty and finite")
+        if not np.all((coincidences >= 0.0) & (coincidences <= 1.0)):
+            raise ValueError("coincidences must lie within [0, 1]")
         _splitter_product(self.reflectivity)
         _freeze(self, delays=delays, coincidences=coincidences)
 

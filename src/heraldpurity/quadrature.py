@@ -81,6 +81,7 @@ from .core import (
     _integer,
     _purity_success,
     _real,
+    _require_unit_norm,
     _splitter_product,
     eval_double_gaussian,
     filter_transmission,
@@ -417,6 +418,7 @@ def _single_pair(jsa, herald, heralded, spec, what="heralding probability"):
     ``core._purity_success`` squares each product of ``_state_pairs`` in
     place, so peak memory is ``B``'s band and one block product.
     """
+    _require_unit_norm(jsa)
     x, wx, ((y, wy),) = _heralded_axes(jsa, (herald,), heralded, spec)
     return _figures(*_purity_success(_state_pairs(jsa, x, y, wy), wx), what)
 
@@ -433,6 +435,9 @@ def unfiltered_purity(jsa, spec=None):
 
     Returns:
         Purity in (0, 1].
+
+    Raises:
+        ValueError: If a ``GriddedJsa`` is not normalized within 1e-6.
     """
     return _single_pair(jsa, None, None, spec)[0]
 
@@ -447,9 +452,13 @@ def herald_success(jsa, herald_filter, spec=None):
 
     Returns:
         Success probability in [0, 1].
+
+    Raises:
+        ValueError: If the filter is missing or a ``GriddedJsa`` is unnormalized.
     """
     if herald_filter is None:
         raise ValueError("herald_success requires a herald filter")
+    _require_unit_norm(jsa)
     x, wx, ((y, wy),) = _heralded_axes(jsa, (herald_filter,), None, spec)
     success = 0.0
     for start, _, block in _root_weighted(jsa, x, y, np.sqrt(wy)):
@@ -476,6 +485,7 @@ def filtered_purity(jsa, herald_filter, spec=None):
         Purity in (0, 1].
 
     Raises:
+        ValueError: If the filter is missing or a ``GriddedJsa`` is unnormalized.
         NumericalError: If the heralding probability falls below 1e-12, in
             which case the conditional state is numerically meaningless.
     """
@@ -500,6 +510,7 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None):
         Tuple ``(purity, success)``.
 
     Raises:
+        ValueError: If a filter is missing or a ``GriddedJsa`` is unnormalized.
         NumericalError: If the two-filter success falls below 1e-12.
     """
     if herald_filter is None or heralded_filter is None:
@@ -542,7 +553,8 @@ def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5, spec=None):
     the baseline exactly rather than integrated, since oscillatory
     quadrature adds only noise there.  For gridded amplitudes every delay
     is integrated, and delays the grid spacing cannot resolve raise
-    ``ConvergenceError``.
+    ``ConvergenceError``; its norm is not checked, since each arm's overlap
+    is divided by its success, so the dip does not depend on its scale.
 
     Args:
         jsa: ``DoubleGaussianJsa`` or normalized ``GriddedJsa``.
@@ -576,6 +588,9 @@ def heralding_report(jsa, herald_filter=None, spec=None):
     Returns:
         ``HeraldingReport`` with success, purities, mode number, marginal
         g2, and balanced-splitter visibility.
+
+    Raises:
+        ValueError: If a ``GriddedJsa`` is not normalized within 1e-6.
     """
     p_raw = unfiltered_purity(jsa, spec=spec)
     if herald_filter is None:

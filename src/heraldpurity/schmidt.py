@@ -35,11 +35,15 @@ from .core import (
     _flush_underflow,
     _freeze,
     _integer,
+    _numbers,
     _purity_success,
     _real,
+    _reals,
     _require_success,
+    _require_unit_norm,
     _splitter_product,
     _squared_modulus,
+    _uniform_axis,
 )
 
 __all__ = [
@@ -98,14 +102,15 @@ class SchmidtDecomposition:
     idler_grid: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.coefficients, dtype=float, copy=True)
+        p = _reals("coefficients", self.coefficients)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D array")
         if not 0.0 <= p.min() <= p.max() < math.inf or np.any(
                 p[1:] > p[:-1] * (1.0 + _DEGENERACY_TOL)):
             raise ValueError("coefficients must be finite, non-negative, descending")
-        arrays = {name: np.array(getattr(self, name), copy=True) for name in
-                  ("signal_modes", "idler_modes", "signal_grid", "idler_grid")}
+        arrays = {name: check(name, getattr(self, name)) for name, check in (
+            ("signal_modes", _numbers), ("idler_modes", _numbers),
+            ("signal_grid", _uniform_axis), ("idler_grid", _uniform_axis))}
         if arrays["signal_modes"].shape != (p.size, arrays["signal_grid"].size):
             raise ValueError("signal_modes shape does not match grid and weights")
         if arrays["idler_modes"].shape != (p.size, arrays["idler_grid"].size):
@@ -151,8 +156,10 @@ class OverlapMatrix:
     """Filter overlaps on one Schmidt mode family.
 
     Entry ``(mu, nu)`` is the integral of the intensity transmission against
-    ``mode_mu * conj(mode_nu)`` over the filtered arm.  The matrix is
-    Hermitian with diagonal (and eigenvalues) in [0, 1].
+    ``mode_mu * conj(mode_nu)`` over the filtered arm.  It is checked to be
+    finite and Hermitian, with its diagonal in [0, 1]; its eigenvalues, in
+    [0, 1] for a filter on orthonormal modes, would cost an ``eigvalsh``
+    and are not checked.
 
     Attributes:
         matrix: Square overlap array.
@@ -327,10 +334,7 @@ def decompose(gridded, rel_threshold=1e-12):
     """
     if not isinstance(gridded, GriddedJsa):
         raise TypeError("decompose expects a GriddedJsa")
-    if abs(gridded.norm() - 1.0) > 1e-6:
-        raise ValueError(
-            f"amplitude norm is {gridded.norm():.6f}; normalize() it first"
-        )
+    _require_unit_norm(gridded)
     rel_threshold = _real("rel_threshold", rel_threshold)
     scaled = gridded.amplitudes * math.sqrt(gridded.cell_area)
     _flush_underflow(scaled)
@@ -518,7 +522,7 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
     pairs_y = (pairs_x if herald_y is herald_x
                else _signal_state_pairs(decomposition, matrices[1]))
     grid = decomposition.signal_grid
-    weights = np.full(grid.size, decomposition.signal_step)
+    weights = _cell_weights(None, grid, decomposition.signal_step)
     return _dip_curve(delays, _arm_overlaps(grid, weights, pairs_x, pairs_y,
                                             delays), reflectivity)
 

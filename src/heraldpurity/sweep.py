@@ -16,8 +16,9 @@ import numpy as np
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _axis,
-                   _figures, _freeze, _gram_blocks, _purity_success, _real,
-                   _require_success, _squared_modulus, visibility)
+                   _cell_weights, _figures, _freeze, _gram_blocks,
+                   _purity_success, _real, _require_success,
+                   _require_unit_norm, _squared_modulus, visibility)
 
 __all__ = [
     "TradeoffPoint",
@@ -207,9 +208,9 @@ def tradeoff_curve(jsa, filter_widths=None, two_filter=False):
 def _gridded_curve(jsa, center):
     """``(purity, success)`` of a gridded source over arrays of herald widths.
 
-    The herald filter enters only through its idler weights (transmission
-    times ``idler_step``, one row per width), so the idler-side reduced
-    state ``R = (A.T @ A.conj()) * signal_step``, the transpose of the
+    The herald filter enters only through its idler weights (one row of
+    ``core._cell_weights`` per width), so the idler-side reduced state
+    ``R = (A.T @ A.conj()) * signal_step``, the transpose of the
     quadrature route's signal-side state, is built once as the
     ``core._gram_blocks`` pairs of a copy of ``A.T``, with the quadrature
     states' underflow floor and band-aware product.  Each block is scaled
@@ -223,9 +224,9 @@ def _gridded_curve(jsa, center):
         pairs.append((rows_i, rows_j, block, _squared_modulus(block)))
 
     def evaluate(widths):
-        weights = np.array([GaussianFilter(center, w).transmission(
-            jsa.idler_grid) for w in widths]) * jsa.idler_step
-        return _purity_success(pairs, weights)
+        return _purity_success(pairs, np.array([_cell_weights(
+            GaussianFilter(center, w), jsa.idler_grid, jsa.idler_step)
+            for w in widths]))
     return evaluate
 
 
@@ -290,7 +291,8 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
 
     Raises:
         ValueError: If no target or both targets are given, the target is
-            outside (0, 1), or it is unachievable.
+            outside (0, 1) or unachievable, or a ``GriddedJsa`` is not
+            normalized within 1e-6.
         NumericalError: If the filtered state at the solved width is
             numerically empty.
     """
@@ -321,8 +323,9 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
         filt = GaussianFilter(center=center, width=width)
         purity, success = closed_form_pair(a, b, c, filt.width, filt.center)
     elif isinstance(jsa, GriddedJsa):
+        _require_unit_norm(jsa)
         evaluate = _gridded_curve(jsa, center)
-        weights = np.sum(np.abs(jsa.amplitudes) ** 2, axis=0) * jsa.cell_area
+        weights = _squared_modulus(jsa.amplitudes).sum(axis=0) * jsa.cell_area
         scale = math.sqrt(float(weights @ jsa.idler_grid**2))
         lo, hi = max(1e-3 * scale, 2.0 * jsa.idler_step), 1e3 * scale
         # Success grows with the width, so an empty widest filter means

@@ -11,9 +11,9 @@ from scipy.integrate import dblquad
 import heraldpurity as hp
 from conftest import SEED, assemble, draw_source
 from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _arm_overlaps,
-                               _cell_weights, _clip_unit, _figures,
-                               _gram_blocks, _purity_success, _reals,
-                               _require_success, _squared_modulus)
+                               _cell_weights, _clip_unit, _delay_array,
+                               _figures, _gram_blocks, _purity_success,
+                               _reals, _require_success, _squared_modulus)
 
 WHOLE = slice(None)
 
@@ -693,6 +693,86 @@ def test_empty_herald_fails_the_one_success_gate(jsa_k26, k26_modes, route,
         route(jsa_k26, k26_modes)
 
 
+@pytest.fixture(scope="module")
+def half_demo_grid(jsa_k26):
+    """The demo grid and a copy at half its amplitude, norm 0.25."""
+    grid = hp.discretize(jsa_k26, 4.0, 256)
+    return grid, hp.GriddedJsa(grid.signal_grid, grid.idler_grid,
+                               0.5 * grid.amplitudes)
+
+
+@pytest.mark.parametrize("route", [
+    hp.decompose,
+    lambda grid: hp.herald_success(grid, _NEAR_FILTER),
+    hp.unfiltered_purity,
+    lambda grid: hp.filtered_purity(grid, _NEAR_FILTER),
+    lambda grid: hp.two_filter_quantities(grid, _NEAR_FILTER, _NEAR_FILTER),
+    lambda grid: hp.heralding_report(grid, _NEAR_FILTER),
+    lambda grid: hp.solve_filter_for_target(grid, target_purity=0.9),
+], ids=["decompose", "herald_success", "unfiltered_purity", "filtered_purity",
+        "two_filter_quantities", "heralding_report",
+        "solve_filter_for_target"])
+def test_routes_refuse_an_unnormalized_grid(half_demo_grid, route):
+    # only decompose refused it; the solve's success read 0.0505 for 0.2018
+    with pytest.raises(ValueError, match=r"^amplitude norm is 0\.250000; "
+                                         r"normalize\(\) it first$"):
+        route(half_demo_grid[1])
+
+
+def test_gridded_dip_does_not_depend_on_the_norm(half_demo_grid):
+    # each arm's overlap is divided by its success, and 0.5 is a power of two
+    delays = np.linspace(-3.0, 3.0, 41)
+    grid, half = half_demo_grid
+    assert np.array_equal(
+        hp.hom_dip(half, _NEAR_FILTER, _NEAR_FILTER, delays).coincidences,
+        hp.hom_dip(grid, _NEAR_FILTER, _NEAR_FILTER, delays).coincidences)
+
+
+@pytest.mark.parametrize("samples", [
+    np.ones((4, 4), dtype=bool),
+    np.full((4, 4), "1.0"),
+    [[True] * 4] * 4,
+], ids=["bool-array", "str-array", "bool-list"])
+def test_gridded_samples_refuse_bool_and_str(samples):
+    # each built a float grid of ones
+    grid = np.linspace(-1.0, 1.0, 4)
+    with pytest.raises(ValueError, match="amplitudes entry must be a number"):
+        hp.GriddedJsa(grid, grid, samples)
+    for field in ("signal_modes", "idler_modes"):
+        modes = {"signal_modes": np.eye(1, 4), "idler_modes": np.eye(1, 4),
+                 field: samples[:1]}
+        with pytest.raises(ValueError, match=f"{field} entry must be a number"):
+            hp.SchmidtDecomposition([1.0], signal_grid=grid, idler_grid=grid,
+                                    **modes)
+
+
+@pytest.mark.parametrize("samples", [
+    np.full((4, 4), 0.5 + 0.5j),
+    np.full((4, 4), 0.5 + 0.5j, dtype=np.complex64),
+    [[0.5 + 0.5j, 1, 0.5, 0.0]] * 4,
+], ids=["complex128", "complex64", "list"])
+def test_gridded_samples_stay_complex(samples):
+    grid = np.linspace(-1.0, 1.0, 4)
+    expected = np.asarray(samples)
+    gridded = hp.GriddedJsa(grid, grid, samples)
+    modes = hp.SchmidtDecomposition([1.0], samples[:1], samples[:1], grid, grid)
+    for array in (gridded.amplitudes, modes.signal_modes, modes.idler_modes):
+        assert array.dtype == expected.dtype
+    np.testing.assert_array_equal(gridded.amplitudes, expected)
+
+
+def test_delay_array_takes_arrays_as_given_and_0d_input_as_one_delay():
+    delays = np.linspace(-1.0, 1.0, 5)
+    out = _delay_array(delays)
+    assert out.dtype == float and not np.shares_memory(out, delays)
+    np.testing.assert_array_equal(out, delays)
+    for one in (0.5, np.float64(0.5), np.array(0.5), 1):
+        np.testing.assert_array_equal(_delay_array(one), [float(one)])
+    for bad in (True, np.array(True), "0.5", np.bool_(False)):
+        with pytest.raises(ValueError, match="delay entry must be a number"):
+            _delay_array(bad)
+
+
 def test_gridded_jsa_normalize(k26_grid):
     scaled = hp.GriddedJsa(k26_grid.signal_grid, k26_grid.idler_grid,
                            2.5 * k26_grid.amplitudes)
@@ -744,6 +824,17 @@ def test_hom_curve_refuses_bool_and_str(delays, coincidences):
     # these used to build, as float(True) = 1.0 and float("0.4") = 0.4
     with pytest.raises(ValueError, match="must be a number"):
         hp.HomCurve(delays, coincidences)
+
+
+@pytest.mark.parametrize("coincidences", [
+    [2.0, -1.0], [0.5, 1.0 + 1e-12], [-1e-300, 0.5],
+], ids=["both", "above", "below"])
+def test_hom_curve_refuses_coincidences_outside_the_unit_interval(
+        coincidences):
+    # [2.0, -1.0] built and failed later, in visibility()
+    with pytest.raises(ValueError, match=r"coincidences must lie within "
+                                         r"\[0, 1\]"):
+        hp.HomCurve([0.0, 1.0], coincidences)
 
 
 def test_hom_curve_keeps_its_splitter():

@@ -311,6 +311,25 @@ def test_decomposition_refuses_non_finite_weights(weights):
                                 [0.0, 1.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, 1.0, 5.0], "must be uniformly spaced"),
+    ([0.0], "must be a 1-D array with >= 2 points"),
+    ([0.0, math.nan, 2.0], "must be finite"),
+    (["0", "1", "2"], "entry must be a number"),
+], ids=["uneven", "one-point", "nan", "str"])
+@pytest.mark.parametrize("side", ["signal", "idler"])
+def test_decomposition_refuses_malformed_grids(side, grid, message):
+    # each built: an uneven grid then weighted every cell by its first step,
+    # and a one-point grid failed later, on its step
+    n = len(grid)
+    grids = {"signal_grid": [0.0, 1.0], "idler_grid": [0.0, 1.0],
+             f"{side}_grid": grid}
+    modes = {"signal_modes": np.eye(1, 2), "idler_modes": np.eye(1, 2),
+             f"{side}_modes": np.eye(1, n)}
+    with pytest.raises(ValueError, match=f"^{side}_grid {message}"):
+        hp.SchmidtDecomposition([1.0], **modes, **grids)
+
+
 def test_overlap_identity_filter(k26_modes, jsa_k26):
     overlap = hp.overlap_matrix(k26_modes, identity_filter(jsa_k26))
     np.testing.assert_allclose(
