@@ -166,12 +166,8 @@ def thermal_schmidt_coefficients(mode_number, n_modes=64):
     Returns:
         Array of the first ``n_modes`` weights, descending.
     """
-    k = _real("mode number", mode_number)
-    if k < 1.0:
-        raise ValueError(f"mode number must be >= 1, got {mode_number}")
-    n_modes = _integer("n_modes", n_modes)
-    if n_modes < 1:
-        raise ValueError("n_modes must be positive")
+    k = _real("mode number", mode_number, low=1)
+    n_modes = _integer("n_modes", n_modes, low=1)
     mu = np.arange(n_modes, dtype=float)
     ratio = (k - 1.0) / (k + 1.0)
     return 2.0 / (k + 1.0) * ratio**mu
@@ -230,9 +226,7 @@ def schmidt_mode_analytic(jsa, mu, omega, side="signal"):
         Complex array of mode samples.
     """
     _require_types(jsa)
-    mu = _integer("mode index", mu)
-    if mu < 0:
-        raise ValueError(f"mode index must be a non-negative integer, got {mu}")
+    mu = _integer("mode index", mu, low=0)
     if side not in ("signal", "idler"):
         raise ValueError(f"side must be 'signal' or 'idler', got {side!r}")
     scale = mode_scales(jsa)[0 if side == "signal" else 1]
@@ -262,9 +256,7 @@ def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5):
         ``HomCurve`` sampled at the given delays, carrying ``reflectivity``.
     """
     _require_types(jsa)
-    purity = _real("purity", purity)
-    if not 0.0 <= purity <= 1.0:
-        raise ValueError(f"purity must lie in [0, 1], got {purity}")
+    purity = _real("purity", purity, low=0, high=1)
     tau = _delay_array(delays)
     a, _, _ = jsa.intensity_coefficients()
     return _dip_curve(tau, purity * np.exp(-tau * tau / (2.0 * a)),

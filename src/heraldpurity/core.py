@@ -59,12 +59,14 @@ class GridCoverageError(NumericalError):
     """A frequency grid clips or under-resolves the amplitude placed on it."""
 
 
-# Minimum heralding probability considered numerically meaningful.
+# Minimum heralding probability considered numerically meaningful, and how
+# far a figure may round outside [0, 1] before it is refused.
 _SUCCESS_FLOOR = 1e-12
+_UNIT_SLACK = 1e-6
 
 
-def _clip_unit(value, slack=1e-6):
-    if not -slack <= value <= 1.0 + slack:
+def _clip_unit(value):
+    if not -_UNIT_SLACK <= value <= 1.0 + _UNIT_SLACK:
         raise NumericalError(f"result {value} lies outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
@@ -85,29 +87,45 @@ def _figures(purity, success, what="heralding probability"):
     return _clip_unit(float(purity)), _clip_unit(success)
 
 
-def _real(name, value, positive=False, minimum=None):
+def _bounded(name, value, low, high):
+    """``value`` if in ``[low, high]``; a float with no ``high`` also finite.
+
+    One message form: "must lie in [low, high]", or with no ``high`` "must
+    be [finite and ]at least low", "non-negative" for a low of 0.
+    """
+    if high is not None:
+        if not low <= value <= high:
+            raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    elif not low <= value < math.inf:
+        finite = "finite and " if isinstance(value, float) else ""
+        least = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {finite}{least}, got {value}")
+    return value
+
+
+def _real(name, value, positive=False, low=None, high=None):
     """``value`` as a finite float; refuses bool and str.
 
-    With ``positive`` the value must exceed zero; with ``minimum`` it must
-    be at least that.
+    With ``positive`` the value must exceed zero; with ``low`` it must lie
+    in ``[low, high]`` (``_bounded``).
     """
     if isinstance(value, (bool, np.bool_, str)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     value = float(value)
-    if minimum is not None and not (math.isfinite(value) and value >= minimum):
-        raise ValueError(f"{name} must be finite and at least {minimum:g}, "
-                         f"got {value}")
+    if low is not None:
+        return _bounded(name, value, low, high)
     if not math.isfinite(value) or (positive and value <= 0.0):
         kind = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {kind}, got {value}")
     return value
 
 
-def _integer(name, value):
-    """``value`` as an int; refuses bool and every non-integer type."""
+def _integer(name, value, low=None, high=None):
+    """``value`` as an int, bounded as in ``_real``; refuses bool and non-ints."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    return value if low is None else _bounded(name, value, low, high)
 
 
 def _numbers(name, values):
@@ -143,14 +161,20 @@ def _axis(name, values, positive=False):
     return axis
 
 
-def _uniform_axis(name, values):
-    """An ``_axis`` of at least two increasing, evenly spaced points."""
+def _increasing_axis(name, values):
+    """An ``_axis`` of at least two strictly increasing points."""
     axis = _axis(name, values)
     if axis.size < 2:
         raise ValueError(f"{name} must be a 1-D array with >= 2 points")
-    steps = np.diff(axis)
-    if np.any(steps <= 0.0):
+    if np.any(np.diff(axis) <= 0.0):
         raise ValueError(f"{name} must be strictly increasing")
+    return axis
+
+
+def _uniform_axis(name, values):
+    """An ``_increasing_axis`` of evenly spaced points."""
+    axis = _increasing_axis(name, values)
+    steps = np.diff(axis)
     mean = steps.mean()
     if np.abs(steps - mean).max() > 1e-12 * abs(mean):
         raise ValueError(f"{name} must be uniformly spaced")
@@ -269,9 +293,7 @@ def _purity_success(pairs, weights):
 
 def _splitter_product(reflectivity):
     """``R*T`` of a lossless beam splitter, ``T = 1 - R``; R must lie in [0, 1]."""
-    reflectivity = _real("reflectivity", reflectivity)
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity must lie in [0, 1], got {reflectivity}")
+    reflectivity = _real("reflectivity", reflectivity, low=0, high=1)
     return reflectivity * (1.0 - reflectivity)
 
 
@@ -578,14 +600,10 @@ class TabulatedFilter:
     values: np.ndarray
 
     def __post_init__(self):
-        grid = _axis("filter grid", self.grid)
+        grid = _increasing_axis("filter grid", self.grid)
         values = _axis("filter transmission", self.values)
         if grid.size != values.size:
             raise ValueError("grid and values must be 1-D arrays of equal length")
-        if grid.size < 2:
-            raise ValueError("a tabulated filter needs at least two samples")
-        if not np.all(np.diff(grid) > 0.0):
-            raise ValueError("filter grid must be strictly increasing")
         if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
             raise ValueError("transmission values must lie within [0, 1]")
         _freeze(self, grid=grid, values=np.clip(values, 0.0, 1.0))
@@ -622,8 +640,21 @@ def _cell_weights(filt, grid, step):
     return np.diff(area[k] + d * (t[k] + 0.5 * slope * d))
 
 
+def _grid_step(grid):
+    """The step of a uniform ``grid``, as a float."""
+    return float(grid[1] - grid[0])
+
+
+class _GridSteps:
+    """Steps and cell area of a record's uniform signal and idler grids."""
+
+    signal_step = property(lambda self: _grid_step(self.signal_grid))
+    idler_step = property(lambda self: _grid_step(self.idler_grid))
+    cell_area = property(lambda self: self.signal_step * self.idler_step)
+
+
 @dataclass(frozen=True, eq=False)
-class GriddedJsa:
+class GriddedJsa(_GridSteps):
     """Joint spectral amplitude sampled on a uniform rectangular grid.
 
     Attributes:
@@ -649,18 +680,6 @@ class GriddedJsa:
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
         _freeze(self, signal_grid=signal, idler_grid=idler, amplitudes=amps)
-
-    @property
-    def signal_step(self):
-        return float(self.signal_grid[1] - self.signal_grid[0])
-
-    @property
-    def idler_step(self):
-        return float(self.idler_grid[1] - self.idler_grid[0])
-
-    @property
-    def cell_area(self):
-        return self.signal_step * self.idler_step
 
     def norm(self):
         """Discrete value of the double integral of ``|Phi|**2``."""
@@ -728,14 +747,12 @@ def discretize(jsa, half_extent=6.0, n_points=512):
         GridCoverageError: If the discrete norm deviates from one by more
             than 5%.
     """
-    n_points = _integer("n_points", n_points)
-    if n_points < 64:
-        raise ValueError(f"n_points must be at least 64, got {n_points}")
-    half_extent = _real("half_extent", half_extent, minimum=4.0)
+    n_points = _integer("n_points", n_points, low=64)
+    half_extent = _real("half_extent", half_extent, low=4)
     smax = max(jsa.sigma1, jsa.sigma2)
     limit = half_extent * smax
     grid = np.linspace(-limit, limit, n_points)
-    step = grid[1] - grid[0]
+    step = _grid_step(grid)
 
     thin_width = _thin_width(jsa)
     if step > thin_width / 4.0:

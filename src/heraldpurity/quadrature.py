@@ -149,13 +149,10 @@ class QuadratureSpec:
     half_extent: float = 8.0
 
     def __post_init__(self):
-        n_nodes = _integer("n_nodes", self.n_nodes)
-        if not 32 <= n_nodes <= _MAX_NODES:
-            raise ValueError(f"n_nodes must lie in [32, {_MAX_NODES}], got "
-                             f"{n_nodes}")
-        object.__setattr__(self, "n_nodes", n_nodes)
+        object.__setattr__(self, "n_nodes", _integer(
+            "n_nodes", self.n_nodes, low=32, high=_MAX_NODES))
         object.__setattr__(self, "half_extent", _real(
-            "half_extent", self.half_extent, minimum=4.0))
+            "half_extent", self.half_extent, low=4))
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -25,8 +25,10 @@ import numpy as np
 from .core import (
     GriddedJsa,
     _GRAM_BLOCK,
+    _GridSteps,
     NumericalError,
     _arm_overlaps,
+    _axis,
     _cell_weights,
     _check_delay_step,
     _delay_array,
@@ -38,8 +40,6 @@ from .core import (
     _numbers,
     _purity_success,
     _real,
-    _reals,
-    _require_success,
     _require_unit_norm,
     _splitter_product,
     _squared_modulus,
@@ -81,7 +81,7 @@ _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
+class SchmidtDecomposition(_GridSteps):
     """Mode decomposition of a gridded joint spectral amplitude.
 
     Attributes:
@@ -102,11 +102,8 @@ class SchmidtDecomposition:
     idler_grid: np.ndarray
 
     def __post_init__(self):
-        p = _reals("coefficients", self.coefficients)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-D array")
-        if not 0.0 <= p.min() <= p.max() < math.inf or np.any(
-                p[1:] > p[:-1] * (1.0 + _DEGENERACY_TOL)):
+        p = _axis("coefficients", self.coefficients)
+        if p.min() < 0.0 or np.any(p[1:] > p[:-1] * (1.0 + _DEGENERACY_TOL)):
             raise ValueError("coefficients must be finite, non-negative, descending")
         arrays = {name: check(name, getattr(self, name)) for name, check in (
             ("signal_modes", _numbers), ("idler_modes", _numbers),
@@ -120,14 +117,6 @@ class SchmidtDecomposition:
     @property
     def n_modes(self):
         return int(self.coefficients.size)
-
-    @property
-    def signal_step(self):
-        return float(self.signal_grid[1] - self.signal_grid[0])
-
-    @property
-    def idler_step(self):
-        return float(self.idler_grid[1] - self.idler_grid[0])
 
     def purity(self):
         """Unfiltered heralded purity, the sum of squared weights."""
@@ -144,9 +133,7 @@ class SchmidtDecomposition:
         """
         m = self.n_modes
         if n_modes is not None:
-            m = min(_integer("n_modes", n_modes), m)
-            if m < 0:
-                raise ValueError(f"n_modes must be non-negative, got {m}")
+            m = min(_integer("n_modes", n_modes, low=0), m)
         sqp = np.sqrt(self.coefficients[:m])
         return (self.signal_modes[:m].T * sqp) @ self.idler_modes[:m]
 
@@ -171,7 +158,7 @@ class OverlapMatrix:
     side: str
 
     def __post_init__(self):
-        m = np.array(self.matrix, copy=True)
+        m = _numbers("overlap matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("overlap matrix must be square")
         if self.side not in ("idler", "signal"):
@@ -404,16 +391,10 @@ def overlap_matrix(decomposition, filt, side="idler"):
     Returns:
         ``OverlapMatrix`` for use in the quantity contractions.
     """
-    if side == "idler":
-        modes = decomposition.idler_modes
-        grid = decomposition.idler_grid
-        step = decomposition.idler_step
-    elif side == "signal":
-        modes = decomposition.signal_modes
-        grid = decomposition.signal_grid
-        step = decomposition.signal_step
-    else:
+    if side not in ("idler", "signal"):
         raise ValueError(f"side must be 'idler' or 'signal', got {side!r}")
+    modes, grid, step = (getattr(decomposition, f"{side}_{field}")
+                         for field in ("modes", "grid", "step"))
     if filt is None:  # _cell_weights would read it as no filter
         raise TypeError("not a spectral filter: NoneType")
     weights = _cell_weights(filt, grid, step)
@@ -466,12 +447,13 @@ def two_filter_schmidt(decomposition, herald_overlap, heralded_overlap):
     q = _side_matrix(herald_overlap)
     qp = _side_matrix(heralded_overlap, "signal")
     sqp = np.sqrt(decomposition.coefficients)
-    # floored before the division below, where a zero float would raise
-    success = _require_success(float(np.real(sqp @ (q * qp) @ sqp)),
-                               "two-filter success")
+    success = np.real(sqp @ (q * qp) @ sqp)
     linked = q.T @ (sqp[:, None] * qp)
-    numerator = float(np.real(np.sum((sqp[:, None] * linked * sqp) * linked.T)))
-    return _figures(numerator / success**2, success, "two-filter success")
+    numerator = np.real(np.sum((sqp[:, None] * linked * sqp) * linked.T))
+    # numpy scalars: a zero success reaches _figures, not ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        purity = numerator / success**2
+    return _figures(purity, success, "two-filter success")
 
 
 def _signal_state_pairs(decomposition, q):
@@ -538,12 +520,7 @@ def mode_projection_herald(decomposition, index):
         ``ModeProjection`` with success ``p_index``, purity exactly one,
         and the signal mode the heralded photon occupies.
     """
-    index = _integer("mode index", index)
-    if not 0 <= index < decomposition.n_modes:
-        raise ValueError(
-            f"mode index {index} outside the {decomposition.n_modes} "
-            "retained modes"
-        )
+    index = _integer("mode index", index, low=0, high=decomposition.n_modes - 1)
     return ModeProjection(
         index=index,
         success=float(decomposition.coefficients[index]),

@@ -17,7 +17,7 @@ from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _axis,
                    _cell_weights, _figures, _freeze, _gram_blocks,
-                   _purity_success, _real, _require_success,
+                   _purity_success, _real, _reals, _require_success,
                    _require_unit_norm, _squared_modulus, visibility)
 
 __all__ = [
@@ -69,7 +69,7 @@ class SweepGrid:
     purity: np.ndarray
 
     def __post_init__(self):
-        arrays = {name: np.array(getattr(self, name), dtype=float, copy=True)
+        arrays = {name: _reals(name, getattr(self, name))
                   for name in ("axis1", "axis2", "success", "purity")}
         shape = (arrays["axis1"].size, arrays["axis2"].size)
         if arrays["success"].shape != shape or arrays["purity"].shape != shape:

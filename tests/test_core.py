@@ -850,6 +850,55 @@ def test_hom_curve_keeps_its_splitter():
         balanced.half_depth_width(), rel=1e-12)
 
 
+def _below(value):
+    return float(np.nextafter(value, -math.inf))
+
+
+def _above(value):
+    return float(np.nextafter(value, math.inf))
+
+
+# Each bounded argument, given the K = 26 source and its modes, as a call
+# taking the value, the values at its ends, and those one step outside.
+BOUND_SITES = {
+    "reflectivity": lambda jsa, modes: (
+        lambda r: hp.visibility(0.5, r), [0.0, 1.0], [_below(0.0), _above(1.0)]),
+    "n_points": lambda jsa, modes: (
+        lambda n: hp.discretize(hp.DoubleGaussianJsa(1.0, 1.0, 0.0, 1.5), 6.0, n),
+        [64], [63]),
+    "half_extent": lambda jsa, modes: (
+        lambda e: hp.QuadratureSpec(half_extent=e), [4.0], [_below(4.0)]),
+    "n_nodes": lambda jsa, modes: (
+        lambda n: hp.QuadratureSpec(n_nodes=n), [32, 6000], [31, 6001]),
+    "mode-number": lambda jsa, modes: (
+        hp.thermal_schmidt_coefficients, [1.0], [_below(1.0)]),
+    "thermal-n_modes": lambda jsa, modes: (
+        lambda n: hp.thermal_schmidt_coefficients(2.0, n), [1], [0]),
+    "analytic-mode-index": lambda jsa, modes: (
+        lambda mu: hp.schmidt_mode_analytic(jsa, mu, [0.0]), [0], [-1]),
+    "dip-purity": lambda jsa, modes: (
+        lambda p: hp.hom_dip_analytic(jsa, p, [0.0]), [0.0, 1.0],
+        [_below(0.0), _above(1.0)]),
+    "reconstruct-n_modes": lambda jsa, modes: (
+        modes.reconstruct, [0], [-1]),
+    "projection-mode-index": lambda jsa, modes: (
+        lambda i: hp.mode_projection_herald(modes, i), [0, modes.n_modes - 1],
+        [-1, modes.n_modes]),
+}
+
+
+@pytest.mark.parametrize("site", BOUND_SITES.values(), ids=BOUND_SITES)
+def test_bounds_accept_their_ends_and_refuse_one_step_outside(
+        jsa_k26, k26_modes, site):
+    call, ends, outside = site(jsa_k26, k26_modes)
+    for value in ends:
+        call(value)
+    for value in outside:
+        with pytest.raises(ValueError, match=r"must (lie in \[|be (finite and "
+                                             r")?(non-negative|at least ))"):
+            call(value)
+
+
 @pytest.mark.parametrize("check", [_clip_unit, _require_success])
 def test_figure_checks_reject_nan(check):
     with pytest.raises(hp.NumericalError):

@@ -383,6 +383,10 @@ def test_overlap_matrix_validation(k26_modes):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             hp.OverlapMatrix(matrix=np.full((2, 2), bad), side="idler")
+    # a bool entry built as 1.0, and a str entry raised TypeError
+    for bad in (True, "1.0"):
+        with pytest.raises(ValueError, match="must be a number"):
+            hp.OverlapMatrix(matrix=[[bad, 0], [0, 1.0]], side="idler")
 
 
 def test_schmidt_quantities_match_quadrature(k26_grid, k26_modes):

@@ -10,6 +10,18 @@ import heraldpurity as hp
 from heraldpurity.sweep import _gridded_curve, _scan
 
 
+@pytest.mark.parametrize("bad", [True, "0.1"], ids=["bool", "str"])
+@pytest.mark.parametrize("field", ["axis1", "axis2", "success", "purity"])
+def test_sweep_grid_refuses_bool_and_str_entries(field, bad):
+    # these built, as float(True) = 1.0 and float("0.1") = 0.1
+    arrays = {"axis1": [1.0, 2.0], "axis2": [1.0], "success": [[0.1], [0.2]],
+              "purity": [[0.3], [0.4]]}
+    arrays[field][0] = [bad] if field in ("success", "purity") else bad
+    with pytest.raises(ValueError, match=f"{field} entry must be a number"):
+        hp.SweepGrid("a", arrays["axis1"], "b", arrays["axis2"],
+                     arrays["success"], arrays["purity"])
+
+
 def test_aspect_sweep_shapes_and_limits():
     ratios = np.array([1.0, 2.0, 5.0])
     widths = np.logspace(-2, 1, 13)

@@ -10,7 +10,7 @@ gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, the
 demo behind a table with boolean and string entries, a K = 30 source, the
 gridded copy with its last signal frequency NaN, and the demo behind a
-herald 500 rad/ps away that passes nothing), then runs a fixed list of 90
+herald 500 rad/ps away that passes nothing), then runs a fixed list of 95
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
@@ -184,6 +184,12 @@ def invocations():
         # a NaN grid frequency: exit 2; a herald that passes nothing: exit 3
         ["report", "--config", "nanfreq.json"],
         ["report", "--config", "farherald.json"],
+        # an argument outside its bounds: exit 2
+        ["hom", "--config", "demo.json", "--reflectivity", "1.5"],
+        ["report", "--config", "demo.json", "--nodes", "16"],
+        ["schmidt", "--config", "demo.json", "--grid-n", "32"],
+        ["schmidt", "--config", "demo.json", "--n-modes", "0"],
+        ["schmidt", "--config", "demo.json", "--project-mode", "999"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
