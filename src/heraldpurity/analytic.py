@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport,
-                   _delay_array, _dip_curve, _integer, _real)
+                   _delay_array, _dip_curve, _integer, _real, _side)
 
 __all__ = [
     "closed_form_pair",
@@ -227,9 +227,7 @@ def schmidt_mode_analytic(jsa, mu, omega, side="signal"):
     """
     _require_types(jsa)
     mu = _integer("mode index", mu, low=0)
-    if side not in ("signal", "idler"):
-        raise ValueError(f"side must be 'signal' or 'idler', got {side!r}")
-    scale = mode_scales(jsa)[0 if side == "signal" else 1]
+    scale = mode_scales(jsa)[0 if _side(side) == "signal" else 1]
     x = np.asarray(omega, dtype=float) / scale
     values = _hermite_function(mu, x) / math.sqrt(scale)
     return (-1j) ** mu * values.astype(complex)

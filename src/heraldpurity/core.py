@@ -87,6 +87,13 @@ def _figures(purity, success, what="heralding probability"):
     return _clip_unit(float(purity)), _clip_unit(success)
 
 
+def _unit_entries(name, values, slack=0.0, error=ValueError):
+    """``values`` clipped into [0, 1]; raise ``error`` on NaN or beyond ``slack``."""
+    if not np.all((values >= -slack) & (values <= 1.0 + slack)):
+        raise error(f"{name} must lie within [0, 1]")
+    return np.clip(values, 0.0, 1.0)
+
+
 def _bounded(name, value, low, high):
     """``value`` if in ``[low, high]``; a float with no ``high`` also finite.
 
@@ -179,6 +186,13 @@ def _uniform_axis(name, values):
     if np.abs(steps - mean).max() > 1e-12 * abs(mean):
         raise ValueError(f"{name} must be uniformly spaced")
     return axis
+
+
+def _side(side):
+    """``side`` if it names an arm, ``"idler"`` or ``"signal"``."""
+    if side not in ("idler", "signal"):
+        raise ValueError(f"side must be 'idler' or 'signal', got {side!r}")
+    return side
 
 
 def _freeze(record, **arrays):
@@ -304,10 +318,7 @@ def visibility(purity, reflectivity=0.5):
     balanced splitter this reduces to ``purity / (2 - purity)``, bit for
     bit.  ``purity`` may be an array; a scalar purity gives a float.
     """
-    p = np.asarray(purity)
-    if p.dtype.kind not in "iuf" or not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError(f"purity must be a number in [0, 1], got {purity}")
-    p = p.astype(float, copy=False)
+    p = _unit_entries("purity", _reals("purity", purity))
     rt = _splitter_product(reflectivity)
     v = rt * p / (1.0 - 2.0 * rt - rt * p)
     return float(v) if v.ndim == 0 else v
@@ -367,9 +378,10 @@ def _arm_overlaps(x, wx, pairs_x, pairs_y, delays):
 
 
 def _dip_curve(delays, overlap, reflectivity):
-    """``HomCurve`` of ``1 - 2*R*T*(1 + overlap)``, clipped to [0, 1]."""
+    """``HomCurve`` of ``1 - 2*R*T*(1 + overlap)``, clipped as a figure is."""
     rt = _splitter_product(reflectivity)
-    samples = np.clip(1.0 - 2.0 * rt * (1.0 + overlap), 0.0, 1.0)
+    samples = _unit_entries("dip coincidences", 1.0 - 2.0 * rt * (1.0 + overlap),
+                            _UNIT_SLACK, NumericalError)
     return HomCurve(delays, samples, reflectivity)
 
 
@@ -604,9 +616,8 @@ class TabulatedFilter:
         values = _axis("filter transmission", self.values)
         if grid.size != values.size:
             raise ValueError("grid and values must be 1-D arrays of equal length")
-        if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
-            raise ValueError("transmission values must lie within [0, 1]")
-        _freeze(self, grid=grid, values=np.clip(values, 0.0, 1.0))
+        _freeze(self, grid=grid,
+                values=_unit_entries("transmission values", values, 1e-12))
 
     def transmission(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -844,8 +855,7 @@ class HomCurve:
             raise ValueError("delays and coincidences must be matching 1-D arrays")
         if delays.size == 0 or not np.isfinite([delays, coincidences]).all():
             raise ValueError("delays and coincidences must be non-empty and finite")
-        if not np.all((coincidences >= 0.0) & (coincidences <= 1.0)):
-            raise ValueError("coincidences must lie within [0, 1]")
+        coincidences = _unit_entries("coincidences", coincidences)
         _splitter_product(self.reflectivity)
         _freeze(self, delays=delays, coincidences=coincidences)
 

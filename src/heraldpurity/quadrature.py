@@ -415,7 +415,6 @@ def _single_pair(jsa, herald, heralded, spec, what="heralding probability"):
     ``core._purity_success`` squares each product of ``_state_pairs`` in
     place, so peak memory is ``B``'s band and one block product.
     """
-    _require_unit_norm(jsa)
     x, wx, ((y, wy),) = _heralded_axes(jsa, (herald,), heralded, spec)
     return _figures(*_purity_success(_state_pairs(jsa, x, y, wy), wx), what)
 
@@ -436,6 +435,7 @@ def unfiltered_purity(jsa, spec=None):
     Raises:
         ValueError: If a ``GriddedJsa`` is not normalized within 1e-6.
     """
+    _require_unit_norm(jsa)
     return _single_pair(jsa, None, None, spec)[0]
 
 
@@ -488,6 +488,7 @@ def filtered_purity(jsa, herald_filter, spec=None):
     """
     if herald_filter is None:
         raise ValueError("filtered_purity requires a herald filter")
+    _require_unit_norm(jsa)
     return _single_pair(jsa, herald_filter, None, spec)[0]
 
 
@@ -512,6 +513,7 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None):
     """
     if herald_filter is None or heralded_filter is None:
         raise ValueError("two_filter_quantities requires both filters")
+    _require_unit_norm(jsa)
     return _single_pair(jsa, herald_filter, heralded_filter, spec,
                         "two-filter success")
 

@@ -41,9 +41,11 @@ from .core import (
     _purity_success,
     _real,
     _require_unit_norm,
+    _side,
     _splitter_product,
     _squared_modulus,
     _uniform_axis,
+    _unit_entries,
 )
 
 __all__ = [
@@ -161,15 +163,12 @@ class OverlapMatrix:
         m = _numbers("overlap matrix", self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("overlap matrix must be square")
-        if self.side not in ("idler", "signal"):
-            raise ValueError(f"side must be 'idler' or 'signal', got {self.side!r}")
+        _side(self.side)
         if not np.isfinite(m).all():
             raise ValueError("overlap matrix entries must be finite")
         if np.abs(m - m.conj().T).max() > 1e-12:
             raise ValueError("overlap matrix must be Hermitian within 1e-12")
-        diag = np.real(np.diagonal(m))
-        if diag.min() < -1e-9 or diag.max() > 1.0 + 1e-9:
-            raise ValueError("overlap diagonal must lie within [0, 1]")
+        _unit_entries("overlap diagonal", np.real(np.diagonal(m)), 1e-9)
         _freeze(self, matrix=m)
 
 
@@ -391,9 +390,7 @@ def overlap_matrix(decomposition, filt, side="idler"):
     Returns:
         ``OverlapMatrix`` for use in the quantity contractions.
     """
-    if side not in ("idler", "signal"):
-        raise ValueError(f"side must be 'idler' or 'signal', got {side!r}")
-    modes, grid, step = (getattr(decomposition, f"{side}_{field}")
+    modes, grid, step = (getattr(decomposition, f"{_side(side)}_{field}")
                          for field in ("modes", "grid", "step"))
     if filt is None:  # _cell_weights would read it as no filter
         raise TypeError("not a spectral filter: NoneType")

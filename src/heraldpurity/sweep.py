@@ -78,14 +78,10 @@ class SweepGrid:
 
 
 @dataclass(frozen=True)
-class FilterSolution:
-    """Largest herald filter width meeting a purity target.
+class FilterSolution(TradeoffPoint):
+    """The trade-off point of the widest herald filter meeting a target.
 
     Attributes:
-        sigma_f: Solved filter width, rad/ps.
-        purity: Purity at the solved width.
-        success: Heralding probability at the solved width.
-        visibility: Balanced-splitter visibility at the solved width.
         method: ``"closed_form"`` (exact inversion, parametric sources),
             ``"scan"`` (gridded sources), or ``"bracket_end"`` when the
             widest filter of the solver's range already meets the target.
@@ -93,10 +89,6 @@ class FilterSolution:
             inversion.
     """
 
-    sigma_f: float
-    purity: float
-    success: float
-    visibility: float
     method: str
     iterations: int
 

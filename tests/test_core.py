@@ -12,8 +12,9 @@ import heraldpurity as hp
 from conftest import SEED, assemble, draw_source
 from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _arm_overlaps,
                                _cell_weights, _clip_unit, _delay_array,
-                               _figures, _gram_blocks, _purity_success,
-                               _reals, _require_success, _squared_modulus)
+                               _dip_curve, _figures, _gram_blocks,
+                               _purity_success, _reals, _require_success,
+                               _squared_modulus)
 
 WHOLE = slice(None)
 
@@ -719,6 +720,21 @@ def test_routes_refuse_an_unnormalized_grid(half_demo_grid, route):
         route(half_demo_grid[1])
 
 
+@pytest.mark.parametrize("herald", [None, _NEAR_FILTER],
+                         ids=["unfiltered", "filtered"])
+def test_heralding_report_squares_the_grid_once(half_demo_grid, herald,
+                                                monkeypatch):
+    # norm() squares every sample, so a report checks it once
+    calls, norm = [], hp.GriddedJsa.norm
+
+    def counted(self):
+        calls.append(self)
+        return norm(self)
+    monkeypatch.setattr(hp.GriddedJsa, "norm", counted)
+    hp.heralding_report(half_demo_grid[0], herald)
+    assert len(calls) == 1
+
+
 def test_gridded_dip_does_not_depend_on_the_norm(half_demo_grid):
     # each arm's overlap is divided by its success, and 0.5 is a power of two
     delays = np.linspace(-3.0, 3.0, 41)
@@ -915,6 +931,62 @@ def test_one_gate_floors_success_then_clips_both_figures():
     for purity, success in ((math.nan, 0.5), (0.5, 1.0 + 2e-6)):
         with pytest.raises(hp.NumericalError, match="outside \\[0, 1\\]"):
             _figures(purity, success)
+
+
+def test_dip_curve_gates_its_coincidences_as_figures():
+    # 1 - 2*R*T*(1 + overlap) is -5e-7 here, within the figures' slack
+    curve = _dip_curve(np.zeros(1), np.array([1.0 + 1e-6]), 0.5)
+    assert curve.coincidences[0] == 0.0
+    with pytest.raises(hp.NumericalError,
+                       match=r"^dip coincidences must lie within \[0, 1\]$"):
+        _dip_curve(np.zeros(1), np.array([1.5]), 0.5)
+
+
+# Each [0, 1] array input as a call taking one entry, the name its message
+# gives, the entries it keeps with what it stores for them, and the entries
+# it refuses.
+UNIT_SITES = {
+    "transmission": (
+        lambda t: hp.TabulatedFilter([0.0, 1.0], [0.5, t]).values[1],
+        "transmission values", [(1.0 + 5e-13, 1.0), (-5e-13, 0.0)],
+        [1.0 + 2e-12, -2e-12]),
+    "overlap-diagonal": (
+        lambda d: hp.OverlapMatrix(np.diag([0.5, d]), "idler").matrix[1, 1],
+        "overlap diagonal", [(1.0 + 5e-10, 1.0 + 5e-10), (-5e-10, -5e-10)],
+        [1.0 + 2e-9, -2e-9]),
+    "purity": (hp.visibility, "purity", [(1.0, 1.0), (0.0, 0.0)],
+               [1.0 + 1e-12, [0.5, 1.5], math.nan]),
+}
+
+
+@pytest.mark.parametrize("site", UNIT_SITES.values(), ids=UNIT_SITES)
+def test_unit_entries_keep_their_slack_and_refuse_beyond_it(site):
+    call, name, kept, refused = site
+    for value, stored in kept:
+        assert call(value) == stored
+    for value in refused:
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must lie within \[0, 1\]$"):
+            call(value)
+
+
+# Each call that names an arm, given the K = 26 source and its modes.
+SIDE_SITES = {
+    "OverlapMatrix": lambda jsa, modes, side: hp.OverlapMatrix(np.eye(2), side),
+    "overlap_matrix": lambda jsa, modes, side: hp.overlap_matrix(
+        modes, _NEAR_FILTER, side=side),
+    "schmidt_mode_analytic": lambda jsa, modes, side: hp.schmidt_mode_analytic(
+        jsa, 0, [0.0], side=side),
+}
+
+
+@pytest.mark.parametrize("site", SIDE_SITES.values(), ids=SIDE_SITES)
+def test_sides_share_one_rule(jsa_k26, k26_modes, site):
+    for side in ("idler", "signal"):
+        site(jsa_k26, k26_modes, side)
+    with pytest.raises(ValueError, match=r"^side must be 'idler' or 'signal', "
+                                         r"got 'both'$"):
+        site(jsa_k26, k26_modes, "both")
 
 
 # Each array record with the arguments it is built from.

@@ -220,6 +220,10 @@ def test_solver_on_gridded_amplitude(jsa_k26, k26_grid, target):
     gridded = hp.solve_filter_for_target(k26_grid, target_purity=target)
     assert gridded.method == "scan"
     assert gridded.sigma_f == pytest.approx(parametric.sigma_f, rel=1e-9)
+    # a solution is the trade-off point of its width
+    for solution in (parametric, gridded):
+        assert isinstance(solution, hp.TradeoffPoint)
+        assert solution.visibility == hp.visibility(solution.purity)
 
 
 @pytest.mark.parametrize("center", [0.0, 0.7])

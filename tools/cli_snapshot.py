@@ -4,15 +4,16 @@ Usage::
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
-Writes twelve configs under ``OUTDIR`` (the demo source, the KTP source,
+Writes fourteen configs under ``OUTDIR`` (the demo source, the KTP source,
 the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, the
 demo behind a table with boolean and string entries, a K = 30 source, the
-gridded copy with its last signal frequency NaN, and the demo behind a
-herald 500 rad/ps away that passes nothing), then runs a fixed list of 95
-``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a fresh
-interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
+gridded copy with its last signal frequency NaN, the demo behind a
+herald 500 rad/ps away that passes nothing, and the demo behind two
+three-knot tables peaking at 1 + 5e-13 and at 1.5), then runs a fixed
+list of 97 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each
+in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
 ``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
 their working directory and name the configs by relative path, so no
@@ -58,6 +59,10 @@ CONFIGS = {
     "nanfreq.json": {"jsa": {"csv_path": "nan_grid.csv"},
                      "filter": {"center": 0.0, "width": 0.6}},
     "farherald.json": {"jsa": DEMO, "filter": {"center": 500, "width": 0.1}},
+    "tabpeak.json": {"jsa": DEMO, "filter": {
+        "grid": [-1, 0, 1], "transmission": [0, 1 + 5e-13, 0]}},
+    "tabover.json": {"jsa": DEMO, "filter": {
+        "grid": [-1, 0, 1], "transmission": [0, 1.5, 0]}},
 }
 
 
@@ -190,6 +195,9 @@ def invocations():
         ["schmidt", "--config", "demo.json", "--grid-n", "32"],
         ["schmidt", "--config", "demo.json", "--n-modes", "0"],
         ["schmidt", "--config", "demo.json", "--project-mode", "999"],
+        # a transmission within 1e-12 of 1 is clipped; one of 1.5: exit 2
+        ["report", "--config", "tabpeak.json"],
+        ["report", "--config", "tabover.json"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
