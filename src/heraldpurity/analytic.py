@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport,
-                   _delay_array, _dip_curve, _integer, _real, _side)
+from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport, _dip,
+                   _integer, _real, _side)
 
 __all__ = [
     "closed_form_pair",
@@ -255,10 +255,9 @@ def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5):
     """
     _require_types(jsa)
     purity = _real("purity", purity, low=0, high=1)
-    tau = _delay_array(delays)
     a, _, _ = jsa.intensity_coefficients()
-    return _dip_curve(tau, purity * np.exp(-tau * tau / (2.0 * a)),
-                      reflectivity)
+    return _dip(delays, reflectivity,
+                lambda tau: purity * np.exp(-tau * tau / (2.0 * a)))
 
 
 def closed_form_report(jsa, herald_filter=None):

@@ -604,8 +604,7 @@ def main(argv=None):
         print(json.dumps({"error": "numerical", "message": str(exc)}),
               file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}),
               file=sys.stderr)
         return 2

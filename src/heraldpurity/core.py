@@ -339,16 +339,10 @@ def _check_delay_step(delays, step):
         )
 
 
-def _shared_blocks(pairs_x, pairs_y):
-    """``(rows_i, rows_j, M_x, M_y)`` on each block that both states hold."""
-    held = {(i.start, j.start): m_y for i, j, m_y in pairs_y}
-    return [(i, j, m_x, held[i.start, j.start]) for i, j, m_x in pairs_x
-            if (i.start, j.start) in held]
-
-
-def _arm_overlaps(x, wx, pairs_x, pairs_y, delays):
+def _arm_overlaps(x, wx, states, delays):
     """Normalized two-arm overlap at each delay from unnormalized heralded states.
 
+    ``states`` holds one state per arm, or one state that both arms share.
     Each state ``M(w, w~)`` on signal nodes ``x`` with weights ``wx`` comes
     as the block pairs of ``_gram_blocks``, and its success is summed over
     the diagonal pairs.  ``M_x * conj(M_y)`` is formed only on blocks both
@@ -356,31 +350,41 @@ def _arm_overlaps(x, wx, pairs_x, pairs_y, delays):
     phase matrix ``u = wx*exp(i*tau*x)``; the sum is real, so an
     off-diagonal pair counts twice.
     """
-    success_x, success_y = (
-        sum(float(wx[rows_i] @ np.real(np.diagonal(block)))
-            for rows_i, rows_j, block in pairs if rows_i == rows_j)
-        for pairs in (pairs_x, pairs_y))
+    pairs_x, pairs_y = states[0], states[-1]
+    successes = [sum(float(wx[rows_i] @ np.real(np.diagonal(block)))
+                     for rows_i, rows_j, block in pairs if rows_i == rows_j)
+                 for pairs in states]
+    success_x, success_y = successes[0], successes[-1]
     _require_success(min(success_x, success_y),
                      "interferometer arm heralding probability")
     u = np.zeros((delays.size, x.size), dtype=complex)
     np.multiply.outer(delays, x, out=u.imag)
     np.exp(u, out=u)
     u *= wx
+    held = {(i.start, j.start): m_y for i, j, m_y in pairs_y}
     overlap = np.zeros(delays.size)
-    for rows_i, rows_j, m_x, m_y in _shared_blocks(pairs_x, pairs_y):
-        terms = u[:, rows_i] @ (m_x * m_y.conj())
-        # conj(t) u has the real part of t conj(u), with no copy of u
-        np.conjugate(terms, out=terms)
-        terms *= u[:, rows_j]
-        sums = terms.real.sum(axis=1)
-        overlap += sums if rows_i == rows_j else 2.0 * sums
+    for rows_i, rows_j, m_x in pairs_x:
+        m_y = held.get((rows_i.start, rows_j.start))
+        if m_y is not None:
+            terms = u[:, rows_i] @ (m_x * m_y.conj())
+            # conj(t) u has the real part of t conj(u), with no copy of u
+            np.conjugate(terms, out=terms)
+            terms *= u[:, rows_j]
+            sums = terms.real.sum(axis=1)
+            overlap += sums if rows_i == rows_j else 2.0 * sums
     return overlap / (success_x * success_y)
 
 
-def _dip_curve(delays, overlap, reflectivity):
-    """``HomCurve`` of ``1 - 2*R*T*(1 + overlap)``, clipped as a figure is."""
+def _dip(delays, reflectivity, overlap):
+    """``HomCurve`` of ``1 - 2*R*T*(1 + overlap(delays))``: every dip route.
+
+    The splitter, then the delays, are checked before ``overlap`` runs on
+    the delay array, and its samples are clipped as a figure is.
+    """
     rt = _splitter_product(reflectivity)
-    samples = _unit_entries("dip coincidences", 1.0 - 2.0 * rt * (1.0 + overlap),
+    delays = _delay_array(delays)
+    samples = _unit_entries("dip coincidences",
+                            1.0 - 2.0 * rt * (1.0 + overlap(delays)),
                             _UNIT_SLACK, NumericalError)
     return HomCurve(delays, samples, reflectivity)
 
@@ -447,7 +451,7 @@ class DoubleGaussianJsa:
         for name in ("sigma1", "sigma2", "theta1", "theta2"):
             object.__setattr__(self, name, _real(
                 name, getattr(self, name), positive=name.startswith("sigma")))
-        if abs(math.sin(self.theta1 - self.theta2)) < MIN_ANGLE_SINE:
+        if self.angle_sine() < MIN_ANGLE_SINE:
             raise ValueError(
                 "theta1 and theta2 coincide modulo pi; the two ridges are "
                 "parallel and the amplitude is not normalizable"
@@ -867,12 +871,11 @@ class HomCurve:
     def visibility(self):
         """Interference visibility against the distinguishable baseline.
 
-        The visibility is ``(baseline - minimum) / (baseline + minimum)``.
+        The visibility is ``(baseline - minimum) / (baseline + minimum)``;
+        the baseline is at least 1/2 and the minimum at least 0.
         """
         base = self.baseline
         dip = float(self.coincidences.min())
-        if base + dip <= 0.0:
-            raise NumericalError("degenerate curve: baseline plus minimum is zero")
         return (base - dip) / (base + dip)
 
     def half_depth_width(self):

@@ -72,8 +72,7 @@ from .core import (
     _cell_weights,
     _check_delay_step,
     _clip_unit,
-    _delay_array,
-    _dip_curve,
+    _dip,
     _figures,
     _filtered_idler,
     _flush_underflow,
@@ -82,7 +81,6 @@ from .core import (
     _purity_success,
     _real,
     _require_unit_norm,
-    _splitter_product,
     eval_double_gaussian,
     filter_transmission,
 )
@@ -527,13 +525,12 @@ def _hom_overlaps(jsa, herald_x, herald_y, delays, spec):
         resolved = np.abs(delays) <= _DECAY_CUTOFF / w_sig
         if not np.any(resolved):
             return out
-    x, wx, ((y_x, w_x), (y_y, w_y)) = _heralded_axes(
-        jsa, (herald_x, herald_y), None, spec,
+    heralds = (herald_x,) if herald_y is herald_x else (herald_x, herald_y)
+    x, wx, idler_axes = _heralded_axes(
+        jsa, heralds, None, spec,
         max_delay=float(np.abs(delays[resolved]).max()))
-    pairs_x = list(_state_pairs(jsa, x, y_x, w_x))
-    pairs_y = (pairs_x if herald_y is herald_x
-               else list(_state_pairs(jsa, x, y_y, w_y)))
-    out[resolved] = _arm_overlaps(x, wx, pairs_x, pairs_y, delays[resolved])
+    states = [list(_state_pairs(jsa, x, y, wy)) for y, wy in idler_axes]
+    out[resolved] = _arm_overlaps(x, wx, states, delays[resolved])
     return out
 
 
@@ -568,10 +565,8 @@ def hom_dip(jsa, herald_x, herald_y, delays, reflectivity=0.5, spec=None):
     """
     if herald_x is None or herald_y is None:
         raise ValueError("hom_dip requires a herald filter for each source")
-    _splitter_product(reflectivity)  # checked before any integration
-    delays = _delay_array(delays)
-    overlap = _hom_overlaps(jsa, herald_x, herald_y, delays, spec)
-    return _dip_curve(delays, overlap, reflectivity)
+    return _dip(delays, reflectivity,
+                lambda tau: _hom_overlaps(jsa, herald_x, herald_y, tau, spec))
 
 
 def heralding_report(jsa, herald_filter=None, spec=None):

@@ -31,8 +31,7 @@ from .core import (
     _axis,
     _cell_weights,
     _check_delay_step,
-    _delay_array,
-    _dip_curve,
+    _dip,
     _figures,
     _flush_underflow,
     _freeze,
@@ -42,7 +41,6 @@ from .core import (
     _real,
     _require_unit_norm,
     _side,
-    _splitter_product,
     _squared_modulus,
     _uniform_axis,
     _unit_entries,
@@ -316,7 +314,7 @@ def decompose(gridded, rel_threshold=1e-12):
 
     Raises:
         ValueError: If the amplitude is not normalized.
-        NumericalError: If the factorization fails or degenerates.
+        NumericalError: If the factorization fails.
     """
     if not isinstance(gridded, GriddedJsa):
         raise TypeError("decompose expects a GriddedJsa")
@@ -330,8 +328,6 @@ def decompose(gridded, rel_threshold=1e-12):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular value decomposition failed: {exc}") from exc
     p = s * s
-    if p[0] <= 0.0:
-        raise NumericalError("amplitude has no numerical weight to decompose")
     keep = int(np.count_nonzero(p >= rel_threshold * p[0]))
     _log.debug(
         "decompose: grid %dx%d, sketch ranks %s, full SVD %s, "
@@ -494,16 +490,15 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
             resolve its phase.
     """
     matrices = [_side_matrix(overlap) for overlap in (herald_x, herald_y)]
-    _splitter_product(reflectivity)  # checked before any integration
-    delays = _delay_array(delays)
-    _check_delay_step(delays, decomposition.signal_step)
-    pairs_x = _signal_state_pairs(decomposition, matrices[0])
-    pairs_y = (pairs_x if herald_y is herald_x
-               else _signal_state_pairs(decomposition, matrices[1]))
-    grid = decomposition.signal_grid
-    weights = _cell_weights(None, grid, decomposition.signal_step)
-    return _dip_curve(delays, _arm_overlaps(grid, weights, pairs_x, pairs_y,
-                                            delays), reflectivity)
+    grid, step = decomposition.signal_grid, decomposition.signal_step
+
+    def overlaps(tau):
+        _check_delay_step(tau, step)
+        states = [_signal_state_pairs(decomposition, q) for q in
+                  (matrices[:1] if herald_y is herald_x else matrices)]
+        return _arm_overlaps(grid, _cell_weights(None, grid, step), states, tau)
+
+    return _dip(delays, reflectivity, overlaps)
 
 
 def mode_projection_herald(decomposition, index):

@@ -117,6 +117,10 @@ def test_malformed_config_exits_with_config_error(tmp_path):
     code, _, err = run_cli("report", "--config", str(path))
     assert code == 2
     assert json.loads(err)["error"] == "config"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli("report", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == "config file must hold a JSON object"
 
 
 @pytest.mark.parametrize("extra", [
@@ -249,6 +253,14 @@ def test_sweep_rejects_bad_range():
                            "--no-timestamp")
     assert code == 2
     assert json.loads(err)["error"] == "config"
+    # one point, and a log width range from zero
+    for flag, text, message in [
+            ("--ratios", "1:8:1", "range needs at least 2 points, got 1"),
+            ("--widths", "0:1:3", "log range endpoints must be positive")]:
+        code, out, err = run_cli("sweep", "aspect", flag, text,
+                                 "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == message
 
 
 @pytest.mark.parametrize("kind, flag, text", [
@@ -621,6 +633,25 @@ def test_jsa_csv_non_finite_frequency_exit_2(tmp_path, k26_grid, bad,
     error = json.loads(err)
     assert error["error"] == "config"
     assert "signal_grid must be finite" in error["message"]
+
+
+def test_gridded_config_refusals_exit_2(tmp_path, k26_grid):
+    # a tradeoff sweep on tabulated samples, and samples without an im column
+    path = tmp_path / "jsa.csv"
+    write_jsa_csv(path, k26_grid)
+    config = tmp_path / "gridded.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": str(path)}}))
+    code, out, err = run_cli("sweep", "tradeoff", "--config", str(config),
+                             "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == ("tradeoff sweeps need a parametric "
+                                          "jsa config")
+    path.write_text("omega_signal,omega_idler,re\n0.0,0.0,1.0\n")
+    code, out, err = run_cli("report", "--config", str(config),
+                             "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"].startswith(
+        "jsa csv must have columns omega_signal,omega_idler,re,im")
 
 
 def test_solve_filter_on_separable_gridded_config(tmp_path):

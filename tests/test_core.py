@@ -12,7 +12,7 @@ import heraldpurity as hp
 from conftest import SEED, assemble, draw_source
 from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _arm_overlaps,
                                _cell_weights, _clip_unit, _delay_array,
-                               _dip_curve, _figures, _gram_blocks,
+                               _dip, _figures, _gram_blocks,
                                _purity_success, _reals, _require_success,
                                _squared_modulus)
 
@@ -217,6 +217,8 @@ def test_tabulated_filter_validation():
         hp.TabulatedFilter(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
         hp.TabulatedFilter(np.array([0.0, 1.0]), np.array([-0.5, 0.5]))
+    with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        hp.TabulatedFilter([0.0, 1.0], [0.5, 0.5, 0.5])
 
 
 @pytest.mark.parametrize("grid, values", [
@@ -296,7 +298,7 @@ def test_parse_angle(text, expected):
     assert hp.parse_angle(text) == pytest.approx(expected, rel=1e-14)
 
 
-@pytest.mark.parametrize("text", ["abc", "pi/0", "", "pi//2"])
+@pytest.mark.parametrize("text", ["abc", "pi/0", "", "pi//2", None])
 def test_parse_angle_rejects(text):
     with pytest.raises(ValueError):
         hp.parse_angle(text)
@@ -529,9 +531,12 @@ def test_arm_overlaps_sum_the_shared_blocks(form_x, form_y):
     cross = np.einsum("da,ab,db->d", u, m_x * m_y.conj(), u.conj()).real
     expected = cross / ((wx @ np.diagonal(m_x).real)
                         * (wx @ np.diagonal(m_y).real))
-    got = _arm_overlaps(x, wx, pairs_x, pairs_y, delays)
+    got = _arm_overlaps(x, wx, [pairs_x, pairs_y], delays)
     np.testing.assert_allclose(got, expected, rtol=0.0,
                                atol=1e-13 * np.abs(expected).max())
+    # a one-state list is that state on both arms
+    assert np.array_equal(_arm_overlaps(x, wx, [pairs_x], delays),
+                          _arm_overlaps(x, wx, [pairs_x, pairs_x], delays))
 
 
 def test_gram_zeroes_samples_below_the_underflow_floor():
@@ -626,6 +631,9 @@ def test_gridded_jsa_validation():
         hp.GriddedJsa(uneven, good, amps)
     with pytest.raises(ValueError):
         hp.GriddedJsa(good, good, np.ones((8, 7)))
+    amps[2, 5] = math.nan
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        hp.GriddedJsa(good, good, amps)
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -798,6 +806,10 @@ def test_gridded_jsa_normalize(k26_grid):
     np.testing.assert_allclose(again.amplitudes, renormed.amplitudes, rtol=1e-14)
     area = k26_grid.signal_step * k26_grid.idler_step
     assert k26_grid.cell_area == pytest.approx(area, rel=1e-14)
+    zero = hp.GriddedJsa(k26_grid.signal_grid, k26_grid.idler_grid,
+                         np.zeros(k26_grid.amplitudes.shape))
+    with pytest.raises(hp.NumericalError, match="numerically zero"):
+        zero.normalize()
 
 
 def test_hom_curve_summaries():
@@ -817,6 +829,9 @@ def test_hom_curve_rejects_flat_or_unsorted():
         hp.HomCurve(delays[::-1], np.full(11, 0.4)).half_depth_width()
     with pytest.raises(ValueError):
         hp.HomCurve(delays, np.zeros(5))
+    # the dip at 0.1 never climbs back past half depth (0.3) on its right
+    with pytest.raises(ValueError, match="half depth right of the dip"):
+        hp.HomCurve([-1.0, 0.0, 1.0], [0.5, 0.1, 0.2]).half_depth_width()
 
 
 @pytest.mark.parametrize("delays, coincidences", [
@@ -864,6 +879,11 @@ def test_hom_curve_keeps_its_splitter():
     assert curve.visibility() == pytest.approx(0.4 / 1.24, rel=1e-12)
     assert curve.half_depth_width() == pytest.approx(
         balanced.half_depth_width(), rel=1e-12)
+    # the baseline 1 - 2*R*T is at least 1/2, so even an all-zero curve has
+    # a visibility on every splitter
+    for reflectivity in (0.0, 0.5, 1.0):
+        zero = hp.HomCurve([-1.0, 0.0, 1.0], np.zeros(3), reflectivity)
+        assert zero.visibility() == 1.0
 
 
 def _below(value):
@@ -935,11 +955,11 @@ def test_one_gate_floors_success_then_clips_both_figures():
 
 def test_dip_curve_gates_its_coincidences_as_figures():
     # 1 - 2*R*T*(1 + overlap) is -5e-7 here, within the figures' slack
-    curve = _dip_curve(np.zeros(1), np.array([1.0 + 1e-6]), 0.5)
+    curve = _dip(np.zeros(1), 0.5, lambda tau: np.full(tau.shape, 1.0 + 1e-6))
     assert curve.coincidences[0] == 0.0
     with pytest.raises(hp.NumericalError,
                        match=r"^dip coincidences must lie within \[0, 1\]$"):
-        _dip_curve(np.zeros(1), np.array([1.5]), 0.5)
+        _dip(np.zeros(1), 0.5, lambda tau: np.full(tau.shape, 1.5))
 
 
 # Each [0, 1] array input as a call taking one entry, the name its message

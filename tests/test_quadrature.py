@@ -67,6 +67,22 @@ def test_empty_heralding_raises(jsa_k26):
         hp.herald_success(jsa_k26, far)
 
 
+def test_filtered_routes_refuse_a_missing_filter(jsa_k26):
+    filt = hp.GaussianFilter(0.0, 1.0)
+    for call, message in [
+        (lambda: hp.herald_success(jsa_k26, None),
+         "herald_success requires a herald filter"),
+        (lambda: hp.filtered_purity(jsa_k26, None),
+         "filtered_purity requires a herald filter"),
+        (lambda: hp.two_filter_quantities(jsa_k26, filt, None),
+         "two_filter_quantities requires both filters"),
+        (lambda: hp.hom_dip(jsa_k26, None, filt, [0.0]),
+         "hom_dip requires a herald filter for each source"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_two_filter_reduces_with_identity(jsa_k26):
     herald = hp.GaussianFilter(0.0, 0.8)
     purity2, success2 = hp.two_filter_quantities(
@@ -145,6 +161,16 @@ def test_hom_mirror_reflectivity(jsa_k26):
     assert curve.visibility() == 0.0
 
 
+def test_hom_delays_past_the_decay_are_the_baseline(jsa_k26, monkeypatch):
+    # no delay of 40 ps lies inside the demo source's decay cutoff, so the
+    # dip is the baseline exactly and no heralded state is built
+    filt = hp.GaussianFilter(0.0, 0.6)
+    calls = _calls(monkeypatch, "_state_pairs")
+    curve = hp.hom_dip(jsa_k26, filt, filt, [-40.0, 40.0])
+    assert np.array_equal(curve.coincidences, [0.5, 0.5])
+    assert calls == []
+
+
 def test_hom_distinct_arm_filters(jsa_k26):
     left = hp.GaussianFilter(0.4, 0.8)
     right = hp.GaussianFilter(-0.3, 1.3)
@@ -188,6 +214,9 @@ def test_hom_validates_splitter(jsa_k26, k26_modes):
     for call in entry_points[:3]:
         with pytest.raises(ValueError, match="non-empty 1-D"):
             call(0.5, np.array([]))
+        # every dip checks the splitter before the delays
+        with pytest.raises(ValueError, match="reflectivity"):
+            call(1.5, np.array([]))
 
 
 @pytest.mark.parametrize("reflectivity", [0.3, 0.7])

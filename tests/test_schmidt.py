@@ -263,11 +263,13 @@ def test_leading_mode_matches_closed_shape(k26_modes, jsa_k26):
     assert residual < 1e-6
 
 
-def test_decompose_rejects_unnormalized(k26_grid):
+def test_decompose_rejects_unnormalized(k26_grid, jsa_k26):
     doubled = hp.GriddedJsa(k26_grid.signal_grid, k26_grid.idler_grid,
                             2.0 * k26_grid.amplitudes)
     with pytest.raises(ValueError):
         hp.decompose(doubled)
+    with pytest.raises(TypeError, match="decompose expects a GriddedJsa"):
+        hp.decompose(jsa_k26)
 
 
 @pytest.mark.parametrize("threshold", [True, "1e-12", math.nan],
@@ -300,6 +302,16 @@ def test_decomposition_validation(k26_modes):
                 signal_grid=k26_modes.signal_grid,
                 idler_grid=k26_modes.idler_grid,
             )
+    # three modes of each side against two weights
+    for side in ("signal", "idler"):
+        modes = {"signal_modes": k26_modes.signal_modes[:2],
+                 "idler_modes": k26_modes.idler_modes[:2]}
+        modes[f"{side}_modes"] = getattr(k26_modes, f"{side}_modes")[:3]
+        with pytest.raises(ValueError, match=f"^{side}_modes shape does not"):
+            hp.SchmidtDecomposition(
+                coefficients=k26_modes.coefficients[:2], **modes,
+                signal_grid=k26_modes.signal_grid,
+                idler_grid=k26_modes.idler_grid)
 
 
 @pytest.mark.parametrize("weights", [[math.nan], [math.inf], [1.0, math.nan]])
@@ -379,6 +391,8 @@ def test_overlap_matrix_validation(k26_modes):
         hp.OverlapMatrix(matrix=overweight, side="idler")
     with pytest.raises(TypeError, match="not a spectral filter"):
         hp.overlap_matrix(k26_modes, None)
+    with pytest.raises(ValueError, match="must be square"):
+        hp.OverlapMatrix(matrix=np.zeros((2, 3)), side="idler")
     # NaN passes every comparison above, and would reach the figures
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):

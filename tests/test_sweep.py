@@ -22,6 +22,11 @@ def test_sweep_grid_refuses_bool_and_str_entries(field, bad):
                      arrays["success"], arrays["purity"])
 
 
+def test_sweep_grid_refuses_surfaces_off_its_axes():
+    with pytest.raises(ValueError, match="surface shapes do not match"):
+        hp.SweepGrid("a", [1.0, 2.0], "b", [1.0], [[0.1, 0.2]], [[0.3], [0.4]])
+
+
 def test_aspect_sweep_shapes_and_limits():
     ratios = np.array([1.0, 2.0, 5.0])
     widths = np.logspace(-2, 1, 13)
@@ -202,6 +207,8 @@ def test_solver_argument_validation(jsa_k26):
         with pytest.raises(ValueError, match="center must be finite"):
             hp.solve_filter_for_target(jsa_k26, target_purity=0.9,
                                        center=center)
+    with pytest.raises(TypeError, match="not a joint spectral amplitude: str"):
+        hp.solve_filter_for_target("x", target_purity=0.9)
 
 
 @pytest.mark.parametrize("target", [dict(target_purity="0.9"),

@@ -12,7 +12,7 @@ demo behind a table with boolean and string entries, a K = 30 source, the
 gridded copy with its last signal frequency NaN, the demo behind a
 herald 500 rad/ps away that passes nothing, and the demo behind two
 three-knot tables peaking at 1 + 5e-13 and at 1.5), then runs a fixed
-list of 97 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each
+list of 100 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each
 in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
 ``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
@@ -198,6 +198,14 @@ def invocations():
         # a transmission within 1e-12 of 1 is clipped; one of 1.5: exit 2
         ["report", "--config", "tabpeak.json"],
         ["report", "--config", "tabover.json"],
+        # delays of 20 and 40 ps lie past the decay cutoff, at the baseline
+        ["hom", "--config", "demo.json", "--tau-max", "40", "--tau-points",
+         "5"],
+        # a delay the grid step cannot resolve: exit 3; with a bad splitter
+        # too: exit 2, as the splitter is checked first
+        ["hom", *c, "--tau-max", "100", "--tau-points", "5"],
+        ["hom", *c, "--tau-max", "100", "--tau-points", "5",
+         "--reflectivity", "1.5"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
