@@ -10,9 +10,9 @@ Subcommands:
 Configuration is a JSON file with a ``jsa`` section (either ridge
 parameters, laboratory parameters, or ``csv_path`` pointing at tabulated
 samples) and an optional ``filter`` section for the herald arm; any other
-key is an error.  Exit codes: 0 on success, 2 for configuration or usage
-errors, 3 for numerical failures; errors are emitted as one JSON object on
-stderr.
+key is an error.  Exit codes: 0 on success, 1 when the reader closes the
+output early, 2 for configuration or usage errors, 3 for numerical
+failures; errors are emitted as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import datetime as _dt
 import json
 import math
+import os
 import sys
 import warnings
 from contextlib import contextmanager
@@ -64,6 +65,8 @@ __all__ = ["main", "load_jsa_csv"]
 _CHUNK_VALUES = 8192
 # The columns of a trade-off table, which are ``TradeoffPoint`` fields.
 _TRADEOFF_COLUMNS = ("sigma_f", "success", "purity", "visibility")
+# Templates of the ``grid_to_rows`` columns: two axes of text, three numbers.
+_GRID_FIELDS = ("%s", "%s", "%.12g", "%.12g", "%.12g")
 
 
 def _fmt(value):
@@ -191,22 +194,61 @@ def _meta_lines(args, pairs):
 
 
 def _write_json(handle, payload):
-    json.dump(payload, handle, indent=2)
+    """Write ``payload`` as ``json.dump(payload, handle, indent=2)`` does.
+
+    The text is the same byte for byte, plus a final newline.  CPython's
+    indented dump encodes one value at a time in Python; here a list of
+    plain numbers is encoded in one C call and split into lines at its
+    commas, which no number contains.  The text is written in pieces, so
+    no document-sized string is built.
+    """
+    _write_json_value(handle.write, payload, "\n")
     handle.write("\n")
 
 
-def _write_csv(handle, meta_lines, header, rows, field="%.12g"):
-    """Meta lines, a header line and ``rows``, every field by one template.
+def _write_json_value(write, value, newline):
+    """Write ``value`` indented, ``newline`` before its closing bracket."""
+    inner = newline + "  "
+    if (isinstance(value, (list, tuple)) and value
+            and set(map(type, value)) <= {int, float}):
+        text = json.dumps(value, separators=(",", ":"))
+        write("[" + inner + text[1:-1].replace(",", "," + inner)
+              + newline + "]")
+    elif isinstance(value, (list, tuple)) and value:
+        opener = "["
+        for item in value:
+            write(opener + inner)
+            _write_json_value(write, item, inner)
+            opener = ","
+        write(newline + "]")
+    elif (isinstance(value, dict) and value
+          and all(isinstance(key, str) for key in value)):
+        opener = "{"
+        for key, item in value.items():
+            write(opener + inner + json.dumps(key) + ": ")
+            _write_json_value(write, item, inner)
+            opener = ","
+        write(newline + "}")
+    else:
+        # Scalars, empty containers and dicts with keys that are not text.
+        write(json.dumps(value, indent=2).replace("\n", newline))
 
-    The default ``field`` writes a number to 12 significant digits, as
-    ``format(float(value), ".12g")`` does; rows of text, already formatted
-    by ``_fmt``, go through ``"%s"``.  Each chunk of rows is formatted in
-    one call and written at once, so no table-sized string is built.
+
+def _write_csv(handle, meta_lines, header, rows, field="%.12g"):
+    """Meta lines, a header line and ``rows``, formatted by templates.
+
+    ``field`` is the template of every column, or a list of one per
+    column.  The default writes a number to 12 significant digits, as
+    ``format(float(value), ".12g")`` does; text, already formatted (by
+    ``_fmt``, say), goes through ``"%s"``.  Each chunk of rows is
+    formatted in one call and written at once, so no table-sized string
+    is built.
     """
     for line in meta_lines:
         handle.write(line + "\n")
     handle.write(",".join(header) + "\n")
-    template = ",".join([field] * len(header)) + "\n"
+    fields = [field] * len(header) if isinstance(field, str) else field
+    template = ",".join(fields) + "\n"
     chunk_rows = max(1, _CHUNK_VALUES // len(header))
     rows = iter(rows)
     while chunk := list(islice(rows, chunk_rows)):
@@ -247,14 +289,18 @@ def grid_to_rows(grid):
     """Header and long-format rows for a ``SweepGrid``.
 
     Columns are fixed: the two axis names, then ``success``, ``purity``,
-    ``visibility``; the fast axis varies within consecutive rows.
+    ``visibility``; the fast axis varies within consecutive rows.  Each
+    axis value is formatted once, by ``_fmt``, so the axis cells are text
+    (write them with ``_GRID_FIELDS``); the other cells are floats.
     """
     header = [grid.axis1_name, grid.axis2_name, "success", "purity",
               "visibility"]
-    axis1, axis2 = np.meshgrid(grid.axis1, grid.axis2, indexing="ij")
-    columns = (axis1, axis2, grid.success, grid.purity,
-               visibility(grid.purity))
-    return header, list(zip(*(np.ravel(c).tolist() for c in columns)))
+    axis1 = list(map(_fmt, grid.axis1.tolist()))
+    axis2 = list(map(_fmt, grid.axis2.tolist()))
+    columns = [[text for text in axis1 for _ in axis2], axis2 * len(axis1)]
+    columns += [np.ravel(c).tolist() for c in
+                (grid.success, grid.purity, visibility(grid.purity))]
+    return header, list(zip(*columns))
 
 
 def tradeoff_to_rows(points):
@@ -351,13 +397,13 @@ def cmd_sweep(args):
         pairs += [("theta1", _fmt(theta1)), ("theta2", _fmt(theta2))]
         result = sweep_aspect_ratio(ratios=ratios, filter_widths=widths,
                                     theta1=theta1, theta2=theta2)
-        to_dict, to_rows = grid_to_dict, grid_to_rows
+        to_dict, to_rows, field = grid_to_dict, grid_to_rows, _GRID_FIELDS
     elif args.kind == "orientation":
         thetas = _parse_range(args.thetas, angles=True) if args.thetas else None
         pairs += [("ratio", _fmt(args.ratio))]
         result = sweep_orientation(theta1_values=thetas, filter_widths=widths,
                                    ratio=args.ratio)
-        to_dict, to_rows = grid_to_dict, grid_to_rows
+        to_dict, to_rows, field = grid_to_dict, grid_to_rows, _GRID_FIELDS
     else:
         jsa, _, _ = _build_run_config(args)
         if not isinstance(jsa, DoubleGaussianJsa):
@@ -371,14 +417,15 @@ def cmd_sweep(args):
         ]
         result = tradeoff_curve(jsa, filter_widths=widths,
                                 two_filter=args.two_filters)
-        to_dict, to_rows = tradeoff_to_dict, tradeoff_to_rows
+        to_dict, to_rows, field = tradeoff_to_dict, tradeoff_to_rows, "%.12g"
 
     with _open_output(args) as handle:
         if args.format == "json":
             _write_json(handle, {"meta": _meta_dict(args, pairs),
                                  "data": to_dict(result)})
         else:
-            _write_csv(handle, _meta_lines(args, pairs), *to_rows(result))
+            _write_csv(handle, _meta_lines(args, pairs), *to_rows(result),
+                       field=field)
     return 0
 
 
@@ -600,6 +647,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed the output (``| head``, say): nothing to report.
+        # Python flushes stdout at exit, so point it at the null device, as
+        # the signal module's note on SIGPIPE does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except NumericalError as exc:
         print(json.dumps({"error": "numerical", "message": str(exc)}),
               file=sys.stderr)

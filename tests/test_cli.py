@@ -33,6 +33,15 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def child_env():
+    """The environment of a child interpreter that imports this package."""
+    env = dict(os.environ)
+    package_root = str(Path(hp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def parse_meta(text):
     meta = {}
     for line in text.splitlines():
@@ -98,6 +107,7 @@ def test_report_json(ktp_config):
                            "--no-timestamp")
     assert code == 0
     payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
     assert payload["meta"]["command"] == "report"
     entry = payload["quantities"]["purity_filtered"]
     assert entry["analytic"] == pytest.approx(0.7696437577, abs=1e-8)
@@ -238,6 +248,7 @@ def test_sweep_json_format():
                            "--no-timestamp")
     assert code == 0
     payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
     assert payload["meta"]["kind"] == "orientation"
     assert len(payload["data"]["purity"]) == 3
 
@@ -747,10 +758,7 @@ def test_output_file_and_entry_point(tmp_path, ktp_config):
     module_name, func_name = entry.split(":")
     assert callable(getattr(importlib.import_module(module_name), func_name))
 
-    env = dict(os.environ)
-    package_root = str(Path(hp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = child_env()
     wrapper = (f"import sys; from {module_name} import {func_name}; "
                f"sys.exit({func_name}())")
     commands = [[sys.executable, "-c", wrapper]]
@@ -774,8 +782,9 @@ def test_row_helpers_round_trip(jsa_k26):
     assert header == ["aspect_ratio", "filter_width", "success", "purity",
                       "visibility"]
     assert len(rows) == 4
-    assert rows[0][0] == 1.0
-    assert rows[-1][1] == 1.0
+    # axis cells are formatted once per axis value, as text
+    assert rows[0][0] == "1"
+    assert rows[-1][1] == "1"
     payload = grid_to_dict(grid)
     assert payload["axes"]["aspect_ratio"] == [1.0, 3.0]
     np.testing.assert_allclose(payload["purity"], grid.purity)
@@ -843,6 +852,48 @@ def test_table_writer_formats_as_twelve_digits():
         expected = ("# meta = 1\n" + ",".join(header) + "\n"
                     + "".join(old_row(row) for row in rows))
         assert buffer.getvalue() == expected
+    # per-column templates: every other column arrives formatted, as text
+    fields = ["%.12g", "%s"] * 8
+    row = tuple(_fmt(v) if field == "%s" else v
+                for field, v in zip(fields, EDGE_VALUES))
+    buffer = io.StringIO()
+    _write_csv(buffer, [], ["c"] * 16, [row], field=fields)
+    assert buffer.getvalue() == ",".join(["c"] * 16) + "\n" + old_row(
+        EDGE_VALUES)
+
+
+@pytest.mark.parametrize("argv, sweep", [
+    (["aspect", "--widths", "1e-6:1000:101"],
+     lambda: hp.sweep_aspect_ratio(filter_widths=np.logspace(-6, 3, 101))),
+    (["orientation"], hp.sweep_orientation),
+])
+def test_sweep_tables_format_as_twelve_digits(argv, sweep):
+    code, out, _ = run_cli("sweep", *argv, "--no-timestamp")
+    assert code == 0
+    grid = sweep()
+    axis1, axis2 = np.meshgrid(grid.axis1, grid.axis2, indexing="ij")
+    columns = [np.ravel(c) for c in (axis1, axis2, grid.success,
+                                     grid.purity, hp.visibility(grid.purity))]
+    lines = out.splitlines(keepends=True)
+    assert lines[-grid.purity.size - 1].startswith(grid.axis1_name + ",")
+    assert lines[-grid.purity.size:] == [old_row(row) for row in zip(*columns)]
+
+
+def test_closed_output_pipe_exits_1_quietly():
+    # The default aspect table is far larger than a pipe's buffer, so the
+    # writer is still running when the reader goes away.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "heraldpurity.cli", "sweep", "aspect",
+         "--no-timestamp"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        assert child.stdout.readline() == b"# command = sweep\n"
+        child.stdout.close()
+        assert child.wait(timeout=120) == 1
+        assert child.stderr.read() == b""
+    finally:
+        child.kill()
+        child.stderr.close()
 
 
 def test_table_writer_report_rows():
@@ -872,10 +923,7 @@ def test_cached_parser_matches_fresh_processes(tmp_path, k26_config):
         ["schmidt", "--config", k26_config, "--n-modes", "2"],
     ]
     calls = [call + ["--no-timestamp"] for call in calls]
-    env = dict(os.environ)
-    package_root = str(Path(hp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = child_env()
     fresh = []
     for call in calls:
         done = subprocess.run(

@@ -1,11 +1,15 @@
-"""Property tests of the closed-form kernel and the sweeps built on it."""
+"""Property tests of the closed-form kernel, the sweeps built on it and the
+CLI's JSON writer."""
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 import heraldpurity as hp
+from heraldpurity.cli import _write_json
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -128,3 +132,26 @@ def test_solver_meets_the_target_exactly(jsa, fraction):
     # the identity stated in closed_form_success's docstring
     expected = math.sqrt(1.0 - target**2) / (target * math.sqrt(k**2 - 1.0))
     assert solution.success == pytest.approx(expected, rel=1e-12)
+
+
+numbers = st.integers() | st.floats()
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.floats().map(np.float64)
+    | st.text(),
+    lambda inner: (st.lists(numbers) | st.lists(inner)
+                   | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"q\"u,o\u00e9\u2603": [0.0, -0.0, 5e-324, 1e16, math.nan,
+                                   math.inf, -math.inf, 2**53 + 1, True],
+          "": [[], {}, (), (1, 2.5), np.float64(0.1), None, "a,b"]})
+@example([[1.5, -0.0], (math.nan,), [True, 2], [np.float64(-1e-300)],
+          [3, "x,y"]])
+def test_json_writer_matches_indented_dump(value):
+    buffer = io.StringIO()
+    _write_json(buffer, value)
+    assert buffer.getvalue() == json.dumps(value, indent=2) + "\n"
