@@ -580,6 +580,9 @@ def from_physical(params):
 class GaussianFilter:
     """Gaussian intensity transmission ``exp(-(w - center)**2 / (2*width**2))``.
 
+    Its integration rules: no ``knots``, the passband ``center -+ tail*width``
+    as ``window(tail)``, feature ``width``, and cell-centre ``cell_weights``.
+
     Attributes:
         center: Passband center detuning, rad/ps.
         width: Standard deviation of the intensity transmission, rad/ps.
@@ -587,6 +590,7 @@ class GaussianFilter:
 
     center: float
     width: float
+    knots = ()
 
     def __post_init__(self):
         object.__setattr__(self, "width",
@@ -599,13 +603,22 @@ class GaussianFilter:
         z = (w - self.center) / self.width
         return np.exp(-0.5 * z * z)
 
+    def window(self, tail):
+        return (self.center - tail * self.width,
+                self.center + tail * self.width, self.width)
+
+    def cell_weights(self, grid, step):
+        return self.transmission(grid) * step
+
 
 @dataclass(frozen=True, eq=False)
 class TabulatedFilter:
     """Measured intensity transmission on a frequency grid.
 
-    Transmission between samples is linearly interpolated; outside the
-    tabulated range it is zero.
+    Transmission is linearly interpolated between the ``knots`` (the grid)
+    and zero outside them.  ``window(tail)`` is that range, with no feature
+    size, and ``cell_weights`` the exact cell integrals: differences of the
+    piecewise-quadratic antiderivative at the cell edges.
 
     Attributes:
         grid: Strictly increasing frequency samples, rad/ps.
@@ -614,6 +627,7 @@ class TabulatedFilter:
 
     grid: np.ndarray
     values: np.ndarray
+    knots = property(lambda self: self.grid)
 
     def __post_init__(self):
         grid = _increasing_axis("filter grid", self.grid)
@@ -627,32 +641,36 @@ class TabulatedFilter:
         w = np.asarray(omega, dtype=float)
         return np.interp(w, self.grid, self.values, left=0.0, right=0.0)
 
+    def window(self, tail):
+        return float(self.grid[0]), float(self.grid[-1]), math.inf
+
+    def cell_weights(self, grid, step):
+        knots, t = self.grid, self.values
+        area = np.append(0.0, np.cumsum(0.5 * (t[1:] + t[:-1]) * np.diff(knots)))
+        edges = np.clip(np.append(grid - 0.5 * step, grid[-1] + 0.5 * step),
+                        knots[0], knots[-1])
+        k = np.minimum(np.searchsorted(knots, edges, "right"), knots.size - 1) - 1
+        d = edges - knots[k]
+        slope = (t[k + 1] - t[k]) / (knots[k + 1] - knots[k])
+        return np.diff(area[k] + d * (t[k] + 0.5 * slope * d))
+
+
+def _spectral_filter(filt):
+    """``filt`` itself, or ``TypeError`` if it is not a filter."""
+    if not isinstance(filt, (GaussianFilter, TabulatedFilter)):
+        raise TypeError(f"not a spectral filter: {type(filt).__name__}")
+    return filt
+
 
 def filter_transmission(filt, omega):
     """Intensity transmission of a filter at the given frequencies."""
-    if not isinstance(filt, (GaussianFilter, TabulatedFilter)):
-        raise TypeError(f"not a spectral filter: {type(filt).__name__}")
-    return filt.transmission(omega)
+    return _spectral_filter(filt).transmission(omega)
 
 
 def _cell_weights(filt, grid, step):
-    """Weights ``step * T`` of the cells of a uniform ``grid``, or ``step``.
-
-    ``T`` is sampled at each cell centre; a tabulated filter's interpolant is
-    integrated exactly over each cell instead, as the difference of its
-    piecewise-quadratic antiderivative at the cell edges.
-    """
-    if not isinstance(filt, TabulatedFilter):
-        return (np.full(grid.size, step) if filt is None
-                else filter_transmission(filt, grid) * step)
-    knots, t = filt.grid, filt.values
-    area = np.append(0.0, np.cumsum(0.5 * (t[1:] + t[:-1]) * np.diff(knots)))
-    edges = np.clip(np.append(grid - 0.5 * step, grid[-1] + 0.5 * step),
-                    knots[0], knots[-1])
-    k = np.minimum(np.searchsorted(knots, edges, "right"), knots.size - 1) - 1
-    d = edges - knots[k]
-    slope = (t[k + 1] - t[k]) / (knots[k + 1] - knots[k])
-    return np.diff(area[k] + d * (t[k] + 0.5 * slope * d))
+    """Weights of the cells of a uniform ``grid``: ``step``, or ``filt``'s."""
+    return (np.full(grid.size, step) if filt is None
+            else _spectral_filter(filt).cell_weights(grid, step))
 
 
 def _grid_step(grid):

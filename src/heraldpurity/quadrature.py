@@ -65,7 +65,6 @@ from .core import (
     GriddedJsa,
     HeraldingReport,
     NumericalError,
-    TabulatedFilter,
     _GRAM_BLOCK,
     _UNDERFLOW_FLOOR,
     _arm_overlaps,
@@ -81,8 +80,8 @@ from .core import (
     _purity_success,
     _real,
     _require_unit_norm,
+    _spectral_filter,
     eval_double_gaussian,
-    filter_transmission,
 )
 
 __all__ = [
@@ -258,8 +257,8 @@ def _arm_axis(spec, lo, hi, feature, filt, extra=0):
     The node rule gives the window ``n`` nodes: ``_NODES_PER_FEATURE`` per
     ``feature`` of its length plus ``_NODE_MARGIN`` and ``extra``, at least
     ``spec.n_nodes``, rounded up to a multiple of 16, at most ``_MAX_NODES``.
-    A tabulated ``filt`` splits the window at its knots inside it, and a
-    panel of length ``l`` gets ``ceil(n l / (hi - lo)) + 2`` nodes: the
+    A ``filt`` with ``knots`` (a table) splits the window at those inside it,
+    and a panel of length ``l`` gets ``ceil(n l / (hi - lo)) + 2`` nodes: the
     transmission is linear there, so the integrand is smooth.
     """
     need = int(math.ceil(_NODES_PER_FEATURE * (hi - lo) / feature))
@@ -271,8 +270,8 @@ def _arm_axis(spec, lo, hi, feature, filt, extra=0):
             f"{_MAX_NODES} are allowed"
         )
     edges, counts = (lo, hi), (n,)
-    if isinstance(filt, TabulatedFilter):
-        knots = filt.grid[(filt.grid > lo) & (filt.grid < hi)]
+    if filt is not None and len(filt.knots):
+        knots = filt.knots[(filt.knots > lo) & (filt.knots < hi)]
         edges = np.concatenate(([lo], knots, [hi]))
         counts = np.ceil(n * np.diff(edges) / (hi - lo)).astype(int) + 2
     nodes, weights = [], []
@@ -282,18 +281,14 @@ def _arm_axis(spec, lo, hi, feature, filt, extra=0):
         nodes.append(0.5 * (b + a) + half * x)
         weights.append(half * w)
     x, w = np.concatenate(nodes), np.concatenate(weights)
-    return x, w if filt is None else w * filter_transmission(filt, x)
+    return x, w if filt is None else w * filt.transmission(x)
 
 
 def _restrict(lo, hi, feature, filt, tail, scale):
     """Window and feature size cut to ``filt``; a vanishing window is widened."""
-    if isinstance(filt, GaussianFilter):
-        lo = max(lo, filt.center - tail * filt.width)
-        hi = min(hi, filt.center + tail * filt.width)
-        feature = min(feature, filt.width)
-    elif isinstance(filt, TabulatedFilter):
-        lo = max(lo, float(filt.grid[0]))
-        hi = min(hi, float(filt.grid[-1]))
+    if filt is not None:
+        f_lo, f_hi, f_feature = _spectral_filter(filt).window(tail)
+        lo, hi, feature = max(lo, f_lo), min(hi, f_hi), min(feature, f_feature)
     if hi - lo < 1e-12 * scale:
         mid = 0.5 * (lo + hi)
         lo, hi = mid - 1e-12 * scale, mid + 1e-12 * scale

@@ -41,6 +41,7 @@ from .core import (
     _real,
     _require_unit_norm,
     _side,
+    _spectral_filter,
     _squared_modulus,
     _uniform_axis,
     _unit_entries,
@@ -376,7 +377,7 @@ def decompose(gridded, rel_threshold=1e-12):
 def overlap_matrix(decomposition, filt, side="idler"):
     """Filter overlap matrix on one mode family of a decomposition.
 
-    A tabulated filter is integrated over each grid cell (``_cell_weights``).
+    Each grid cell is weighted by the filter's ``cell_weights``.
 
     Args:
         decomposition: ``SchmidtDecomposition`` providing the modes.
@@ -388,9 +389,7 @@ def overlap_matrix(decomposition, filt, side="idler"):
     """
     modes, grid, step = (getattr(decomposition, f"{_side(side)}_{field}")
                          for field in ("modes", "grid", "step"))
-    if filt is None:  # _cell_weights would read it as no filter
-        raise TypeError("not a spectral filter: NoneType")
-    weights = _cell_weights(filt, grid, step)
+    weights = _spectral_filter(filt).cell_weights(grid, step)
     q = (modes * weights) @ modes.conj().T
     q = 0.5 * (q + q.conj().T)
     return OverlapMatrix(matrix=q, side=side)

@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _axis,
-                   _cell_weights, _figures, _freeze, _gram_blocks,
+                   _figures, _freeze, _gram_blocks,
                    _purity_success, _real, _reals, _require_success,
                    _require_unit_norm, _squared_modulus, visibility)
 
@@ -201,7 +201,7 @@ def _gridded_curve(jsa, center):
     """``(purity, success)`` of a gridded source over arrays of herald widths.
 
     The herald filter enters only through its idler weights (one row of
-    ``core._cell_weights`` per width), so the idler-side reduced state
+    ``GaussianFilter.cell_weights`` per width), so the idler-side reduced state
     ``R = (A.T @ A.conj()) * signal_step``, the transpose of the
     quadrature route's signal-side state, is built once as the
     ``core._gram_blocks`` pairs of a copy of ``A.T``, with the quadrature
@@ -216,8 +216,8 @@ def _gridded_curve(jsa, center):
         pairs.append((rows_i, rows_j, block, _squared_modulus(block)))
 
     def evaluate(widths):
-        return _purity_success(pairs, np.array([_cell_weights(
-            GaussianFilter(center, w), jsa.idler_grid, jsa.idler_step)
+        return _purity_success(pairs, np.array([GaussianFilter(
+            center, w).cell_weights(jsa.idler_grid, jsa.idler_step)
             for w in widths]))
     return evaluate
 

@@ -220,6 +220,18 @@ def test_unresolved_tabulated_herald_exits_3(tmp_path, command):
             0.5 * (1.0 - purity), abs=1e-12)
 
 
+def test_failed_factorization_exits_3(k26_config, monkeypatch):
+    def failing(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(hp.schmidt, "_truncated_svd", failing)
+    code, out, err = run_cli("schmidt", "--config", k26_config,
+                             "--no-timestamp")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "error": "numerical",
+        "message": "singular value decomposition failed: SVD did not converge"}
+
+
 def test_sweep_deterministic_output(tmp_path):
     paths = [str(tmp_path / name) for name in ("a.csv", "b.csv")]
     for path in paths:
@@ -227,7 +239,7 @@ def test_sweep_deterministic_output(tmp_path):
                              "--widths", "0.1:10:5", "--no-timestamp",
                              "--output", path)
         assert code == 0
-    first, second = (open(path, "rb").read() for path in paths)
+    first, second = (Path(path).read_bytes() for path in paths)
     assert first == second
     text = first.decode()
     meta = parse_meta(text)

@@ -83,6 +83,34 @@ def test_filtered_routes_refuse_a_missing_filter(jsa_k26):
             call()
 
 
+_FILTER_ROUTES = {
+    "herald_success": lambda jsa, bad, ok: hp.herald_success(jsa, bad),
+    "filtered_purity": lambda jsa, bad, ok: hp.filtered_purity(jsa, bad),
+    "two_filter_herald": lambda jsa, bad, ok: hp.two_filter_quantities(
+        jsa, bad, ok),
+    "two_filter_heralded": lambda jsa, bad, ok: hp.two_filter_quantities(
+        jsa, ok, bad),
+    "hom_dip_x": lambda jsa, bad, ok: hp.hom_dip(jsa, bad, ok, [0.0]),
+    "hom_dip_y": lambda jsa, bad, ok: hp.hom_dip(jsa, ok, bad, [0.0]),
+    "heralding_report": lambda jsa, bad, ok: hp.heralding_report(jsa, bad),
+    "overlap_matrix": lambda modes, bad, ok: hp.overlap_matrix(modes, bad),
+}
+_NON_FILTER_CASES = [
+    (route, source, bad) for route in _FILTER_ROUTES
+    if route != "overlap_matrix"
+    for source in ("jsa_k26", "k26_grid") for bad in ("flat", 3.0)
+] + [("overlap_matrix", "k26_modes", bad) for bad in ("flat", 3.0, None)]
+
+
+@pytest.mark.parametrize("route, source, bad", _NON_FILTER_CASES)
+def test_every_route_refuses_a_non_filter(request, route, source, bad):
+    # one gate in core words the refusal for the quadrature, gridded and
+    # mode routes alike, whichever arm the non-filter is on
+    with pytest.raises(TypeError, match="not a spectral filter"):
+        _FILTER_ROUTES[route](request.getfixturevalue(source), bad,
+                              hp.GaussianFilter(0.0, 1.0))
+
+
 def test_two_filter_reduces_with_identity(jsa_k26):
     herald = hp.GaussianFilter(0.0, 0.8)
     purity2, success2 = hp.two_filter_quantities(
@@ -1035,6 +1063,38 @@ def test_tabulated_heralds_meet_the_exact_oracle(case):
         figures += zip(two, tabulated_reference(swapped, filt)[::-1])
     for value, exact in figures:
         assert value == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("params", [K26_PARAMS, KTP_PARAMS,
+                                    (1.0, 6.0, math.pi / 4, -math.pi / 4)],
+                         ids=["demo", "ktp", "ratio6"])
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-0.1, 0.1), (0.5, 2.0)],
+                         ids=["centred", "narrow", "off-centre"])
+def test_box_herald_is_a_two_knot_table(params, lo, hi):
+    # a box needs no filter type of its own: two knots of unit transmission
+    # pass the erf of the idler marginal, whose variance is a / (2 det) with
+    # det as in eval_double_gaussian (a c - b^2 is itself 6e-14 off on KTP);
+    # the box's ends are in units of that marginal's width
+    jsa = hp.DoubleGaussianJsa(*params)
+    a = jsa.intensity_coefficients()[0]
+    det = (math.sin(jsa.theta1 - jsa.theta2) / (jsa.sigma1 * jsa.sigma2))**2
+    width = math.sqrt(a / (2.0 * det))
+    box = hp.TabulatedFilter([lo * width, hi * width], [1.0, 1.0])
+    exact = 0.5 * (math.erf(hi / math.sqrt(2.0)) - math.erf(lo / math.sqrt(2.0)))
+    assert hp.herald_success(jsa, box) == pytest.approx(exact, rel=1e-14)
+
+
+def test_box_herald_on_a_grid_meets_the_modes(k26_grid, k26_modes):
+    # the gridded route and the mode route both weight cells by the box's
+    # exact cell integrals (1e-13 apart on the recommended demo grid)
+    box = hp.TabulatedFilter([-1.0, 1.0], [1.0, 1.0])
+    report = hp.heralding_report(k26_grid, box)
+    purity, success = hp.schmidt_quantities(
+        k26_modes, hp.overlap_matrix(k26_modes, box))
+    assert report.success == pytest.approx(success, rel=1e-10)
+    assert report.purity_filtered == pytest.approx(purity, rel=1e-10)
+    assert report.purity_unfiltered == pytest.approx(k26_modes.purity(),
+                                                     rel=1e-10)
 
 
 def test_heralding_report_consistency(jsa_ktp):

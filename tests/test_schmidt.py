@@ -272,6 +272,29 @@ def test_decompose_rejects_unnormalized(k26_grid, jsa_k26):
         hp.decompose(jsa_k26)
 
 
+def test_decompose_wraps_a_failed_factorization(k26_grid, monkeypatch):
+    # safety code for a LAPACK failure, which no valid grid provokes
+    def failing(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(schmidt_module, "_truncated_svd", failing)
+    with pytest.raises(hp.NumericalError, match="^singular value "
+                       "decomposition failed: SVD did not converge$"):
+        hp.decompose(k26_grid)
+
+
+def test_decompose_checks_its_modes_are_orthonormal(k26_grid, monkeypatch):
+    # signal factors off by a factor 2 give mode norms of 4 on the grid
+    truncated_svd = schmidt_module._truncated_svd
+
+    def scaled(*args):
+        u, s, vh, ranks, residual = truncated_svd(*args)
+        return 2.0 * u, s, vh, ranks, residual
+    monkeypatch.setattr(schmidt_module, "_truncated_svd", scaled)
+    with pytest.raises(hp.NumericalError,
+                       match="^decomposed modes lost discrete orthonormality$"):
+        hp.decompose(k26_grid)
+
+
 @pytest.mark.parametrize("threshold", [True, "1e-12", math.nan],
                          ids=["bool", "str", "nan"])
 def test_decompose_requires_a_numeric_threshold(k26_grid, threshold):

@@ -4,15 +4,16 @@ Usage::
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
-Writes fourteen configs under ``OUTDIR`` (the demo source, the KTP source,
+Writes fifteen configs under ``OUTDIR`` (the demo source, the KTP source,
 the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, the
 demo behind a table with boolean and string entries, a K = 30 source, the
 gridded copy with its last signal frequency NaN, the demo behind a
-herald 500 rad/ps away that passes nothing, and the demo behind two
-three-knot tables peaking at 1 + 5e-13 and at 1.5), then runs a fixed
-list of 100 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each
+herald 500 rad/ps away that passes nothing, the demo behind two
+three-knot tables peaking at 1 + 5e-13 and at 1.5, and the demo behind a
+two-knot box on [-1, 1]), then runs a fixed list of 102
+``heraldpurity.cli`` invocations with ``--no-timestamp``, each
 in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
 ``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
@@ -63,6 +64,8 @@ CONFIGS = {
         "grid": [-1, 0, 1], "transmission": [0, 1 + 5e-13, 0]}},
     "tabover.json": {"jsa": DEMO, "filter": {
         "grid": [-1, 0, 1], "transmission": [0, 1.5, 0]}},
+    "box.json": {"jsa": DEMO, "filter": {
+        "grid": [-1, 1], "transmission": [1, 1]}},
 }
 
 
@@ -206,6 +209,10 @@ def invocations():
         ["hom", *c, "--tau-max", "100", "--tau-points", "5"],
         ["hom", *c, "--tau-max", "100", "--tau-points", "5",
          "--reflectivity", "1.5"],
+        # a box herald given by its two knots alone, one panel between them
+        ["report", "--config", "box.json"],
+        ["hom", "--config", "box.json", "--tau-max", "2", "--tau-points",
+         "5"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
