@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .core import (DoubleGaussianJsa, GaussianFilter, HeraldingReport, _dip,
-                   _integer, _real, _side)
+from .core import HeraldingReport, _dip, _integer, _real, _require_types, _side
 
 __all__ = [
     "closed_form_pair",
@@ -28,13 +27,6 @@ __all__ = [
     "mode_scales",
     "hom_dip_analytic",
 ]
-
-
-def _require_types(jsa, filt=None):
-    if not isinstance(jsa, DoubleGaussianJsa):
-        raise TypeError("closed forms exist only for double-Gaussian amplitudes")
-    if filt is not None and not isinstance(filt, GaussianFilter):
-        raise TypeError("closed forms exist only for Gaussian filters")
 
 
 def _purity_half(a, b, c, width):

@@ -158,7 +158,9 @@ def _build_run_config(args):
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} does not apply to a gridded "
                                  "amplitude: its samples fix the grid")
-        jsa = load_jsa_csv(section["csv_path"])
+        if not isinstance(path := section["csv_path"], str):
+            raise ValueError(f"csv_path must be a path string, got {path!r}")
+        jsa = load_jsa_csv(path)
     else:
         jsa = jsa_from_dict(section)
     herald = filter_from_dict(config["filter"]) if "filter" in config else None

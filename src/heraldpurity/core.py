@@ -13,6 +13,7 @@ import copy
 import math
 import re
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +31,6 @@ __all__ = [
     "HomCurve",
     "HeraldingReport",
     "eval_double_gaussian",
-    "filter_transmission",
     "discretize",
     "recommended_grid",
     "from_physical",
@@ -413,7 +413,8 @@ def parse_angle(value):
         return float(text)
     except ValueError:
         pass
-    match = re.fullmatch(r"([+-]?)(\d*\.?\d*)\*?pi(?:/(\d+\.?\d*))?", text)
+    match = re.fullmatch(r"([+-]?)(\d+\.?\d*|\.\d+)?\*?pi(?:/(\d+\.?\d*))?",
+                         text)
     if match is None:
         raise ValueError(f"cannot interpret angle {value!r}")
     sign = -1.0 if match.group(1) == "-" else 1.0
@@ -662,9 +663,12 @@ def _spectral_filter(filt):
     return filt
 
 
-def filter_transmission(filt, omega):
-    """Intensity transmission of a filter at the given frequencies."""
-    return _spectral_filter(filt).transmission(omega)
+def _require_types(jsa, filt=None):
+    """The closed forms' one gate: ``TypeError`` unless both types are Gaussian."""
+    if not isinstance(jsa, DoubleGaussianJsa):
+        raise TypeError("closed forms exist only for double-Gaussian amplitudes")
+    if filt is not None and not isinstance(filt, GaussianFilter):
+        raise TypeError("closed forms exist only for Gaussian filters")
 
 
 def _cell_weights(filt, grid, step):
@@ -834,14 +838,13 @@ def recommended_grid(jsa, herald_filter=None):
         Tuple ``(half_extent, n_points)`` in the units accepted by
         ``discretize``.
     """
+    _require_types(jsa, herald_filter)
     s_sig, s_idl = jsa.marginal_widths()
     w_sig, w_idl = jsa.conditional_widths()
     a, b, _ = jsa.intensity_coefficients()
     limit = _GRID_TAIL * max(s_sig, s_idl)
     feature = min(w_sig, w_idl, _thin_width(jsa))
     if herald_filter is not None:
-        if not isinstance(herald_filter, GaussianFilter):
-            raise TypeError("only GaussianFilter is supported for grid sizing")
         center, prod_width = _filtered_idler(jsa, herald_filter)
         limit = max(limit, abs(center) + 9.0 * prod_width)
         # Heralded-arm mass conditioned on the displaced idler window.
@@ -962,6 +965,23 @@ class HeraldingReport:
         return visibility(self.purity_filtered)
 
 
+def _from_keys(what, config, forms):
+    """Build from the one ``(names, build)`` form whose keys ``config`` holds.
+
+    ``build`` takes the values of ``names`` in order; a ``config`` that is not
+    a mapping, or whose key set matches no form, raises ``ValueError``.
+    """
+    if not isinstance(config, Mapping):
+        raise ValueError(
+            f"{what} config must be a mapping, got {type(config).__name__}")
+    keys = set(config)
+    for names, build in forms:
+        if keys == set(names):
+            return build(*(config[name] for name in names))
+    raise ValueError(f"{what} keys {sorted(keys)} match neither "
+                     + " nor ".join(str(sorted(names)) for names, _ in forms))
+
+
 def jsa_from_dict(config):
     """Build a double-Gaussian amplitude from a configuration mapping.
 
@@ -973,28 +993,14 @@ def jsa_from_dict(config):
     Raises:
         ValueError: If the mapping matches neither key set or has extras.
     """
-    direct = {"sigma1", "sigma2", "theta1", "theta2"}
-    physical = {"pulse_duration", "pump_angle", "pm_bandwidth", "pm_angle"}
-    keys = set(config)
-    if keys == direct:
-        return DoubleGaussianJsa(
-            sigma1=config["sigma1"],
-            sigma2=config["sigma2"],
-            theta1=parse_angle(config["theta1"]),
-            theta2=parse_angle(config["theta2"]),
-        )
-    if keys == physical:
-        params = SourcePhysicalParams(
-            pulse_duration=config["pulse_duration"],
-            pump_angle=parse_angle(config["pump_angle"]),
-            pm_bandwidth=config["pm_bandwidth"],
-            pm_angle=parse_angle(config["pm_angle"]),
-        )
-        return from_physical(params)
-    raise ValueError(
-        f"jsa keys {sorted(keys)} match neither {sorted(direct)} nor "
-        f"{sorted(physical)}"
-    )
+    return _from_keys("jsa", config, [
+        (("sigma1", "sigma2", "theta1", "theta2"),
+         lambda sigma1, sigma2, theta1, theta2: DoubleGaussianJsa(
+             sigma1, sigma2, parse_angle(theta1), parse_angle(theta2))),
+        (("pulse_duration", "pump_angle", "pm_bandwidth", "pm_angle"),
+         lambda duration, pump, bandwidth, pm: from_physical(SourcePhysicalParams(
+             duration, parse_angle(pump), bandwidth, parse_angle(pm)))),
+    ])
 
 
 def filter_from_dict(config):
@@ -1006,12 +1012,7 @@ def filter_from_dict(config):
     Raises:
         ValueError: If the mapping matches neither key set.
     """
-    keys = set(config)
-    if keys == {"center", "width"}:
-        return GaussianFilter(center=config["center"], width=config["width"])
-    if keys == {"grid", "transmission"}:
-        return TabulatedFilter(grid=config["grid"], values=config["transmission"])
-    raise ValueError(
-        f"filter keys {sorted(keys)} match neither ['center', 'width'] nor "
-        f"['grid', 'transmission']"
-    )
+    return _from_keys("filter", config, [
+        (("center", "width"), GaussianFilter),
+        (("grid", "transmission"), TabulatedFilter),
+    ])

@@ -16,8 +16,8 @@ import numpy as np
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _axis,
-                   _figures, _freeze, _gram_blocks,
-                   _purity_success, _real, _reals, _require_success,
+                   _figures, _freeze, _gram_blocks, _purity_success, _real,
+                   _reals, _require_success, _require_types,
                    _require_unit_norm, _squared_modulus, visibility)
 
 __all__ = [
@@ -187,8 +187,7 @@ def tradeoff_curve(jsa, filter_widths=None, two_filter=False):
     Returns:
         List of ``TradeoffPoint`` in the order of ``filter_widths``.
     """
-    if not isinstance(jsa, DoubleGaussianJsa):
-        raise TypeError("tradeoff_curve expects a DoubleGaussianJsa")
+    _require_types(jsa)
     widths = _widths(filter_widths, jsa.sigma1)
     signal_width = widths if two_filter else math.inf
     purity, success = closed_form_two_filter(*jsa.intensity_coefficients(),

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import datetime as _dt
 import importlib
 import io
 import json
@@ -750,6 +751,86 @@ def test_csv_path_section_holds_nothing_else(tmp_path, k26_grid):
     error = json.loads(err)
     assert error["error"] == "config"
     assert "'bogus'" in error["message"] and "'sigma1'" in error["message"]
+
+
+@pytest.mark.parametrize("value, shown", [
+    (0, "0"), (True, "True"), (7, "7"), (1.5, "1.5")])
+def test_csv_path_must_be_a_string(tmp_path, jsa_k26, value, shown):
+    # a number was opened as a file descriptor: 0 read the samples piped on
+    # stdin and printed a report, while 7 and true failed with "Bad file
+    # descriptor".  A child interpreter runs it, as open(0) would close this
+    # process's own stdin.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        grid = hp.discretize(jsa_k26, 4.0, 128)
+    samples = tmp_path / "jsa.csv"
+    write_jsa_csv(samples, grid)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": value},
+                                  "filter": {"center": 0.0, "width": 0.6}}))
+    done = subprocess.run(
+        [sys.executable, "-m", "heraldpurity.cli", "report", "--config",
+         str(config), "--no-timestamp"],
+        input=samples.read_text(), capture_output=True, text=True,
+        timeout=120, env=child_env())
+    assert (done.returncode, done.stdout) == (2, "")
+    assert json.loads(done.stderr) == {
+        "error": "config",
+        "message": f"csv_path must be a path string, got {shown}"}
+
+
+def test_report_nodes_flag_sets_the_quadrature(k26_config, jsa_k26):
+    code, out, _ = run_cli("report", "--config", k26_config,
+                           "--filter-width", "0.6", "--nodes", "1024",
+                           "--no-timestamp")
+    assert code == 0
+    expected = hp.heralding_report(jsa_k26, hp.GaussianFilter(0.0, 0.6),
+                                   hp.QuadratureSpec(n_nodes=1024))
+    rows = [line.split(",") for line in data_lines(out)[1:]]
+    assert len(rows) == 6
+    for name, _, quadrature, _ in rows:
+        assert quadrature == _fmt(getattr(expected, name))
+
+
+def test_report_timestamp_follows_command(k26_config):
+    code, out, _ = run_cli("report", "--config", k26_config)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# command = report"
+    assert lines[1].startswith("# generated = ")
+    _dt.datetime.fromisoformat(parse_meta(out)["generated"])
+    code, out, _ = run_cli("report", "--config", k26_config, "--format",
+                           "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert list(meta) == ["command", "generated"]
+    _dt.datetime.fromisoformat(meta["generated"])
+
+
+def test_schmidt_grid_flags_size_the_discretization(k26_config, jsa_k26):
+    with warnings.catch_warnings():
+        # 300 points under-resolve the transverse width; both sides warn
+        warnings.simplefilter("ignore", UserWarning)
+        code, out, _ = run_cli("schmidt", "--config", k26_config, "--extent",
+                               "9", "--grid-n", "300", "--no-timestamp")
+        modes = hp.decompose(hp.discretize(jsa_k26, 9.0, 300))
+    assert code == 0
+    meta = parse_meta(out)
+    assert meta["n_modes_retained"] == str(modes.n_modes)
+    assert meta["schmidt_number"] == _fmt(modes.schmidt_number())
+
+
+def test_schmidt_gridded_reference_is_its_own_k(tmp_path, k26_grid):
+    path = tmp_path / "jsa.csv"
+    write_jsa_csv(path, k26_grid)
+    config = tmp_path / "gridded.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": str(path)}}))
+    code, out, _ = run_cli("schmidt", "--config", str(config),
+                           "--no-timestamp")
+    assert code == 0
+    k = hp.decompose(load_jsa_csv(str(path))).schmidt_number()
+    meta = parse_meta(out)
+    assert meta["thermal_reference_k"] == meta["schmidt_number"] == _fmt(k)
 
 
 def test_output_file_and_entry_point(tmp_path, ktp_config):

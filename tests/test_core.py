@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -261,8 +262,9 @@ def test_cell_weights_integrate_the_interpolant():
 
 
 def test_filter_dispatch_rejects_unknown():
-    with pytest.raises(TypeError):
-        hp.filter_transmission(3.0, np.array([0.0]))
+    grid = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(TypeError, match="not a spectral filter: float"):
+        _cell_weights(3.0, grid, 0.5)
 
 
 def test_from_physical():
@@ -298,10 +300,29 @@ def test_parse_angle(text, expected):
     assert hp.parse_angle(text) == pytest.approx(expected, rel=1e-14)
 
 
-@pytest.mark.parametrize("text", ["abc", "pi/0", "", "pi//2", None])
+@pytest.mark.parametrize("text", ["abc", "pi/0", "", "pi//2", None, ".pi",
+                                  "-.pi", ".*pi"])
 def test_parse_angle_rejects(text):
-    with pytest.raises(ValueError):
+    # a lone decimal point as the coefficient used to reach float() and be
+    # worded as its "could not convert string to float: '.'"
+    match = ("zero denominator" if text == "pi/0"
+             else "cannot interpret angle")
+    with pytest.raises(ValueError, match=match):
         hp.parse_angle(text)
+
+
+@pytest.mark.parametrize("text,sign,coeff,denom", [
+    ("pi", 1.0, 1.0, 1.0),
+    ("*pi", 1.0, 1.0, 1.0),
+    (".5pi", 1.0, 0.5, 1.0),
+    ("2.pi", 1.0, 2.0, 1.0),
+    ("0.5*pi", 1.0, 0.5, 1.0),
+    ("+pi/2.5", 1.0, 1.0, 2.5),
+    ("-pi/4", -1.0, 1.0, 4.0),
+])
+def test_parse_angle_coefficient_forms(text, sign, coeff, denom):
+    # every coefficient form with digits parses as sign * coeff * pi / denom
+    assert hp.parse_angle(text) == sign * coeff * math.pi / denom
 
 
 def test_jsa_from_dict_direct(jsa_k26):
@@ -326,6 +347,53 @@ def test_jsa_from_dict_physical():
 def test_jsa_from_dict_rejects(payload):
     with pytest.raises(ValueError):
         hp.jsa_from_dict(payload)
+
+
+@pytest.mark.parametrize("section", [
+    5, None, "abc", ["sigma1", "sigma2", "theta1", "theta2"],
+    ["center", "width"]], ids=["int", "none", "str", "jsa-keys", "filter-keys"])
+@pytest.mark.parametrize("build", [hp.jsa_from_dict, hp.filter_from_dict])
+def test_config_sections_must_be_mappings(build, section):
+    # a string was read as the keys ['a', 'b', 'c'], a number failed as not
+    # iterable, and a list of key names reached "list indices must be
+    # integers"
+    with pytest.raises(ValueError, match="must be a mapping"):
+        build(section)
+
+
+def test_config_sections_accept_any_mapping(jsa_k26):
+    jsa = hp.jsa_from_dict(types.MappingProxyType({
+        "sigma1": 1.0, "sigma2": 5.0, "theta1": "pi/4", "theta2": "-pi/4"}))
+    assert jsa == jsa_k26
+    filt = hp.filter_from_dict(
+        types.MappingProxyType({"center": 0.3, "width": 1.1}))
+    assert filt == hp.GaussianFilter(0.3, 1.1)
+
+
+def test_config_key_mismatch_messages():
+    with pytest.raises(ValueError) as info:
+        hp.jsa_from_dict({"sigma1": 1.0, "extra": 2})
+    assert str(info.value) == (
+        "jsa keys ['extra', 'sigma1'] match neither ['sigma1', 'sigma2', "
+        "'theta1', 'theta2'] nor ['pm_angle', 'pm_bandwidth', "
+        "'pulse_duration', 'pump_angle']")
+    with pytest.raises(ValueError) as info:
+        hp.filter_from_dict({"centre": 0.0, "width": 1.0})
+    assert str(info.value) == (
+        "filter keys ['centre', 'width'] match neither ['center', 'width'] "
+        "nor ['grid', 'transmission']")
+
+
+def test_closed_form_gate(jsa_k26, k26_grid):
+    # tradeoff_curve and recommended_grid worded their own refusals, and a
+    # gridded amplitude reached recommended_grid's marginal_widths
+    box = hp.TabulatedFilter([-1, 1], [1, 1])
+    for call in (lambda: hp.tradeoff_curve(k26_grid),
+                 lambda: hp.recommended_grid(k26_grid),
+                 lambda: hp.recommended_grid(jsa_k26, box),
+                 lambda: hp.closed_form_purity(jsa_k26, box)):
+        with pytest.raises(TypeError, match="closed forms exist only for"):
+            call()
 
 
 def test_filter_from_dict():

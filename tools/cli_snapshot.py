@@ -4,15 +4,17 @@ Usage::
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
 
-Writes fifteen configs under ``OUTDIR`` (the demo source, the KTP source,
+Writes eighteen configs under ``OUTDIR`` (the demo source, the KTP source,
 the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, the
 demo behind a table with boolean and string entries, a K = 30 source, the
 gridded copy with its last signal frequency NaN, the demo behind a
 herald 500 rad/ps away that passes nothing, the demo behind two
-three-knot tables peaking at 1 + 5e-13 and at 1.5, and the demo behind a
-two-knot box on [-1, 1]), then runs a fixed list of 102
+three-knot tables peaking at 1 + 5e-13 and at 1.5, the demo behind a
+two-knot box on [-1, 1], a jsa section that is a number, the demo with a
+filter section that is a string, and a ``csv_path`` that is a number),
+then runs a fixed list of 106
 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each
 in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
@@ -66,6 +68,10 @@ CONFIGS = {
         "grid": [-1, 0, 1], "transmission": [0, 1.5, 0]}},
     "box.json": {"jsa": DEMO, "filter": {
         "grid": [-1, 1], "transmission": [1, 1]}},
+    "jsanum.json": {"jsa": 5},
+    "filterstr.json": {"jsa": DEMO, "filter": "wide"},
+    # never 0 or true: the runs inherit this tool's stdin and stdout
+    "csvnum.json": {"jsa": {"csv_path": 7}},
 }
 
 
@@ -213,6 +219,12 @@ def invocations():
         ["report", "--config", "box.json"],
         ["hom", "--config", "box.json", "--tau-max", "2", "--tau-points",
          "5"],
+        # sections that are not objects, a csv_path that is not a string and
+        # a lone decimal point as an angle coefficient: exit 2
+        ["report", "--config", "jsanum.json"],
+        ["report", "--config", "filterstr.json"],
+        ["report", "--config", "csvnum.json"],
+        ["sweep", "aspect", "--theta1", ".pi"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
