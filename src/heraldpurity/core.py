@@ -46,6 +46,12 @@ SQRT_LN2 = math.sqrt(math.log(2.0))
 # Gaussian ridges are parallel and the amplitude is not normalizable.
 MIN_ANGLE_SINE = 1e-9
 
+# Accepted widths, rad/ps.  The intensity determinant a*c - b**2 scales as
+# width**-4; (tiny / eps)**(1/4) = 1.0e-73 and (max * eps)**(1/4) = 1.4e73
+# keep it, and its products with filter variances and squared centres, a
+# factor 1/eps inside the normal doubles.  Rounded inward to powers of ten.
+_WIDTH_RANGE = (1e-72, 1e72)
+
 
 class NumericalError(RuntimeError):
     """A computation could not produce a trustworthy numerical result."""
@@ -124,6 +130,20 @@ def _real(name, value, positive=False, low=None, high=None):
     if not math.isfinite(value) or (positive and value <= 0.0):
         kind = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {kind}, got {value}")
+    return value
+
+
+def _width(name, value):
+    """``value`` as a positive finite float within ``_WIDTH_RANGE``.
+
+    The one width rule: zero, negative and non-finite widths keep
+    ``_real``'s messages, and a width outside the range, where the
+    Gaussian figures lose their digits or overflow, is refused after them.
+    """
+    value = _real(name, value, positive=True)
+    low, high = _WIDTH_RANGE
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
     return value
 
 
@@ -449,9 +469,10 @@ class DoubleGaussianJsa:
     theta2: float
 
     def __post_init__(self):
-        for name in ("sigma1", "sigma2", "theta1", "theta2"):
-            object.__setattr__(self, name, _real(
-                name, getattr(self, name), positive=name.startswith("sigma")))
+        for name in ("sigma1", "sigma2"):
+            object.__setattr__(self, name, _width(name, getattr(self, name)))
+        for name in ("theta1", "theta2"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.angle_sine() < MIN_ANGLE_SINE:
             raise ValueError(
                 "theta1 and theta2 coincide modulo pi; the two ridges are "
@@ -594,8 +615,7 @@ class GaussianFilter:
     knots = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "width",
-                           _real("filter width", self.width, positive=True))
+        object.__setattr__(self, "width", _width("filter width", self.width))
         object.__setattr__(self, "center",
                            _real("filter center", self.center))
 

@@ -40,14 +40,15 @@ panels, each with Gauss-Legendre nodes of its own (``_arm_axis``): the
 transmission is linear on a panel, so every integrand is smooth where it is
 sampled and every result comes from one pass.
 
-Nodes and weights come from Newton's method on the Legendre three-term
-recurrence, in O(n^2) time and O(n) memory, not from numpy's eigen-solve of
-the dense n x n companion matrix, which costs O(n^3) time and O(n^2) memory.
-Asymptotic first guesses put every node within 5e-12 of its root at
-n = 208 and within rounding at n = 1888, so from n = 40 on one Newton step,
-one O(n^2) recurrence sweep, gives both the nodes and the weights.  A pass
-over a filter ladder on the K = 22 KTP source builds seven fresh node sets
-of 208 to 960 nodes, which then take about a sixth of its time.
+Nodes and weights come from Bogaert's iteration-free formulas, each node
+and weight in O(1) from a zero of ``J_0`` and six short polynomials, so a
+rule costs O(n) time, about 190 numpy operations on arrays of n/2 entries
+(warm, one BLAS thread, Xeon: 0.10 ms at 208 nodes and 0.38 ms at 6000,
+against 0.94 and 56 ms for the Newton sweep on the Legendre recurrence
+they replace).  numpy's eigen-solve of the dense n x n companion matrix,
+O(n^3) time and O(n^2) memory, is never used.  Below 100 nodes, where the
+formulas are only a first guess, Newton polishes them: one recurrence
+sweep from 7 nodes on, two below.
 """
 
 from __future__ import annotations
@@ -113,20 +114,80 @@ _BAND_MARGIN = 1.0
 # Interference is cut off where its envelope has decayed below exp(-49).
 _DECAY_CUTOFF = 7.0
 
-# Newton on the Legendre recurrence stops once its error bound for the
-# stepped nodes is below _NEWTON_TOL, a tenth of the rounding unit near +-1;
-# from the asymptotic guesses that takes one step for n >= 40 and two below.
+# Rules of _FORMULA_NODES nodes and more come straight from Bogaert's
+# formulas (``_bogaert``).  Smaller ones are polished by Newton on the
+# Legendre recurrence, which stops once its error bound for the stepped nodes
+# is below _NEWTON_TOL, a tenth of the rounding unit near +-1; from the
+# formulas' guesses that takes one step for n >= 7 and two below.
+_FORMULA_NODES = 100
 _NEWTON_TOL = 1e-17
 _NEWTON_MAX_STEPS = 20
 
-# The first ten positive zeros of the Bessel function J_0, for the nodes
-# nearest +-1 (``_bessel_j0_zeros``).
-_J0_ZEROS = np.array([
-    2.4048255576957724, 5.520078110286311, 8.653727912911013,
-    11.791534439014281, 14.930917708487787, 18.071063967910924,
-    21.21163662987926, 24.352471530749302, 27.493479132040253,
-    30.634606468431976,
+# Offsets j_k - (k - 1/4) pi of the first twenty positive zeros j_k of the
+# Bessel function J_0, and J_1(j_k)^2 at the first twenty-one, from 40-digit
+# values (``_bessel_j0_offsets``, ``_bessel_j1_squared``).
+_J0_OFFSETS = np.array([
+    0.04863106750342784, 0.022290966504172484, 0.014348115539080811,
+    0.010561988052556969, 0.008352603936268065, 0.006906209769611422,
+    0.005886218148154599, 0.005128465428405139, 0.004543413129563959,
+    0.004078095931491043, 0.003699187483291371, 0.003384673983973428,
+    0.0031194313583755044, 0.0028927263170733285, 0.0026967312123637515,
+    0.0025256033585736677, 0.002374893485959285, 0.002241153801149329,
+    0.0021216712723189117, 0.0020142818287534232,
 ])
+_J1_SQUARED = np.array([
+    0.2695141239419169, 0.11578013858220369, 0.07368635113640822,
+    0.05403757319811628, 0.04266142901724309, 0.0352421034909961,
+    0.030021070103054673, 0.02614739149530809, 0.023159121824691393,
+    0.02078382912226786, 0.01885045066931767, 0.017246157569665008,
+    0.0158935181059236, 0.01473762609647219, 0.013738465145387117,
+    0.012866181737615133, 0.012098051548626797, 0.011416471224491609,
+    0.010807592791180204, 0.010260372926280762, 0.009765897139791051,
+])
+
+# Polynomial coefficients, highest power first (``_horner``).  Beyond the
+# tables: McMahon's series of the offsets over r^2, times r = 1/((k - 1/4) pi),
+# and the series of J_1(j_k)^2 over x^2, times x = 1/(k - 1/4).
+_MCMAHON = (
+    50922546.24022268, -849353.5802991488, 18690.476528232066,
+    -567.6444121351834, 25.336414797343906, -1.824438767206101,
+    0.24602864583333334, -0.08072916666666667, 0.125,
+)
+_J1_SERIES = (
+    0.18539539820634562, -0.026683739370232377, 0.0049610142326888314,
+    -0.001236323497271754, 0.0004337107191307463, -0.00022896990277211166,
+    0.0001989243642459693, -0.00030338042971129027, 0.0,
+    0.20264236728467555,
+)
+# Bogaert's node and weight corrections: three polynomials each in
+# alpha^2, alpha = j_k / (n + 1/2) (Chebyshev interpolants on [0, pi/2]).
+_NODE_POLYS = ((
+    -1.2905299627428051e-12, 2.4072468586433013e-10, -3.1314865463599204e-08,
+    2.7557316896206124e-06, -0.00014880952371390914, 0.004166666666651934,
+    -0.0416666666666663,
+), (
+    2.20639421781871e-09, -7.530367713737693e-08, 1.6196925945383627e-06,
+    -2.53300326008232e-05, 0.00028211688605756045, -0.002090222483878529,
+    0.008159722217729322,
+), (
+    -2.9705822537552623e-08, 5.558453302237962e-07, -5.677978413568331e-06,
+    4.184981003295046e-05, -0.0002513952932839659, 0.0012865419854284513,
+    -0.004160121656202043,
+))
+_WEIGHT_POLYS = ((
+    -2.2090286104461664e-14, 2.3036572686037738e-12, -1.752577007354238e-10,
+    1.037560669279168e-08, -4.639686475532213e-07, 1.4964459362502864e-05,
+    -0.0003262786595944122, 0.004365079365075981, -0.0305555555555553,
+    0.08333333333333333,
+), (
+    3.631174121526548e-12, 7.676435450698932e-11, -7.129128572336422e-09,
+    2.1148388068594716e-07, -3.818179186800454e-06, 4.659695306949684e-05,
+    -0.00040729718561133575, 0.002689594356947297, -0.011111111111121492,
+), (
+    2.018267912567033e-09, -4.386471225202067e-08, 5.088983472886716e-07,
+    -3.9793331651913525e-06, 2.0055932639645834e-05, -4.228880592829212e-05,
+    -0.00010564605025407614, -9.479693089585773e-05, 0.006569664899264848,
+))
 
 
 @dataclass(frozen=True)
@@ -170,57 +231,124 @@ def _legendre_pair(x, n):
     return p, p_prev
 
 
-def _bessel_j0_zeros(m):
-    """The first ``m`` positive zeros of ``J_0``.
+def _horner(coefficients, x):
+    """The polynomial with ``coefficients``, highest power first, at ``x``."""
+    out = coefficients[0]
+    for c in coefficients[1:]:
+        out = out * x + c
+    return out
 
-    Tabulated up to ``_J0_ZEROS``; McMahon's expansion beyond, where it is
-    within 1e-15 relative (it is 4e-3 off at the first zero).
+
+def _corrections(polys, t, u2):
+    """``P1(t) + u2 (P2(t) + u2 P3(t))`` for Bogaert's three ``polys``."""
+    p1, p2, p3 = (_horner(c, t) for c in polys)
+    return p1 + u2 * (p2 + u2 * p3)
+
+
+def _bessel_j0_offsets(base):
+    """Offsets ``j_k - b_k`` of the zeros ``j_k`` of ``J_0`` from McMahon's
+    bases ``b_k = (k - 1/4) pi``, given as ``base``.
+
+    Tabulated up to ``_J0_OFFSETS``; McMahon's series beyond, where it is
+    within 1e-20 relative.  The offset, not the zero, is kept, since the
+    nodes near x = 0 need it to full precision (``_bogaert``).
     """
-    b = (np.arange(1, m + 1) - 0.25) * math.pi
-    r = 1.0 / (b * b)
-    j = b + (1 / 8 + r * (-31 / 384 + r * (3779 / 15360 + r * (
-        -6277237 / 3440640 + r * 2092163573 / 82575360)))) / b
-    top = min(m, _J0_ZEROS.size)
-    j[:top] = _J0_ZEROS[:top]
-    return j
+    r = 1.0 / base
+    offsets = r * _horner(_MCMAHON, r * r)
+    top = min(base.size, _J0_OFFSETS.size)
+    offsets[:top] = _J0_OFFSETS[:top]
+    return offsets
 
 
-def _node_guess(n):
-    """The non-negative Gauss-Legendre nodes, descending, before Newton.
+def _bessel_j1_squared(quarter):
+    """``J_1(j_k)^2`` at the zeros of ``J_0``, ``quarter`` holding ``k - 1/4``.
 
-    Tricomi's expansion to the n^-4 term in the interior, and Gatteschi's
-    Bessel-zero formula where ``x > 1/2``, where it is the more accurate.
-    The largest error is 3e-9 at n = 40, 5e-12 at n = 208 and 1e-15 at
-    n = 1888.
+    Tabulated up to ``_J1_SQUARED``; an asymptotic series beyond, where it
+    is within 4e-17 relative.
     """
-    nu = n + 0.5
-    phi = (np.arange(1, (n + 1) // 2 + 1) - 0.25) * (math.pi / nu)
-    x = (1.0 - (n - 1) / (8.0 * n**3)
-         - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4)) * np.cos(phi)
-    edge = int(np.count_nonzero(phi < math.pi / 3))
-    psi = _bessel_j0_zeros(edge) / nu
-    x[:edge] = np.cos(psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * nu * nu))
+    x = 1.0 / quarter
+    out = x * _horner(_J1_SERIES, x * x)
+    top = min(quarter.size, _J1_SQUARED.size)
+    out[:top] = _J1_SQUARED[:top]
+    return out
+
+
+def _split(a):
+    """Dekker's split of ``a`` into a 26-bit head and an exact rest."""
+    t = a * 134217729.0  # 2**27 + 1
+    head = t - (t - a)
+    return head, a - head
+
+
+# math.pi as head + rest (exact halves) and the tail pi - math.pi.
+_PI_HEAD, _PI_REST = _split(math.pi)
+_PI_TAIL = 1.2246467991473532e-16
+
+
+def _bogaert(n):
+    """The non-negative Gauss-Legendre nodes, descending, and their weights.
+
+    Bogaert's iteration-free formulas (SIAM J. Sci. Comput. 36, A1008,
+    2014): node k is ``cos(theta_k)``, ``theta_k = (j_k + c_k) / (n + 1/2)``
+    with ``j_k`` the k-th zero of ``J_0`` and ``c_k`` a correction from three
+    polynomials in ``alpha^2``, ``alpha = j_k / (n + 1/2)``; the weight
+    comes from ``J_1(j_k)^2`` and three more.  From n = 100 on, nodes are
+    within 2.3e-16 and weights within 4e-16 relative of 40-digit values;
+    below, they are Newton's first guesses (5.7e-14 off at n = 32).
+
+    The last digit of a node needs more than doubles.  The node is
+    ``sin(phi)``, ``phi = pi/2 - theta_k``, and with ``o_k = j_k - (k - 1/4) pi``
+
+        phi = pi (n + 1 - 2k) / (2n + 1) - (o_k + c_k) / (n + 1/2),
+
+    whose leading term is formed in double-double arithmetic (an exact
+    division remainder and Dekker's exact product with pi) and carried
+    into the sine to first order.  ``cos(theta_k)`` in doubles put nodes
+    near x = 0 up to 4.7e-16 off.
+    """
+    k = np.arange(1.0, (n + 1) // 2 + 1)
+    quarter = k - 0.25
+    base = quarter * math.pi
+    offset = _bessel_j0_offsets(base)
+    step = 1.0 / (n + 0.5)
+    nu = base + offset
+    alpha = step * nu
+    t = alpha * alpha
+    nu_sin = nu / np.sin(alpha)
+    u = step * step * nu_sin
+    u2 = u * u
+    shift = (offset + alpha * u * _corrections(_NODE_POLYS, t, u2)) * step
+    denom = (_bessel_j1_squared(quarter) * nu_sin
+             * (1.0 + u2 * _corrections(_WEIGHT_POLYS, t, u2)))
+    weights = 2.0 * step / denom
+    # pi (num / den) as angle + low, to about 2**-100 relative; the division
+    # remainder num - ratio * den is exact while den < 2**26
+    num = n + 1.0 - 2.0 * k
+    den = 2.0 * n + 1.0
+    ratio = num / den
+    head, rest = _split(ratio)
+    tail = ((num - head * den) - rest * den) / den
+    angle = math.pi * ratio
+    low = ((((_PI_HEAD * head - angle) + _PI_HEAD * rest + _PI_REST * head)
+            + _PI_REST * rest) + (math.pi * tail + _PI_TAIL * ratio))
+    phi = angle - shift
+    low += (angle - phi) - shift
+    nodes = np.sin(phi) + np.cos(phi) * low
     if n % 2:
-        x[-1] = 0.0
-    return x
+        nodes[-1] = 0.0
+    return nodes, weights
 
 
-@lru_cache(maxsize=128)
-def _leggauss(n):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
+def _newton(x, n):
+    """Nodes ``x`` polished by Newton on the Legendre recurrence, and weights.
 
-    Newton's method on the Legendre recurrence (Hale and Townsend, SIAM J.
-    Sci. Comput. 35, A652, 2013), run on the non-negative nodes from their
-    asymptotic expansions (``_node_guess``) and mirrored, so the rule is
-    exactly symmetric.  Newton stops on its own error bound: a step ``dx``
-    leaves an error of about ``|x| dx^2 / (1 - x^2)``, since
-    ``P_n'' / P_n' = 2x / (1 - x^2)`` at a root.  From n = 40 on the first
-    step meets ``_NEWTON_TOL``, so one recurrence sweep gives the nodes and,
-    with ``P_n'`` carried to the stepped node to first order (``P_n''`` from
-    Legendre's equation), the weights too.  O(n^2) time and O(n) memory.
-    The arrays are cached and shared, hence read-only.
+    Newton stops on its own error bound: a step ``dx`` leaves an error of
+    about ``|x| dx^2 / (1 - x^2)``, since ``P_n'' / P_n' = 2x / (1 - x^2)``
+    at a root (Hale and Townsend, SIAM J. Sci. Comput. 35, A652, 2013).
+    When the first step meets ``_NEWTON_TOL``, one O(n^2) recurrence sweep
+    gives the nodes and, with ``P_n'`` carried to the stepped node to first
+    order (``P_n''`` from Legendre's equation), the weights too.
     """
-    x = _node_guess(n)
     for _ in range(_NEWTON_MAX_STEPS):
         p, q = _legendre_pair(x, n)
         # 1 - x^2 as a product: exact to rounding near +-1
@@ -241,8 +369,21 @@ def _leggauss(n):
     # weights next to +-1 by up to 5e-10.
     slope -= dx * (2.0 * x * slope - n * (n + 1) * p) / one_minus
     one_minus += dx * (2.0 * x - dx)
-    x -= dx
-    w = 2.0 / (one_minus * slope * slope)
+    return x - dx, 2.0 / (one_minus * slope * slope)
+
+
+@lru_cache(maxsize=128)
+def _leggauss(n):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
+
+    The non-negative nodes and their weights come from Bogaert's formulas
+    (``_bogaert``) in O(n) time; below ``_FORMULA_NODES`` nodes, Newton
+    polishes them (``_newton``).  The rule is mirrored, so it is exactly
+    symmetric.  The arrays are cached and shared, hence read-only.
+    """
+    x, w = _bogaert(n)
+    if n < _FORMULA_NODES:
+        x, w = _newton(x, n)
     half = n // 2
     nodes = np.concatenate((-x[:half], x[::-1]))
     weights = np.concatenate((w[:half], w[::-1]))

@@ -18,7 +18,8 @@ from .analytic import (closed_form_pair, closed_form_purity,
 from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _axis,
                    _figures, _freeze, _gram_blocks, _purity_success, _real,
                    _reals, _require_success, _require_types,
-                   _require_unit_norm, _squared_modulus, visibility)
+                   _require_unit_norm, _squared_modulus, _width,
+                   visibility)
 
 __all__ = [
     "TradeoffPoint",
@@ -97,7 +98,10 @@ def _widths(filter_widths, scale):
     """Widths as an array; 101 log points on [0.01, 10] * scale for None."""
     if filter_widths is None:
         return np.logspace(-2.0, 1.0, 101) * scale
-    return _axis("filter widths", filter_widths, positive=True)
+    widths = _axis("filter widths", filter_widths, positive=True)
+    for extreme in (widths.min(), widths.max()):
+        _width("filter widths", extreme)
+    return widths
 
 
 def _closed_grid(axis1_name, axis1, jsas, widths):

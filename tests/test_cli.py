@@ -1,7 +1,7 @@
 """Tests for the command line interface."""
 
 import datetime as _dt
-import importlib
+import importlib.util
 import io
 import json
 import math
@@ -183,6 +183,25 @@ def test_non_numeric_config_values_exit_2(tmp_path, config):
     error = json.loads(err)
     assert error["error"] == "config"
     assert "must be a number" in error["message"]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("command", [
+    ["report"], ["hom"], ["schmidt"],
+    ["solve-filter", "--target-purity", "0.9"],
+])
+def test_widths_outside_the_range_exit_2(tmp_path, scale, command):
+    # these used to exit 1 with a ZeroDivisionError or OverflowError traceback
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({
+        "jsa": {**K26, "sigma1": scale, "sigma2": 5.0 * scale},
+        "filter": {"center": 0.0, "width": 0.6 * scale}}))
+    code, out, err = run_cli(*command, "--config", str(path),
+                             "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "config",
+        "message": f"sigma1 must lie in [1e-72, 1e+72], got {scale}"}
 
 
 def test_empty_heralding_exits_with_numerical_error(tmp_path):
@@ -1026,3 +1045,39 @@ def test_cached_parser_matches_fresh_processes(tmp_path, k26_config):
     assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0]
     for _ in range(2):
         assert [run_cli(*call) for call in calls] == fresh
+
+
+def test_snapshot_compare_lists_moved_runs_and_columns(tmp_path, capsys):
+    # tools/cli_snapshot.py --compare: runs matched by argument vector, the
+    # moved lines, and the largest relative change per column
+    spec = importlib.util.spec_from_file_location(
+        "cli_snapshot", Path(__file__).resolve().parents[1] / "tools"
+        / "cli_snapshot.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = [["report", "--no-timestamp"], ["sweep", "aspect"]]
+    outputs = {
+        "old": ["q,a,d\nx,1.5,2e-16\ny,2.0,1e-16\n", '{\n  "d": 4.0\n}\n'],
+        "new": ["q,a,d\nx,1.5,3e-16\ny,2.0,1e-16\n", '{\n  "d": 4.0\n}\n'],
+    }
+    for side, stdouts in outputs.items():
+        folder = tmp_path / side
+        folder.mkdir()
+        (folder / "index.json").write_text(json.dumps(runs))
+        for i, text in enumerate(stdouts):
+            (folder / f"{i:02d}.stdout").write_text(text)
+            (folder / f"{i:02d}.stderr").write_text("")
+            (folder / f"{i:02d}.code").write_text("0\n")
+    assert tool.main(["--compare", str(tmp_path / "old"),
+                      str(tmp_path / "new")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "00 report --no-timestamp",
+        "  stdout:",
+        "  - x,1.5,2e-16",
+        "  + x,1.5,3e-16",
+        "  largest relative change in d: 0.5 (2e-16 -> 3e-16)",
+        "1 of 2 runs differ",
+    ]
+    assert tool.main(["--compare", str(tmp_path / "old"),
+                      str(tmp_path / "old")]) == 0

@@ -1,6 +1,7 @@
 """Tests for amplitude models, filters, grids, and parsing."""
 
 import math
+import sys
 import tracemalloc
 import types
 import warnings
@@ -10,7 +11,8 @@ import pytest
 from scipy.integrate import dblquad
 
 import heraldpurity as hp
-from conftest import SEED, assemble, draw_source
+from conftest import SEED, assemble, draw_case, draw_source
+from heraldpurity import core
 from heraldpurity.core import (_GRAM_BLOCK, _UNDERFLOW_FLOOR, _arm_overlaps,
                                _cell_weights, _clip_unit, _delay_array,
                                _dip, _figures, _gram_blocks,
@@ -174,6 +176,76 @@ def test_gaussian_filter_rejects_bad_width():
         hp.GaussianFilter(center=0.0, width=0.0)
     with pytest.raises(ValueError):
         hp.GaussianFilter(center=math.inf, width=1.0)
+
+
+def test_width_range_keeps_the_determinant_normal():
+    # a*c - b**2 scales as width**-4: both ends keep it a factor 1/eps
+    # inside the normal doubles
+    low, high = core._WIDTH_RANGE
+    info = sys.float_info
+    assert low ** -4 <= info.max * info.epsilon
+    assert high ** -4 >= info.min / info.epsilon
+    assert (low, high) == (1e-72, 1e72)
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: hp.DoubleGaussianJsa(s, 5.0, 0.5, -0.5),
+    lambda s: hp.DoubleGaussianJsa(1.0, s, 0.5, -0.5),
+    lambda s: hp.GaussianFilter(0.0, s),
+    lambda s: hp.tradeoff_curve(hp.DoubleGaussianJsa(1.0, 5.0, 0.5, -0.5),
+                                [1.0, s]),
+    lambda s: hp.sweep_aspect_ratio([1.0, 2.0], [s, 1.0]),
+    lambda s: hp.sweep_orientation([0.1, 0.2], [s]),
+])
+@pytest.mark.parametrize("scale", [1e-200, 1e-80, 9.9e-73, 1.01e72, 1e80,
+                                   1e200, 1e300])
+def test_widths_outside_the_range_are_refused(build, scale):
+    # at 1e80 the closed forms were 2.4e-4 off, at 1e-80 NaN, and at
+    # 1e+-200 the intensity coefficients overflowed or divided by zero
+    with pytest.raises(ValueError, match=r"must lie in \[1e-72, 1e\+72\], "
+                                         r"got [0-9.e+-]+$"):
+        build(scale)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf")])
+def test_width_messages_for_non_positive_or_non_finite(value, shown):
+    for build, name in [
+            (lambda v: hp.DoubleGaussianJsa(v, 5.0, 0.5, -0.5), "sigma1"),
+            (lambda v: hp.DoubleGaussianJsa(1.0, v, 0.5, -0.5), "sigma2"),
+            (lambda v: hp.GaussianFilter(0.0, v), "filter width")]:
+        with pytest.raises(ValueError) as info:
+            build(value)
+        assert str(info.value) == f"{name} must be positive and finite, got {shown}"
+    with pytest.raises(ValueError) as info:
+        hp.tradeoff_curve(hp.DoubleGaussianJsa(1.0, 5.0, 0.5, -0.5), [value])
+    assert str(info.value) == "filter widths must be positive and finite"
+
+
+def test_figures_are_scale_invariant_over_the_width_range():
+    # Scaling every width and centre by s, and delays by 1/s, is an exact
+    # symmetry: each figure is a ratio of integrals with the same scaling.
+    rng = np.random.default_rng(SEED + 37)
+    delays = np.array([-0.8, 0.0, 0.3])
+    for k in (-70, 70, *rng.integers(-70, 71, size=4)):
+        s = 10.0 ** int(k)
+        jsa, filt, _, _ = draw_case(rng, k_max=4.0)
+        scaled_jsa = hp.DoubleGaussianJsa(jsa.sigma1 * s, jsa.sigma2 * s,
+                                          jsa.theta1, jsa.theta2)
+        scaled_filt = hp.GaussianFilter(filt.center * s, filt.width * s)
+
+        def figures(source, herald, unit):
+            report = hp.heralding_report(source, herald)
+            dip = hp.hom_dip(source, herald, herald, delays / unit)
+            return [hp.closed_form_purity(source, herald),
+                    hp.closed_form_success(source, herald),
+                    hp.schmidt_number(source),
+                    report.success, report.purity_filtered,
+                    report.purity_unfiltered, *dip.coincidences]
+
+        ref = figures(jsa, filt, 1.0)
+        assert figures(scaled_jsa, scaled_filt, s) == pytest.approx(
+            ref, rel=1e-13), k
 
 
 _VALID = {

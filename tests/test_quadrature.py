@@ -683,14 +683,13 @@ def test_leggauss_exact_to_degree_2n_minus_1(n):
 
 
 def test_leggauss_newton_cap_raises(monkeypatch):
-    # n = 32 still needs two Newton steps from the asymptotic guesses
+    # n = 6 still needs two Newton steps from the formulas' guesses
     monkeypatch.setattr(quadrature, "_NEWTON_MAX_STEPS", 1)
     with pytest.raises(hp.ConvergenceError):
-        _leggauss.__wrapped__(32)
+        _leggauss.__wrapped__(6)
 
 
-@pytest.mark.parametrize("n", [208, 1888, 6000, 12000])
-def test_leggauss_takes_one_recurrence_sweep(n, monkeypatch):
+def _count_sweeps(n, monkeypatch):
     sweeps = []
     sweep = quadrature._legendre_pair
 
@@ -700,7 +699,56 @@ def test_leggauss_takes_one_recurrence_sweep(n, monkeypatch):
 
     monkeypatch.setattr(quadrature, "_legendre_pair", counting)
     _leggauss.__wrapped__(n)
-    assert sweeps == [n]
+    return sweeps
+
+
+@pytest.mark.parametrize("n", [208, 1888, 6000, 12000])
+def test_leggauss_takes_no_recurrence_sweep(n, monkeypatch):
+    # from 100 nodes on the rule comes straight from the formulas
+    assert _count_sweeps(n, monkeypatch) == []
+
+
+@pytest.mark.parametrize("n", [7, 32, 99])
+def test_leggauss_polishes_small_rules_in_one_sweep(n, monkeypatch):
+    assert _count_sweeps(n, monkeypatch) == [n]
+
+
+def test_leggauss_formulas_agree_with_newton():
+    # one Newton sweep from the formulas' nodes moves none of them by more
+    # than the node bound; Newton's own weights next to +-1 are up to 5e-11
+    # off relative (its P_n' is carried to the node only to first order)
+    for n in range(112, 6001, 16):
+        x, w = quadrature._bogaert(n)
+        x_newton, w_newton = quadrature._newton(x.copy(), n)
+        assert np.abs(x - x_newton).max() <= 2.3e-16, n
+        assert np.abs(w - w_newton).max() <= 1e-15, n
+
+
+@pytest.mark.parametrize("n", [32, 101, 208, 960, 1888, 6000])
+def test_leggauss_matches_40_digit_roots(n):
+    # One 40-digit Newton step from the rule's own node, at the three
+    # outermost, three middle and three innermost non-negative nodes.
+    # Measured worst weights: 3.4e-16 relative from the formulas (n >= 100),
+    # 6.2e-15 from the Newton rule at n = 32.
+    mp = pytest.importorskip("mpmath")
+    x, w = _leggauss(n)
+    weight_bound = 1e-15 if n >= quadrature._FORMULA_NODES else 1e-14
+    m = (n + 1) // 2
+    picks = {*range(3), *range(m // 2 - 1, m // 2 + 2), *range(m - 3, m)}
+    with mp.workdps(40):
+        def slope_and_step(t):
+            p_prev, p = mp.mpf(1), t
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
+            slope = n * (p_prev - t * p) / (1 - t * t)
+            return slope, p / slope
+
+        for i in sorted(picks):
+            node = mp.mpf(float(x[n - 1 - i]))
+            node -= slope_and_step(node)[1]
+            weight = 2 / ((1 - node * node) * slope_and_step(node)[0] ** 2)
+            assert abs(float(x[n - 1 - i] - node)) <= 2.3e-16, (n, i)
+            assert abs(float(w[n - 1 - i] / weight - 1)) <= weight_bound, (n, i)
 
 
 def test_leggauss_arrays_are_read_only():
@@ -712,13 +760,16 @@ def test_leggauss_arrays_are_read_only():
 
 def test_bessel_zeros_match_scipy():
     special = pytest.importorskip("scipy.special")
-    table = quadrature._J0_ZEROS
     ref = special.jn_zeros(0, 40)
-    assert np.all(np.abs(table - ref[:table.size]) <= np.spacing(table))
-    # McMahon's expansion continues the table
-    zeros = quadrature._bessel_j0_zeros(40)
-    assert np.array_equal(zeros[:table.size], table)
-    assert np.all(np.abs(zeros[table.size:] / ref[table.size:] - 1.0) <= 1e-15)
+    base = (np.arange(1, 41) - 0.25) * np.pi
+    offsets = quadrature._bessel_j0_offsets(base)
+    # the table, then McMahon's series
+    assert np.array_equal(offsets[:20], quadrature._J0_OFFSETS)
+    assert np.all(np.abs(base + offsets - ref) <= np.spacing(ref))
+    squares = quadrature._bessel_j1_squared(np.arange(1, 41) - 0.25)
+    assert np.array_equal(squares[:21], quadrature._J1_SQUARED)
+    ref_squares = special.j1(ref) ** 2
+    assert np.all(np.abs(squares / ref_squares - 1.0) <= 1e-14)
 
 
 def test_nodes_never_use_the_eigen_solve(jsa_ktp, monkeypatch):

@@ -3,8 +3,9 @@
 Usage::
 
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
+    python tools/cli_snapshot.py --compare OLD NEW
 
-Writes eighteen configs under ``OUTDIR`` (the demo source, the KTP source,
+Writes twenty configs under ``OUTDIR`` (the demo source, the KTP source,
 the demo with a detuned filter, the demo without a filter, a 128-point
 gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
 with a boolean filter width, the demo behind a tabulated box herald, the
@@ -13,19 +14,25 @@ gridded copy with its last signal frequency NaN, the demo behind a
 herald 500 rad/ps away that passes nothing, the demo behind two
 three-knot tables peaking at 1 + 5e-13 and at 1.5, the demo behind a
 two-knot box on [-1, 1], a jsa section that is a number, the demo with a
-filter section that is a string, and a ``csv_path`` that is a number),
-then runs a fixed list of 106
-``heraldpurity.cli`` invocations with ``--no-timestamp``, each
+filter section that is a string, a ``csv_path`` that is a number, and the
+demo with every width scaled by 1e-200 and by 1e80), then runs a fixed
+list of 108 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each
 in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
 ``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
 their working directory and name the configs by relative path, so no
 output embeds a location: two snapshots taken with different
 ``PYTHONPATH`` settings compare with ``diff -r``.
+
+``--compare OLD NEW`` reads two such snapshots and prints each run whose
+outputs differ: its argument vector, its moved lines, and the largest
+relative change in each numeric column (a CSV header field, or a JSON
+key).  It exits 1 when any run differs.
 """
 
 from __future__ import annotations
 
+import difflib
 import json
 import os
 import subprocess
@@ -34,8 +41,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-
-import heraldpurity as hp
 
 DEMO = {"sigma1": 1.0, "sigma2": 5.0, "theta1": "pi/4", "theta2": "-pi/4"}
 KTP = {"sigma1": 6.0, "sigma2": 0.70, "theta1": "pi/4", "theta2": 0.97}
@@ -72,11 +77,16 @@ CONFIGS = {
     "filterstr.json": {"jsa": DEMO, "filter": "wide"},
     # never 0 or true: the runs inherit this tool's stdin and stdout
     "csvnum.json": {"jsa": {"csv_path": 7}},
+    "tiny.json": {"jsa": {**DEMO, "sigma1": 1e-200, "sigma2": 5e-200},
+                  "filter": {"center": 0.0, "width": 6e-201}},
+    "huge.json": {"jsa": {**DEMO, "sigma1": 1e80, "sigma2": 5e80},
+                  "filter": {"center": 0.0, "width": 6e79}},
 }
 
 
 def write_inputs(outdir):
     """Write the JSON configs and the gridded demo amplitude as CSV."""
+    import heraldpurity as hp  # here, so --compare runs without the package
     for name, config in CONFIGS.items():
         (outdir / name).write_text(json.dumps(config, indent=2) + "\n")
     jsa = hp.jsa_from_dict(DEMO)
@@ -225,14 +235,117 @@ def invocations():
         ["report", "--config", "filterstr.json"],
         ["report", "--config", "csvnum.json"],
         ["sweep", "aspect", "--theta1", ".pi"],
+        # widths outside [1e-72, 1e72], where the figures lose their digits
+        # or overflow: exit 2
+        ["report", "--config", "tiny.json"],
+        ["report", "--config", "huge.json"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
 
+def _fields(line):
+    """``(column, text)`` pairs of one output line.
+
+    A ``"key": value`` JSON line is one field named by its key; any other
+    line is split at commas, its fields named by position.
+    """
+    text = line.strip().rstrip(",")
+    if text.startswith('"') and '": ' in text:
+        key, value = text.split('": ', 1)
+        return [(key[1:], value)]
+    return [(str(i), field) for i, field in enumerate(line.split(","))]
+
+
+def _moved_columns(old, new, header):
+    """Largest relative change of each numeric column, over paired lines."""
+    changes = {}
+    for a, b in zip(old, new):
+        fa, fb = _fields(a), _fields(b)
+        if len(fa) != len(fb):
+            continue
+        for (column, x), (_, y) in zip(fa, fb):
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                continue
+            if x == y:
+                continue
+            name = header[int(column)] if column.isdigit() and int(
+                column) < len(header) else column
+            rel = abs(y - x) / abs(x) if x else float("inf")
+            if rel > changes.get(name, (-1.0,))[0]:
+                changes[name] = (rel, x, y)
+    return changes
+
+
+def _compare_stream(name, old, new):
+    """The report lines for one differing output stream, or none."""
+    if old == new:
+        return []
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    header = next((line.split(",") for line in old_lines
+                   if line and not line.startswith(("#", "{", " "))), [])
+    out = [f"  {name}:"]
+    removed, added = [], []
+    matcher = difflib.SequenceMatcher(a=old_lines, b=new_lines, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        out += [f"  - {line}" for line in old_lines[i1:i2]]
+        out += [f"  + {line}" for line in new_lines[j1:j2]]
+        if i2 - i1 == j2 - j1:
+            removed += old_lines[i1:i2]
+            added += new_lines[j1:j2]
+    if name == "stdout":
+        for column, (rel, x, y) in sorted(_moved_columns(removed, added,
+                                                         header).items()):
+            out.append(f"  largest relative change in {column}: {rel:.3g} "
+                       f"({x!r} -> {y!r})")
+    return out
+
+
+def compare(old_dir, new_dir):
+    """Print each run whose outputs differ between two snapshots.
+
+    Runs are matched by argument vector.  For each differing run: its
+    index and arguments, its moved lines, and the largest relative change
+    of each numeric column among lines that moved one for one.  Returns
+    the number of differing runs.
+    """
+    old_dir, new_dir = Path(old_dir), Path(new_dir)
+    old_runs = json.loads((old_dir / "index.json").read_text())
+    new_runs = json.loads((new_dir / "index.json").read_text())
+    new_index = {tuple(args): i for i, args in enumerate(new_runs)}
+    differing = 0
+    for i, args in enumerate(old_runs):
+        j = new_index.pop(tuple(args), None)
+        if j is None:
+            print(f"{i:02d} {' '.join(args)}: only in {old_dir}")
+            differing += 1
+            continue
+        lines = []
+        for suffix in ("code", "stdout", "stderr"):
+            lines += _compare_stream(
+                suffix, (old_dir / f"{i:02d}.{suffix}").read_text(),
+                (new_dir / f"{j:02d}.{suffix}").read_text())
+        if lines:
+            differing += 1
+            print(f"{i:02d} {' '.join(args)}")
+            print("\n".join(lines))
+    for args, j in new_index.items():
+        print(f"{j:02d} {' '.join(args)}: only in {new_dir}")
+        differing += 1
+    print(f"{differing} of {len(old_runs)} runs differ")
+    return differing
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        return 1 if compare(argv[1], argv[2]) else 0
     if len(argv) != 1:
-        print("usage: cli_snapshot.py OUTDIR", file=sys.stderr)
+        print("usage: cli_snapshot.py OUTDIR | --compare OLD NEW",
+              file=sys.stderr)
         return 2
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
