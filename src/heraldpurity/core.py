@@ -445,6 +445,13 @@ def parse_angle(value):
     return sign * coeff * math.pi / denom
 
 
+# Margin in the exponent of the live band (a factor exp(-1/2) in amplitude,
+# far above the rounding of the quadratic form and of exp), and the delay
+# cutoff over the signal's conditional width (interference below exp(-49)).
+_BAND_MARGIN = 1.0
+_DECAY_CUTOFF = 7.0
+
+
 @dataclass(frozen=True)
 class DoubleGaussianJsa:
     """Normalized two-Gaussian joint spectral amplitude.
@@ -523,6 +530,91 @@ class DoubleGaussianJsa:
         a, _, c = self.intensity_coefficients()
         return 1.0 / math.sqrt(2.0 * a), 1.0 / math.sqrt(2.0 * c)
 
+    def norm(self):
+        """Exactly 1.0: the prefactor normalizes the amplitude."""
+        return 1.0
+
+    def _idler_window(self, herald, tail):
+        """Window and feature size for the idler (heralding) axis."""
+        _, s_idl = self.marginal_widths()
+        _, w_idl = self.conditional_widths()
+        if isinstance(herald, GaussianFilter):
+            # Marginal times passband; a cut to it moves off-centre ones.
+            center, width = _filtered_idler(self, herald)
+            return _restrict(center - tail * width, center + tail * width,
+                             min(w_idl, herald.width), None, tail, s_idl)
+        return _restrict(-tail * s_idl, tail * s_idl, w_idl, herald, tail,
+                         s_idl)
+
+    def _signal_window(self, idler_window, heralded, tail):
+        """Window and feature size for the signal axis, given the idler's."""
+        a, b, _ = self.intensity_coefficients()
+        s_sig, _ = self.marginal_widths()
+        w_sig, _ = self.conditional_widths()
+        slope = -b / a
+        ends = (slope * idler_window[0], slope * idler_window[1])
+        lo = max(min(ends) - tail * w_sig, -tail * s_sig)
+        hi = min(max(ends) + tail * w_sig, tail * s_sig)
+        return _restrict(lo, hi, w_sig, heralded, tail, s_sig)
+
+    def axes(self, heralds, heralded, spec, max_delay=None):
+        """Signal nodes and weights, and an idler ``(nodes, weights)`` per
+        herald; each axis's weights include its filter's transmission.
+
+        ``spec.axis`` places nodes on windows that track each integrand's
+        Gaussian mass; with ``max_delay`` (ps) the signal axis gains the
+        nodes the interference phase needs up to that delay.
+        """
+        tail = spec.half_extent
+        windows = [self._idler_window(h, tail) for h in heralds]
+        idler_axes = [spec.axis(*window, h)
+                      for h, window in zip(heralds, windows)]
+        hull = (min(w[0] for w in windows), max(w[1] for w in windows))
+        lo, hi, feature = self._signal_window(hull, heralded, tail)
+        osc = 0
+        if max_delay is not None:
+            osc = int(math.ceil(0.4 * max_delay * (hi - lo))) + 16
+        x, wx = spec.axis(lo, hi, feature, heralded, osc, signal=True)
+        return x, wx, idler_axes
+
+    def row_pieces(self, x, y, root):
+        """Row pieces of ``B = Phi(x, y) * root`` for ``_gram_blocks``.
+
+        ``|B|`` can reach the underflow floor only inside the ellipse
+        ``a x^2 + 2 b x y + c y^2 <= L``, ``L = 2 ln(Phi(0, 0) max(root) /
+        floor)``, so each block of ``_GRAM_BLOCK`` signal rows is evaluated
+        only over the hull of its rows' idler intervals, widened by
+        ``_BAND_MARGIN`` in ``L`` and one node on each side against rounding.
+        """
+        ny = y.size
+        a, b, c = self.intensity_coefficients()
+        peak = float(eval_double_gaussian(self, 0.0, 0.0) * root.max())
+        reach = (2.0 * math.log(peak / _UNDERFLOW_FLOOR) + _BAND_MARGIN
+                 if peak > 0.0 else -math.inf)
+        disc = c * reach - (a * c - b * b) * x * x
+        live = disc >= 0.0
+        half = np.sqrt(np.where(live, disc, 0.0))
+        lo = np.searchsorted(y, (-b * x - half) / c) - 1
+        hi = np.searchsorted(y, (-b * x + half) / c, side="right") + 1
+        starts = range(0, x.size, _GRAM_BLOCK)
+        lo = np.minimum.reduceat(np.where(live, np.maximum(lo, 0), ny), starts)
+        hi = np.maximum.reduceat(np.where(live, np.minimum(hi, ny), 0), starts)
+        pieces = []
+        for start, span_lo, span_hi in zip(starts, lo.tolist(), hi.tolist()):
+            if span_lo < span_hi:
+                block = eval_double_gaussian(
+                    self, x[start:start + _GRAM_BLOCK, None],
+                    y[None, span_lo:span_hi])
+                block *= root[span_lo:span_hi]
+                pieces.append((start, span_lo, block))
+        return pieces
+
+    def resolved(self, delays):
+        """Mask of the ``delays`` to integrate, ``|tau| <= _DECAY_CUTOFF /
+        w_sig``; beyond, quadrature of the decayed envelope adds only noise."""
+        w_sig, _ = self.conditional_widths()
+        return np.abs(delays) <= _DECAY_CUTOFF / w_sig
+
 
 def eval_double_gaussian(jsa, omega_signal, omega_idler):
     """Evaluate a double-Gaussian amplitude at the given frequencies.
@@ -541,6 +633,7 @@ def eval_double_gaussian(jsa, omega_signal, omega_idler):
     grid passes; its terms cannot cancel, as ``a w**2 + 2b w w' + c w'**2``
     does on correlated sources (7.5e-12 relative at K = 30).
     """
+    _require_types(jsa, what="sampling is defined")
     ws = np.asarray(omega_signal, dtype=float)
     wi = np.asarray(omega_idler, dtype=float)
     a, b, _ = jsa.intensity_coefficients()
@@ -676,19 +769,26 @@ class TabulatedFilter:
         return np.diff(area[k] + d * (t[k] + 0.5 * slope * d))
 
 
+def _gate(value, kinds, what):
+    """``value`` itself, or ``TypeError`` "not {what}: <type>" unless it is
+    one of ``kinds``."""
+    if not isinstance(value, kinds):
+        raise TypeError(f"not {what}: {type(value).__name__}")
+    return value
+
+
 def _spectral_filter(filt):
     """``filt`` itself, or ``TypeError`` if it is not a filter."""
-    if not isinstance(filt, (GaussianFilter, TabulatedFilter)):
-        raise TypeError(f"not a spectral filter: {type(filt).__name__}")
-    return filt
+    return _gate(filt, (GaussianFilter, TabulatedFilter), "a spectral filter")
 
 
-def _require_types(jsa, filt=None):
-    """The closed forms' one gate: ``TypeError`` unless both types are Gaussian."""
+def _require_types(jsa, filt=None, what="closed forms exist"):
+    """The Gaussian types' one gate: ``TypeError`` unless both are Gaussian;
+    ``what`` opens its message, the closed forms' need or sampling's."""
     if not isinstance(jsa, DoubleGaussianJsa):
-        raise TypeError("closed forms exist only for double-Gaussian amplitudes")
+        raise TypeError(f"{what} only for double-Gaussian amplitudes")
     if filt is not None and not isinstance(filt, GaussianFilter):
-        raise TypeError("closed forms exist only for Gaussian filters")
+        raise TypeError(f"{what} only for Gaussian filters")
 
 
 def _cell_weights(filt, grid, step):
@@ -738,6 +838,23 @@ class GriddedJsa(_GridSteps):
             raise ValueError("amplitudes must be finite")
         _freeze(self, signal_grid=signal, idler_grid=idler, amplitudes=amps)
 
+    def axes(self, heralds, heralded, spec, max_delay=None):
+        """The grids as ``DoubleGaussianJsa.axes``, with ``_cell_weights``;
+        ``spec`` is unused, and the signal step must resolve ``max_delay``."""
+        if max_delay is not None:
+            _check_delay_step(max_delay, self.signal_step)
+        x, y = self.signal_grid, self.idler_grid
+        return x, _cell_weights(heralded, x, self.signal_step), [
+            (y, _cell_weights(h, y, self.idler_step)) for h in heralds]
+
+    def row_pieces(self, x, y, root):
+        """The grid as one row piece of ``B = Phi * root``, a fresh array."""
+        return [(0, 0, self.amplitudes * root)]
+
+    def resolved(self, delays):
+        """Every delay: the grid integrates each, or ``axes`` refuses it."""
+        return np.ones(delays.shape, dtype=bool)
+
     def norm(self):
         """Discrete value of the double integral of ``|Phi|**2``."""
         return float(np.sum(_squared_modulus(self.amplitudes)) * self.cell_area)
@@ -756,9 +873,15 @@ class GriddedJsa(_GridSteps):
         return out
 
 
+def _amplitude(jsa):
+    """``jsa`` itself, or ``TypeError`` if it is not an amplitude."""
+    return _gate(jsa, (DoubleGaussianJsa, GriddedJsa),
+                 "a joint spectral amplitude")
+
+
 def _require_unit_norm(jsa):
-    """Raise ``ValueError`` if a ``GriddedJsa``'s norm is not one within 1e-6."""
-    norm = jsa.norm() if isinstance(jsa, GriddedJsa) else 1.0
+    """Raise ``ValueError`` if an amplitude's norm is not one within 1e-6."""
+    norm = _amplitude(jsa).norm()
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"amplitude norm is {norm:.6f}; normalize() it first")
 
@@ -777,6 +900,17 @@ def _filtered_idler(jsa, herald_filter):
     p_fil = 1.0 / herald_filter.width**2
     center = herald_filter.center * p_fil / (p_jsa + p_fil)
     return center, 1.0 / math.sqrt(p_jsa + p_fil)
+
+
+def _restrict(lo, hi, feature, filt, tail, scale):
+    """Window and feature size cut to ``filt``; a vanishing window is widened."""
+    if filt is not None:
+        f_lo, f_hi, f_feature = _spectral_filter(filt).window(tail)
+        lo, hi, feature = max(lo, f_lo), min(hi, f_hi), min(feature, f_feature)
+    if hi - lo < 1e-12 * scale:
+        mid = 0.5 * (lo + hi)
+        lo, hi = mid - 1e-12 * scale, mid + 1e-12 * scale
+    return lo, hi, feature
 
 
 def discretize(jsa, half_extent=6.0, n_points=512):
@@ -804,6 +938,7 @@ def discretize(jsa, half_extent=6.0, n_points=512):
         GridCoverageError: If the discrete norm deviates from one by more
             than 5%.
     """
+    _require_types(jsa, what="sampling is defined")
     n_points = _integer("n_points", n_points, low=64)
     half_extent = _real("half_extent", half_extent, low=4)
     smax = max(jsa.sigma1, jsa.sigma2)

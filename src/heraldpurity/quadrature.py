@@ -6,23 +6,23 @@ combine quadrature weights and a herald transmission, the matrix
     M(w, w~) = integral dw' |t(w')|^2 Phi(w, w') conj(Phi(w~, w'))
 
 is the unnormalized reduced state of the heralded photon, ``M = B B^H``
-with the root-weighted amplitude ``B = Phi * sqrt(w)`` on one signal axis
-(``_heralded_axes``).  Samples of ``B`` with modulus below ``sqrt(tiny)``
-are zeroed first: their products would underflow, and subnormal
-arithmetic slows BLAS about twofold, while a state entry moves by less
-than about 1e-150.  On a strongly correlated source most of ``B`` lies
-below that floor, and the rest is a tilted ridge, so ``core._gram_blocks``
-contracts each pair of 128-row blocks only over the overlap of their
-nonzero column spans; on the unfiltered K = 22 KTP source that is about
-10% of the dense work.  A sample below the floor need not be computed
-either: ``|B|`` can reach it only inside an ellipse of the intensity's
-quadratic form, so ``_root_weighted`` evaluates the double Gaussian, whose
-``exp`` was the largest cost of a pass, only over each row block's hull of
-that ellipse, about 30% of the unfiltered KTP node grid, and hands those
-blocks on as row pieces.  A narrow herald's state fills every block pair
-and is contracted the same way.  The heralding probability is the weighted
-trace of ``M`` (``herald_success`` sums it as ``wx |B|^2`` over the pieces)
-and the purity the weighted sum of its squared entries; ``_single_pair``
+with the root-weighted amplitude ``B = Phi * sqrt(w)`` on one signal axis;
+the amplitude's ``axes`` and ``row_pieces`` supply them.  Samples of ``B``
+with modulus below ``sqrt(tiny)`` are zeroed first: their products would
+underflow, and subnormal arithmetic slows BLAS about twofold, while a state
+entry moves by less than about 1e-150.  On a strongly correlated source
+most of ``B`` lies below that floor, and the rest is a tilted ridge, so
+``core._gram_blocks`` contracts each pair of 128-row blocks only over the
+overlap of their nonzero column spans; on the unfiltered K = 22 KTP source
+that is about 10% of the dense work.  A sample below the floor need not be
+computed either: ``|B|`` can reach it only inside an ellipse of the
+intensity's quadratic form, so ``DoubleGaussianJsa.row_pieces`` evaluates
+the double Gaussian, whose ``exp`` was the largest cost of a pass, only
+over each row block's hull of that ellipse, about 30% of the unfiltered KTP
+node grid.  A narrow herald's state fills every block pair and is
+contracted the same way.  The heralding probability is the weighted trace
+of ``M`` (``herald_success`` sums it as ``wx |B|^2`` over the pieces) and
+the purity the weighted sum of its squared entries; ``_single_pair``
 reduces both straight from the block products (``core._purity_success``).
 Two-photon interference is a delay-phased double sum over both arms'
 states, which ``core._arm_overlaps`` sums over the blocks the two states
@@ -36,9 +36,9 @@ of the finest feature, so narrow filters and strongly elongated amplitudes
 spend nodes only where structure lives.  The density,
 ``_NODES_PER_FEATURE``, is set from a measured knee: results stop moving at
 about 1.9 nodes per feature.  A tabulated filter's knots split its axis into
-panels, each with Gauss-Legendre nodes of its own (``_arm_axis``): the
-transmission is linear on a panel, so every integrand is smooth where it is
-sampled and every result comes from one pass.
+panels, each with Gauss-Legendre nodes of its own (``QuadratureSpec.axis``):
+the transmission is linear on a panel, so every integrand is smooth where it
+is sampled and every result comes from one pass.
 
 Nodes and weights come from Bogaert's iteration-free formulas, each node
 and weight in O(1) from a zero of ``J_0`` and six short polynomials, so a
@@ -61,28 +61,20 @@ import numpy as np
 
 from .core import (
     ConvergenceError,
-    DoubleGaussianJsa,
-    GaussianFilter,
-    GriddedJsa,
     HeraldingReport,
     NumericalError,
-    _GRAM_BLOCK,
-    _UNDERFLOW_FLOOR,
+    _amplitude,
     _arm_overlaps,
-    _cell_weights,
-    _check_delay_step,
     _clip_unit,
     _dip,
     _figures,
-    _filtered_idler,
     _flush_underflow,
+    _gate,
     _gram_blocks,
     _integer,
     _purity_success,
     _real,
     _require_unit_norm,
-    _spectral_filter,
-    eval_double_gaussian,
 )
 
 __all__ = [
@@ -106,13 +98,6 @@ __all__ = [
 _NODES_PER_FEATURE = 2.6
 _NODE_MARGIN = 32
 _MAX_NODES = 6000
-
-# Margin in the exponent of the live band (a factor exp(-1/2) in amplitude),
-# far above the rounding of the quadratic form and of exp.
-_BAND_MARGIN = 1.0
-
-# Interference is cut off where its envelope has decayed below exp(-49).
-_DECAY_CUTOFF = 7.0
 
 # Rules of _FORMULA_NODES nodes and more come straight from Bogaert's
 # formulas (``_bogaert``).  Smaller ones are polished by Newton on the
@@ -212,8 +197,49 @@ class QuadratureSpec:
         object.__setattr__(self, "half_extent", _real(
             "half_extent", self.half_extent, low=4))
 
+    def axis(self, lo, hi, feature, filt, extra=0, signal=False):
+        """Gauss-Legendre nodes on ``[lo, hi]``, and weights times ``filt``.
+
+        The node rule gives the window ``n`` nodes: ``_NODES_PER_FEATURE``
+        per ``feature`` of its length plus ``_NODE_MARGIN`` and ``extra``,
+        at least ``n_nodes``, rounded up to a multiple of 16, at most
+        ``_MAX_NODES``.  A ``filt`` with ``knots`` (a table) splits the
+        window at those inside it, and a panel of length ``l`` gets
+        ``ceil(n l / (hi - lo)) + 2`` nodes: the transmission is linear
+        there, so the integrand is smooth.  A ``signal`` axis is capped
+        after its panels too.
+        """
+        need = int(math.ceil(_NODES_PER_FEATURE * (hi - lo) / feature))
+        n = max(self.n_nodes, need + _NODE_MARGIN + extra)
+        n = ((n + 15) // 16) * 16
+        if n > _MAX_NODES:
+            raise ConvergenceError(f"axis needs {n} nodes to resolve its window"
+                                   f" but at most {_MAX_NODES} are allowed")
+        edges, counts = (lo, hi), (n,)
+        if filt is not None and len(filt.knots):
+            knots = filt.knots[(filt.knots > lo) & (filt.knots < hi)]
+            edges = np.concatenate(([lo], knots, [hi]))
+            counts = np.ceil(n * np.diff(edges) / (hi - lo)).astype(int) + 2
+        nodes, weights = [], []
+        for a, b, count in zip(edges[:-1], edges[1:], counts):
+            x, w = _leggauss(int(count))
+            half = 0.5 * (b - a)
+            nodes.append(0.5 * (b + a) + half * x)
+            weights.append(half * w)
+        x, w = np.concatenate(nodes), np.concatenate(weights)
+        if signal and x.size > _MAX_NODES:
+            raise ConvergenceError(f"signal axis needs {x.size} nodes across "
+                                   f"knots; at most {_MAX_NODES} are allowed")
+        return x, w if filt is None else w * filt.transmission(x)
+
 
 DEFAULT_SPEC = QuadratureSpec()
+
+
+def _spec(spec):
+    """``spec``, checked, or ``DEFAULT_SPEC`` for ``None``."""
+    return (DEFAULT_SPEC if spec is None
+            else _gate(spec, QuadratureSpec, "a quadrature spec"))
 
 
 def _legendre_pair(x, n):
@@ -392,155 +418,13 @@ def _leggauss(n):
     return nodes, weights
 
 
-def _arm_axis(spec, lo, hi, feature, filt, extra=0):
-    """Gauss-Legendre nodes on ``[lo, hi]``, and weights times ``filt``.
-
-    The node rule gives the window ``n`` nodes: ``_NODES_PER_FEATURE`` per
-    ``feature`` of its length plus ``_NODE_MARGIN`` and ``extra``, at least
-    ``spec.n_nodes``, rounded up to a multiple of 16, at most ``_MAX_NODES``.
-    A ``filt`` with ``knots`` (a table) splits the window at those inside it,
-    and a panel of length ``l`` gets ``ceil(n l / (hi - lo)) + 2`` nodes: the
-    transmission is linear there, so the integrand is smooth.
-    """
-    need = int(math.ceil(_NODES_PER_FEATURE * (hi - lo) / feature))
-    n = max(spec.n_nodes, need + _NODE_MARGIN + extra)
-    n = ((n + 15) // 16) * 16
-    if n > _MAX_NODES:
-        raise ConvergenceError(
-            f"axis needs {n} nodes to resolve its window but at most "
-            f"{_MAX_NODES} are allowed"
-        )
-    edges, counts = (lo, hi), (n,)
-    if filt is not None and len(filt.knots):
-        knots = filt.knots[(filt.knots > lo) & (filt.knots < hi)]
-        edges = np.concatenate(([lo], knots, [hi]))
-        counts = np.ceil(n * np.diff(edges) / (hi - lo)).astype(int) + 2
-    nodes, weights = [], []
-    for a, b, count in zip(edges[:-1], edges[1:], counts):
-        x, w = _leggauss(int(count))
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (b + a) + half * x)
-        weights.append(half * w)
-    x, w = np.concatenate(nodes), np.concatenate(weights)
-    return x, w if filt is None else w * filt.transmission(x)
-
-
-def _restrict(lo, hi, feature, filt, tail, scale):
-    """Window and feature size cut to ``filt``; a vanishing window is widened."""
-    if filt is not None:
-        f_lo, f_hi, f_feature = _spectral_filter(filt).window(tail)
-        lo, hi, feature = max(lo, f_lo), min(hi, f_hi), min(feature, f_feature)
-    if hi - lo < 1e-12 * scale:
-        mid = 0.5 * (lo + hi)
-        lo, hi = mid - 1e-12 * scale, mid + 1e-12 * scale
-    return lo, hi, feature
-
-
-def _idler_window(jsa, herald, tail):
-    """Window and feature size for the idler (heralding) axis."""
-    _, s_idl = jsa.marginal_widths()
-    _, w_idl = jsa.conditional_widths()
-    if isinstance(herald, GaussianFilter):
-        # Marginal times passband; a cut to the passband moves off-centre ones.
-        center, width = _filtered_idler(jsa, herald)
-        return _restrict(center - tail * width, center + tail * width,
-                         min(w_idl, herald.width), None, tail, s_idl)
-    return _restrict(-tail * s_idl, tail * s_idl, w_idl, herald, tail, s_idl)
-
-
-def _signal_window(jsa, idler_window, heralded, tail):
-    """Window and feature size for the signal axis, given the idler window."""
-    a, b, _ = jsa.intensity_coefficients()
-    s_sig, _ = jsa.marginal_widths()
-    w_sig, _ = jsa.conditional_widths()
-    slope = -b / a
-    ends = (slope * idler_window[0], slope * idler_window[1])
-    lo = max(min(ends) - tail * w_sig, -tail * s_sig)
-    hi = min(max(ends) + tail * w_sig, tail * s_sig)
-    return _restrict(lo, hi, w_sig, heralded, tail, s_sig)
-
-
-def _root_weighted(jsa, x, y, root):
-    """Row pieces of ``B = Phi(x, y) * root`` on node axes, for
-    ``core._gram_blocks``.
-
-    A gridded amplitude gives its whole grid as one piece.  For a parametric
-    one, ``|B|`` can reach the underflow floor only inside the ellipse
-    ``a x^2 + 2 b x y + c y^2 <= L``, ``L = 2 ln(Phi(0, 0) max(root) / floor)``,
-    so each block of ``_GRAM_BLOCK`` signal rows is evaluated only over the
-    hull of its rows' idler intervals, widened by ``_BAND_MARGIN`` in ``L``
-    and one node on each side against rounding.
-    """
-    if isinstance(jsa, GriddedJsa):
-        # Gridded amplitudes are read-only, so the product is a fresh array.
-        return [(0, 0, jsa.amplitudes * root)]
-    ny = y.size
-    a, b, c = jsa.intensity_coefficients()
-    peak = float(eval_double_gaussian(jsa, 0.0, 0.0) * root.max())
-    reach = (2.0 * math.log(peak / _UNDERFLOW_FLOOR) + _BAND_MARGIN
-             if peak > 0.0 else -math.inf)
-    disc = c * reach - (a * c - b * b) * x * x
-    live = disc >= 0.0
-    half = np.sqrt(np.where(live, disc, 0.0))
-    lo = np.searchsorted(y, (-b * x - half) / c) - 1
-    hi = np.searchsorted(y, (-b * x + half) / c, side="right") + 1
-    starts = range(0, x.size, _GRAM_BLOCK)
-    lo = np.minimum.reduceat(np.where(live, np.maximum(lo, 0), ny), starts)
-    hi = np.maximum.reduceat(np.where(live, np.minimum(hi, ny), 0), starts)
-    pieces = []
-    for start, span_lo, span_hi in zip(starts, lo.tolist(), hi.tolist()):
-        if span_lo < span_hi:
-            block = eval_double_gaussian(jsa, x[start:start + _GRAM_BLOCK, None],
-                                         y[None, span_lo:span_hi])
-            block *= root[span_lo:span_hi]
-            pieces.append((start, span_lo, block))
-    return pieces
-
-
-def _heralded_axes(jsa, heralds, heralded, spec, max_delay=None):
-    """Signal nodes, signal weights, and one idler axis per herald.
-
-    Each idler axis is ``(nodes, weights)``, its weights including the
-    herald's transmission; the signal weights include the ``heralded``
-    filter.  For a parametric amplitude the signal window covers the hull of
-    the heralds' idler windows, and with ``max_delay`` (ps) the axis gains
-    the nodes the interference phase needs up to that delay.  A gridded
-    amplitude keeps its grid, whose signal step must then resolve
-    ``max_delay``.
-    """
-    if isinstance(jsa, GriddedJsa):
-        if max_delay is not None:
-            _check_delay_step(max_delay, jsa.signal_step)
-        x, y = jsa.signal_grid, jsa.idler_grid
-        wx = _cell_weights(heralded, x, jsa.signal_step)
-        return x, wx, [(y, _cell_weights(h, y, jsa.idler_step))
-                       for h in heralds]
-    if not isinstance(jsa, DoubleGaussianJsa):
-        raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
-    spec = spec if spec is not None else DEFAULT_SPEC
-    tail = spec.half_extent
-    windows = [_idler_window(jsa, h, tail) for h in heralds]
-    idler_axes = [_arm_axis(spec, *window, h)
-                  for h, window in zip(heralds, windows)]
-    hull = (min(w[0] for w in windows), max(w[1] for w in windows))
-    xlo, xhi, xfeat = _signal_window(jsa, hull, heralded, tail)
-    osc = 0
-    if max_delay is not None:
-        osc = int(math.ceil(0.4 * max_delay * (xhi - xlo))) + 16
-    x, wx = _arm_axis(spec, xlo, xhi, xfeat, heralded, osc)
-    if x.size > _MAX_NODES:  # the n x n states live on this axis
-        raise ConvergenceError(f"signal axis needs {x.size} nodes across "
-                               f"knots; at most {_MAX_NODES} are allowed")
-    return x, wx, idler_axes
-
-
 def _state_pairs(jsa, x, y, wy):
     """Block pairs of the heralded state ``B B^H``, ``B = Phi * sqrt(wy)``.
 
     ``B`` goes straight into ``core._gram_blocks``, so no caller holds it
     while the products are reduced.
     """
-    return _gram_blocks(_root_weighted(jsa, x, y, np.sqrt(wy)))
+    return _gram_blocks(jsa.row_pieces(x, y, np.sqrt(wy)))
 
 
 def _single_pair(jsa, herald, heralded, spec, what="heralding probability"):
@@ -549,7 +433,7 @@ def _single_pair(jsa, herald, heralded, spec, what="heralding probability"):
     ``core._purity_success`` squares each product of ``_state_pairs`` in
     place, so peak memory is ``B``'s band and one block product.
     """
-    x, wx, ((y, wy),) = _heralded_axes(jsa, (herald,), heralded, spec)
+    x, wx, ((y, wy),) = jsa.axes((herald,), heralded, _spec(spec))
     return _figures(*_purity_success(_state_pairs(jsa, x, y, wy), wx), what)
 
 
@@ -590,9 +474,9 @@ def herald_success(jsa, herald_filter, spec=None):
     if herald_filter is None:
         raise ValueError("herald_success requires a herald filter")
     _require_unit_norm(jsa)
-    x, wx, ((y, wy),) = _heralded_axes(jsa, (herald_filter,), None, spec)
+    x, wx, ((y, wy),) = jsa.axes((herald_filter,), None, _spec(spec))
     success = 0.0
-    for start, _, block in _root_weighted(jsa, x, y, np.sqrt(wy)):
+    for start, _, block in jsa.row_pieces(x, y, np.sqrt(wy)):
         # wx times the row sums of |B|**2: the trace of B B^H alone
         flat = _flush_underflow(block).view(float)
         success += float(wx[start:start + len(block)]
@@ -653,18 +537,14 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None):
 
 
 def _hom_overlaps(jsa, herald_x, herald_y, delays, spec):
-    """Two-arm overlaps at each delay."""
+    """Two-arm overlaps at each delay, zero where ``jsa.resolved`` is false."""
     out = np.zeros(delays.shape)
-    resolved = np.ones(delays.shape, dtype=bool)
-    if isinstance(jsa, DoubleGaussianJsa):
-        w_sig, _ = jsa.conditional_widths()
-        resolved = np.abs(delays) <= _DECAY_CUTOFF / w_sig
-        if not np.any(resolved):
-            return out
+    resolved = _amplitude(jsa).resolved(delays)
+    if not np.any(resolved):
+        return out
     heralds = (herald_x,) if herald_y is herald_x else (herald_x, herald_y)
-    x, wx, idler_axes = _heralded_axes(
-        jsa, heralds, None, spec,
-        max_delay=float(np.abs(delays[resolved]).max()))
+    x, wx, idler_axes = jsa.axes(heralds, None, _spec(spec),
+                                 float(np.abs(delays[resolved]).max()))
     states = [list(_state_pairs(jsa, x, y, wy)) for y, wy in idler_axes]
     out[resolved] = _arm_overlaps(x, wx, states, delays[resolved])
     return out

@@ -35,6 +35,7 @@ from .core import (
     _figures,
     _flush_underflow,
     _freeze,
+    _gate,
     _integer,
     _numbers,
     _purity_success,
@@ -191,6 +192,17 @@ class ModeProjection:
     success: float
     purity: float
     heralded_mode: np.ndarray
+
+
+def _decomposition(decomposition):
+    """``decomposition`` itself, or ``TypeError`` if it is not one."""
+    return _gate(decomposition, SchmidtDecomposition,
+                 "a Schmidt decomposition")
+
+
+def _overlap(overlap):
+    """``overlap`` itself, or ``TypeError`` if it is not an overlap matrix."""
+    return _gate(overlap, OverlapMatrix, "an overlap matrix")
 
 
 def _deflate(block, basis):
@@ -387,6 +399,7 @@ def overlap_matrix(decomposition, filt, side="idler"):
     Returns:
         ``OverlapMatrix`` for use in the quantity contractions.
     """
+    _decomposition(decomposition)
     modes, grid, step = (getattr(decomposition, f"{_side(side)}_{field}")
                          for field in ("modes", "grid", "step"))
     weights = _spectral_filter(filt).cell_weights(grid, step)
@@ -397,7 +410,7 @@ def overlap_matrix(decomposition, filt, side="idler"):
 
 def _side_matrix(overlap, side="idler"):
     """The matrix of ``overlap``, which must be built on the ``side`` modes."""
-    if overlap.side != side:
+    if _overlap(overlap).side != side:
         role = "herald" if side == "idler" else "heralded"
         raise ValueError(f"{role} overlaps must be built on the {side} modes")
     return overlap.matrix
@@ -417,9 +430,10 @@ def schmidt_quantities(decomposition, herald_overlap):
     Raises:
         NumericalError: If the success probability falls below 1e-12.
     """
+    weights = _decomposition(decomposition).coefficients
     q, whole = _side_matrix(herald_overlap), slice(None)
     return _figures(*_purity_success([(whole, whole, q, _squared_modulus(q))],
-                                     decomposition.coefficients))
+                                     weights))
 
 
 def two_filter_schmidt(decomposition, herald_overlap, heralded_overlap):
@@ -436,9 +450,9 @@ def two_filter_schmidt(decomposition, herald_overlap, heralded_overlap):
     Raises:
         NumericalError: If the two-filter success falls below 1e-12.
     """
+    sqp = np.sqrt(_decomposition(decomposition).coefficients)
     q = _side_matrix(herald_overlap)
     qp = _side_matrix(heralded_overlap, "signal")
-    sqp = np.sqrt(decomposition.coefficients)
     success = np.real(sqp @ (q * qp) @ sqp)
     linked = q.T @ (sqp[:, None] * qp)
     numerator = np.real(np.sum((sqp[:, None] * linked * sqp) * linked.T))
@@ -488,8 +502,9 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
         ConvergenceError: If a delay is too large for the grid spacing to
             resolve its phase.
     """
+    grid = _decomposition(decomposition).signal_grid
+    step = decomposition.signal_step
     matrices = [_side_matrix(overlap) for overlap in (herald_x, herald_y)]
-    grid, step = decomposition.signal_grid, decomposition.signal_step
 
     def overlaps(tau):
         _check_delay_step(tau, step)
@@ -511,7 +526,8 @@ def mode_projection_herald(decomposition, index):
         ``ModeProjection`` with success ``p_index``, purity exactly one,
         and the signal mode the heralded photon occupies.
     """
-    index = _integer("mode index", index, low=0, high=decomposition.n_modes - 1)
+    last = _decomposition(decomposition).n_modes - 1
+    index = _integer("mode index", index, low=0, high=last)
     return ModeProjection(
         index=index,
         success=float(decomposition.coefficients[index]),

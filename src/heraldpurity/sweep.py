@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
-from .core import (DoubleGaussianJsa, GaussianFilter, GriddedJsa, _axis,
+from .core import (DoubleGaussianJsa, GaussianFilter, _axis,
                    _figures, _freeze, _gram_blocks, _purity_success, _real,
                    _reals, _require_success, _require_types,
                    _require_unit_norm, _squared_modulus, _width,
@@ -303,6 +303,7 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
     if not 0.0 < target < 1.0:
         raise ValueError("target purity must lie strictly in (0, 1)")
 
+    _require_unit_norm(jsa)
     if isinstance(jsa, DoubleGaussianJsa):
         a, b, c = jsa.intensity_coefficients()
         scale = max(jsa.sigma1, jsa.sigma2)
@@ -317,8 +318,7 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
                              f"{1e-3 * scale:.4g}")
         filt = GaussianFilter(center=center, width=width)
         purity, success = closed_form_pair(a, b, c, filt.width, filt.center)
-    elif isinstance(jsa, GriddedJsa):
-        _require_unit_norm(jsa)
+    else:
         evaluate = _gridded_curve(jsa, center)
         weights = _squared_modulus(jsa.amplitudes).sum(axis=0) * jsa.cell_area
         scale = math.sqrt(float(weights @ jsa.idler_grid**2))
@@ -328,8 +328,6 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
         _require_success(float(evaluate([hi])[1][0]))
         width, method, iterations = _scan(evaluate, target, lo, hi)
         (purity,), (success,) = evaluate([width])
-    else:
-        raise TypeError(f"not a joint spectral amplitude: {type(jsa).__name__}")
     purity, success = _figures(purity, success)
 
     return FilterSolution(

@@ -515,6 +515,20 @@ def test_discretize_requires_numbers(jsa_k26, half_extent, n_points, match):
         hp.discretize(jsa_k26, half_extent, n_points)
 
 
+def test_discretize_refuses_a_gridded_amplitude(k26_grid):
+    # it reached the ridge widths with an AttributeError on 'sigma1'
+    with pytest.raises(TypeError, match="^sampling is defined only for "
+                       "double-Gaussian amplitudes$"):
+        hp.discretize(k26_grid)
+
+
+def test_eval_double_gaussian_refuses_a_gridded_amplitude(k26_grid):
+    # it reached the intensity form with an AttributeError
+    with pytest.raises(TypeError, match="^sampling is defined only for "
+                       "double-Gaussian amplitudes$"):
+        hp.eval_double_gaussian(k26_grid, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("delays", [[True], [0.0, "1.0"]], ids=["bool", "str"])
 def test_dips_refuse_bool_and_str_delays(jsa_k26, k26_modes, delays):
     # a boolean delay ran as 1 ps

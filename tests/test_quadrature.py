@@ -1,5 +1,6 @@
 """Tests for the direct numerical route to purity, success, and dips."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -330,9 +331,8 @@ def _explicit_states(jsa, heralds, x):
             wy = core._cell_weights(herald, y, jsa.idler_step)
             phi = jsa.amplitudes
         else:
-            lo, hi, feature = quadrature._idler_window(jsa, herald,
-                                                       spec.half_extent)
-            y, wy = quadrature._arm_axis(spec, lo, hi, feature, herald)
+            lo, hi, feature = jsa._idler_window(herald, spec.half_extent)
+            y, wy = spec.axis(lo, hi, feature, herald)
             phi = hp.eval_double_gaussian(jsa, x[:, None], y[None, :])
         states.append((phi * wy) @ phi.conj().T)
     return states
@@ -340,8 +340,8 @@ def _explicit_states(jsa, heralds, x):
 
 def _assembled_states(jsa, heralds, heralded, spec, max_delay=None):
     """Signal nodes, signal weights, and each herald's state made whole."""
-    x, wx, idler_axes = quadrature._heralded_axes(jsa, heralds, heralded,
-                                                  spec, max_delay)
+    x, wx, idler_axes = jsa.axes(heralds, heralded,
+                                 quadrature._spec(spec), max_delay)
     return x, wx, [assemble(quadrature._state_pairs(jsa, x, y, wy), x.size)
                    for y, wy in idler_axes]
 
@@ -411,9 +411,9 @@ def test_block_reduction_matches_the_assembled_state(
     # reduction of the whole state
     jsa = (request.getfixturevalue(source) if isinstance(source, str)
            else hp.DoubleGaussianJsa(*source))
-    x, wx, ((y, wy),) = quadrature._heralded_axes(jsa, (herald,), heralded,
-                                                  None)
-    pieces = quadrature._root_weighted(jsa, x, y, np.sqrt(wy))
+    x, wx, ((y, wy),) = jsa.axes((herald,), heralded,
+                                 quadrature.DEFAULT_SPEC)
+    pieces = jsa.row_pieces(x, y, np.sqrt(wy))
     if band:
         assert sum(piece.size for _, _, piece in pieces) < x.size * y.size / 2
     if source == KTP_PARAMS and herald is None:
@@ -466,12 +466,12 @@ def test_herald_success_sums_only_the_weighted_trace(request, monkeypatch,
 
 
 def _looped_pieces(jsa, x, y, root):
-    """``_root_weighted``'s pieces of a parametric amplitude, each block's
+    """``row_pieces`` of a parametric amplitude, each block's
     hull taken by a ``min()`` and a ``max()`` of its own."""
     a, b, c = jsa.intensity_coefficients()
     peak = float(hp.eval_double_gaussian(jsa, 0.0, 0.0) * root.max())
     reach = (2.0 * math.log(peak / core._UNDERFLOW_FLOOR)
-             + quadrature._BAND_MARGIN if peak > 0.0 else -math.inf)
+             + core._BAND_MARGIN if peak > 0.0 else -math.inf)
     disc = c * reach - (a * c - b * b) * x * x
     live = disc >= 0.0
     half = np.sqrt(np.where(live, disc, 0.0))
@@ -504,10 +504,10 @@ def test_block_hulls_match_the_per_block_loop(source, herald, heralded):
     # at once, to the same pieces, on band and dense states and on a herald
     # beyond the band
     jsa = hp.DoubleGaussianJsa(*source)
-    x, _, ((y, wy),) = quadrature._heralded_axes(jsa, (herald,), heralded,
-                                                 None)
+    x, _, ((y, wy),) = jsa.axes((herald,), heralded,
+                                quadrature.DEFAULT_SPEC)
     root = np.sqrt(wy)
-    pieces = quadrature._root_weighted(jsa, x, y, root)
+    pieces = jsa.row_pieces(x, y, root)
     expected = _looped_pieces(jsa, x, y, root)
     assert [piece[:2] for piece in pieces] == [
         piece[:2] for piece in expected]
@@ -519,7 +519,7 @@ def test_single_state_purity_never_builds_the_state():
     # 3168-node axes: one n x n float64 state is 80 MB, and the block
     # reduction stays below a quarter of it
     jsa = hp.DoubleGaussianJsa(1.0, 150.0, math.pi / 4, -math.pi / 4)
-    x, _, ((y, _),) = quadrature._heralded_axes(jsa, (None,), None, None)
+    x, _, ((y, _),) = jsa.axes((None,), None, quadrature.DEFAULT_SPEC)
     assert x.size == y.size == 3168
     tracemalloc.start()
     try:
@@ -534,8 +534,8 @@ def test_single_state_purity_never_builds_the_state():
 
 def _dense_overlaps(jsa, heralds, delays):
     """Two-arm overlaps from whole explicit states on ``hom_dip``'s axes."""
-    x, wx, _ = quadrature._heralded_axes(jsa, heralds, None, None,
-                                         float(np.abs(delays).max()))
+    x, wx, _ = jsa.axes(heralds, None, quadrature.DEFAULT_SPEC,
+                        float(np.abs(delays).max()))
     state_x, state_y = _explicit_states(jsa, heralds, x)
     u = wx * np.exp(1j * np.multiply.outer(delays, x))
     cross = np.einsum("da,ab,db->d", u, state_x * state_y.conj(), u.conj())
@@ -564,7 +564,7 @@ def test_band_dip_never_builds_a_state():
     jsa = hp.DoubleGaussianJsa(*_K30)
     herald = hp.GaussianFilter(0.0, 20.0)
     delays = np.linspace(-1.0, 1.0, 9)
-    x, _, _ = quadrature._heralded_axes(jsa, (herald,), None, None, 1.0)
+    x, _, _ = jsa.axes((herald,), None, quadrature.DEFAULT_SPEC, 1.0)
     assert x.size == 896
     tracemalloc.start()
     try:
@@ -615,16 +615,17 @@ def test_band_sampled_states_match_dense_evaluation(
                         density * quadrature._NODES_PER_FEATURE)
     args = (jsa, heralds, heralded, None, max_delay)
     banded = []
-    sampler = quadrature._root_weighted
+    sampler = hp.DoubleGaussianJsa.row_pieces
 
     def recorded(jsa, x, y, root):
         pieces = sampler(jsa, x, y, root)
         banded.append(sum(p.size for _, _, p in pieces) < x.size * y.size)
         return pieces
 
-    monkeypatch.setattr(quadrature, "_root_weighted", recorded)
+    monkeypatch.setattr(hp.DoubleGaussianJsa, "row_pieces", recorded)
     x, wx, states = _assembled_states(*args)
-    monkeypatch.setattr(quadrature, "_root_weighted", lambda jsa, x, y, root: [
+    monkeypatch.setattr(hp.DoubleGaussianJsa, "row_pieces",
+                        lambda jsa, x, y, root: [
         (0, 0, hp.eval_double_gaussian(jsa, x[:, None], y[None, :]) * root)])
     x_ref, wx_ref, dense = _assembled_states(*args)
     assert np.array_equal(x, x_ref) and np.array_equal(wx, wx_ref)
@@ -638,7 +639,7 @@ def test_herald_beyond_the_band_gives_an_empty_state(jsa_ktp):
     # every root-weighted sample lies below the underflow floor, so the
     # state has no block pairs
     far = hp.GaussianFilter(400.0, 0.05)
-    x, _, ((y, wy),) = quadrature._heralded_axes(jsa_ktp, (far,), None, None)
+    x, _, ((y, wy),) = jsa_ktp.axes((far,), None, quadrature.DEFAULT_SPEC)
     assert list(quadrature._state_pairs(jsa_ktp, x, y, wy)) == []
     with pytest.raises(hp.NumericalError,
                        match="heralding probability evaluated to 0.0"):
@@ -820,6 +821,70 @@ def test_non_amplitudes_raise_type_error():
         hp.hom_dip("x", filt, filt, [0.0])
 
 
+_AMPLITUDE_ROUTES = {
+    "unfiltered_purity": lambda bad, f: hp.unfiltered_purity(bad),
+    "herald_success": lambda bad, f: hp.herald_success(bad, f),
+    "filtered_purity": lambda bad, f: hp.filtered_purity(bad, f),
+    "two_filter_quantities": lambda bad, f: hp.two_filter_quantities(
+        bad, f, f),
+    "hom_dip": lambda bad, f: hp.hom_dip(bad, f, f, [0.0]),
+    "heralding_report": lambda bad, f: hp.heralding_report(bad, f),
+    "solve_filter_for_target": lambda bad, f: hp.solve_filter_for_target(
+        bad, target_purity=0.9),
+    "require_unit_norm": lambda bad, f: core._require_unit_norm(bad),
+}
+
+
+@pytest.mark.parametrize("route", _AMPLITUDE_ROUTES)
+@pytest.mark.parametrize("bad", ["x", None, hp.GaussianFilter(0.0, 1.0)],
+                         ids=["str", "none", "filter"])
+def test_every_route_refuses_a_non_amplitude(route, bad):
+    # one gate in core, core._amplitude, words the refusal for every
+    # quadrature route, the solver and the norm check
+    with pytest.raises(TypeError, match="^not a joint spectral amplitude: "
+                       + type(bad).__name__ + "$"):
+        _AMPLITUDE_ROUTES[route](bad, hp.GaussianFilter(0.0, 1.0))
+
+
+@pytest.mark.parametrize("source", ["jsa_k26", "k26_grid"])
+def test_routes_refuse_a_non_spec(request, source):
+    # an int spec reached its half_extent with an AttributeError on the
+    # parametric route, and was ignored on the gridded one
+    jsa = request.getfixturevalue(source)
+    filt = hp.GaussianFilter(0.0, 1.0)
+    for call in (lambda: hp.heralding_report(jsa, filt, spec=3),
+                 lambda: hp.herald_success(jsa, filt, spec=3),
+                 lambda: hp.hom_dip(jsa, filt, filt, [0.0], spec=3)):
+        with pytest.raises(TypeError, match="^not a quadrature spec: int$"):
+            call()
+
+
+@pytest.mark.parametrize("source", ["jsa_k26", "k26_grid"])
+def test_both_amplitude_types_provide_the_protocol(request, source):
+    # the four members the quadrature route asks an amplitude for
+    jsa = request.getfixturevalue(source)
+    for member in ("norm", "axes", "row_pieces", "resolved"):
+        assert callable(getattr(jsa, member))
+    assert jsa.norm() == (1.0 if source == "jsa_k26"
+                          else pytest.approx(1.0, abs=1e-12))
+    x, wx, ((y, wy),) = jsa.axes((None,), None, quadrature.DEFAULT_SPEC)
+    assert x.shape == wx.shape and y.shape == wy.shape
+    pieces = jsa.row_pieces(x, y, np.sqrt(wy))
+    assert all(start + len(block) <= x.size and offset + block.shape[1]
+               <= y.size for start, offset, block in pieces)
+    assert jsa.resolved(np.array([0.0, 1.0])).dtype == bool
+
+
+def test_quadrature_tests_no_amplitude_or_filter_type():
+    # quadrature asks amplitudes and filters for their rules; it binds
+    # neither amplitude type nor either filter type, and has no isinstance
+    kinds = (hp.DoubleGaussianJsa, hp.GriddedJsa, hp.GaussianFilter,
+             hp.TabulatedFilter)
+    assert not [name for name, value in vars(quadrature).items()
+                if any(value is kind for kind in kinds)]
+    assert "isinstance" not in inspect.getsource(quadrature)
+
+
 def test_node_budget_exhaustion(jsa_ktp, monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_NODES", 64)
     filt = hp.GaussianFilter(0.0, 0.72)
@@ -834,16 +899,15 @@ def test_doubled_node_count_raises_past_the_budget(jsa_k26):
     # state would take 1.15 GB.  Idler panels only lengthen B, so a dense
     # table there is not capped.
     spec = hp.QuadratureSpec(n_nodes=6000)
-    x, _ = quadrature._arm_axis(spec, -1.0, 1.0, 1.0, None)
+    x, _ = spec.axis(-1.0, 1.0, 1.0, None)
     assert x.size == 6000
     with pytest.raises(hp.ConvergenceError, match="axis needs 6016 nodes"):
-        quadrature._arm_axis(quadrature.DEFAULT_SPEC, 0.0, 2300.0, 1.0, None)
+        quadrature.DEFAULT_SPEC.axis(0.0, 2300.0, 1.0, None)
     dense = _gaussian_table(0.0, 0.8, 6.0, 3001)
     with pytest.raises(hp.ConvergenceError, match="signal axis needs 9000"):
         hp.two_filter_quantities(jsa_k26, identity_filter(jsa_k26), dense)
-    lo, hi, feature = quadrature._idler_window(jsa_k26, dense, 8.0)
-    y, _ = quadrature._arm_axis(quadrature.DEFAULT_SPEC, lo, hi, feature,
-                                dense)
+    lo, hi, feature = jsa_k26._idler_window(dense, 8.0)
+    y, _ = quadrature.DEFAULT_SPEC.axis(lo, hi, feature, dense)
     assert y.size == 9000
     assert hp.filtered_purity(jsa_k26, dense) > 0.0
 
@@ -854,14 +918,14 @@ def test_doubled_axes_stay_within_the_budget(jsa_k26, n_nodes):
     # count, and a signal axis whose panels pass the budget is refused
     # before any state is built
     spec = hp.QuadratureSpec(n_nodes=n_nodes)
-    hull = quadrature._idler_window(jsa_k26, None, spec.half_extent)[:2]
+    hull = jsa_k26._idler_window(None, spec.half_extent)[:2]
     refused = 0
     for knots in (2, 11, 101, 2001):
         table = _gaussian_table(0.0, 3.0, 6.0, knots)
-        lo, hi, feature = quadrature._signal_window(jsa_k26, hull, table,
-                                                    spec.half_extent)
-        plain, _ = quadrature._arm_axis(spec, lo, hi, feature, None)
-        x, w = quadrature._arm_axis(spec, lo, hi, feature, table)
+        lo, hi, feature = jsa_k26._signal_window(hull, table,
+                                                 spec.half_extent)
+        plain, _ = spec.axis(lo, hi, feature, None)
+        x, w = spec.axis(lo, hi, feature, table)
         panels = 1 + np.count_nonzero((table.grid > lo) & (table.grid < hi))
         assert plain.size + 2 * panels <= x.size <= plain.size + 3 * panels
         assert np.all(np.diff(x) > 0.0) and lo < x[0] and x[-1] < hi
@@ -871,7 +935,7 @@ def test_doubled_axes_stay_within_the_budget(jsa_k26, n_nodes):
         if x.size > quadrature._MAX_NODES:
             refused += 1
             with pytest.raises(hp.ConvergenceError, match="signal axis"):
-                quadrature._heralded_axes(jsa_k26, (None,), table, spec)
+                jsa_k26.axes((None,), table, spec)
     assert refused == {2999: 1, 3000: 1, 3001: 1, 6000: 4}.get(n_nodes, 0)
 
 
@@ -927,14 +991,14 @@ def test_node_density_keeps_a_margin(jsa_ktp, monkeypatch):
     assert np.abs(dip.coincidences - exact.coincidences).max() <= 1e-12
 
 
-def _calls(monkeypatch, name):
-    """The arguments of each later call of ``quadrature.<name>``."""
-    seen, inner = [], getattr(quadrature, name)
+def _calls(monkeypatch, name, owner=quadrature):
+    """The arguments of each later call of ``owner.<name>``."""
+    seen, inner = [], getattr(owner, name)
 
     def spy(*args, **kwargs):
         seen.append(args)
         return inner(*args, **kwargs)
-    monkeypatch.setattr(quadrature, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return seen
 
 
@@ -948,7 +1012,7 @@ def test_convergence_check_passes_on_defaults(jsa_ktp, monkeypatch):
         doubled = quadrature._single_pair(jsa_ktp, filt, None,
                                           _doubled_rule(patch))
     np.testing.assert_allclose(doubled, plain, rtol=0.0, atol=1e-12)
-    calls = _calls(monkeypatch, "_heralded_axes")
+    calls = _calls(monkeypatch, "axes", hp.DoubleGaussianJsa)
     assert hp.filtered_purity(jsa_ktp, filt) == plain[0]
     assert len(calls) == 1
     assert plain[0] == pytest.approx(hp.closed_form_purity(jsa_ktp, filt),

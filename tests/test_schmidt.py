@@ -403,6 +403,37 @@ def test_overlap_matrix_properties(k26_modes):
     assert eigenvalues.max() <= 1.0 + 1e-9
 
 
+_MODAL_ROUTES = {
+    "schmidt_quantities": lambda modes, q: hp.schmidt_quantities(modes, q),
+    "two_filter_schmidt": lambda modes, q: hp.two_filter_schmidt(
+        modes, q, q),
+    "hom_dip_schmidt": lambda modes, q: hp.hom_dip_schmidt(
+        modes, q, q, [0.0]),
+    "mode_projection_herald": lambda modes, q: hp.mode_projection_herald(
+        modes, 0),
+    "overlap_matrix": lambda modes, q: hp.overlap_matrix(
+        modes, hp.GaussianFilter(0.0, 1.0)),
+}
+_NOT_MODES = [hp.DoubleGaussianJsa(1.0, 5.0, 0.7, -0.7), "modes"]
+_NOT_OVERLAPS = [hp.GaussianFilter(0.0, 1.0), "flat"]
+
+
+@pytest.mark.parametrize("route, modes_bad, bad", [
+    *((route, True, bad) for route in _MODAL_ROUTES for bad in _NOT_MODES),
+    *((route, False, bad) for route in list(_MODAL_ROUTES)[:3]
+      for bad in _NOT_OVERLAPS),
+])
+def test_every_modal_route_refuses_a_wrong_type(k26_modes, route, modes_bad,
+                                               bad):
+    # each raised AttributeError on 'coefficients', 'idler_modes' or 'side';
+    # one gate per kind words the refusal, the decomposition checked first
+    overlap = hp.overlap_matrix(k26_modes, hp.GaussianFilter(0.0, 1.0))
+    kind = "a Schmidt decomposition" if modes_bad else "an overlap matrix"
+    with pytest.raises(TypeError, match=f"^not {kind}: {type(bad).__name__}$"):
+        _MODAL_ROUTES[route](*((bad, overlap) if modes_bad
+                               else (k26_modes, bad)))
+
+
 def test_overlap_matrix_validation(k26_modes):
     n = k26_modes.n_modes
     lopsided = np.zeros((n, n))
