@@ -56,10 +56,13 @@ def closed_form_pair(a, b, c, width, center=0.0):
         purity = sqrt(1 - b**2 / (a * (c + phi)))
         success = sqrt(z*w / (a + z*w)) * exp(-w0**2 * w / (a + z*w))
 
-    The kernel has two halves, one per line above.  ``closed_form_purity``
-    evaluates only the purity half and ``closed_form_success`` only the
-    success half, each with the same operations in the same order, so the
-    scalar wrappers equal this pair bit for bit.
+    The kernel has two halves, one per line above, for array callers.  The
+    scalar wrappers ``closed_form_purity`` and ``closed_form_success`` run
+    their own line in float arithmetic, with the same operations in the
+    same order (``math.sqrt`` rounds as ``np.sqrt`` does), so they equal
+    this pair bit for bit.  A centered success skips its ``exp`` factor,
+    exactly one there; an off-centre one takes the kernel's numpy ``exp``,
+    whose last bit ``math.exp`` does not always match.
 
     Returns:
         Tuple ``(purity, success)`` of arrays (or numpy scalars).
@@ -111,8 +114,14 @@ def closed_form_success(jsa, herald_filter):
         Success probability in [0, 1].
     """
     _require_types(jsa, herald_filter)
-    return float(_success_half(*jsa.intensity_coefficients(),
-                               herald_filter.width, herald_filter.center))
+    a, b, c = jsa.intensity_coefficients()
+    width, center = herald_filter.width, herald_filter.center
+    if center:
+        return float(_success_half(a, b, c, width, center))
+    # ``_success_half`` in float arithmetic; its exp(-0.0 * w / denom) is 1.
+    w = a * c - b * b
+    z = 2.0 * (width * width)
+    return math.sqrt(z * w / (a + z * w))
 
 
 def closed_form_purity(jsa, herald_filter):
@@ -130,8 +139,10 @@ def closed_form_purity(jsa, herald_filter):
         Purity in (0, 1].
     """
     _require_types(jsa, herald_filter)
-    return float(_purity_half(*jsa.intensity_coefficients(),
-                              herald_filter.width))
+    a, b, c = jsa.intensity_coefficients()
+    width = herald_filter.width
+    # ``_purity_half`` in float arithmetic.
+    return math.sqrt(1.0 - b * b / (a * (c + 0.5 / (width * width))))
 
 
 def schmidt_number(jsa):

@@ -46,6 +46,11 @@ SQRT_LN2 = math.sqrt(math.log(2.0))
 # Gaussian ridges are parallel and the amplitude is not normalizable.
 MIN_ANGLE_SINE = 1e-9
 
+# The determinant a*c - b**2 is formed by subtraction, which loses about
+# eps*a*c: at or below this share of a*c (K above about 1.7e7) it is
+# rounding, and every Gaussian formula built on it breaks.
+_DET_FLOOR = 16.0 * np.finfo(float).eps
+
 # Accepted widths, rad/ps.  The intensity determinant a*c - b**2 scales as
 # width**-4; (tiny / eps)**(1/4) = 1.0e-73 and (max * eps)**(1/4) = 1.4e73
 # keep it, and its products with filter variances and squared centres, a
@@ -484,6 +489,12 @@ class DoubleGaussianJsa:
             raise ValueError(
                 "theta1 and theta2 coincide modulo pi; the two ridges are "
                 "parallel and the amplitude is not normalizable"
+            )
+        a, b, c = self.intensity_coefficients()
+        if a * c - b * b <= _DET_FLOOR * (a * c):
+            raise ValueError(
+                "theta1 and theta2 are too nearly parallel: a*c - b**2 "
+                "cancels to rounding (Schmidt number above about 1.7e7)"
             )
 
     def angle_sine(self):

@@ -75,6 +75,7 @@ from .core import (
     _purity_success,
     _real,
     _require_unit_norm,
+    _spectral_filter,
 )
 
 __all__ = [
@@ -537,13 +538,17 @@ def two_filter_quantities(jsa, herald_filter, heralded_filter, spec=None):
 
 
 def _hom_overlaps(jsa, herald_x, herald_y, delays, spec):
-    """Two-arm overlaps at each delay, zero where ``jsa.resolved`` is false."""
+    """Two-arm overlaps at each delay, zero where ``jsa.resolved`` is false;
+    the arguments are checked even when no delay is resolved."""
     out = np.zeros(delays.shape)
     resolved = _amplitude(jsa).resolved(delays)
+    spec = _spec(spec)
+    heralds = (herald_x,) if herald_y is herald_x else (herald_x, herald_y)
+    for herald in heralds:
+        _spectral_filter(herald)
     if not np.any(resolved):
         return out
-    heralds = (herald_x,) if herald_y is herald_x else (herald_x, herald_y)
-    x, wx, idler_axes = jsa.axes(heralds, None, _spec(spec),
+    x, wx, idler_axes = jsa.axes(heralds, None, spec,
                                  float(np.abs(delays[resolved]).max()))
     states = [list(_state_pairs(jsa, x, y, wy)) for y, wy in idler_axes]
     out[resolved] = _arm_overlaps(x, wx, states, delays[resolved])

@@ -109,10 +109,10 @@ def _closed_grid(axis1_name, axis1, jsas, widths):
 
     One ``closed_form_purity`` and one ``closed_form_success`` call per
     point, looked up in this module: the benchmark's tracer counts these
-    calls and its checks perturb them here.  Each call evaluates only its
-    own half of the ``closed_form_pair`` kernel, so a point costs one
-    kernel evaluation and the surfaces equal the broadcast kernel bit for
-    bit.
+    calls and its checks perturb them here.  Each call runs its own half of
+    the ``closed_form_pair`` kernel in float arithmetic, with no numpy call
+    for these centered filters, and the surfaces equal the broadcast kernel
+    bit for bit.
     """
     filters = [GaussianFilter(center=0.0, width=w) for w in widths]
     shape = (len(jsas), len(filters))

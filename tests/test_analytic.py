@@ -69,6 +69,9 @@ def test_scalar_closed_forms_are_the_kernel_halves(monkeypatch):
         jsa = draw_source(rng)
         widths = 10.0 ** rng.uniform(-3.0, 3.0, 16)
         centers = rng.uniform(-3.0, 3.0, 16)
+        # centred filters too, which the random centres never are exactly
+        widths = np.append(widths, widths[:2])
+        centers = np.append(centers, [0.0, -0.0])
         purity, success = hp.closed_form_pair(*jsa.intensity_coefficients(),
                                               widths, centers)
         for i, filt in enumerate(map(hp.GaussianFilter, centers, widths)):
@@ -102,6 +105,24 @@ def test_scalar_closed_forms_are_the_kernel_halves(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(analytic, "_purity_half", refuse)
     assert hp.closed_form_success(jsa, filt) == expected[1]
+
+
+def test_scalar_closed_forms_run_without_numpy(monkeypatch):
+    # a sweep point's purity and centred success run in float arithmetic:
+    # no numpy call, and a Python float out
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} was used")
+
+    jsa = hp.DoubleGaussianJsa(*K26_PARAMS)
+    expected = hp.closed_form_pair(*jsa.intensity_coefficients(), 0.7, 0.0)
+    filters = [hp.GaussianFilter(0.0, 0.7), hp.GaussianFilter(-0.0, 0.7)]
+    monkeypatch.setattr(analytic, "np", NoNumpy())
+    for filt in filters:
+        purity = hp.closed_form_purity(jsa, filt)
+        success = hp.closed_form_success(jsa, filt)
+        assert type(purity) is float and type(success) is float
+        assert (purity, success) == expected
 
 
 def test_closed_forms_require_parametric_inputs(jsa_k26, k26_grid):

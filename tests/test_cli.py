@@ -204,6 +204,19 @@ def test_widths_outside_the_range_exit_2(tmp_path, scale, command):
         "message": f"sigma1 must lie in [1e-72, 1e+72], got {scale}"}
 
 
+def test_near_parallel_ridges_exit_2(tmp_path):
+    # the determinant cancelled to 0.0 and report ended in a
+    # ZeroDivisionError traceback (exit 1)
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps({"jsa": {**K26, "theta1": 0.5,
+                                        "theta2": 0.5 + 2e-9}}))
+    code, out, err = run_cli("report", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert json.loads(err)["message"].startswith(
+        "theta1 and theta2 are too nearly parallel")
+
+
 def test_empty_heralding_exits_with_numerical_error(tmp_path):
     path = tmp_path / "detuned.json"
     path.write_text(json.dumps({

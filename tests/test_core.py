@@ -358,6 +358,16 @@ def test_from_physical_rejects_parallel_angles():
         hp.from_physical(params)
 
 
+@pytest.mark.parametrize("offset", [2e-9, 2e-8])
+def test_near_parallel_ridges_are_refused(offset):
+    # both sines pass MIN_ANGLE_SINE, yet a*c - b**2 cancelled to 0.0:
+    # schmidt_number and marginal_widths raised ZeroDivisionError and the
+    # closed-form success read 0.0
+    with pytest.raises(ValueError, match=r"^theta1 and theta2 are too nearly "
+                                         r"parallel: a\*c - b\*\*2 cancels"):
+        hp.DoubleGaussianJsa(1.0, 5.0, 0.5, 0.5 + offset)
+
+
 @pytest.mark.parametrize("text,expected", [
     ("pi", math.pi),
     ("pi/4", math.pi / 4),

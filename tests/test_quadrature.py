@@ -93,6 +93,9 @@ _FILTER_ROUTES = {
         jsa, ok, bad),
     "hom_dip_x": lambda jsa, bad, ok: hp.hom_dip(jsa, bad, ok, [0.0]),
     "hom_dip_y": lambda jsa, bad, ok: hp.hom_dip(jsa, ok, bad, [0.0]),
+    # no delay resolved: the parametric dip returned its baseline unchecked
+    "hom_dip_unresolved": lambda jsa, bad, ok: hp.hom_dip(jsa, ok, bad,
+                                                          [1e6]),
     "heralding_report": lambda jsa, bad, ok: hp.heralding_report(jsa, bad),
     "overlap_matrix": lambda modes, bad, ok: hp.overlap_matrix(modes, bad),
 }
@@ -854,7 +857,8 @@ def test_routes_refuse_a_non_spec(request, source):
     filt = hp.GaussianFilter(0.0, 1.0)
     for call in (lambda: hp.heralding_report(jsa, filt, spec=3),
                  lambda: hp.herald_success(jsa, filt, spec=3),
-                 lambda: hp.hom_dip(jsa, filt, filt, [0.0], spec=3)):
+                 lambda: hp.hom_dip(jsa, filt, filt, [0.0], spec=3),
+                 lambda: hp.hom_dip(jsa, filt, filt, [1e6], spec=3)):
         with pytest.raises(TypeError, match="^not a quadrature spec: int$"):
             call()
 
