@@ -1,10 +1,9 @@
 """Closed-form results for double-Gaussian amplitudes and Gaussian filters.
 
-Every expression here is written through the quadratic-form coefficients
-``(a, b, c)`` of the joint intensity (see
-``DoubleGaussianJsa.intensity_coefficients``) and their determinant
-``w = a*c - b**2``.  Gaussian integrals then reduce to ratios of these
-coefficients, which keeps the formulas short and free of sign conventions.
+Every expression is written through the intensity coefficients ``(a, b, c)``
+and their determinant ``det = a*c - b**2``, formed exactly by
+``DoubleGaussianJsa.intensity_coefficients``.  Gaussian integrals reduce to
+ratios of positive terms, free of sign conventions and of cancellation.
 """
 
 from __future__ import annotations
@@ -29,69 +28,70 @@ __all__ = [
 ]
 
 
-def _purity_half(a, b, c, width):
+def _purity_half(a, b, det, width):
     """Purity half of ``closed_form_pair``; it does not read the center."""
     # A product, not ``width**2``: on Python floats ``**`` is C ``pow``,
     # which misrounds some squares that numpy arrays square exactly.
-    return np.sqrt(1.0 - b * b / (a * (c + 0.5 / (width * width))))
+    n = det + a * (0.5 / (width * width))
+    return np.sqrt(n / (n + b * b))
 
 
-def _success_half(a, b, c, width, center):
+def _success_half(a, det, width, center):
     """Success half of ``closed_form_pair``."""
-    w = a * c - b * b
     z = 2.0 * (width * width)
-    denom = a + z * w
-    return np.sqrt(z * w / denom) * np.exp(-(center * center) * w / denom)
+    denom = a + z * det
+    return np.sqrt(z * det / denom) * np.exp(-(center * center) * det / denom)
 
 
-def closed_form_pair(a, b, c, width, center=0.0):
+def closed_form_pair(a, b, c, det, width, center=0.0):
     """Heralded purity and success for a Gaussian herald filter.
 
     The one closed-form kernel: every argument may be a float or a numpy
     array, and the results broadcast over all of them.  With intensity
-    coefficients ``(a, b, c)`` (``DoubleGaussianJsa.intensity_coefficients``),
-    determinant ``w = a*c - b**2``, filter variance ``z = 2*width**2``,
-    ``phi = 1/z`` and center ``w0``::
+    coefficients ``(a, b, c)`` and determinant ``det = a*c - b**2``, all
+    four as ``DoubleGaussianJsa.intensity_coefficients`` returns them, filter
+    variance ``z = 2*width**2``, ``phi = 1/z`` and center ``w0``::
 
-        purity = sqrt(1 - b**2 / (a * (c + phi)))
-        success = sqrt(z*w / (a + z*w)) * exp(-w0**2 * w / (a + z*w))
+        purity = sqrt(n / (n + b**2)),  n = det + a*phi
+        success = sqrt(z*det / (a + z*det)) * exp(-w0**2 * det / (a + z*det))
 
-    The kernel has two halves, one per line above, for array callers.  The
-    scalar wrappers ``closed_form_purity`` and ``closed_form_success`` run
-    their own line in float arithmetic, with the same operations in the
-    same order (``math.sqrt`` rounds as ``np.sqrt`` does), so they equal
-    this pair bit for bit.  A centered success skips its ``exp`` factor,
-    exactly one there; an off-centre one takes the kernel's numpy ``exp``,
-    whose last bit ``math.exp`` does not always match.
+    As ``n + b**2 = a*(c + phi)``, both lines sum positive terms only: they
+    neither cancel nor round above one.  The kernel has two halves, one per
+    line, for array callers.  The scalar wrappers ``closed_form_purity`` and
+    ``closed_form_success`` run their own line in float arithmetic, with the
+    same operations in the same order (``math.sqrt`` rounds as ``np.sqrt``
+    does), so they equal this pair bit for bit.  A centered success skips
+    its ``exp`` factor, exactly one there; an off-centre one takes the
+    kernel's numpy ``exp``, whose last bit ``math.exp`` does not always match.
 
     Returns:
         Tuple ``(purity, success)`` of arrays (or numpy scalars).
     """
-    return (_purity_half(a, b, c, width),
-            _success_half(a, b, c, width, center))
+    return (_purity_half(a, b, det, width),
+            _success_half(a, det, width, center))
 
 
-def closed_form_two_filter(a, b, c, width, center, signal_width,
+def closed_form_two_filter(a, b, c, det, width, center, signal_width,
                            signal_center):
     """``closed_form_pair`` with a second Gaussian filter, on the signal arm.
 
     Broadcasts like ``closed_form_pair``.  The signal filter turns the source
     into the double Gaussian ``(a + phi, b, c)``, displaced and attenuated,
-    with ``phi = 1/(2*signal_width**2)``.  With ``w = a*c - b**2``,
-    ``w_s = (a + phi)*c - b**2`` and ``pull = phi*signal_center/w_s``, the
-    result is ``closed_form_pair(a + phi, b, c, width, center + b*pull)``
-    with its success times ``sqrt(w/w_s) * exp(-pull*signal_center*w)``.  An
-    infinite ``signal_width`` gives ``closed_form_pair`` bit for bit.  With
+    with ``phi = 1/(2*signal_width**2)``.  Its determinant is
+    ``w_s = det + phi*c``, and with ``pull = phi*signal_center/w_s`` the
+    result is ``closed_form_pair(a + phi, b, c, w_s, width, center + b*pull)``
+    with its success times ``sqrt(det/w_s) * exp(-pull*signal_center*det)``.
+    An infinite ``signal_width`` gives ``closed_form_pair`` bit for bit.  With
     both filters centered, at any two widths, the success at purity ``P`` is
     still ``sqrt(1 - P**2) / (P * sqrt(K**2 - 1))``.
     """
     phi = 0.5 / (signal_width * signal_width)
-    a_s = a + phi
-    w = a * c - b * b
-    w_s = a_s * c - b * b
+    w_s = det + phi * c
     pull = phi * signal_center / w_s
-    purity, success = closed_form_pair(a_s, b, c, width, center + b * pull)
-    return purity, success * np.sqrt(w / w_s) * np.exp(-pull * signal_center * w)
+    purity, success = closed_form_pair(a + phi, b, c, w_s, width,
+                                       center + b * pull)
+    return (purity,
+            success * np.sqrt(det / w_s) * np.exp(-pull * signal_center * det))
 
 
 def closed_form_success(jsa, herald_filter):
@@ -114,14 +114,13 @@ def closed_form_success(jsa, herald_filter):
         Success probability in [0, 1].
     """
     _require_types(jsa, herald_filter)
-    a, b, c = jsa.intensity_coefficients()
+    a, _, _, det = jsa.intensity_coefficients()
     width, center = herald_filter.width, herald_filter.center
     if center:
-        return float(_success_half(a, b, c, width, center))
-    # ``_success_half`` in float arithmetic; its exp(-0.0 * w / denom) is 1.
-    w = a * c - b * b
+        return float(_success_half(a, det, width, center))
+    # ``_success_half`` in float arithmetic; its exp(-0.0 * det / denom) is 1.
     z = 2.0 * (width * width)
-    return math.sqrt(z * w / (a + z * w))
+    return math.sqrt(z * det / (a + z * det))
 
 
 def closed_form_purity(jsa, herald_filter):
@@ -139,20 +138,21 @@ def closed_form_purity(jsa, herald_filter):
         Purity in (0, 1].
     """
     _require_types(jsa, herald_filter)
-    a, b, c = jsa.intensity_coefficients()
+    a, b, _, det = jsa.intensity_coefficients()
     width = herald_filter.width
     # ``_purity_half`` in float arithmetic.
-    return math.sqrt(1.0 - b * b / (a * (c + 0.5 / (width * width))))
+    n = det + a * (0.5 / (width * width))
+    return math.sqrt(n / (n + b * b))
 
 
 def schmidt_number(jsa):
     """Mode number K of a double-Gaussian amplitude, in closed form.
 
-    ``K = sqrt(a*c / (a*c - b**2))``; the unfiltered purity is ``1/K``.
+    ``K = sqrt(a*c / det)``; the unfiltered purity is ``1/K``.
     """
     _require_types(jsa)
-    a, b, c = jsa.intensity_coefficients()
-    return math.sqrt(a * c / (a * c - b * b))
+    a, _, c, det = jsa.intensity_coefficients()
+    return math.sqrt(a * c / det)
 
 
 def thermal_schmidt_coefficients(mode_number, n_modes=64):
@@ -181,13 +181,12 @@ def mode_scales(jsa):
 
     Returns:
         Tuple ``(signal_scale, idler_scale)`` in rad/ps: with intensity
-        coefficients ``(a, b, c)`` and determinant ``w``, the signal scale
-        is ``(c / (w*a))**(1/4)`` and the idler scale ``(a / (w*c))**(1/4)``.
+        coefficients ``(a, b, c, det)``, the signal scale is
+        ``(c / (det*a))**(1/4)`` and the idler scale ``(a / (det*c))**(1/4)``.
     """
     _require_types(jsa)
-    a, b, c = jsa.intensity_coefficients()
-    w = a * c - b * b
-    return (c / (w * a)) ** 0.25, (a / (w * c)) ** 0.25
+    a, _, c, det = jsa.intensity_coefficients()
+    return (c / (det * a)) ** 0.25, (a / (det * c)) ** 0.25
 
 
 def _hermite_function(order, x):
@@ -258,7 +257,7 @@ def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5):
     """
     _require_types(jsa)
     purity = _real("purity", purity, low=0, high=1)
-    a, _, _ = jsa.intensity_coefficients()
+    a = jsa.intensity_coefficients()[0]
     return _dip(delays, reflectivity,
                 lambda tau: purity * np.exp(-tau * tau / (2.0 * a)))
 

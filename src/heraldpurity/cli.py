@@ -440,11 +440,12 @@ def cmd_hom(args):
                          f"zero delay, got {args.tau_points}")
     if args.tau_max is not None:
         # Checked here too: linspace warns on an infinite end.
-        if not math.isfinite(args.tau_max):
-            raise ValueError(f"--tau-max must be finite, got {args.tau_max}")
+        if not 0.0 < args.tau_max < math.inf:
+            raise ValueError(f"--tau-max must be positive and finite, got "
+                             f"{args.tau_max}")
         tau_max = args.tau_max
     elif isinstance(jsa, DoubleGaussianJsa):
-        a, _, _ = jsa.intensity_coefficients()
+        a = jsa.intensity_coefficients()[0]
         tau_max = 4.0 * math.sqrt(2.0 * a)
     else:
         raise ValueError("gridded amplitudes need an explicit --tau-max")

@@ -46,9 +46,9 @@ SQRT_LN2 = math.sqrt(math.log(2.0))
 # Gaussian ridges are parallel and the amplitude is not normalizable.
 MIN_ANGLE_SINE = 1e-9
 
-# The determinant a*c - b**2 is formed by subtraction, which loses about
-# eps*a*c: at or below this share of a*c (K above about 1.7e7) it is
-# rounding, and every Gaussian formula built on it breaks.
+# The ridge gate.  Subtracted, a*c - b**2 loses about eps*a*c: at or below
+# this share of a*c (K above about 1.7e7) the published (a, b, c) are a
+# rank-one form to rounding.  The formulas read the exact det instead.
 _DET_FLOOR = 16.0 * np.finfo(float).eps
 
 # Accepted widths, rad/ps.  The intensity determinant a*c - b**2 scales as
@@ -490,7 +490,7 @@ class DoubleGaussianJsa:
                 "theta1 and theta2 coincide modulo pi; the two ridges are "
                 "parallel and the amplitude is not normalizable"
             )
-        a, b, c = self.intensity_coefficients()
+        a, b, c, _ = self.intensity_coefficients()
         if a * c - b * b <= _DET_FLOOR * (a * c):
             raise ValueError(
                 "theta1 and theta2 are too nearly parallel: a*c - b**2 "
@@ -505,9 +505,10 @@ class DoubleGaussianJsa:
         """Quadratic-form coefficients of the joint intensity.
 
         Returns:
-            Tuple ``(a, b, c)`` such that ``|Phi(w, w')|**2`` is proportional
-            to ``exp(-(a*w**2 + 2*b*w*w' + c*w'**2))``.  The determinant
-            ``a*c - b**2`` equals ``sin(theta1 - theta2)**2 / (sigma1*sigma2)**2``.
+            Tuple ``(a, b, c, det)`` such that ``|Phi(w, w')|**2`` is
+            proportional to ``exp(-(a*w**2 + 2*b*w*w' + c*w'**2))``, with
+            ``det = a*c - b**2`` formed exactly, without that subtraction,
+            as ``(sin(theta1 - theta2) / (sigma1*sigma2))**2``.
         """
         return self._coefficients
 
@@ -522,12 +523,12 @@ class DoubleGaussianJsa:
         a = s1 * s1 * v1 + s2 * s2 * v2
         b = s1 * c1 * v1 + s2 * c2 * v2
         c = c1 * c1 * v1 + c2 * c2 * v2
-        return a, b, c
+        det = (self.angle_sine() / (self.sigma1 * self.sigma2)) ** 2
+        return a, b, c, det
 
     def marginal_widths(self):
         """Standard deviations of the signal and idler intensity marginals."""
-        a, b, c = self.intensity_coefficients()
-        det = a * c - b * b
+        a, _, c, det = self.intensity_coefficients()
         return math.sqrt(c / (2.0 * det)), math.sqrt(a / (2.0 * det))
 
     def conditional_widths(self):
@@ -538,7 +539,7 @@ class DoubleGaussianJsa:
             signal frequency at fixed idler frequency, and vice versa.  These
             set the fine structure an integration grid has to resolve.
         """
-        a, _, c = self.intensity_coefficients()
+        a, _, c, _ = self.intensity_coefficients()
         return 1.0 / math.sqrt(2.0 * a), 1.0 / math.sqrt(2.0 * c)
 
     def norm(self):
@@ -559,7 +560,7 @@ class DoubleGaussianJsa:
 
     def _signal_window(self, idler_window, heralded, tail):
         """Window and feature size for the signal axis, given the idler's."""
-        a, b, _ = self.intensity_coefficients()
+        a, b, _, _ = self.intensity_coefficients()
         s_sig, _ = self.marginal_widths()
         w_sig, _ = self.conditional_widths()
         slope = -b / a
@@ -598,11 +599,11 @@ class DoubleGaussianJsa:
         ``_BAND_MARGIN`` in ``L`` and one node on each side against rounding.
         """
         ny = y.size
-        a, b, c = self.intensity_coefficients()
+        _, b, c, det = self.intensity_coefficients()
         peak = float(eval_double_gaussian(self, 0.0, 0.0) * root.max())
         reach = (2.0 * math.log(peak / _UNDERFLOW_FLOOR) + _BAND_MARGIN
                  if peak > 0.0 else -math.inf)
-        disc = c * reach - (a * c - b * b) * x * x
+        disc = c * reach - det * x * x
         live = disc >= 0.0
         half = np.sqrt(np.where(live, disc, 0.0))
         lo = np.searchsorted(y, (-b * x - half) / c) - 1
@@ -647,9 +648,8 @@ def eval_double_gaussian(jsa, omega_signal, omega_idler):
     _require_types(jsa, what="sampling is defined")
     ws = np.asarray(omega_signal, dtype=float)
     wi = np.asarray(omega_idler, dtype=float)
-    a, b, _ = jsa.intensity_coefficients()
+    a, b, _, det = jsa.intensity_coefficients()
     root = math.sqrt(0.5 * a)
-    det = (math.sin(jsa.theta1 - jsa.theta2) / (jsa.sigma1 * jsa.sigma2)) ** 2
     log_norm = 0.5 * math.log(math.sqrt(det) / math.pi)
     u = ws * root + wi * (b / a * root)
     out = u if np.ndim(u) else None  # a scalar stays a scalar
@@ -899,7 +899,7 @@ def _require_unit_norm(jsa):
 
 def _thin_width(jsa):
     """``1/sqrt(lam_max)``, lam_max the top eigenvalue of ``[[a, b], [b, c]]``."""
-    a, b, c = jsa.intensity_coefficients()
+    a, b, c, _ = jsa.intensity_coefficients()
     lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
     return 1.0 / math.sqrt(lam_max)
 
@@ -1007,7 +1007,7 @@ def recommended_grid(jsa, herald_filter=None):
     _require_types(jsa, herald_filter)
     s_sig, s_idl = jsa.marginal_widths()
     w_sig, w_idl = jsa.conditional_widths()
-    a, b, _ = jsa.intensity_coefficients()
+    a, b, _, _ = jsa.intensity_coefficients()
     limit = _GRID_TAIL * max(s_sig, s_idl)
     feature = min(w_sig, w_idl, _thin_width(jsa))
     if herald_filter is not None:

@@ -267,8 +267,8 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
     meets the target it is returned (``"bracket_end"``).
 
     For a ``DoubleGaussianJsa`` the purity does not depend on the center,
-    so the target inverts exactly (``"closed_form"``): ``phi = b**2 /
-    (a*(1 - P**2)) - c`` and ``sigma_f = 1/sqrt(2*phi)``, with ``phi <= 0``
+    so the target inverts exactly (``"closed_form"``): ``phi = (P**2*a*c -
+    det) / (a*(1 - P**2))`` and ``sigma_f = 1/sqrt(2*phi)``, with ``phi <= 0``
     when the unfiltered source already meets it.  The scale is the larger
     ridge width.  A ``GriddedJsa`` is scanned (``"scan"``, see ``_scan``)
     from its RMS idler frequency, starting at twice the idler grid step,
@@ -305,9 +305,9 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
 
     _require_unit_norm(jsa)
     if isinstance(jsa, DoubleGaussianJsa):
-        a, b, c = jsa.intensity_coefficients()
+        a, b, c, det = jsa.intensity_coefficients()
         scale = max(jsa.sigma1, jsa.sigma2)
-        phi = b * b / (a * (1.0 - target * target)) - c
+        phi = (target * target * a * c - det) / (a * (1.0 - target * target))
         width = 1.0 / math.sqrt(2.0 * phi) if phi > 0.0 else math.inf
         method, iterations = "closed_form", 0
         if width >= 1e3 * scale:
@@ -317,7 +317,7 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
                              f"it needs a filter width of {width:.4g}, below "
                              f"{1e-3 * scale:.4g}")
         filt = GaussianFilter(center=center, width=width)
-        purity, success = closed_form_pair(a, b, c, filt.width, filt.center)
+        purity, success = closed_form_pair(a, b, c, det, filt.width, filt.center)
     else:
         evaluate = _gridded_curve(jsa, center)
         weights = _squared_modulus(jsa.amplitudes).sum(axis=0) * jsa.cell_area

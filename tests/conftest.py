@@ -82,7 +82,7 @@ def _idler_sums(jsa, y, u, v):
     ``rho(y, y') = exp(-(c/2)(y^2 + y'^2) + b^2 (y + y')^2 / (4a))``; its
     square is contracted a block of rows at a time.
     """
-    a, b, c = jsa.intensity_coefficients()
+    a, b, c, _ = jsa.intensity_coefficients()
 
     def rho(p, q):
         return np.exp(-0.5 * c * (p * p + q * q) + b * b * (p + q) ** 2 / (4 * a))
@@ -102,7 +102,7 @@ def tabulated_reference(jsa, filt, nodes=20, tails=40.0):
     ``P = w rho^2 w / tr^2`` and ``S = tr * sqrt((ac - b^2) / (pi a))``,
     with ``tr = sum(w diag(rho))``.
     """
-    a, b, c = jsa.intensity_coefficients()
+    a, b, c, _ = jsa.intensity_coefficients()
     y, w = _panels(jsa, filt.grid, nodes, tails)
     w = w * filt.transmission(y)
     trace, _, cross = _idler_sums(jsa, y, w, w)

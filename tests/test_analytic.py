@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
-from conftest import K26_PARAMS, SEED, draw_source
+from conftest import K26_PARAMS, KTP_PARAMS, SEED, draw_source
 from heraldpurity import analytic
 
 
@@ -125,6 +125,86 @@ def test_scalar_closed_forms_run_without_numpy(monkeypatch):
         assert (purity, success) == expected
 
 
+# From K = 1 to the constructor's ceiling of about 1.7e7: the uncorrelated
+# source, the demo and KTP sources, and ridges opened by 1e-1 to 1.3e-7 rad.
+_K_LADDER = [(1.0, 1.0, math.pi / 4, -math.pi / 4), K26_PARAMS, KTP_PARAMS,
+             *[(1.0, 5.0, 0.5, 0.5 + d)
+               for d in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1.3e-7)]]
+
+
+@pytest.mark.parametrize("params", _K_LADDER)
+def test_closed_forms_meet_50_digits(params):
+    # each closed form within 1e-15 relative of its 50-digit value on the
+    # same float parameters; a*c - b**2 formed by subtraction was 1.1e-12
+    # to 6.5e-7 off in the success at K = 2.2e2 to 2.2e5, and up to 6.8e-2
+    # in some closed form near the ceiling
+    mp = pytest.importorskip("mpmath")
+    jsa = hp.DoubleGaussianJsa(*params)
+    checks = []
+    with mp.workdps(50):
+        s1, c1 = mp.sin(mp.mpf(jsa.theta1)), mp.cos(mp.mpf(jsa.theta1))
+        s2, c2 = mp.sin(mp.mpf(jsa.theta2)), mp.cos(mp.mpf(jsa.theta2))
+        v1, v2 = mp.mpf(jsa.sigma1) ** -2, mp.mpf(jsa.sigma2) ** -2
+        a = s1 * s1 * v1 + s2 * s2 * v2
+        b = s1 * c1 * v1 + s2 * c2 * v2
+        c = c1 * c1 * v1 + c2 * c2 * v2
+        det = a * c - b * b
+
+        def pair(a, c, det, width, center):
+            phi = 1 / (2 * mp.mpf(width) ** 2)
+            denom = a + det / phi
+            return (mp.sqrt(1 - b * b / (a * (c + phi))),
+                    mp.sqrt(det / phi / denom)
+                    * mp.exp(-mp.mpf(center) ** 2 * det / denom))
+
+        k = mp.sqrt(a * c / det)
+        checks += [(jsa.intensity_coefficients()[3], det),
+                   (hp.schmidt_number(jsa), k),
+                   *zip(hp.mode_scales(jsa), ((c / (det * a)) ** 0.25,
+                                              (a / (det * c)) ** 0.25)),
+                   *zip(jsa.marginal_widths(), (mp.sqrt(c / (2 * det)),
+                                                mp.sqrt(a / (2 * det))))]
+        for width in (0.3, 2.0, 30.0, 1e4):
+            for center in (0.0, 0.1, -1.0):
+                filt = hp.GaussianFilter(center, width)
+                purity, success = pair(a, c, det, width, center)
+                checks += [(hp.closed_form_purity(jsa, filt), purity),
+                           (hp.closed_form_success(jsa, filt), success)]
+                for signal_width, signal_center in ((0.7, 0.2), (width, 0.0),
+                                                    (3.0, -0.5)):
+                    phi = 1 / (2 * mp.mpf(signal_width) ** 2)
+                    det_s = (a + phi) * c - b * b
+                    pull = phi * signal_center / det_s
+                    purity, success = pair(a + phi, c, det_s, width,
+                                           center + b * pull)
+                    success *= (mp.sqrt(det / det_s)
+                                * mp.exp(-pull * signal_center * det))
+                    checks += zip(hp.closed_form_two_filter(
+                        *jsa.intensity_coefficients(), width, center,
+                        signal_width, signal_center), (purity, success))
+        for fraction in (0.1, 0.5, 0.9) if k > 1.001 else ():
+            target = float(1 / k + fraction * (1 - 1 / k))
+            solution = hp.solve_filter_for_target(jsa, target_purity=target)
+            assert solution.method == "closed_form"
+            phi = b * b / (a * (1 - mp.mpf(target) ** 2)) - c
+            checks.append((solution.sigma_f, 1 / mp.sqrt(2 * phi)))
+        errors = [abs(mp.mpf(float(got)) / exact - 1) for got, exact in checks]
+    assert max(errors) <= 1e-15
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_quadrature_meets_closed_forms_at_high_k(delta):
+    # K = 2.2e2 to 2.2e5; the quadrature is within 2.8e-15 of 50 digits
+    jsa = hp.DoubleGaussianJsa(1.0, 5.0, 0.5, 0.5 + delta)
+    for width in (0.3, 2.0):
+        for center in (0.0, 0.1):
+            filt = hp.GaussianFilter(center, width)
+            assert hp.filtered_purity(jsa, filt) == pytest.approx(
+                hp.closed_form_purity(jsa, filt), rel=1e-13, abs=0.0)
+            assert hp.herald_success(jsa, filt) == pytest.approx(
+                hp.closed_form_success(jsa, filt), rel=1e-13, abs=0.0)
+
+
 def test_closed_forms_require_parametric_inputs(jsa_k26, k26_grid):
     with pytest.raises(TypeError):
         hp.closed_form_success(k26_grid, hp.GaussianFilter(0.0, 1.0))
@@ -208,7 +288,7 @@ def test_closed_dip_shape(jsa_k26):
     assert curve.coincidences.min() == pytest.approx(
         0.5 * (1.0 - purity), rel=1e-9)
     assert curve.coincidences[0] == pytest.approx(0.5, abs=1e-3)
-    a, _, _ = jsa_k26.intensity_coefficients()
+    a, _, _, _ = jsa_k26.intensity_coefficients()
     expected = 2.0 * math.sqrt(2.0 * a * math.log(2.0))
     assert curve.half_depth_width() == pytest.approx(expected, rel=1e-3)
 

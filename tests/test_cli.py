@@ -517,7 +517,7 @@ def test_two_filter_tradeoff_rejects_quadrature_flags(k26_config):
         assert flag in err
 
 
-@pytest.mark.parametrize("tau_max", ["nan", "inf"])
+@pytest.mark.parametrize("tau_max", ["nan", "inf", "0", "-1"])
 def test_hom_rejects_non_finite_delays(k26_config, tau_max):
     code, out, err = run_cli("hom", "--config", k26_config, "--filter-width",
                              "1.0", "--tau-max", tau_max, "--no-timestamp")

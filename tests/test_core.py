@@ -134,7 +134,7 @@ def test_jsa_construction_rejected(kwargs):
 
 
 def test_intensity_coefficients(jsa_k26):
-    a, b, c = jsa_k26.intensity_coefficients()
+    a, b, c, _ = jsa_k26.intensity_coefficients()
     assert a == pytest.approx(0.52, rel=1e-14)
     assert b == pytest.approx(0.48, rel=1e-14)
     assert c == pytest.approx(0.52, rel=1e-14)

@@ -471,11 +471,11 @@ def test_herald_success_sums_only_the_weighted_trace(request, monkeypatch,
 def _looped_pieces(jsa, x, y, root):
     """``row_pieces`` of a parametric amplitude, each block's
     hull taken by a ``min()`` and a ``max()`` of its own."""
-    a, b, c = jsa.intensity_coefficients()
+    _, b, c, det = jsa.intensity_coefficients()
     peak = float(hp.eval_double_gaussian(jsa, 0.0, 0.0) * root.max())
     reach = (2.0 * math.log(peak / core._UNDERFLOW_FLOOR)
              + core._BAND_MARGIN if peak > 0.0 else -math.inf)
-    disc = c * reach - (a * c - b * b) * x * x
+    disc = c * reach - det * x * x
     live = disc >= 0.0
     half = np.sqrt(np.where(live, disc, 0.0))
     lo = np.searchsorted(y, (-b * x - half) / c) - 1
@@ -987,7 +987,7 @@ def test_node_density_keeps_a_margin(jsa_ktp, monkeypatch):
     sparse = _margin_values(cases)
     assert np.all(np.abs(sparse / reference - 1.0) <= 1e-11)
     filt = hp.GaussianFilter(0.0, 2.0)
-    a, _, _ = jsa_ktp.intensity_coefficients()
+    a, _, _, _ = jsa_ktp.intensity_coefficients()
     delays = np.linspace(-1.0, 1.0, 201) * 4.0 * math.sqrt(2.0 * a)
     dip = hp.hom_dip(jsa_ktp, filt, filt, delays)
     exact = hp.hom_dip_analytic(
