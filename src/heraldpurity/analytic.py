@@ -258,8 +258,9 @@ def hom_dip_analytic(jsa, purity, delays, reflectivity=0.5):
     _require_types(jsa)
     purity = _real("purity", purity, low=0, high=1)
     a = jsa.intensity_coefficients()[0]
-    return _dip(delays, reflectivity,
-                lambda tau: purity * np.exp(-tau * tau / (2.0 * a)))
+    with np.errstate(over="ignore"):  # past |tau| = 1.3e154, tau * tau is inf
+        return _dip(delays, reflectivity,
+                    lambda tau: purity * np.exp(-tau * tau / (2.0 * a)))
 
 
 def closed_form_report(jsa, herald_filter=None):

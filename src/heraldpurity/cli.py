@@ -39,10 +39,10 @@ from .analytic import (
     thermal_schmidt_coefficients,
 )
 from .core import (
-    DoubleGaussianJsa,
     GaussianFilter,
     GriddedJsa,
     NumericalError,
+    _closed_forms,
     discretize,
     filter_from_dict,
     jsa_from_dict,
@@ -81,10 +81,11 @@ def _fmt(value):
 def load_jsa_csv(path):
     """Read tabulated amplitude samples from CSV.
 
-    The file must have a header naming the columns ``omega_signal``,
-    ``omega_idler``, ``re`` and ``im``, in any order and among any others,
-    and one row per grid cell, covering a full rectangle of signal and
-    idler frequencies with each ``(signal, idler)`` pair exactly once.
+    The file, UTF-8 with or without a byte-order mark, must have a header
+    naming the columns ``omega_signal``, ``omega_idler``, ``re`` and
+    ``im``, in any order and among any others, and one row per grid cell,
+    covering a full rectangle of signal and idler frequencies with each
+    ``(signal, idler)`` pair exactly once.
 
     Returns:
         A normalized ``GriddedJsa``.
@@ -95,7 +96,7 @@ def load_jsa_csv(path):
             rectangle once.
     """
     required = ("omega_signal", "omega_idler", "re", "im")
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         names = [name.strip() for name in handle.readline().lstrip("#")
                  .split(",")]
         if any(column not in names for column in required):
@@ -351,10 +352,8 @@ def _parse_range(text, log=False, angles=False):
 def cmd_report(args):
     jsa, herald, spec = _build_run_config(args)
     numeric = heralding_report(jsa, herald, spec=spec)
-    closed = None
-    if isinstance(jsa, DoubleGaussianJsa) and (
-            herald is None or isinstance(herald, GaussianFilter)):
-        closed = closed_form_report(jsa, herald)
+    closed = (closed_form_report(jsa, herald) if _closed_forms(jsa, herald)
+              else None)
 
     if herald is None:
         names = ["purity_unfiltered", "schmidt_number", "g2"]
@@ -408,8 +407,9 @@ def cmd_sweep(args):
         to_dict, to_rows, field = grid_to_dict, grid_to_rows, _GRID_FIELDS
     else:
         jsa, _, _ = _build_run_config(args)
-        if not isinstance(jsa, DoubleGaussianJsa):
-            raise ValueError("tradeoff sweeps need a parametric jsa config")
+        # Before the pairs read sigma1: a gridded amplitude is refused here.
+        result = tradeoff_curve(jsa, filter_widths=widths,
+                                two_filter=args.two_filters)
         pairs += [
             ("sigma1", _fmt(jsa.sigma1)),
             ("sigma2", _fmt(jsa.sigma2)),
@@ -417,8 +417,6 @@ def cmd_sweep(args):
             ("theta2", _fmt(jsa.theta2)),
             ("two_filters", str(bool(args.two_filters)).lower()),
         ]
-        result = tradeoff_curve(jsa, filter_widths=widths,
-                                two_filter=args.two_filters)
         to_dict, to_rows, field = tradeoff_to_dict, tradeoff_to_rows, "%.12g"
 
     with _open_output(args) as handle:
@@ -444,22 +442,14 @@ def cmd_hom(args):
             raise ValueError(f"--tau-max must be positive and finite, got "
                              f"{args.tau_max}")
         tau_max = args.tau_max
-    elif isinstance(jsa, DoubleGaussianJsa):
-        a = jsa.intensity_coefficients()[0]
-        tau_max = 4.0 * math.sqrt(2.0 * a)
+    elif _closed_forms(jsa):
+        tau_max = 4.0 * math.sqrt(2.0 * jsa.intensity_coefficients()[0])
     else:
         raise ValueError("gridded amplitudes need an explicit --tau-max")
     delays = np.linspace(-tau_max, tau_max, args.tau_points)
     reflectivity = args.reflectivity
     curve = hom_dip(jsa, herald, herald, delays, reflectivity=reflectivity,
                     spec=spec)
-
-    closed = None
-    if (isinstance(jsa, DoubleGaussianJsa)
-            and isinstance(herald, GaussianFilter)):
-        purity = closed_form_purity(jsa, herald)
-        closed = hom_dip_analytic(jsa, purity, delays,
-                                  reflectivity=reflectivity)
 
     pairs = [
         ("reflectivity", _fmt(reflectivity)),
@@ -470,9 +460,11 @@ def cmd_hom(args):
     ]
     header = ["delay_ps", "coincidence"]
     columns = [curve.delays, curve.coincidences]
-    if closed is not None:
+    if _closed_forms(jsa, herald):
         header.append("closed_form")
-        columns.append(closed.coincidences)
+        columns.append(hom_dip_analytic(
+            jsa, closed_form_purity(jsa, herald), delays,
+            reflectivity=reflectivity).coincidences)
     rows = zip(*columns)
     with _open_output(args) as handle:
         _write_csv(handle, _meta_lines(args, pairs), header, rows)
@@ -481,7 +473,7 @@ def cmd_hom(args):
 
 def cmd_schmidt(args):
     jsa, _, _ = _build_run_config(args)
-    if isinstance(jsa, DoubleGaussianJsa):
+    if _closed_forms(jsa):
         extent, points = recommended_grid(jsa)
         if args.extent is not None:
             extent = args.extent
@@ -541,7 +533,7 @@ def cmd_solve_filter(args):
         ("method", solution.method),
         ("iterations", str(solution.iterations)),
     ]
-    if isinstance(jsa, DoubleGaussianJsa):
+    if _closed_forms(jsa):
         pairs.insert(1, ("sigma_f_over_sigma1",
                          _fmt(solution.sigma_f / jsa.sigma1)))
     with _open_output(args) as handle:

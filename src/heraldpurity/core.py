@@ -793,13 +793,20 @@ def _spectral_filter(filt):
     return _gate(filt, (GaussianFilter, TabulatedFilter), "a spectral filter")
 
 
+def _closed_forms(jsa, filt=None):
+    """The one rule of the Gaussian closed forms: whether they cover ``jsa``
+    and ``filt``, a double-Gaussian amplitude with a Gaussian filter or none."""
+    return isinstance(jsa, DoubleGaussianJsa) and (
+        filt is None or isinstance(filt, GaussianFilter))
+
+
 def _require_types(jsa, filt=None, what="closed forms exist"):
-    """The Gaussian types' one gate: ``TypeError`` unless both are Gaussian;
+    """The Gaussian types' one gate: ``TypeError`` unless ``_closed_forms``;
     ``what`` opens its message, the closed forms' need or sampling's."""
-    if not isinstance(jsa, DoubleGaussianJsa):
-        raise TypeError(f"{what} only for double-Gaussian amplitudes")
-    if filt is not None and not isinstance(filt, GaussianFilter):
-        raise TypeError(f"{what} only for Gaussian filters")
+    if not _closed_forms(jsa, filt):
+        kind = ("Gaussian filters" if _closed_forms(jsa)
+                else "double-Gaussian amplitudes")
+        raise TypeError(f"{what} only for {kind}")
 
 
 def _cell_weights(filt, grid, step):

@@ -329,9 +329,7 @@ def decompose(gridded, rel_threshold=1e-12):
         ValueError: If the amplitude is not normalized.
         NumericalError: If the factorization fails.
     """
-    if not isinstance(gridded, GriddedJsa):
-        raise TypeError("decompose expects a GriddedJsa")
-    _require_unit_norm(gridded)
+    _require_unit_norm(_gate(gridded, GriddedJsa, "a gridded amplitude"))
     rel_threshold = _real("rel_threshold", rel_threshold)
     scaled = gridded.amplitudes * math.sqrt(gridded.cell_area)
     _flush_underflow(scaled)

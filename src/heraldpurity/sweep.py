@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
-from .core import (DoubleGaussianJsa, GaussianFilter, _axis,
+from .core import (DoubleGaussianJsa, GaussianFilter, _axis, _closed_forms,
                    _figures, _freeze, _gram_blocks, _purity_success, _real,
                    _reals, _require_success, _require_types,
                    _require_unit_norm, _squared_modulus, _width,
@@ -304,7 +304,7 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
         raise ValueError("target purity must lie strictly in (0, 1)")
 
     _require_unit_norm(jsa)
-    if isinstance(jsa, DoubleGaussianJsa):
+    if _closed_forms(jsa):
         a, b, c, det = jsa.intensity_coefficients()
         scale = max(jsa.sigma1, jsa.sigma2)
         phi = (target * target * a * c - det) / (a * (1.0 - target * target))

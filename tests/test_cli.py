@@ -630,20 +630,26 @@ def test_jsa_csv_without_samples_exit_2(tmp_path):
 
 
 def test_jsa_csv_matches_columns_by_name(tmp_path, k26_grid):
-    # the four columns in another order, among two the loader ignores
+    # the four columns in another order, among two the loader ignores; and
+    # the file with a UTF-8 byte-order mark, as spreadsheets export it
     in_order = tmp_path / "jsa.csv"
     write_jsa_csv(in_order, k26_grid)
+    marked = tmp_path / "marked.csv"
+    marked.write_text(in_order.read_text(), encoding="utf-8-sig")
     sig, idl, re, im = np.loadtxt(in_order, delimiter=",", skiprows=1).T
     reordered = tmp_path / "reordered.csv"
     np.savetxt(reordered, np.column_stack([im, np.ones_like(re), idl, re,
                                            sig, -im]),
                delimiter=",", header="im,weight,omega_idler,re,omega_signal,x",
                comments="")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     expected = load_jsa_csv(str(in_order))
-    loaded = load_jsa_csv(str(reordered))
-    np.testing.assert_array_equal(loaded.signal_grid, expected.signal_grid)
-    np.testing.assert_array_equal(loaded.idler_grid, expected.idler_grid)
-    np.testing.assert_array_equal(loaded.amplitudes, expected.amplitudes)
+    for path in (reordered, marked):
+        loaded = load_jsa_csv(str(path))
+        np.testing.assert_array_equal(loaded.signal_grid,
+                                      expected.signal_grid)
+        np.testing.assert_array_equal(loaded.idler_grid, expected.idler_grid)
+        np.testing.assert_array_equal(loaded.amplitudes, expected.amplitudes)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -700,8 +706,8 @@ def test_gridded_config_refusals_exit_2(tmp_path, k26_grid):
     code, out, err = run_cli("sweep", "tradeoff", "--config", str(config),
                              "--no-timestamp")
     assert (code, out) == (2, "")
-    assert json.loads(err)["message"] == ("tradeoff sweeps need a parametric "
-                                          "jsa config")
+    assert json.loads(err)["message"] == ("closed forms exist only for "
+                                          "double-Gaussian amplitudes")
     path.write_text("omega_signal,omega_idler,re\n0.0,0.0,1.0\n")
     code, out, err = run_cli("report", "--config", str(config),
                              "--no-timestamp")
@@ -1089,8 +1095,33 @@ def test_snapshot_compare_lists_moved_runs_and_columns(tmp_path, capsys):
         "  stdout:",
         "  - x,1.5,2e-16",
         "  + x,1.5,3e-16",
-        "  largest relative change in d: 0.5 (2e-16 -> 3e-16)",
+        "  largest relative change in d: 0.5 (2e-16 -> 3e-16); largest "
+        "change over the column's largest magnitude 2e-16: 0.5",
         "1 of 2 runs differ",
     ]
     assert tool.main(["--compare", str(tmp_path / "old"),
                       str(tmp_path / "old")]) == 0
+
+
+def test_snapshot_compare_measures_a_column_by_its_scale(tmp_path, capsys):
+    # a near-zero entry's flip reads huge relative to itself, and small
+    # against the largest magnitude of its column in the old output
+    spec = importlib.util.spec_from_file_location(
+        "cli_snapshot", Path(__file__).resolve().parents[1] / "tools"
+        / "cli_snapshot.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for side, entry in (("old", "1e-17"), ("new", "1e-12")):
+        folder = tmp_path / side
+        folder.mkdir()
+        (folder / "index.json").write_text(json.dumps([["hom"]]))
+        (folder / "00.stdout").write_text(f"t,p\n0,-0.5\n1,{entry}\n")
+        (folder / "00.stderr").write_text("")
+        (folder / "00.code").write_text("0\n")
+    assert tool.main(["--compare", str(tmp_path / "old"),
+                      str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "  largest relative change in p: 1e+05 (1e-17 -> 1e-12); largest "
+        "change over the column's largest magnitude 0.5: 2e-12",
+        "1 of 1 runs differ",
+    ]

@@ -3,6 +3,7 @@
 import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,22 @@ def test_hom_dips_reject_non_finite_delays(jsa_k26, k26_modes, bad):
         hp.hom_dip_analytic(jsa_k26, 0.8, delays)
     with pytest.raises(ValueError, match="finite"):
         hp.hom_dip_schmidt(k26_modes, overlap, overlap, delays)
+
+
+def test_hom_dips_reach_the_baseline_at_huge_delays(jsa_k26):
+    # 1e300 ps squares past the largest double: no overflow warning, and
+    # both routes give the baseline there and the same dip at zero delay
+    filt = hp.GaussianFilter(0.0, 1.0)
+    delays = np.array([-1e300, 0.0, 1e300])
+    purity = hp.closed_form_purity(jsa_k26, filt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = [hp.hom_dip(jsa_k26, filt, filt, delays),
+                  hp.hom_dip_analytic(jsa_k26, purity, delays)]
+    for curve in curves:
+        assert curve.coincidences[[0, 2]].tolist() == [curve.baseline] * 2
+        assert curve.coincidences[1] == pytest.approx(0.5 * (1.0 - purity),
+                                                      rel=1e-9)
 
 
 def test_hom_gridded_rejects_unresolvable_delay(k26_grid):
@@ -1191,12 +1208,10 @@ def test_tabulated_heralds_meet_the_exact_oracle(case):
                          ids=["centred", "narrow", "off-centre"])
 def test_box_herald_is_a_two_knot_table(params, lo, hi):
     # a box needs no filter type of its own: two knots of unit transmission
-    # pass the erf of the idler marginal, whose variance is a / (2 det) with
-    # det as in eval_double_gaussian (a c - b^2 is itself 6e-14 off on KTP);
-    # the box's ends are in units of that marginal's width
+    # pass the erf of the idler marginal, whose variance is a / (2 det); the
+    # box's ends are in units of that marginal's width
     jsa = hp.DoubleGaussianJsa(*params)
-    a = jsa.intensity_coefficients()[0]
-    det = (math.sin(jsa.theta1 - jsa.theta2) / (jsa.sigma1 * jsa.sigma2))**2
+    a, _, _, det = jsa.intensity_coefficients()
     width = math.sqrt(a / (2.0 * det))
     box = hp.TabulatedFilter([lo * width, hi * width], [1.0, 1.0])
     exact = 0.5 * (math.erf(hi / math.sqrt(2.0)) - math.erf(lo / math.sqrt(2.0)))

@@ -268,7 +268,8 @@ def test_decompose_rejects_unnormalized(k26_grid, jsa_k26):
                             2.0 * k26_grid.amplitudes)
     with pytest.raises(ValueError):
         hp.decompose(doubled)
-    with pytest.raises(TypeError, match="decompose expects a GriddedJsa"):
+    with pytest.raises(TypeError,
+                       match="^not a gridded amplitude: DoubleGaussianJsa$"):
         hp.decompose(jsa_k26)
 
 

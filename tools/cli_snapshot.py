@@ -16,7 +16,7 @@ three-knot tables peaking at 1 + 5e-13 and at 1.5, the demo behind a
 two-knot box on [-1, 1], a jsa section that is a number, the demo with a
 filter section that is a string, a ``csv_path`` that is a number, and the
 demo with every width scaled by 1e-200 and by 1e80), then runs a fixed
-list of 108 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each
+list of 111 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each
 in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
 ``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
 ``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
@@ -25,15 +25,17 @@ output embeds a location: two snapshots taken with different
 ``PYTHONPATH`` settings compare with ``diff -r``.
 
 ``--compare OLD NEW`` reads two such snapshots and prints each run whose
-outputs differ: its argument vector, its moved lines, and the largest
-relative change in each numeric column (a CSV header field, or a JSON
-key).  It exits 1 when any run differs.
+outputs differ: its argument vector, its moved lines, and for each moved
+numeric column (a CSV header field, or a JSON key) the largest relative
+change of an entry and the largest change over the column's largest
+magnitude in the old output.  It exits 1 when any run differs.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,6 +241,10 @@ def invocations():
         # or overflow: exit 2
         ["report", "--config", "tiny.json"],
         ["report", "--config", "huge.json"],
+        # sources and heralds the closed forms do not cover: exit 2
+        ["sweep", "tradeoff", *c],
+        ["hom", *c],
+        ["solve-filter", "--config", "tabbox.json", "--target-purity", "0.9"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
@@ -256,8 +262,30 @@ def _fields(line):
     return [(str(i), field) for i, field in enumerate(line.split(","))]
 
 
+def _name(column, header):
+    """A ``_fields`` column by its header field, if it has one."""
+    return (header[int(column)] if column.isdigit()
+            and int(column) < len(header) else column)
+
+
+def _column_scales(lines, header):
+    """Largest finite magnitude of each numeric column over ``lines``."""
+    scales = {}
+    for line in lines:
+        for column, text in _fields(line):
+            try:
+                value = abs(float(text))
+            except ValueError:
+                continue
+            if math.isfinite(value):
+                name = _name(column, header)
+                scales[name] = max(scales.get(name, 0.0), value)
+    return scales
+
+
 def _moved_columns(old, new, header):
-    """Largest relative change of each numeric column, over paired lines."""
+    """``[rel, x, y, change]`` of each numeric column, over paired lines:
+    its largest relative change, from ``x`` to ``y``, and largest change."""
     changes = {}
     for a, b in zip(old, new):
         fa, fb = _fields(a), _fields(b)
@@ -270,11 +298,12 @@ def _moved_columns(old, new, header):
                 continue
             if x == y:
                 continue
-            name = header[int(column)] if column.isdigit() and int(
-                column) < len(header) else column
-            rel = abs(y - x) / abs(x) if x else float("inf")
-            if rel > changes.get(name, (-1.0,))[0]:
-                changes[name] = (rel, x, y)
+            name = _name(column, header)
+            rel = abs(y - x) / abs(x) if x else math.inf
+            best = changes.setdefault(name, [rel, x, y, 0.0])
+            if rel > best[0]:
+                best[:3] = rel, x, y
+            best[3] = max(best[3], abs(y - x))
     return changes
 
 
@@ -297,10 +326,14 @@ def _compare_stream(name, old, new):
             removed += old_lines[i1:i2]
             added += new_lines[j1:j2]
     if name == "stdout":
-        for column, (rel, x, y) in sorted(_moved_columns(removed, added,
-                                                         header).items()):
+        scales = _column_scales(old_lines, header)
+        for column, (rel, x, y, change) in sorted(
+                _moved_columns(removed, added, header).items()):
+            scale = scales.get(column, 0.0)
+            share = change / scale if scale else math.inf
             out.append(f"  largest relative change in {column}: {rel:.3g} "
-                       f"({x!r} -> {y!r})")
+                       f"({x!r} -> {y!r}); largest change over the column's "
+                       f"largest magnitude {scale:.3g}: {share:.3g}")
     return out
 
 
@@ -308,9 +341,10 @@ def compare(old_dir, new_dir):
     """Print each run whose outputs differ between two snapshots.
 
     Runs are matched by argument vector.  For each differing run: its
-    index and arguments, its moved lines, and the largest relative change
-    of each numeric column among lines that moved one for one.  Returns
-    the number of differing runs.
+    index and arguments, its moved lines, and for each numeric column among
+    lines that moved one for one its largest relative change and its
+    largest change over the column's largest magnitude in the old output.
+    Returns the number of differing runs.
     """
     old_dir, new_dir = Path(old_dir), Path(new_dir)
     old_runs = json.loads((old_dir / "index.json").read_text())
