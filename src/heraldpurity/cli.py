@@ -631,7 +631,8 @@ def build_parser():
         p.add_argument("--config", help="path to a JSON configuration file")
     for p in (p_report, p_hom):
         p.add_argument("--nodes", type=int,
-                       help="baseline quadrature nodes per axis")
+                       help="floor on the quadrature nodes per axis, in "
+                            f"[32, 6000] (default {QuadratureSpec.n_nodes})")
     for p in (p_report, p_hom, p_schmidt):
         p.add_argument("--extent", type=float,
                        help="integration window half-extent / grid extent")

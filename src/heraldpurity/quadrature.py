@@ -46,9 +46,10 @@ rule costs O(n) time, about 190 numpy operations on arrays of n/2 entries
 (warm, one BLAS thread, Xeon: 0.10 ms at 208 nodes and 0.38 ms at 6000,
 against 0.94 and 56 ms for the Newton sweep on the Legendre recurrence
 they replace).  numpy's eigen-solve of the dense n x n companion matrix,
-O(n^3) time and O(n^2) memory, is never used.  Below 100 nodes, where the
-formulas are only a first guess, Newton polishes them: one recurrence
-sweep from 7 nodes on, two below.
+O(n^3) time and O(n^2) memory, is never used.  Below ``_FORMULA_NODES``
+(69) nodes, where the formulas are only a first guess, Newton polishes
+them: one recurrence sweep from 7 nodes on, two below.  The default node
+floor is that size, so a default Gaussian axis never runs Newton.
 """
 
 from __future__ import annotations
@@ -101,11 +102,15 @@ _NODE_MARGIN = 32
 _MAX_NODES = 6000
 
 # Rules of _FORMULA_NODES nodes and more come straight from Bogaert's
-# formulas (``_bogaert``).  Smaller ones are polished by Newton on the
-# Legendre recurrence, which stops once its error bound for the stepped nodes
-# is below _NEWTON_TOL, a tenth of the rounding unit near +-1; from the
-# formulas' guesses that takes one step for n >= 7 and two below.
-_FORMULA_NODES = 100
+# formulas (``_bogaert``).  Against 40-digit values, over every node, the
+# formula rules of 69 to 100 nodes are within 1.4e-16 in the nodes and 7.8e-16
+# relative in the weights (the bounds are 2.3e-16 and 1e-15); at 66 and 68
+# the worst weight is 9.99e-16, and at 65 it is 1.1e-15.  Smaller rules are
+# polished by Newton on the Legendre recurrence, which stops once its error
+# bound for the stepped nodes is below _NEWTON_TOL, a tenth of the rounding
+# unit near +-1; from the formulas' guesses that takes one step for n >= 7
+# and two below.
+_FORMULA_NODES = 69
 _NEWTON_TOL = 1e-17
 _NEWTON_MAX_STEPS = 20
 
@@ -185,11 +190,15 @@ class QuadratureSpec:
             counts grow from it at 2.6 nodes per finest integrand feature of
             the window.  The signal axis holds the n x n states, so the cap
             holds there after a tabulated heralded filter's knot panels too.
+            The default, ``_FORMULA_NODES`` (69, so 80 after rounding), is
+            the smallest rule that comes from Bogaert's formulas alone, so a
+            default axis never pays a Newton sweep; narrow heralds need no
+            more (on KTP heralds of width up to 1 the node rule asks for 80).
         half_extent: Window half-width in standard deviations of the
             windowed mass; finite and at least 4.
     """
 
-    n_nodes: int = 200
+    n_nodes: int = _FORMULA_NODES
     half_extent: float = 8.0
 
     def __post_init__(self):
@@ -244,18 +253,26 @@ def _spec(spec):
 
 
 def _legendre_pair(x, n):
-    """``(P_n(x), P_{n-1}(x))`` by the three-term recurrence, in place."""
-    p_prev = np.ones_like(x)
+    """``(P_n(x), P_n(x) - P_{n-1}(x))`` by the recurrence in ``t = 1 - x``.
+
+    With ``D_k = P_k - P_{k-1}``, the three-term recurrence reads
+    ``(k+1) D_{k+1} = k D_k - (2k+1) t P_k`` (Reinsch's form of a recurrence
+    near a double root of its characteristic equation).  Next to x = 1 the
+    recurrence in ``x`` grows its rounding errors about like ``n^1.5``:
+    Newton's weights there were up to 8.4e-14 off relative at n = 76.  This
+    form keeps them within 5.1e-15 for every n up to 100.
+    """
+    t = 1.0 - x
     p = x.copy()
+    d = -t
     scratch = np.empty_like(x)
     for k in range(1, n):
-        # P_{k+1} = ((2k+1) x P_k - k P_{k-1}) / (k+1)
-        np.multiply(x, p, out=scratch)
+        np.multiply(t, p, out=scratch)
         scratch *= (2 * k + 1) / (k + 1)
-        p_prev *= -k / (k + 1)
-        p_prev += scratch
-        p, p_prev = p_prev, p
-    return p, p_prev
+        d *= k / (k + 1)
+        d -= scratch
+        p += d
+    return p, d
 
 
 def _horner(coefficients, x):
@@ -319,9 +336,10 @@ def _bogaert(n):
     2014): node k is ``cos(theta_k)``, ``theta_k = (j_k + c_k) / (n + 1/2)``
     with ``j_k`` the k-th zero of ``J_0`` and ``c_k`` a correction from three
     polynomials in ``alpha^2``, ``alpha = j_k / (n + 1/2)``; the weight
-    comes from ``J_1(j_k)^2`` and three more.  From n = 100 on, nodes are
-    within 2.3e-16 and weights within 4e-16 relative of 40-digit values;
-    below, they are Newton's first guesses (5.7e-14 off at n = 32).
+    comes from ``J_1(j_k)^2`` and three more.  From n = ``_FORMULA_NODES``
+    (69) on, nodes are within 2.3e-16 and weights within 7.8e-16 relative
+    of 40-digit values; below, they are Newton's first guesses (5.7e-14 off
+    at n = 32, 2.6e-16 and 1.1e-15 relative at n = 64).
 
     The last digit of a node needs more than doubles.  The node is
     ``sin(phi)``, ``phi = pi/2 - theta_k``, and with ``o_k = j_k - (k - 1/4) pi``
@@ -377,10 +395,11 @@ def _newton(x, n):
     order (``P_n''`` from Legendre's equation), the weights too.
     """
     for _ in range(_NEWTON_MAX_STEPS):
-        p, q = _legendre_pair(x, n)
+        p, d = _legendre_pair(x, n)
         # 1 - x^2 as a product: exact to rounding near +-1
         one_minus = (1.0 - x) * (1.0 + x)
-        slope = n * (q - x * p) / one_minus
+        # P_n' = n (P_{n-1} - x P_n) / (1 - x^2), P_{n-1} - x P_n = t P_n - D_n
+        slope = n * ((1.0 - x) * p - d) / one_minus
         dx = p / slope
         if (np.abs(x) / one_minus * dx * dx).max() < _NEWTON_TOL:
             break
@@ -404,13 +423,18 @@ def _leggauss(n):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
 
     The non-negative nodes and their weights come from Bogaert's formulas
-    (``_bogaert``) in O(n) time; below ``_FORMULA_NODES`` nodes, Newton
-    polishes them (``_newton``).  The rule is mirrored, so it is exactly
-    symmetric.  The arrays are cached and shared, hence read-only.
+    (``_bogaert``) in O(n) time; below ``_FORMULA_NODES`` (69) nodes,
+    Newton polishes them (``_newton``), to nodes within 1.1e-16 and weights
+    within 2.9e-15 relative of 40-digit values.  The rule is mirrored, so
+    it is exactly symmetric.  The arrays are cached and shared, hence
+    read-only.
     """
     x, w = _bogaert(n)
     if n < _FORMULA_NODES:
         x, w = _newton(x, n)
+        if n % 2:
+            # the middle root is 0 by symmetry; rounding in P_n(0) moves it
+            x[-1] = 0.0
     half = n // 2
     nodes = np.concatenate((-x[:half], x[::-1]))
     weights = np.concatenate((w[:half], w[::-1]))

@@ -483,8 +483,8 @@ def hom_dip_schmidt(decomposition, herald_x, herald_y, delays,
     built as the block pairs ``G[:, rows_i].T @ KG[:, rows_j]``, ``i <= j``,
     of ``_GRAM_BLOCK`` signal rows each, so the two states together hold
     about one ``n x n`` array of their dtype and no product of them is
-    formed whole: 42 MB traced on a 1754-point real grid with 481 delays.
-    Equal heralds (the same object) share one state: 29 MB there.
+    formed whole: 41 MB traced on a 1754-point real grid with 481 delays.
+    Equal heralds (the same object) share one state: 28 MB there.
 
     Args:
         decomposition: ``SchmidtDecomposition`` of both sources.

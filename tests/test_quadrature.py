@@ -723,21 +723,23 @@ def _count_sweeps(n, monkeypatch):
     return sweeps
 
 
-@pytest.mark.parametrize("n", [208, 1888, 6000, 12000])
+@pytest.mark.parametrize("n", [quadrature._FORMULA_NODES, 208, 1888, 6000,
+                               12000])
 def test_leggauss_takes_no_recurrence_sweep(n, monkeypatch):
-    # from 100 nodes on the rule comes straight from the formulas
+    # from _FORMULA_NODES nodes on the rule comes straight from the formulas
     assert _count_sweeps(n, monkeypatch) == []
 
 
-@pytest.mark.parametrize("n", [7, 32, 99])
+@pytest.mark.parametrize("n", [7, 32, quadrature._FORMULA_NODES - 1])
 def test_leggauss_polishes_small_rules_in_one_sweep(n, monkeypatch):
     assert _count_sweeps(n, monkeypatch) == [n]
 
 
 def test_leggauss_formulas_agree_with_newton():
     # one Newton sweep from the formulas' nodes moves none of them by more
-    # than the node bound; Newton's own weights next to +-1 are up to 5e-11
-    # off relative (its P_n' is carried to the node only to first order)
+    # than the node bound; Newton's own weights differ from the formulas' by
+    # up to 4.8e-14 relative (the rounding of its recurrence, which grows
+    # with n)
     for n in range(112, 6001, 16):
         x, w = quadrature._bogaert(n)
         x_newton, w_newton = quadrature._newton(x.copy(), n)
@@ -745,12 +747,14 @@ def test_leggauss_formulas_agree_with_newton():
         assert np.abs(w - w_newton).max() <= 1e-15, n
 
 
-@pytest.mark.parametrize("n", [32, 101, 208, 960, 1888, 6000])
+@pytest.mark.parametrize("n", [16, 24, 32, 40, 44, 48, 50, 56, 64,
+                               quadrature._FORMULA_NODES - 1, 101, 208, 960,
+                               1888, 6000])
 def test_leggauss_matches_40_digit_roots(n):
     # One 40-digit Newton step from the rule's own node, at the three
     # outermost, three middle and three innermost non-negative nodes.
     # Measured worst weights: 3.4e-16 relative from the formulas (n >= 100),
-    # 6.2e-15 from the Newton rule at n = 32.
+    # 2.9e-15 from the Newton rules below _FORMULA_NODES, over every node.
     mp = pytest.importorskip("mpmath")
     x, w = _leggauss(n)
     weight_bound = 1e-15 if n >= quadrature._FORMULA_NODES else 1e-14
@@ -770,6 +774,32 @@ def test_leggauss_matches_40_digit_roots(n):
             weight = 2 / ((1 - node * node) * slope_and_step(node)[0] ** 2)
             assert abs(float(x[n - 1 - i] - node)) <= 2.3e-16, (n, i)
             assert abs(float(w[n - 1 - i] / weight - 1)) <= weight_bound, (n, i)
+
+
+@pytest.mark.parametrize("n", range(quadrature._FORMULA_NODES, 100))
+def test_formula_rules_match_40_digit_roots_at_every_node(n):
+    # The sizes that Newton polished while the formulas started at 100
+    # nodes, each at every non-negative node.  Measured worst: 1.3e-16 in
+    # the nodes and 7.8e-16 relative in the weights (n = 70); at n = 68 the
+    # weights reach 9.99e-16, and at n = 65 1.1e-15.
+    mp = pytest.importorskip("mpmath")
+    x, w = _leggauss(n)
+    with mp.workdps(40):
+        for i in range((n + 1) // 2):
+            node = mp.mpf(float(x[n - 1 - i]))
+            p_prev, p = mp.mpf(1), node
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * node * p - k * p_prev) / (k + 1)
+            one_minus = 1 - node * node
+            slope = n * (p_prev - node * p) / one_minus
+            step = p / slope
+            # P_n' carried to the root to first order: the next term is
+            # below 1e-24 relative for a step of 1e-16
+            slope -= step * (2 * node * slope - n * (n + 1) * p) / one_minus
+            root = node - step
+            weight = 2 / ((1 - root * root) * slope**2)
+            assert abs(float(x[n - 1 - i] - root)) <= 2.3e-16, (n, i)
+            assert abs(float(w[n - 1 - i] / weight - 1)) <= 1e-15, (n, i)
 
 
 def test_leggauss_arrays_are_read_only():
@@ -803,6 +833,28 @@ def test_nodes_never_use_the_eigen_solve(jsa_ktp, monkeypatch):
     report = hp.heralding_report(jsa_ktp, hp.GaussianFilter(0.0, 0.72))
     assert report.purity_filtered == pytest.approx(
         hp.closed_form_purity(jsa_ktp, hp.GaussianFilter(0.0, 0.72)), rel=1e-8)
+
+
+def test_default_rules_never_run_newton(jsa_k26, jsa_ktp, monkeypatch):
+    # every default axis has at least _FORMULA_NODES nodes, so a cold node
+    # cache builds each rule from the formulas alone
+    def refuse(x, n):
+        raise AssertionError(f"Newton polished a {n}-node rule")
+
+    monkeypatch.setattr(quadrature, "_newton", refuse)
+    _leggauss.cache_clear()
+    try:
+        ladder = [(jsa_ktp, hp.GaussianFilter(0.3, width))
+                  for width in np.geomspace(0.05, 20.0, 7)]
+        for jsa, filt in [*ladder, (jsa_k26, hp.GaussianFilter(0.0, 0.6))]:
+            assert 0.0 < hp.filtered_purity(jsa, filt) <= 1.0
+            assert 0.0 < hp.herald_success(jsa, filt) <= 1.0
+            hp.two_filter_quantities(jsa, filt, hp.GaussianFilter(0.0, 6.0))
+            hp.heralding_report(jsa, filt)
+            hp.heralding_report(jsa)
+            hp.hom_dip(jsa, filt, filt, np.linspace(-2.0, 2.0, 5))
+    finally:
+        _leggauss.cache_clear()
 
 
 def test_quadrature_spec_validation():

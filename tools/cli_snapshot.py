@@ -5,20 +5,21 @@ Usage::
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
     python tools/cli_snapshot.py --compare OLD NEW
 
-Writes twenty configs under ``OUTDIR`` (the demo source, the KTP source,
-the demo with a detuned filter, the demo without a filter, a 128-point
-gridded copy of the demo as CSV, that copy with extra jsa keys, the demo
-with a boolean filter width, the demo behind a tabulated box herald, the
-demo behind a table with boolean and string entries, a K = 30 source, the
-gridded copy with its last signal frequency NaN, the demo behind a
-herald 500 rad/ps away that passes nothing, the demo behind two
-three-knot tables peaking at 1 + 5e-13 and at 1.5, the demo behind a
-two-knot box on [-1, 1], a jsa section that is a number, the demo with a
-filter section that is a string, a ``csv_path`` that is a number, and the
-demo with every width scaled by 1e-200 and by 1e80), then runs a fixed
-list of 111 ``heraldpurity.cli`` invocations with ``--no-timestamp``, each
-in a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
-``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
+Writes twenty-one configs under ``OUTDIR`` (the demo source, the KTP
+source, the demo with a detuned filter, the demo without a filter, a
+128-point gridded copy of the demo as CSV, that copy with extra jsa keys,
+a chirped (complex) copy of it, the demo with a boolean filter width, the
+demo behind a tabulated box herald, the demo behind a table with boolean
+and string entries, a K = 30 source, the gridded copy with its last signal
+frequency NaN, the demo behind a herald 500 rad/ps away that passes
+nothing, the demo behind two three-knot tables peaking at 1 + 5e-13 and
+at 1.5, the demo behind a two-knot box on [-1, 1], a jsa section that is
+a number, the demo with a filter section that is a string, a ``csv_path``
+that is a number, and the demo with every width scaled by 1e-200 and by
+1e80), then runs a fixed list of 114 ``heraldpurity.cli`` invocations
+with ``--no-timestamp``, each in a fresh interpreter with
+``OPENBLAS_NUM_THREADS=1`` and the caller's ``PYTHONPATH``.  Every run
+leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
 ``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
 their working directory and name the configs by relative path, so no
 output embeds a location: two snapshots taken with different
@@ -56,6 +57,8 @@ CONFIGS = {
     "nofilter.json": {"jsa": DEMO},
     "gridded.json": {"jsa": {"csv_path": "demo_grid.csv"},
                      "filter": {"center": 0.0, "width": 0.6}},
+    "chirped.json": {"jsa": {"csv_path": "chirped_grid.csv"},
+                     "filter": {"center": 0.0, "width": 0.6}},
     "csvextra.json": {"jsa": {"csv_path": "demo_grid.csv", "sigma1": 2.0,
                               "bogus": 1},
                       "filter": {"center": 0.0, "width": 0.6}},
@@ -87,7 +90,7 @@ CONFIGS = {
 
 
 def write_inputs(outdir):
-    """Write the JSON configs and the gridded demo amplitude as CSV."""
+    """Write the JSON configs and the gridded demo amplitudes as CSV."""
     import heraldpurity as hp  # here, so --compare runs without the package
     for name, config in CONFIGS.items():
         (outdir / name).write_text(json.dumps(config, indent=2) + "\n")
@@ -97,8 +100,16 @@ def write_inputs(outdir):
         warnings.simplefilter("ignore", UserWarning)
         grid = hp.discretize(jsa, 4.0, 128)
     ws, wi = np.meshgrid(grid.signal_grid, grid.idler_grid, indexing="ij")
-    rows = np.column_stack([ws.ravel(), wi.ravel(),
-                            grid.amplitudes.real.ravel(),
+    # a fixed spectral phase makes the chirped copy complex, with the same
+    # intensity and norm
+    chirped = grid.amplitudes * np.exp(1j * (0.05 * ws**2 + 0.03 * ws * wi))
+    columns = [ws.ravel(), wi.ravel()]
+    np.savetxt(outdir / "chirped_grid.csv",
+               np.column_stack([*columns, chirped.real.ravel(),
+                                chirped.imag.ravel()]),
+               fmt="%.17g", delimiter=",",
+               header="omega_signal,omega_idler,re,im", comments="")
+    rows = np.column_stack([*columns, grid.amplitudes.real.ravel(),
                             np.imag(grid.amplitudes).ravel()])
     for name in ("demo_grid.csv", "nan_grid.csv"):
         np.savetxt(outdir / name, rows, fmt="%.17g", delimiter=",",
@@ -245,6 +256,11 @@ def invocations():
         ["sweep", "tradeoff", *c],
         ["hom", *c],
         ["solve-filter", "--config", "tabbox.json", "--target-purity", "0.9"],
+        # a complex (chirped) gridded amplitude
+        ["report", "--config", "chirped.json"],
+        ["hom", "--config", "chirped.json", "--tau-max", "1.0",
+         "--tau-points", "9"],
+        ["schmidt", "--config", "chirped.json"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
