@@ -28,21 +28,6 @@ __all__ = [
 ]
 
 
-def _purity_half(a, b, det, width):
-    """Purity half of ``closed_form_pair``; it does not read the center."""
-    # A product, not ``width**2``: on Python floats ``**`` is C ``pow``,
-    # which misrounds some squares that numpy arrays square exactly.
-    n = det + a * (0.5 / (width * width))
-    return np.sqrt(n / (n + b * b))
-
-
-def _success_half(a, det, width, center):
-    """Success half of ``closed_form_pair``."""
-    z = 2.0 * (width * width)
-    denom = a + z * det
-    return np.sqrt(z * det / denom) * np.exp(-(center * center) * det / denom)
-
-
 def closed_form_pair(a, b, c, det, width, center=0.0):
     """Heralded purity and success for a Gaussian herald filter.
 
@@ -56,19 +41,24 @@ def closed_form_pair(a, b, c, det, width, center=0.0):
         success = sqrt(z*det / (a + z*det)) * exp(-w0**2 * det / (a + z*det))
 
     As ``n + b**2 = a*(c + phi)``, both lines sum positive terms only: they
-    neither cancel nor round above one.  The kernel has two halves, one per
-    line, for array callers.  The scalar wrappers ``closed_form_purity`` and
-    ``closed_form_success`` run their own line in float arithmetic, with the
-    same operations in the same order (``math.sqrt`` rounds as ``np.sqrt``
-    does), so they equal this pair bit for bit.  A centered success skips
-    its ``exp`` factor, exactly one there; an off-centre one takes the
-    kernel's numpy ``exp``, whose last bit ``math.exp`` does not always match.
+    neither cancel nor round above one.  The scalar wrappers
+    ``closed_form_purity`` and ``closed_form_success`` run their own line in
+    float arithmetic, with the same operations in the same order
+    (``math.sqrt`` rounds as ``np.sqrt`` does), so they equal this pair bit
+    for bit.  A centered success skips its ``exp`` factor, exactly one
+    there; an off-centre one takes numpy's ``exp``, whose last bit
+    ``math.exp`` does not always match.
 
     Returns:
         Tuple ``(purity, success)`` of arrays (or numpy scalars).
     """
-    return (_purity_half(a, b, det, width),
-            _success_half(a, det, width, center))
+    # A product, not ``width**2``: on Python floats ``**`` is C ``pow``,
+    # which misrounds some squares that numpy arrays square exactly.
+    n = det + a * (0.5 / (width * width))
+    z = 2.0 * (width * width)
+    denom = a + z * det
+    return (np.sqrt(n / (n + b * b)),
+            np.sqrt(z * det / denom) * np.exp(-(center * center) * det / denom))
 
 
 def closed_form_two_filter(a, b, c, det, width, center, signal_width,
@@ -116,11 +106,14 @@ def closed_form_success(jsa, herald_filter):
     _require_types(jsa, herald_filter)
     a, _, _, det = jsa.intensity_coefficients()
     width, center = herald_filter.width, herald_filter.center
-    if center:
-        return float(_success_half(a, det, width, center))
-    # ``_success_half`` in float arithmetic; its exp(-0.0 * det / denom) is 1.
+    # ``closed_form_pair``'s success line in float arithmetic; centred, its
+    # exp(-0.0 * det / denom) is 1.
     z = 2.0 * (width * width)
-    return math.sqrt(z * det / (a + z * det))
+    denom = a + z * det
+    success = math.sqrt(z * det / denom)
+    if center:
+        return float(success * np.exp(-(center * center) * det / denom))
+    return success
 
 
 def closed_form_purity(jsa, herald_filter):
@@ -140,7 +133,7 @@ def closed_form_purity(jsa, herald_filter):
     _require_types(jsa, herald_filter)
     a, b, _, det = jsa.intensity_coefficients()
     width = herald_filter.width
-    # ``_purity_half`` in float arithmetic.
+    # ``closed_form_pair``'s purity line in float arithmetic.
     n = det + a * (0.5 / (width * width))
     return math.sqrt(n / (n + b * b))
 
@@ -227,9 +220,9 @@ def schmidt_mode_analytic(jsa, mu, omega, side="signal"):
     Returns:
         Complex array of mode samples.
     """
-    _require_types(jsa)
+    scales = mode_scales(jsa)
     mu = _integer("mode index", mu, low=0)
-    scale = mode_scales(jsa)[0 if _side(side) == "signal" else 1]
+    scale = scales[0 if _side(side) == "signal" else 1]
     x = np.asarray(omega, dtype=float) / scale
     values = _hermite_function(mu, x) / math.sqrt(scale)
     return (-1j) ** mu * values.astype(complex)

@@ -43,6 +43,7 @@ from .core import (
     GriddedJsa,
     NumericalError,
     _closed_forms,
+    _real,
     discretize,
     filter_from_dict,
     jsa_from_dict,
@@ -438,10 +439,7 @@ def cmd_hom(args):
                          f"zero delay, got {args.tau_points}")
     if args.tau_max is not None:
         # Checked here too: linspace warns on an infinite end.
-        if not 0.0 < args.tau_max < math.inf:
-            raise ValueError(f"--tau-max must be positive and finite, got "
-                             f"{args.tau_max}")
-        tau_max = args.tau_max
+        tau_max = _real("--tau-max", args.tau_max, positive=True)
     elif _closed_forms(jsa):
         tau_max = 4.0 * math.sqrt(2.0 * jsa.intensity_coefficients()[0])
     else:

@@ -145,11 +145,7 @@ def _width(name, value):
     ``_real``'s messages, and a width outside the range, where the
     Gaussian figures lose their digits or overflow, is refused after them.
     """
-    value = _real(name, value, positive=True)
-    low, high = _WIDTH_RANGE
-    if not low <= value <= high:
-        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
-    return value
+    return _bounded(name, _real(name, value, positive=True), *_WIDTH_RANGE)
 
 
 def _integer(name, value, low=None, high=None):

@@ -43,9 +43,8 @@ is sampled and every result comes from one pass.
 Nodes and weights come from Bogaert's iteration-free formulas, each node
 and weight in O(1) from a zero of ``J_0`` and six short polynomials, so a
 rule costs O(n) time, about 190 numpy operations on arrays of n/2 entries
-(warm, one BLAS thread, Xeon: 0.10 ms at 208 nodes and 0.38 ms at 6000,
-against 0.94 and 56 ms for the Newton sweep on the Legendre recurrence
-they replace).  numpy's eigen-solve of the dense n x n companion matrix,
+(warm, one BLAS thread, Xeon: 0.10 ms at 208 nodes and 0.38 ms at
+6000).  numpy's eigen-solve of the dense n x n companion matrix,
 O(n^3) time and O(n^2) memory, is never used.  Below ``_FORMULA_NODES``
 (69) nodes, where the formulas are only a first guess, Newton polishes
 them: one recurrence sweep from 7 nodes on, two below.  The default node

@@ -320,17 +320,21 @@ def decompose(gridded, rel_threshold=1e-12):
 
     Args:
         gridded: ``GriddedJsa`` with ``norm()`` equal to one within 1e-6.
-        rel_threshold: Relative weight below which modes are dropped.
+        rel_threshold: Relative weight below which modes are dropped; at
+            most 1.
 
     Returns:
         ``SchmidtDecomposition`` with descending weights.
 
     Raises:
-        ValueError: If the amplitude is not normalized.
+        ValueError: If the amplitude is not normalized or ``rel_threshold``
+            is not a number of at most 1.
         NumericalError: If the factorization fails.
     """
     _require_unit_norm(_gate(gridded, GriddedJsa, "a gridded amplitude"))
     rel_threshold = _real("rel_threshold", rel_threshold)
+    if rel_threshold > 1.0:  # no mode outweighs the leading one
+        raise ValueError(f"rel_threshold must be at most 1, got {rel_threshold}")
     scaled = gridded.amplitudes * math.sqrt(gridded.cell_area)
     _flush_underflow(scaled)
     dead_rows, dead_cols = ~scaled.any(axis=1), ~scaled.any(axis=0)

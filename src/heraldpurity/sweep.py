@@ -15,11 +15,11 @@ import numpy as np
 
 from .analytic import (closed_form_pair, closed_form_purity,
                        closed_form_success, closed_form_two_filter)
-from .core import (DoubleGaussianJsa, GaussianFilter, _axis, _closed_forms,
-                   _figures, _freeze, _gram_blocks, _purity_success, _real,
-                   _reals, _require_success, _require_types,
-                   _require_unit_norm, _squared_modulus, _width,
-                   visibility)
+from .core import (DoubleGaussianJsa, GaussianFilter, GridCoverageError,
+                   _axis, _closed_forms, _figures, _freeze, _gram_blocks,
+                   _purity_success, _real, _reals, _require_success,
+                   _require_types, _require_unit_norm, _squared_modulus,
+                   _width, visibility)
 
 __all__ = [
     "TradeoffPoint",
@@ -288,6 +288,8 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
         ValueError: If no target or both targets are given, the target is
             outside (0, 1) or unachievable, or a ``GriddedJsa`` is not
             normalized within 1e-6.
+        GridCoverageError: If twice a ``GriddedJsa``'s idler step is not
+            below 1e3 times its RMS idler frequency: no width is scanned.
         NumericalError: If the filtered state at the solved width is
             numerically empty.
     """
@@ -319,10 +321,15 @@ def solve_filter_for_target(jsa, target_purity=None, target_visibility=None,
         filt = GaussianFilter(center=center, width=width)
         purity, success = closed_form_pair(a, b, c, det, filt.width, filt.center)
     else:
-        evaluate = _gridded_curve(jsa, center)
         weights = _squared_modulus(jsa.amplitudes).sum(axis=0) * jsa.cell_area
         scale = math.sqrt(float(weights @ jsa.idler_grid**2))
         lo, hi = max(1e-3 * scale, 2.0 * jsa.idler_step), 1e3 * scale
+        if not lo < hi:
+            raise GridCoverageError(
+                f"idler grid step {jsa.idler_step:.4g} rad/ps is too coarse "
+                f"for the RMS idler frequency {scale:.4g} rad/ps: no width "
+                f"lies between twice the step and 1e3 times that frequency")
+        evaluate = _gridded_curve(jsa, center)
         # Success grows with the width, so an empty widest filter means
         # every purity in the scan is 0/0.
         _require_success(float(evaluate([hi])[1][0]))

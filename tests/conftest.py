@@ -138,6 +138,23 @@ def assemble(pairs, n):
     return np.zeros((n, n)) if out is None else out
 
 
+def idler_line_grid(shoulder):
+    """A 64 x 65 grid over [-3, 3] whose idler marginal is one sharp line.
+
+    The amplitude is ``exp(-ws**2/2)`` on the ``wi = 0`` column and
+    ``shoulder`` times that on its two neighbours, normalized.  A shoulder
+    of 1e-4 puts the RMS idler frequency at 1.33e-5 rad/ps, so 1e3 times it
+    lies below twice the 0.094 rad/ps idler step; a shoulder of 0 puts it
+    at zero.
+    """
+    ws, wi = np.linspace(-3.0, 3.0, 64), np.linspace(-3.0, 3.0, 65)
+    line = np.exp(-0.5 * ws**2)
+    amps = np.zeros((ws.size, wi.size))
+    amps[:, 32] = line
+    amps[:, [31, 33]] = shoulder * line[:, None]
+    return hp.GriddedJsa(ws, wi, amps).normalize()
+
+
 def chirped_copy(grid, seed_phase=(0.21, -0.13, 0.17, 0.4)):
     """Same intensity as ``grid`` with a smooth complex spectral phase."""
     ws = grid.signal_grid[:, None]

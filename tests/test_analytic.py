@@ -62,8 +62,9 @@ def test_two_filter_closed_form_matches_schmidt_route(jsa_k26, k26_modes,
 
 
 def test_scalar_closed_forms_are_the_kernel_halves(monkeypatch):
-    # each wrapper evaluates only its own half of closed_form_pair, and the
-    # sweeps' surfaces are the kernel broadcast over their grids, bit for bit
+    # each wrapper runs its own line of closed_form_pair without calling it,
+    # and the sweeps' surfaces are the kernel broadcast over their grids,
+    # bit for bit
     rng = np.random.default_rng(SEED + 23)
     for _ in range(20):
         jsa = draw_source(rng)
@@ -95,15 +96,13 @@ def test_scalar_closed_forms_are_the_kernel_halves(monkeypatch):
         assert np.array_equal(grid.success, success)
 
     def refuse(*args):
-        raise AssertionError("the other half was evaluated")
+        raise AssertionError("a scalar wrapper called the kernel")
 
     filt = hp.GaussianFilter(0.4, 0.7)
     jsa = hp.DoubleGaussianJsa(*K26_PARAMS)
     expected = hp.closed_form_pair(*jsa.intensity_coefficients(), 0.7, 0.4)
-    monkeypatch.setattr(analytic, "_success_half", refuse)
+    monkeypatch.setattr(analytic, "closed_form_pair", refuse)
     assert hp.closed_form_purity(jsa, filt) == expected[0]
-    monkeypatch.undo()
-    monkeypatch.setattr(analytic, "_purity_half", refuse)
     assert hp.closed_form_success(jsa, filt) == expected[1]
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import heraldpurity as hp
+from conftest import idler_line_grid
 from heraldpurity.cli import (_fmt, _write_csv, build_parser,
                               export_modes_csv, grid_to_dict, grid_to_rows,
                               load_jsa_csv, main, tradeoff_to_dict,
@@ -729,6 +730,23 @@ def test_solve_filter_on_separable_gridded_config(tmp_path):
     pairs = dict(line.split(",", 1) for line in out.splitlines() if line)
     assert pairs["method"] == "bracket_end"
     assert pairs["purity"] == pairs["visibility"] == "1"
+
+
+@pytest.mark.parametrize("shoulder", [1e-4, 0.0], ids=["shoulder", "line"])
+def test_solve_filter_on_a_too_coarse_idler_grid_exits_3(tmp_path, shoulder):
+    # the shoulder grid printed sigma_f 0.0133 and bracket_end with exit 0,
+    # the line grid exited 2 on a filter width of 0
+    path = tmp_path / "jsa.csv"
+    write_jsa_csv(path, idler_line_grid(shoulder))
+    config = tmp_path / "gridded.json"
+    config.write_text(json.dumps({"jsa": {"csv_path": str(path)}}))
+    code, out, err = run_cli("solve-filter", "--config", str(config),
+                             "--target-purity", "0.9", "--no-timestamp")
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "numerical"
+    assert error["message"].startswith("idler grid step 0.09375 rad/ps is "
+                                       "too coarse for the RMS idler")
 
 
 def test_hom_gridded_requires_tau_max(tmp_path, jsa_k26):

@@ -334,6 +334,46 @@ def test_gridded_quantities_match_closed(jsa_k26, k26_grid):
     assert hp.unfiltered_purity(k26_grid) == pytest.approx(5.0 / 13.0, rel=1e-5)
 
 
+# A chirped double Gaussian: the amplitude times exp(1j*kappa*ws*wi).  The
+# phase leaves the intensity, so the success is the real source's, and adds
+# kappa**2 to a*c in the thermal purity (Law, Walmsley and Eberly, PRL 84,
+# 5304 (2000)): purity = sqrt(det / (a*c + kappa**2)), and behind a centred
+# Gaussian herald c becomes c + phi, phi = 1/(2*width**2), and det becomes
+# a*(c + phi) - b**2.  Per source, the largest errors measured on
+# 900-point grids over the recommended extent, at herald widths of 0.1,
+# 0.3 and 1 times the idler marginal width, were: unfiltered purity (both
+# routes) 5.0e-15, 9.1e-12 and 6.9e-11; filtered purity 4.4e-16, 5.0e-16
+# and 2.2e-16; success relative 8.0e-15, 2.2e-11 and 7.7e-11.  The bounds
+# below are about three times those.
+@pytest.mark.parametrize("params, kappa, unfiltered_tol, success_tol", [
+    ((1.0, 5.0, math.pi / 4, -math.pi / 4), 0.3, 2e-14, 3e-14),
+    ((1.0, 3.0, 0.6, -1.1), 1.5, 3e-11, 6e-11),
+    ((2.0, 0.7, 0.3, 1.2), -0.8, 2e-10, 2e-10),
+])
+def test_chirped_gridded_amplitude_meets_its_closed_form(
+        params, kappa, unfiltered_tol, success_tol):
+    jsa = hp.DoubleGaussianJsa(*params)
+    a, b, c, det = jsa.intensity_coefficients()
+    real = hp.discretize(jsa, hp.recommended_grid(jsa)[0], 900)
+    ws, wi = real.signal_grid[:, None], real.idler_grid[None, :]
+    grid = hp.GriddedJsa(real.signal_grid, real.idler_grid,
+                         real.amplitudes * np.exp(1j * kappa * ws * wi)
+                         ).normalize()
+    purity = math.sqrt(det / (a * c + kappa * kappa))
+    assert hp.unfiltered_purity(grid) == pytest.approx(purity,
+                                                       abs=unfiltered_tol)
+    assert hp.decompose(grid).purity() == pytest.approx(purity,
+                                                        abs=unfiltered_tol)
+    for width in np.array([0.1, 0.3, 1.0]) * jsa.marginal_widths()[1]:
+        filt = hp.GaussianFilter(0.0, width)
+        c_f = c + 0.5 / (width * width)
+        assert hp.filtered_purity(grid, filt) == pytest.approx(
+            math.sqrt((a * c_f - b * b) / (a * c_f + kappa * kappa)),
+            abs=1.5e-15)
+        assert hp.herald_success(grid, filt) == pytest.approx(
+            hp.closed_form_success(jsa, filt), rel=success_tol)
+
+
 def _zero_gap_filter():
     """Tabulated herald whose transmission is exactly zero on some samples."""
     grid = np.linspace(-3.0, 3.0, 13)

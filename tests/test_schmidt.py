@@ -296,12 +296,21 @@ def test_decompose_checks_its_modes_are_orthonormal(k26_grid, monkeypatch):
         hp.decompose(k26_grid)
 
 
-@pytest.mark.parametrize("threshold", [True, "1e-12", math.nan],
-                         ids=["bool", "str", "nan"])
+@pytest.mark.parametrize("threshold", [True, "1e-12", math.nan, 1.5],
+                         ids=["bool", "str", "nan", "above_one"])
 def test_decompose_requires_a_numeric_threshold(k26_grid, threshold):
-    # true ran as a threshold of 1 and a string raised TypeError
+    # true ran as a threshold of 1 and a string raised TypeError; above 1
+    # no mode was kept and numpy's empty-reduction error leaked out
     with pytest.raises(ValueError, match="rel_threshold must be"):
         hp.decompose(k26_grid, threshold)
+
+
+def test_decompose_threshold_range_ends(k26_grid):
+    # a threshold of 1 keeps the leading mode; one at or below zero keeps all
+    assert hp.decompose(k26_grid, 1.0).n_modes == 1
+    every = hp.decompose(k26_grid, 0.0)
+    np.testing.assert_array_equal(hp.decompose(k26_grid, -1.0).coefficients,
+                                  every.coefficients)
 
 
 def test_truncation_keeps_weights_unrescaled(k26_grid):

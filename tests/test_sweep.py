@@ -1,12 +1,14 @@
 """Tests for parameter sweeps and the filter-width solver."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import heraldpurity as hp
+from conftest import idler_line_grid
 from heraldpurity.sweep import _gridded_curve, _scan
 
 
@@ -191,6 +193,26 @@ def test_solver_unachievable_target(jsa_k26):
     # the scan starts at two grid steps, too wide for this target
     with pytest.raises(ValueError, match="unachievable"):
         hp.solve_filter_for_target(coarse, target_purity=0.9)
+
+
+@pytest.mark.parametrize("shoulder, rms", [(1e-4, "1.326e-05"), (0.0, "0")],
+                         ids=["shoulder", "line"])
+def test_solver_refuses_an_empty_width_scan(shoulder, rms, monkeypatch):
+    # twice the idler step lies above 1e3 times the RMS idler frequency: the
+    # shoulder grid was solved at 0.0133, the narrowest scanned width, as
+    # "bracket_end" after 400 evaluations, and the line grid failed on a
+    # filter width of 0
+    grid = idler_line_grid(shoulder)
+
+    def refuse(*args):
+        raise AssertionError("a width was evaluated")
+
+    monkeypatch.setattr(hp.sweep, "_gridded_curve", refuse)
+    message = re.escape("idler grid step 0.09375 rad/ps is too coarse for "
+                        f"the RMS idler frequency {rms} rad/ps")
+    for target in (0.5, 0.9, 0.99):
+        with pytest.raises(hp.GridCoverageError, match=message):
+            hp.solve_filter_for_target(grid, target_purity=target)
 
 
 def test_solver_argument_validation(jsa_k26):

@@ -5,7 +5,7 @@ Usage::
     PYTHONPATH=src python tools/cli_snapshot.py OUTDIR
     python tools/cli_snapshot.py --compare OLD NEW
 
-Writes twenty-one configs under ``OUTDIR`` (the demo source, the KTP
+Writes twenty-two configs under ``OUTDIR`` (the demo source, the KTP
 source, the demo with a detuned filter, the demo without a filter, a
 128-point gridded copy of the demo as CSV, that copy with extra jsa keys,
 a chirped (complex) copy of it, the demo with a boolean filter width, the
@@ -15,12 +15,13 @@ frequency NaN, the demo behind a herald 500 rad/ps away that passes
 nothing, the demo behind two three-knot tables peaking at 1 + 5e-13 and
 at 1.5, the demo behind a two-knot box on [-1, 1], a jsa section that is
 a number, the demo with a filter section that is a string, a ``csv_path``
-that is a number, and the demo with every width scaled by 1e-200 and by
-1e80), then runs a fixed list of 114 ``heraldpurity.cli`` invocations
-with ``--no-timestamp``, each in a fresh interpreter with
-``OPENBLAS_NUM_THREADS=1`` and the caller's ``PYTHONPATH``.  Every run
-leaves ``NN.stdout``, ``NN.stderr`` and ``NN.code`` in ``OUTDIR``, and
-``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
+that is a number, the demo with every width scaled by 1e-200 and by
+1e80, and a CSV grid whose idler marginal is one line with 1e-4
+shoulders, too sharp for its idler step), then runs a fixed list of 115
+``heraldpurity.cli`` invocations with ``--no-timestamp``, each in a
+fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and the caller's
+``PYTHONPATH``.  Every run leaves ``NN.stdout``, ``NN.stderr`` and
+``NN.code`` in ``OUTDIR``, and ``index.json`` lists the argument vectors.  The runs use ``OUTDIR`` as
 their working directory and name the configs by relative path, so no
 output embeds a location: two snapshots taken with different
 ``PYTHONPATH`` settings compare with ``diff -r``.
@@ -86,6 +87,7 @@ CONFIGS = {
                   "filter": {"center": 0.0, "width": 6e-201}},
     "huge.json": {"jsa": {**DEMO, "sigma1": 1e80, "sigma2": 5e80},
                   "filter": {"center": 0.0, "width": 6e79}},
+    "line.json": {"jsa": {"csv_path": "line_grid.csv"}},
 }
 
 
@@ -117,6 +119,18 @@ def write_inputs(outdir):
         # the next file: the last signal frequency NaN on each of its rows,
         # which still cover the rectangle once
         rows[rows[:, 0] == grid.signal_grid[-1], 0] = np.nan
+    # exp(-ws**2/2) on the wi = 0 column of a 64 x 65 grid over [-3, 3] and
+    # 1e-4 of it on the two columns beside: the RMS idler frequency is
+    # 1.3e-5 rad/ps, and twice the 0.094 rad/ps idler step exceeds 1e3 times it
+    ws, wi = np.meshgrid(np.linspace(-3.0, 3.0, 64), np.linspace(-3.0, 3.0, 65),
+                         indexing="ij")
+    line = np.exp(-0.5 * ws**2) * np.select([wi == 0.0, abs(wi) < 0.1],
+                                            [1.0, 1e-4])
+    np.savetxt(outdir / "line_grid.csv",
+               np.column_stack([ws.ravel(), wi.ravel(), line.ravel(),
+                                np.zeros(line.size)]),
+               fmt="%.17g", delimiter=",",
+               header="omega_signal,omega_idler,re,im", comments="")
 
 
 def invocations():
@@ -261,6 +275,8 @@ def invocations():
         ["hom", "--config", "chirped.json", "--tau-max", "1.0",
          "--tau-points", "9"],
         ["schmidt", "--config", "chirped.json"],
+        # an idler step too coarse for the RMS idler frequency: exit 3
+        ["solve-filter", "--config", "line.json", "--target-purity", "0.9"],
     ]
     return [run + ["--no-timestamp"] for run in runs]
 
